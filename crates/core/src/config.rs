@@ -53,9 +53,6 @@ pub struct PipelineConfig {
     /// each unique payload is analysed exactly once however many apps
     /// load it. Disable for differential testing and baselines.
     pub analysis_cache: bool,
-    /// Shard count of the analysis cache's lock-striped map (rounded up
-    /// to a power of two; `0` = default sizing).
-    pub cache_shards: usize,
     /// Run the Table VIII environment re-runs serially with per-config
     /// re-decompilation (the pre-optimization code path), instead of
     /// fanning (app × config) pairs over the worker pool with a single
@@ -113,7 +110,11 @@ pub struct PipelineConfig {
     pub provenance: bool,
     /// Explicit path for the provenance ledger. `None` places it beside
     /// the sweep journal (`<journal>.provenance.jsonl`); without a
-    /// journal the ledger is kept in memory only.
+    /// journal the ledger is kept in memory only. A plain [`Pipeline::run`]
+    /// streams it through the same shard append as a journaled sweep (one
+    /// ledger-only shard) and finalizes it in corpus order.
+    ///
+    /// [`Pipeline::run`]: crate::Pipeline::run
     pub provenance_out: Option<String>,
     /// When the persistent streams fsync: after every record, at
     /// checkpoint intervals (default), or never (see
@@ -129,18 +130,6 @@ pub struct PipelineConfig {
     /// may accumulate across resumes before it is quarantined: recorded
     /// as an analysis failure and skipped on re-runs.
     pub quarantine_threshold: u32,
-    /// Shard count for the multi-writer persistent streams (journal,
-    /// ledger, events) during journaled sweeps: each worker appends to
-    /// the shard owning its app's content hash, and `finalize` merges
-    /// the shards back into the canonical single-file streams. `0`
-    /// resolves to the worker count; `1` keeps the single-writer
-    /// collector path (always used when no journal is attached).
-    pub stream_shards: usize,
-    /// Whether the work-stealing scheduler keeps two lanes per worker —
-    /// fresh apps ahead of retry/re-scan work (apps that came back
-    /// inconsistent from recovery) — so a crash loop cannot starve
-    /// first-pass coverage. Disabled, all tasks share one FIFO lane.
-    pub priority_lanes: bool,
 }
 
 impl Default for PipelineConfig {
@@ -156,7 +145,6 @@ impl Default for PipelineConfig {
             max_retries: 1,
             retry_reseed: true,
             analysis_cache: true,
-            cache_shards: 0,
             serial_env_reruns: false,
             naive_detector: false,
             legacy_interp: false,
@@ -173,8 +161,6 @@ impl Default for PipelineConfig {
             sync_policy: SyncPolicy::default(),
             io_retry_budget: DEFAULT_RETRY_BUDGET,
             quarantine_threshold: 3,
-            stream_shards: 0,
-            priority_lanes: true,
         }
     }
 }
@@ -207,15 +193,6 @@ impl PipelineConfig {
                 .unwrap_or(4)
         }
     }
-
-    /// Resolved stream shard count (`0` = one shard per worker).
-    pub fn resolved_stream_shards(&self) -> usize {
-        if self.stream_shards > 0 {
-            self.stream_shards
-        } else {
-            self.effective_workers()
-        }
-    }
 }
 
 #[cfg(test)]
@@ -233,7 +210,6 @@ mod tests {
         assert_eq!(c.max_retries, 1);
         assert!(c.retry_reseed);
         assert!(c.analysis_cache);
-        assert_eq!(c.cache_shards, 0);
         assert!(!c.serial_env_reruns);
         assert!(!c.naive_detector);
         assert!(!c.legacy_interp);
@@ -250,9 +226,6 @@ mod tests {
         assert_eq!(c.sync_policy, SyncPolicy::Checkpoint);
         assert_eq!(c.io_retry_budget, DEFAULT_RETRY_BUDGET);
         assert_eq!(c.quarantine_threshold, 3);
-        assert_eq!(c.stream_shards, 0);
-        assert_eq!(c.resolved_stream_shards(), c.effective_workers());
-        assert!(c.priority_lanes);
     }
 
     #[test]
@@ -271,20 +244,5 @@ mod tests {
             ..Default::default()
         };
         assert_eq!(c.effective_workers(), 3);
-    }
-
-    #[test]
-    fn explicit_stream_shards_respected() {
-        let c = PipelineConfig {
-            workers: 3,
-            stream_shards: 8,
-            ..Default::default()
-        };
-        assert_eq!(c.resolved_stream_shards(), 8);
-        let auto = PipelineConfig {
-            workers: 3,
-            ..Default::default()
-        };
-        assert_eq!(auto.resolved_stream_shards(), 3);
     }
 }

@@ -25,11 +25,16 @@
 //! fsync scheduling per [`SyncPolicy`], and graceful degradation on disk
 //! pressure — metrics snapshots shed first, telemetry events second,
 //! provenance detail third, the journal never (see [`IoState`]).
+//!
+//! [`RecordFile`] types a framed file by its record: the journal, the
+//! provenance ledger and the quarantine file share its load, recover,
+//! rewrite, finalize and append code.
 
 use std::fmt;
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
-use std::path::Path;
+use std::marker::PhantomData;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -880,6 +885,227 @@ pub fn atomic_write_frames(
     let tmp = path.with_extension("tmp");
     std::fs::write(&tmp, text)?;
     std::fs::rename(&tmp, path)
+}
+
+/// Removes `path`; a file that is already gone is not an error.
+pub(crate) fn remove_if_exists(path: &Path) -> io::Result<()> {
+    match std::fs::remove_file(path) {
+        Err(e) if e.kind() != io::ErrorKind::NotFound => Err(e),
+        _ => Ok(()),
+    }
+}
+
+// ---------------------------------------------------------------------------
+// RecordFile: typed framed files
+// ---------------------------------------------------------------------------
+
+/// A record type persisted in a [`RecordFile`]: one JSON body per frame,
+/// appended as (and shed like) its [`StreamKind`].
+pub trait Record: Serialize + Deserialize {
+    /// The stream appends of this record type are accounted to.
+    const STREAM: StreamKind;
+}
+
+fn record_bodies<T: Serialize>(records: &[T]) -> io::Result<Vec<String>> {
+    records.iter().map(record_body).collect()
+}
+
+fn record_body<T: Serialize>(record: &T) -> io::Result<String> {
+    serde_json::to_string(record)
+        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+}
+
+/// A framed file of `T` records — the sweep journal, the provenance
+/// ledger and the quarantine file are all one of these. Streamed during
+/// a sweep for resume-safety, cut back to its valid prefix on recovery,
+/// and rewritten deterministically when a run completes.
+#[derive(Debug, Clone)]
+pub struct RecordFile<T> {
+    path: PathBuf,
+    record: PhantomData<fn() -> T>,
+}
+
+/// Outcome of [`RecordFile::recover_counted`]: the surviving records and
+/// the number of corrupt frames dropped.
+#[derive(Debug, Clone)]
+pub struct Recovery<T> {
+    /// Every record in the valid framed prefix before the first defect.
+    pub records: Vec<T>,
+    /// Frames/lines discarded from the first defect onward.
+    pub dropped_lines: usize,
+}
+
+impl<T: Record> RecordFile<T> {
+    /// A record file at `path`; the file need not exist yet.
+    pub fn new(path: impl Into<PathBuf>) -> Self {
+        RecordFile {
+            path: path.into(),
+            record: PhantomData,
+        }
+    }
+
+    /// The file's path.
+    pub fn path(&self) -> &Path {
+        &self.path
+    }
+
+    /// Loads every record in the valid framed prefix. A missing file is
+    /// empty; the first torn, corrupt, or out-of-sequence frame ends the
+    /// load (everything before it is kept).
+    ///
+    /// # Errors
+    ///
+    /// Returns I/O errors other than the file not existing.
+    pub fn load(&self) -> io::Result<Vec<T>> {
+        Ok(self.load_split()?.records)
+    }
+
+    /// Like [`RecordFile::load`], but when the file holds anything past
+    /// the valid prefix, rewrites it to exactly the surviving records
+    /// first — so appends after a resume extend a clean, contiguous
+    /// stream.
+    ///
+    /// # Errors
+    ///
+    /// Returns I/O errors from reading or rewriting the file.
+    pub fn recover(&self) -> io::Result<Vec<T>> {
+        Ok(self.recover_counted()?.records)
+    }
+
+    /// Like [`RecordFile::recover`], but also reports how many corrupt
+    /// frames were dropped — recovery must never discard data silently.
+    /// The pipeline surfaces the count as a telemetry counter and a
+    /// stderr warning.
+    ///
+    /// # Errors
+    ///
+    /// Returns I/O errors from reading or rewriting the file.
+    pub fn recover_counted(&self) -> io::Result<Recovery<T>> {
+        let recovery = self.load_split()?;
+        if recovery.dropped_lines > 0 {
+            self.rewrite(&recovery.records)?;
+        }
+        Ok(recovery)
+    }
+
+    /// Rewrites the file to exactly `records`, reframed from sequence 0
+    /// (plain write; for recovery paths).
+    ///
+    /// # Errors
+    ///
+    /// Returns serialization or write errors.
+    pub fn rewrite(&self, records: &[T]) -> io::Result<()> {
+        std::fs::write(&self.path, encode_frames(0, &record_bodies(records)?))
+    }
+
+    /// [`RecordFile::finalize_with`] without a fault harness.
+    ///
+    /// # Errors
+    ///
+    /// Returns serialization or write errors.
+    pub fn finalize(&self, records: &[T]) -> io::Result<()> {
+        self.finalize_with(records, None)
+    }
+
+    /// Atomically replaces the file with `records` in the given (corpus)
+    /// order, reframed from sequence 0 — the completed-run finalize that
+    /// makes same-seed runs byte-identical however the sweep interleaved
+    /// or how many times it was resumed. Faults are routed through
+    /// `harness` when present; a crash or injected fault leaves the
+    /// previous bytes intact rather than a blend.
+    ///
+    /// # Errors
+    ///
+    /// Returns serialization or write errors.
+    pub fn finalize_with(&self, records: &[T], harness: Option<&Arc<IoHarness>>) -> io::Result<()> {
+        atomic_write_frames(&self.path, &record_bodies(records)?, harness)
+    }
+
+    /// Valid leading records plus the number of frames/lines dropped
+    /// from the first defect onward (0 = the whole file scanned clean).
+    /// A frame whose body fails to parse as a `T` also ends the load.
+    fn load_split(&self) -> io::Result<Recovery<T>> {
+        let scan = scan_path(&self.path)?.unwrap_or_default();
+        let mut records = Vec::with_capacity(scan.bodies.len());
+        for (i, body) in scan.bodies.iter().enumerate() {
+            match serde_json::from_str::<T>(body) {
+                Ok(record) => records.push(record),
+                Err(_) => {
+                    let dropped_lines = scan.bodies.len() - i + scan.dropped;
+                    return Ok(Recovery {
+                        records,
+                        dropped_lines,
+                    });
+                }
+            }
+        }
+        Ok(Recovery {
+            records,
+            dropped_lines: scan.dropped,
+        })
+    }
+
+    /// Opens the file for appending with stand-alone sink options
+    /// (default sync policy, no fault injection), creating it if needed
+    /// and truncating any torn tail so the sequence continues cleanly.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying open error.
+    pub fn writer(&self) -> io::Result<RecordWriter<T>> {
+        self.writer_with(SinkOptions::direct(T::STREAM))
+    }
+
+    /// Like [`RecordFile::writer`], but with explicit sink options — the
+    /// pipeline threads the run's shared [`IoState`], sync policy, and
+    /// fault harness through here.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying open error.
+    pub fn writer_with(&self, opts: SinkOptions) -> io::Result<RecordWriter<T>> {
+        Ok(RecordWriter {
+            inner: FramedWriter::open(&self.path, opts)?,
+            record: PhantomData,
+        })
+    }
+
+    /// Deletes the file if present.
+    ///
+    /// # Errors
+    ///
+    /// Returns I/O errors other than the file not existing.
+    pub fn reset(&self) -> io::Result<()> {
+        remove_if_exists(&self.path)
+    }
+}
+
+/// An append handle to a [`RecordFile`]: one framed record per line,
+/// flushed per append so a kill loses at most in-flight records; fsyncs
+/// follow the sink's [`SyncPolicy`]. Records of a sheddable stream are
+/// counted, not written, under disk pressure — the completed-run
+/// finalize reconstructs them from memory.
+#[derive(Debug)]
+pub struct RecordWriter<T> {
+    inner: FramedWriter,
+    record: PhantomData<fn(&T)>,
+}
+
+impl<T: Record> RecordWriter<T> {
+    /// Appends one record as a framed JSON line (or sheds it).
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying write error (transient faults are retried
+    /// within the run's budget first).
+    pub fn append(&mut self, record: &T) -> io::Result<()> {
+        self.inner.append_body(&record_body(record)?).map(|_| ())
+    }
+
+    /// Sequence number the next appended record will carry.
+    pub fn seq(&self) -> u64 {
+        self.inner.seq()
+    }
 }
 
 #[cfg(test)]

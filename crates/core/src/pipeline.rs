@@ -192,7 +192,7 @@ impl Pipeline {
             training::reference_detector_traced(config.malware_threshold, &telemetry);
         detector.set_naive(config.naive_detector);
         let cache = if config.analysis_cache {
-            AnalysisCache::new(config.cache_shards)
+            AnalysisCache::new(0)
         } else {
             AnalysisCache::disabled()
         }
@@ -275,7 +275,16 @@ impl Pipeline {
             }
         }
         let io_state = IoState::new(self.config.io_retry_budget);
-        let ledger_writer = self.open_ledger_writer(ledger.as_ref(), &io_state);
+        let shards = ledger.as_ref().and_then(|ledger| {
+            StreamShards::open(self, None, Some(ledger), 1, &io_state)
+                .map_err(|e| {
+                    eprintln!(
+                        "dydroid: failed to open ledger {}: {e}",
+                        ledger.path().display()
+                    )
+                })
+                .ok()
+        });
         let observatory = Observatory::open(self, None, &io_state);
         let sweep_start = Instant::now();
         let indices: Vec<usize> = (0..corpus.len()).collect();
@@ -284,15 +293,14 @@ impl Pipeline {
         let (results, worker_stats) = self.sweep(
             corpus,
             &indices,
-            None,
-            ledger_writer.as_ref(),
-            None,
+            shards.as_ref(),
             &HashSet::new(),
             observatory.as_ref(),
             sweep_span.id(),
         );
         drop(sweep_span);
-        drop(ledger_writer);
+        let shard_contention = shards.as_ref().map_or(0, StreamShards::contention);
+        drop(shards);
         if let Some(obs) = &observatory {
             obs.finish(self);
         }
@@ -309,7 +317,7 @@ impl Pipeline {
             SweepPerf {
                 worker_stats,
                 stream_shards: 1,
-                shard_contention: 0,
+                shard_contention,
             },
             observatory,
             sweep_ms,
@@ -330,24 +338,6 @@ impl Pipeline {
             return Some(ProvenanceLedger::new(path));
         }
         journal.map(|j| ProvenanceLedger::new(j.provenance_path()))
-    }
-
-    fn open_ledger_writer(
-        &self,
-        ledger: Option<&ProvenanceLedger>,
-        io_state: &Arc<IoState>,
-    ) -> Option<Mutex<crate::provenance::LedgerWriter>> {
-        let ledger = ledger?;
-        match ledger.writer_with(self.sink_options(StreamKind::Ledger, io_state)) {
-            Ok(w) => Some(Mutex::new(w)),
-            Err(e) => {
-                eprintln!(
-                    "dydroid: failed to open ledger {}: {e}",
-                    ledger.path().display()
-                );
-                None
-            }
-        }
     }
 
     /// Marks of the monotonic avm counters (truncation + inline caches),
@@ -423,30 +413,16 @@ impl Pipeline {
                 .counter_add("sweep.inconsistent_apps", outcome.inconsistent.len() as u64);
             self.telemetry
                 .counter_add("sweep.quarantined_apps", outcome.quarantined.len() as u64);
-            let events_path = journal.events_path();
-            if let Err(e) = self.telemetry.set_event_sink_with(
-                &events_path,
-                self.sink_options(StreamKind::Events, &io_state),
-            ) {
-                eprintln!(
-                    "dydroid: failed to open event sink {}: {e}",
-                    events_path.display()
-                );
-            }
         }
         let mut done: HashMap<String, AppRecord> = std::mem::take(&mut outcome.records)
             .into_iter()
             .map(|r| (r.package.clone(), r))
             .collect();
         let prior_provenance = std::mem::take(&mut outcome.provenance);
-        let writer =
-            Mutex::new(journal.writer_with(self.sink_options(StreamKind::Journal, &io_state))?);
-        let ledger_writer = self.open_ledger_writer(ledger.as_ref(), &io_state);
         // Apps that exhausted their interrupted-attempt budget are not
-        // re-analysed: a deterministic failure record is persisted through
-        // the normal journal/checkpoint/ledger path so all three streams
-        // stay mutually consistent, then the app is excluded from the
-        // pending set.
+        // re-analysed: a deterministic failure record stands in for them
+        // and is excluded from the pending set.
+        let mut quarantined = Vec::new();
         for entry in &outcome.quarantine {
             if entry.attempts < self.config.quarantine_threshold
                 || done.contains_key(entry.package.as_str())
@@ -460,61 +436,35 @@ impl Pipeline {
                 app,
                 format!("quarantined after {} interrupted attempts", entry.attempts),
             );
-            let append = writer
-                .lock()
-                .map_err(|p| std::io::Error::other(p.to_string()))
-                .and_then(|mut w| w.append(&record));
-            match append {
-                Ok(()) => self.telemetry.emit_checkpoint(&record.package, 0),
-                Err(e) => {
-                    eprintln!("dydroid: journal append failed for {}: {e}", record.package)
-                }
-            }
-            if let Some(ledger_writer) = &ledger_writer {
-                let provenance = AppProvenance::from_record(&record);
-                let append = ledger_writer
-                    .lock()
-                    .map_err(|p| std::io::Error::other(p.to_string()))
-                    .and_then(|mut w| w.append(&provenance));
-                match append {
-                    Ok(()) => self.telemetry.emit_provenance_link(&record.package, 0),
-                    Err(e) => {
-                        eprintln!("dydroid: ledger append failed for {}: {e}", record.package)
-                    }
-                }
-            }
             done.insert(record.package.clone(), record);
+            quarantined.push(app);
         }
         let pending: Vec<usize> = (0..corpus.len())
             .filter(|&i| !done.contains_key(corpus[i].package()))
             .collect();
+        // One stream shard per sweep worker: shard 0 is the base triplet,
+        // so a one-worker (or nothing-pending) run keeps the single-writer
+        // layout.
+        let shard_count = self.config.effective_workers().min(pending.len()).max(1);
+        let shards =
+            StreamShards::open(self, Some(journal), ledger.as_ref(), shard_count, &io_state)?;
+        // Quarantine records are persisted through the same append as
+        // every analysed app, so all three streams stay mutually
+        // consistent.
+        for app in quarantined {
+            let record = &done[app.package()];
+            let provenance = AppProvenance::from_record(record);
+            shards.append(
+                shards.shard_of(app),
+                record,
+                Some(&provenance),
+                0,
+                &self.telemetry,
+            );
+        }
         // Apps invalidated by recovery re-run in the low-priority retry
         // lane so a crash loop cannot starve first-pass coverage.
         let retry: HashSet<String> = outcome.inconsistent.iter().cloned().collect();
-        // Multi-writer mode: with more than one shard resolved and real
-        // work pending, every worker appends to its app's stream shard
-        // and the collector only aggregates. A failure to open the
-        // shards degrades to the single-writer collector path.
-        let shard_count = self.config.resolved_stream_shards();
-        let shards = if shard_count > 1 && pending.len() > 1 {
-            match StreamShards::open(
-                self,
-                journal,
-                ledger_writer.is_some(),
-                shard_count,
-                &io_state,
-            ) {
-                Ok(shards) => Some(shards),
-                Err(e) => {
-                    eprintln!(
-                        "dydroid: failed to open stream shards: {e}; using single-writer path"
-                    );
-                    None
-                }
-            }
-        } else {
-            None
-        };
         let cache_mark = self.cache.stats();
         let detector_mark = self.detector.stats();
         let avm_marks = self.avm_counter_marks();
@@ -526,17 +476,7 @@ impl Pipeline {
         let (results, worker_stats) = self.sweep(
             corpus,
             &pending,
-            if shards.is_none() {
-                Some(&writer)
-            } else {
-                None
-            },
-            if shards.is_none() {
-                ledger_writer.as_ref()
-            } else {
-                None
-            },
-            shards.as_ref(),
+            Some(&shards),
             &retry,
             observatory.as_ref(),
             sweep_span.id(),
@@ -547,14 +487,13 @@ impl Pipeline {
         }
         let perf = SweepPerf {
             worker_stats,
-            stream_shards: shards.as_ref().map_or(1, |s| s.shards.len()),
-            shard_contention: shards.as_ref().map_or(0, StreamShards::contention),
+            stream_shards: shard_count,
+            shard_contention: shards.contention(),
         };
         // Close the shard writers before finalize merges and removes the
-        // shard files (the telemetry shard sinks close inside
+        // shard files (the telemetry event sinks close inside
         // `finalize_event_sink`).
         drop(shards);
-        drop(ledger_writer);
         let sweep_ms = sweep_start.elapsed().as_millis() as u64;
         let summary = RecoverySummary {
             recovered: recovered as u64,
@@ -868,18 +807,14 @@ impl Pipeline {
     /// the work-stealing [`Scheduler`] (new work ahead of recovery
     /// re-scans) and analyses each app inside a panic-isolation
     /// boundary. With `shards` attached, the worker itself appends the
-    /// finished record to its app's stream shard — no collector
-    /// bottleneck; otherwise the collector owns the single-writer
-    /// journal/ledger appends as before. Results flow through a bounded
-    /// channel so a slow collector backpressures workers instead of
-    /// buffering the whole corpus in memory.
-    #[allow(clippy::too_many_arguments)]
+    /// finished record to its app's stream shard — the sweep's only
+    /// append path. Results flow through a bounded channel so a slow
+    /// collector backpressures workers instead of buffering the whole
+    /// corpus in memory.
     fn sweep(
         &self,
         corpus: &[SyntheticApp],
         indices: &[usize],
-        journal: Option<&Mutex<crate::sweep::JournalWriter>>,
-        ledger: Option<&Mutex<crate::provenance::LedgerWriter>>,
         shards: Option<&StreamShards>,
         retry: &HashSet<String>,
         observatory: Option<&Observatory>,
@@ -888,7 +823,7 @@ impl Pipeline {
         let workers = self.config.effective_workers().min(indices.len().max(1));
         let scheduler = Scheduler::new(workers);
         for (pos, &i) in indices.iter().enumerate() {
-            let lane = if self.config.priority_lanes && retry.contains(corpus[i].package()) {
+            let lane = if retry.contains(corpus[i].package()) {
                 Lane::Retry
             } else {
                 Lane::New
@@ -922,7 +857,7 @@ impl Pipeline {
                         // checkpoint/provenance links of the shard append)
                         // to the app's shard for the whole task.
                         let shard = shards.map(|s| s.shard_of(app));
-                        let _scope = shard.map(|k| self.telemetry.event_shard_scope(Some(k)));
+                        let _scope = shard.map(|k| self.telemetry.event_shard_scope(k));
                         let started = Instant::now();
                         let (record, provenance, span_id, virtual_us) =
                             self.analyze_app_traced(app, parent_span);
@@ -953,37 +888,6 @@ impl Pipeline {
             drop(result_tx);
             let mut collected_count = 0u64;
             while let Ok((i, record, provenance, span_id, virtual_us)) = result_rx.recv() {
-                if let Some(writer) = journal {
-                    let append = writer
-                        .lock()
-                        .map_err(|p| std::io::Error::other(p.to_string()))
-                        .and_then(|mut w| w.append(&record));
-                    match append {
-                        // A checkpoint in the event stream mirrors every
-                        // successful journal append, so a resumed run can
-                        // stitch records back to their spans.
-                        Ok(()) => self.telemetry.emit_checkpoint(&record.package, span_id),
-                        Err(e) => {
-                            eprintln!("dydroid: journal append failed for {}: {e}", record.package);
-                        }
-                    }
-                }
-                if let (Some(writer), Some(provenance)) = (ledger, &provenance) {
-                    let append = writer
-                        .lock()
-                        .map_err(|p| std::io::Error::other(p.to_string()))
-                        .and_then(|mut w| w.append(provenance));
-                    match append {
-                        // The provenance-link line is the durable span
-                        // cross-reference the ledger itself omits.
-                        Ok(()) => self
-                            .telemetry
-                            .emit_provenance_link(&record.package, span_id),
-                        Err(e) => {
-                            eprintln!("dydroid: ledger append failed for {}: {e}", record.package);
-                        }
-                    }
-                }
                 if self.telemetry.is_enabled() {
                     // Observatory bookkeeping, all on the collector
                     // thread: worker/utilization gauges from the live
@@ -1226,6 +1130,7 @@ impl Pipeline {
             sweep_ms,
             env_ms: env_start.elapsed().as_millis() as u64,
             analyzed_apps: records.len(),
+            telemetry: self.telemetry.is_enabled(),
             cache: self.cache.stats().since(&cache_mark),
             detector: self.detector.stats().since(&detector_mark),
             workers: self.config.effective_workers(),
@@ -1318,7 +1223,7 @@ impl Pipeline {
 
     /// [`Pipeline::analyze_app_resilient`] under a per-app telemetry span
     /// (parented to the sweep span); returns the record and provenance
-    /// graph together with the span id (so the sweep collector can
+    /// graph together with the span id (so the shard append can
     /// checkpoint and ledger them) and the app's deterministic virtual
     /// cost in microseconds, summed across attempts, which the scheduler
     /// charges to the worker that ran it.
@@ -1964,12 +1869,16 @@ impl Pipeline {
     }
 }
 
-/// Per-shard writers of the three persistent streams during a sharded
-/// multi-writer sweep. Apps are routed by APK content hash (the same
-/// key the analysis cache stripes on), so each worker appends to the
-/// shard owning its current app with no collector bottleneck; the
-/// shards are merged back into the canonical single-file streams by
-/// `finalize` and by [`Pipeline::recover_all`] after a crash.
+/// The one append path of every sweep: per-shard writers of the
+/// journal and provenance ledger, with the telemetry event sinks
+/// registered at the same indices. Shard 0 writes the base streams
+/// (`<journal>`, `.provenance.jsonl`, `.events.jsonl`) and shard `k >= 1`
+/// the `shard-K` files beside them. Apps are routed by APK content hash
+/// (the same key the analysis cache stripes on), so each worker appends
+/// to the shard owning its current app with no collector bottleneck; the
+/// shard files are merged back into the base streams by `finalize` and by
+/// [`Pipeline::recover_all`] after a crash. A plain [`Pipeline::run`]
+/// with `provenance_out` set appends through one ledger-only shard.
 struct StreamShards {
     shards: Vec<Mutex<ShardStreams>>,
     /// Appends that found their shard mutex held by another worker
@@ -1978,45 +1887,53 @@ struct StreamShards {
 }
 
 struct ShardStreams {
-    journal: crate::sweep::JournalWriter,
+    journal: Option<crate::sweep::JournalWriter>,
     ledger: Option<crate::provenance::LedgerWriter>,
 }
 
 impl StreamShards {
-    /// Opens `count` shard triplets beside `journal` (journal + ledger
-    /// writers here, event sinks registered with the telemetry layer).
-    /// Per-shard frame sequences continue from each shard file's valid
-    /// prefix, exactly like the base streams.
+    /// Opens `count` shards: a journal writer per shard when `journal` is
+    /// attached, a ledger writer per shard when `ledger` is, and — on a
+    /// journaled telemetry run — one event sink per shard. Per-shard frame
+    /// sequences continue from each file's valid prefix.
     fn open(
         pipeline: &Pipeline,
-        journal: &crate::sweep::Journal,
-        ledger_active: bool,
+        journal: Option<&crate::sweep::Journal>,
+        ledger: Option<&ProvenanceLedger>,
         count: usize,
         io_state: &Arc<IoState>,
     ) -> std::io::Result<StreamShards> {
+        let sink = |stream| pipeline.sink_options(stream, io_state);
         let mut shards = Vec::with_capacity(count);
-        let mut event_paths = Vec::with_capacity(count);
         for k in 0..count {
-            let journal_writer = journal
-                .shard(k)
-                .writer_with(pipeline.sink_options(StreamKind::Journal, io_state))?;
-            let ledger = ledger_active
-                .then(|| {
-                    ProvenanceLedger::new(journal.shard_provenance_path(k))
-                        .writer_with(pipeline.sink_options(StreamKind::Ledger, io_state))
-                })
-                .transpose()?;
+            let (journal_k, ledger_k) = match journal {
+                Some(j) if k > 0 => (
+                    Some(j.shard(k)),
+                    ledger.map(|_| ProvenanceLedger::new(j.shard_provenance_path(k))),
+                ),
+                _ => (journal.cloned(), ledger.cloned()),
+            };
             shards.push(Mutex::new(ShardStreams {
-                journal: journal_writer,
-                ledger,
+                journal: journal_k
+                    .map(|j| j.writer_with(sink(StreamKind::Journal)))
+                    .transpose()?,
+                ledger: ledger_k
+                    .map(|l| l.writer_with(sink(StreamKind::Ledger)))
+                    .transpose()?,
             }));
-            event_paths.push(journal.shard_events_path(k));
         }
-        if pipeline.telemetry.is_enabled() {
-            pipeline.telemetry.set_sharded_event_sinks(
-                &event_paths,
-                &pipeline.sink_options(StreamKind::Events, io_state),
-            )?;
+        if let Some(journal) = journal.filter(|_| pipeline.telemetry.is_enabled()) {
+            let mut paths = vec![journal.events_path()];
+            paths.extend((1..count).map(|k| journal.shard_events_path(k)));
+            if let Err(e) = pipeline
+                .telemetry
+                .set_event_sinks(&paths, &sink(StreamKind::Events))
+            {
+                eprintln!(
+                    "dydroid: failed to open event sinks beside {}: {e}",
+                    journal.path().display()
+                );
+            }
         }
         Ok(StreamShards {
             shards,
@@ -2029,11 +1946,14 @@ impl StreamShards {
         (content_hash(&app.apk) % self.shards.len() as u64) as usize
     }
 
-    /// Appends one completed app to its shard, holding the shard lock
+    /// Appends one completed app to shard `k`, holding the shard lock
     /// through the journal append → checkpoint → ledger append →
     /// provenance-link quad so the virtual op clock orders the four
     /// writes as a unit — the per-segment recovery intersection depends
-    /// on that ordering.
+    /// on that ordering. The two event lines go to shard `k`'s sink: a
+    /// checkpoint mirrors every successful journal append, and the
+    /// provenance link is the durable span cross-reference the ledger
+    /// itself omits.
     fn append(
         &self,
         k: usize,
@@ -2053,12 +1973,15 @@ impl StreamShards {
             }
             Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
         };
-        match shard.journal.append(record) {
-            Ok(()) => telemetry.emit_checkpoint(&record.package, span_id),
-            Err(e) => eprintln!(
-                "dydroid: shard {k} journal append failed for {}: {e}",
-                record.package
-            ),
+        let _scope = telemetry.event_shard_scope(k);
+        if let Some(writer) = shard.journal.as_mut() {
+            match writer.append(record) {
+                Ok(()) => telemetry.emit_checkpoint(&record.package, span_id),
+                Err(e) => eprintln!(
+                    "dydroid: shard {k} journal append failed for {}: {e}",
+                    record.package
+                ),
+            }
         }
         if let (Some(writer), Some(provenance)) = (shard.ledger.as_mut(), provenance) {
             match writer.append(provenance) {

@@ -21,16 +21,12 @@
 
 use std::collections::{BTreeMap, HashMap, VecDeque};
 use std::fmt::Write as _;
-use std::io;
-use std::path::{Path, PathBuf};
 
 use dydroid_analysis::entity::{classify, Entity};
 use dydroid_avm::{DclEvent, DclKind, Event, EventLog, FileOp, FlowGraph, FlowNode};
 use serde::{Deserialize, Serialize};
 
-use crate::durable::{
-    atomic_write_frames, encode_frames, scan_path, FramedWriter, IoHarness, SinkOptions, StreamKind,
-};
+use crate::durable::{Record, RecordFile, RecordWriter, Recovery, StreamKind};
 use crate::pipeline::{verdict_label, AppRecord, MalwareHit};
 
 /// A node in the causal provenance graph. Every variant carries the
@@ -750,186 +746,24 @@ impl ProvenanceIndex {
     }
 }
 
+impl Record for AppProvenance {
+    const STREAM: StreamKind = StreamKind::Ledger;
+}
+
 /// The JSONL provenance ledger beside the sweep journal: one
 /// [`AppProvenance`] per line, streamed during the sweep for
 /// resume-safety and rewritten deterministically (corpus order, deduped)
 /// when a run completes.
-#[derive(Debug, Clone)]
-pub struct ProvenanceLedger {
-    path: PathBuf,
-}
+pub type ProvenanceLedger = RecordFile<AppProvenance>;
 
-/// Outcome of [`ProvenanceLedger::recover_counted`].
-#[derive(Debug, Clone)]
-pub struct LedgerRecovery {
-    /// Every record in the valid framed prefix before the first defect.
-    pub records: Vec<AppProvenance>,
-    /// Frames/lines discarded from the first defect onward.
-    pub dropped_lines: usize,
-}
+/// Outcome of [`RecordFile::recover_counted`] on a [`ProvenanceLedger`].
+pub type LedgerRecovery = Recovery<AppProvenance>;
 
-impl ProvenanceLedger {
-    /// A ledger at `path`; the file need not exist yet.
-    pub fn new(path: impl Into<PathBuf>) -> Self {
-        ProvenanceLedger { path: path.into() }
-    }
-
-    /// The ledger's path.
-    pub fn path(&self) -> &Path {
-        &self.path
-    }
-
-    /// Loads every complete record; a missing file is an empty ledger
-    /// and a torn tail ends the load (same tolerance as the journal).
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors other than the file not existing.
-    pub fn load(&self) -> io::Result<Vec<AppProvenance>> {
-        Ok(self.load_split()?.0)
-    }
-
-    /// Like [`ProvenanceLedger::load`], but truncates a torn or corrupt
-    /// tail so later appends extend a clean contiguous stream, and
-    /// reports the dropped count.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from reading or rewriting the file.
-    pub fn recover_counted(&self) -> io::Result<LedgerRecovery> {
-        let (records, dropped_lines) = self.load_split()?;
-        if dropped_lines > 0 {
-            self.rewrite(&records)?;
-        }
-        Ok(LedgerRecovery {
-            records,
-            dropped_lines,
-        })
-    }
-
-    /// Rewrites the ledger to exactly `records`, reframed from
-    /// sequence 0 (plain write; for recovery paths).
-    ///
-    /// # Errors
-    ///
-    /// Returns serialization or write errors.
-    pub fn rewrite(&self, records: &[AppProvenance]) -> io::Result<()> {
-        std::fs::write(&self.path, encode_frames(0, &ledger_bodies(records)?))
-    }
-
-    fn load_split(&self) -> io::Result<(Vec<AppProvenance>, usize)> {
-        let Some(scan) = scan_path(&self.path)? else {
-            return Ok((Vec::new(), 0));
-        };
-        let mut records = Vec::new();
-        for (i, body) in scan.bodies.iter().enumerate() {
-            match serde_json::from_str::<AppProvenance>(body) {
-                Ok(record) => records.push(record),
-                Err(_) => return Ok((records, scan.bodies.len() - i + scan.dropped)),
-            }
-        }
-        Ok((records, scan.dropped))
-    }
-
-    /// Opens the ledger for appending with stand-alone sink options,
-    /// creating it if needed; a torn tail is truncated so the sequence
-    /// continues cleanly.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying open error.
-    pub fn writer(&self) -> io::Result<LedgerWriter> {
-        self.writer_with(SinkOptions::direct(StreamKind::Ledger))
-    }
-
-    /// Like [`ProvenanceLedger::writer`], but with explicit sink options
-    /// so the pipeline can thread the run's shared I/O state, sync
-    /// policy, and fault harness through.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying open error.
-    pub fn writer_with(&self, opts: SinkOptions) -> io::Result<LedgerWriter> {
-        Ok(LedgerWriter {
-            inner: FramedWriter::open(&self.path, opts)?,
-        })
-    }
-
-    /// Deletes the ledger file if present.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors other than the file not existing.
-    pub fn reset(&self) -> io::Result<()> {
-        match std::fs::remove_file(&self.path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
-        }
-    }
-
-    /// Rewrites the ledger to exactly `records`, in the given order —
-    /// called with corpus-ordered records when a run completes, which is
-    /// what makes the finalized file byte-identical across same-seed
-    /// and resumed runs.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from writing the file.
-    pub fn finalize(&self, records: &[AppProvenance]) -> io::Result<()> {
-        self.finalize_with(records, None)
-    }
-
-    /// Like [`ProvenanceLedger::finalize`], but atomic (temp file +
-    /// rename) and routed through the fault harness when present — a
-    /// crash or injected fault mid-finalize leaves the previous bytes
-    /// intact rather than a blend.
-    ///
-    /// # Errors
-    ///
-    /// Returns serialization or write errors.
-    pub fn finalize_with(
-        &self,
-        records: &[AppProvenance],
-        harness: Option<&std::sync::Arc<IoHarness>>,
-    ) -> io::Result<()> {
-        atomic_write_frames(&self.path, &ledger_bodies(records)?, harness)
-    }
-}
-
-fn ledger_bodies(records: &[AppProvenance]) -> io::Result<Vec<String>> {
-    records
-        .iter()
-        .map(|r| {
-            serde_json::to_string(r)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-        })
-        .collect()
-}
-
-/// An append handle to a [`ProvenanceLedger`]; one framed record per
-/// line, flushed per append. Under sustained disk pressure (shed level
-/// ≥ 3) appends are shed — counted, not written — since the finalize at
-/// run completion reconstructs the full ledger from memory.
-#[derive(Debug)]
-pub struct LedgerWriter {
-    inner: FramedWriter,
-}
-
-impl LedgerWriter {
-    /// Appends one record as a framed JSON line (or sheds it under disk
-    /// pressure).
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying write error (transient faults are retried
-    /// within the run's budget first).
-    pub fn append(&mut self, record: &AppProvenance) -> io::Result<()> {
-        let body = serde_json::to_string(record)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        self.inner.append_body(&body).map(|_| ())
-    }
-}
+/// An append handle to a [`ProvenanceLedger`]. Under sustained disk
+/// pressure (shed level ≥ 3) appends are shed — counted, not written —
+/// since the finalize at run completion reconstructs the full ledger
+/// from memory.
+pub type LedgerWriter = RecordWriter<AppProvenance>;
 
 #[cfg(test)]
 mod tests {

@@ -32,6 +32,10 @@ pub struct SweepStats {
     pub env_ms: u64,
     /// Apps analysed.
     pub analyzed_apps: usize,
+    /// Whether telemetry was on for the run. The AVM truncation and
+    /// inline-cache counters and the watchdog count are only collected
+    /// then; with it off they are not measured, not 0.
+    pub telemetry: bool,
     /// Analysis-cache counters for this run.
     pub cache: CacheStats,
     /// Signature-matcher counters for this run: candidates generated by
@@ -80,8 +84,9 @@ pub struct SweepStats {
     /// Packages quarantined after exhausting interrupted attempts
     /// (sorted); recorded as analysis failures, not re-analysed.
     pub quarantined: Vec<String>,
-    /// Stream shards the sweep appended through (1 = the single-writer
-    /// collector path; see `PipelineConfig::stream_shards`).
+    /// Stream shards the sweep appended through: one per sweep worker on
+    /// journaled runs, shard 0 being the base streams (1 = the base
+    /// streams only).
     pub stream_shards: usize,
     /// Shard appends that found their shard mutex held by another
     /// worker (they block briefly; high counts mean too few shards).
@@ -124,7 +129,9 @@ impl SweepStats {
     /// cache, inline-cache, scheduler, sharding, durability and recovery
     /// counters the unified bench measurement record (`dydroid-bench`)
     /// carries in its `counters` envelope. Names use the same dotted
-    /// convention as the telemetry metrics registry.
+    /// convention as the telemetry metrics registry. Counters only
+    /// telemetry collects (`ic.*`, `events.dropped`, `flow.*`,
+    /// `watchdog.stragglers`) are absent when the run had it off.
     pub fn counter_map(&self) -> std::collections::BTreeMap<String, u64> {
         let mut map = std::collections::BTreeMap::new();
         let mut put = |k: &str, v: u64| {
@@ -140,13 +147,16 @@ impl SweepStats {
         put("detector.pruned", self.detector.pruned);
         put("detector.fully_scored", self.detector.fully_scored);
         put("detector.early_exits", self.detector.early_exits);
-        put("ic.call_hits", self.ic_call_hits);
-        put("ic.call_misses", self.ic_call_misses);
-        put("ic.field_hits", self.ic_field_hits);
-        put("ic.field_misses", self.ic_field_misses);
-        put("events.dropped", self.dropped_events);
-        put("flow.truncated", self.flow_truncated);
-        put("flow.deduped", self.flow_deduped);
+        if self.telemetry {
+            put("ic.call_hits", self.ic_call_hits);
+            put("ic.call_misses", self.ic_call_misses);
+            put("ic.field_hits", self.ic_field_hits);
+            put("ic.field_misses", self.ic_field_misses);
+            put("events.dropped", self.dropped_events);
+            put("flow.truncated", self.flow_truncated);
+            put("flow.deduped", self.flow_deduped);
+            put("watchdog.stragglers", self.straggler_warnings);
+        }
         put(
             "scheduler.steals",
             self.worker_stats.iter().map(|w| w.steals).sum(),
@@ -163,7 +173,6 @@ impl SweepStats {
         put("io.shed_events", self.shed_events);
         put("io.shed_provenance", self.shed_provenance);
         put("io.shed_metrics", self.shed_metrics);
-        put("watchdog.stragglers", self.straggler_warnings);
         put(
             "scheduler.idle_workers",
             idle_workers(&self.worker_stats) as u64,
@@ -1303,6 +1312,48 @@ mod tests {
     use dydroid_analysis::entity::EntityMix;
     use dydroid_avm::{DclEvent, DclKind};
     use dydroid_workload::AppMetadata;
+
+    const TELEMETRY_COUNTERS: [&str; 8] = [
+        "ic.call_hits",
+        "ic.call_misses",
+        "ic.field_hits",
+        "ic.field_misses",
+        "events.dropped",
+        "flow.truncated",
+        "flow.deduped",
+        "watchdog.stragglers",
+    ];
+
+    #[test]
+    fn counter_map_omits_telemetry_counters_when_telemetry_was_off() {
+        let stats = SweepStats {
+            telemetry: false,
+            analyzed_apps: 3,
+            ..SweepStats::default()
+        };
+        let map = stats.counter_map();
+        assert_eq!(map.get("apps.analyzed"), Some(&3));
+        for name in TELEMETRY_COUNTERS {
+            assert!(!map.contains_key(name), "{name} reported without telemetry");
+        }
+    }
+
+    #[test]
+    fn counter_map_reports_telemetry_counters_when_telemetry_was_on() {
+        let stats = SweepStats {
+            telemetry: true,
+            ic_call_hits: 7,
+            straggler_warnings: 2,
+            ..SweepStats::default()
+        };
+        let map = stats.counter_map();
+        for name in TELEMETRY_COUNTERS {
+            assert!(map.contains_key(name), "{name} missing with telemetry on");
+        }
+        assert_eq!(map.get("ic.call_hits"), Some(&7));
+        assert_eq!(map.get("watchdog.stragglers"), Some(&2));
+        assert_eq!(map.get("flow.deduped"), Some(&0));
+    }
 
     fn metadata(category: usize, downloads: u64) -> AppMetadata {
         AppMetadata {

@@ -17,58 +17,65 @@
 //! letting one poisonous app wedge every resume.
 
 use std::io;
-use std::path::{Path, PathBuf};
+use std::ops::Deref;
+use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 
-use crate::durable::{
-    atomic_write_frames, encode_frames, scan_path, Appended, FramedWriter, IoHarness, SinkOptions,
-    StreamKind,
-};
+use crate::durable::{remove_if_exists, Record, RecordFile, RecordWriter, Recovery, StreamKind};
 use crate::pipeline::AppRecord;
 
-/// A framed JSON-lines checkpoint file of completed app records.
+impl Record for AppRecord {
+    const STREAM: StreamKind = StreamKind::Journal;
+}
+
+/// A framed JSON-lines checkpoint file of completed app records: a
+/// [`RecordFile`] of [`AppRecord`]s (load, recover, finalize and append
+/// come from there) that also names the sidecar streams written beside
+/// it.
 #[derive(Debug, Clone)]
-pub struct Journal {
-    path: PathBuf,
+pub struct Journal(RecordFile<AppRecord>);
+
+impl Deref for Journal {
+    type Target = RecordFile<AppRecord>;
+
+    fn deref(&self) -> &RecordFile<AppRecord> {
+        &self.0
+    }
 }
 
 impl Journal {
     /// A journal at `path`; the file need not exist yet.
     pub fn new(path: impl Into<PathBuf>) -> Self {
-        Journal { path: path.into() }
+        Journal(RecordFile::new(path))
     }
 
-    /// The journal's path.
-    pub fn path(&self) -> &Path {
-        &self.path
+    /// `<journal><suffix>`: a sidecar path beside the journal.
+    fn sidecar(&self, suffix: &str) -> PathBuf {
+        let mut name = self.path().as_os_str().to_owned();
+        name.push(suffix);
+        PathBuf::from(name)
     }
 
     /// Path of the telemetry event stream written alongside this
     /// journal (`<journal>.events.jsonl`), used by resumed runs to
     /// stitch spans into one timeline.
     pub fn events_path(&self) -> PathBuf {
-        let mut name = self.path.as_os_str().to_owned();
-        name.push(".events.jsonl");
-        PathBuf::from(name)
+        self.sidecar(".events.jsonl")
     }
 
     /// Path of the provenance ledger written alongside this journal
     /// (`<journal>.provenance.jsonl`), holding one causal graph per
     /// analysed app (see [`crate::provenance`]).
     pub fn provenance_path(&self) -> PathBuf {
-        let mut name = self.path.as_os_str().to_owned();
-        name.push(".provenance.jsonl");
-        PathBuf::from(name)
+        self.sidecar(".provenance.jsonl")
     }
 
     /// Path of the quarantine file written alongside this journal
     /// (`<journal>.quarantine.jsonl`): one entry per app that was
     /// in-flight at a crash, with its interrupted-attempt count.
     pub fn quarantine_path(&self) -> PathBuf {
-        let mut name = self.path.as_os_str().to_owned();
-        name.push(".quarantine.jsonl");
-        PathBuf::from(name)
+        self.sidecar(".quarantine.jsonl")
     }
 
     /// Path of the durable metrics snapshot stream written alongside
@@ -76,9 +83,7 @@ impl Journal {
     /// serializations of the metrics registry on the virtual clock,
     /// resume-stitched like the event stream (see `crate::profile`).
     pub fn metrics_path(&self) -> PathBuf {
-        let mut name = self.path.as_os_str().to_owned();
-        name.push(".metrics.jsonl");
-        PathBuf::from(name)
+        self.sidecar(".metrics.jsonl")
     }
 
     /// Path of the folded span-profile artifact written alongside this
@@ -86,36 +91,28 @@ impl Journal {
     /// collapsed-stack lines ready for flamegraph tooling. Written at
     /// finalize because the canonical event stream drops span lines.
     pub fn profile_path(&self) -> PathBuf {
-        let mut name = self.path.as_os_str().to_owned();
-        name.push(".profile.folded");
-        PathBuf::from(name)
+        self.sidecar(".profile.folded")
     }
 
     /// Path of shard `k`'s journal (`<journal>.shard-K.jsonl`). During a
-    /// multi-worker sweep each worker appends to the shard its app
-    /// hashes to; `finalize` merges every shard back into the base
-    /// journal and removes the shard files, so a completed run leaves
-    /// the same single-file layout as a serial one.
+    /// multi-worker sweep, shard 0 is the base journal itself and each
+    /// shard `k >= 1` appends here; `finalize` merges every shard back
+    /// into the base journal and removes the shard files, so a completed
+    /// run leaves the same single-file layout as a serial one.
     pub fn shard_path(&self, k: usize) -> PathBuf {
-        let mut name = self.path.as_os_str().to_owned();
-        name.push(format!(".shard-{k}.jsonl"));
-        PathBuf::from(name)
+        self.sidecar(&format!(".shard-{k}.jsonl"))
     }
 
     /// Path of shard `k`'s provenance ledger
     /// (`<journal>.shard-K.provenance.jsonl`).
     pub fn shard_provenance_path(&self, k: usize) -> PathBuf {
-        let mut name = self.path.as_os_str().to_owned();
-        name.push(format!(".shard-{k}.provenance.jsonl"));
-        PathBuf::from(name)
+        self.sidecar(&format!(".shard-{k}.provenance.jsonl"))
     }
 
     /// Path of shard `k`'s telemetry event stream
     /// (`<journal>.shard-K.events.jsonl`).
     pub fn shard_events_path(&self, k: usize) -> PathBuf {
-        let mut name = self.path.as_os_str().to_owned();
-        name.push(format!(".shard-{k}.events.jsonl"));
-        PathBuf::from(name)
+        self.sidecar(&format!(".shard-{k}.events.jsonl"))
     }
 
     /// A [`Journal`] view of shard `k`'s journal file, for recovery and
@@ -134,11 +131,11 @@ impl Journal {
     /// Returns I/O errors from reading the journal's directory (a
     /// missing directory is an empty layout).
     pub fn discover_shards(&self) -> io::Result<Vec<usize>> {
-        let parent = match self.path.parent() {
+        let parent = match self.path().parent() {
             Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
             _ => PathBuf::from("."),
         };
-        let Some(file_name) = self.path.file_name().and_then(|n| n.to_str()) else {
+        let Some(file_name) = self.path().file_name().and_then(|n| n.to_str()) else {
             return Ok(Vec::new());
         };
         let prefix = format!("{file_name}.shard-");
@@ -182,132 +179,16 @@ impl Journal {
     pub fn remove_shards(&self) -> io::Result<usize> {
         let shards = self.discover_shards()?;
         for &k in &shards {
-            for path in [
-                self.shard_path(k),
-                self.shard_provenance_path(k),
-                self.shard_events_path(k),
-            ] {
-                match std::fs::remove_file(&path) {
-                    Ok(()) => {}
-                    Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                    Err(e) => return Err(e),
-                }
-            }
+            remove_if_exists(&self.shard_path(k))?;
+            remove_if_exists(&self.shard_provenance_path(k))?;
+            remove_if_exists(&self.shard_events_path(k))?;
         }
         Ok(shards.len())
     }
 
-    /// Loads every record in the valid framed prefix. A missing file is
-    /// an empty journal; the first torn, corrupt, or out-of-sequence
-    /// frame ends the load (everything before it is kept).
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors other than the file not existing.
-    pub fn load(&self) -> io::Result<Vec<AppRecord>> {
-        Ok(self.load_split()?.0)
-    }
-
-    /// Like [`Journal::load`], but when the file holds anything past the
-    /// valid prefix, rewrites it to exactly the surviving records first —
-    /// so appends after a resume extend a clean, contiguous stream.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from reading or rewriting the file.
-    pub fn recover(&self) -> io::Result<Vec<AppRecord>> {
-        Ok(self.recover_counted()?.records)
-    }
-
-    /// Like [`Journal::recover`], but also reports how many corrupt
-    /// frames were dropped — recovery must never discard data silently.
-    /// The pipeline surfaces the count as a telemetry counter and a
-    /// stderr warning.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from reading or rewriting the file.
-    pub fn recover_counted(&self) -> io::Result<JournalRecovery> {
-        let (records, dropped_lines) = self.load_split()?;
-        if dropped_lines > 0 {
-            self.rewrite(&records)?;
-        }
-        Ok(JournalRecovery {
-            records,
-            dropped_lines,
-        })
-    }
-
-    /// Rewrites the journal to exactly `records`, reframed from
-    /// sequence 0 (plain write; for recovery paths).
-    ///
-    /// # Errors
-    ///
-    /// Returns serialization or write errors.
-    pub fn rewrite(&self, records: &[AppRecord]) -> io::Result<()> {
-        let bodies = record_bodies(records)?;
-        std::fs::write(&self.path, encode_frames(0, &bodies))
-    }
-
-    /// Atomically replaces the journal with `records` in the given
-    /// (corpus) order, reframed from sequence 0 — the completed-run
-    /// finalize that makes same-seed runs byte-identical however the
-    /// sweep interleaved or how many times it was resumed. Faults are
-    /// routed through `harness` when present.
-    ///
-    /// # Errors
-    ///
-    /// Returns serialization or write errors.
-    pub fn finalize_with(
-        &self,
-        records: &[AppRecord],
-        harness: Option<&std::sync::Arc<IoHarness>>,
-    ) -> io::Result<()> {
-        let bodies = record_bodies(records)?;
-        atomic_write_frames(&self.path, &bodies, harness)
-    }
-
-    /// Valid leading records plus the number of frames/lines dropped
-    /// from the first defect onward (0 = the whole file scanned clean).
-    /// A frame whose body fails to parse as an [`AppRecord`] also ends
-    /// the load.
-    fn load_split(&self) -> io::Result<(Vec<AppRecord>, usize)> {
-        let Some(scan) = scan_path(&self.path)? else {
-            return Ok((Vec::new(), 0));
-        };
-        let mut records = Vec::new();
-        for (i, body) in scan.bodies.iter().enumerate() {
-            match serde_json::from_str::<AppRecord>(body) {
-                Ok(record) => records.push(record),
-                Err(_) => return Ok((records, scan.bodies.len() - i + scan.dropped)),
-            }
-        }
-        Ok((records, scan.dropped))
-    }
-
-    /// Opens the journal for appending with stand-alone sink options
-    /// (default sync policy, no fault injection), creating the file if
-    /// needed and truncating any torn tail so the sequence continues
-    /// cleanly.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying open error.
-    pub fn writer(&self) -> io::Result<JournalWriter> {
-        self.writer_with(SinkOptions::direct(StreamKind::Journal))
-    }
-
-    /// Like [`Journal::writer`], but with explicit sink options — the
-    /// pipeline threads the run's shared [`crate::durable::IoState`],
-    /// sync policy, and fault harness through here.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying open error.
-    pub fn writer_with(&self, opts: SinkOptions) -> io::Result<JournalWriter> {
-        Ok(JournalWriter {
-            inner: FramedWriter::open(&self.path, opts)?,
-        })
+    /// The quarantine file as a [`RecordFile`].
+    fn quarantine(&self) -> RecordFile<QuarantineEntry> {
+        RecordFile::new(self.quarantine_path())
     }
 
     /// Loads quarantine entries; a missing file is an empty list.
@@ -316,17 +197,7 @@ impl Journal {
     ///
     /// Returns I/O errors other than the file not existing.
     pub fn load_quarantine(&self) -> io::Result<Vec<QuarantineEntry>> {
-        let Some(scan) = scan_path(&self.quarantine_path())? else {
-            return Ok(Vec::new());
-        };
-        let mut entries = Vec::new();
-        for body in &scan.bodies {
-            match serde_json::from_str::<QuarantineEntry>(body) {
-                Ok(entry) => entries.push(entry),
-                Err(_) => break,
-            }
-        }
-        Ok(entries)
+        self.quarantine().load()
     }
 
     /// Rewrites the quarantine file to exactly `entries` (sorted by
@@ -336,24 +207,12 @@ impl Journal {
     ///
     /// Returns serialization or write errors.
     pub fn write_quarantine(&self, entries: &[QuarantineEntry]) -> io::Result<()> {
-        let path = self.quarantine_path();
         if entries.is_empty() {
-            return match std::fs::remove_file(&path) {
-                Ok(()) => Ok(()),
-                Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-                Err(e) => Err(e),
-            };
+            return self.quarantine().reset();
         }
-        let mut sorted: Vec<&QuarantineEntry> = entries.iter().collect();
+        let mut sorted = entries.to_vec();
         sorted.sort_by(|a, b| a.package.cmp(&b.package));
-        let bodies = sorted
-            .iter()
-            .map(|e| {
-                serde_json::to_string(e)
-                    .map_err(|err| io::Error::new(io::ErrorKind::InvalidData, err.to_string()))
-            })
-            .collect::<io::Result<Vec<String>>>()?;
-        std::fs::write(&path, encode_frames(0, &bodies))
+        self.quarantine().rewrite(&sorted)
     }
 
     /// Deletes the journal file if present (start a sweep from scratch).
@@ -374,39 +233,17 @@ impl Journal {
             self.metrics_path(),
             self.profile_path(),
         ] {
-            match std::fs::remove_file(side) {
-                Ok(()) => {}
-                Err(e) if e.kind() == io::ErrorKind::NotFound => {}
-                Err(e) => return Err(e),
-            }
+            remove_if_exists(&side)?;
         }
-        match std::fs::remove_file(&self.path) {
-            Ok(()) => Ok(()),
-            Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(()),
-            Err(e) => Err(e),
-        }
+        self.0.reset()
     }
 }
 
-fn record_bodies(records: &[AppRecord]) -> io::Result<Vec<String>> {
-    records
-        .iter()
-        .map(|r| {
-            serde_json::to_string(r)
-                .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-        })
-        .collect()
-}
+/// Outcome of [`RecordFile::recover_counted`] on a [`Journal`].
+pub type JournalRecovery = Recovery<AppRecord>;
 
-/// Outcome of [`Journal::recover_counted`]: the surviving records and
-/// the number of corrupt frames dropped.
-#[derive(Debug, Clone)]
-pub struct JournalRecovery {
-    /// Every record in the valid prefix before the first defect.
-    pub records: Vec<AppRecord>,
-    /// Frames/lines discarded from the first defect onward.
-    pub dropped_lines: usize,
-}
+/// An append handle to a [`Journal`]. The journal is never shed.
+pub type JournalWriter = RecordWriter<AppRecord>;
 
 /// One quarantine entry: an app observed in-flight at a crash, with how
 /// many resumes it has interrupted so far.
@@ -418,33 +255,8 @@ pub struct QuarantineEntry {
     pub attempts: u32,
 }
 
-/// An append handle to a [`Journal`]. One framed record per line,
-/// flushed per append so a kill loses at most in-flight apps; fsyncs
-/// follow the sink's [`crate::durable::SyncPolicy`].
-#[derive(Debug)]
-pub struct JournalWriter {
-    inner: FramedWriter,
-}
-
-impl JournalWriter {
-    /// Appends one record as a framed JSON line.
-    ///
-    /// # Errors
-    ///
-    /// Returns the underlying write error (transient faults are retried
-    /// within the run's budget first). The journal is never shed.
-    pub fn append(&mut self, record: &AppRecord) -> io::Result<()> {
-        let body = serde_json::to_string(record)
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))?;
-        match self.inner.append_body(&body)? {
-            Appended::Written | Appended::Shed => Ok(()),
-        }
-    }
-
-    /// Sequence number the next appended record will carry.
-    pub fn seq(&self) -> u64 {
-        self.inner.seq()
-    }
+impl Record for QuarantineEntry {
+    const STREAM: StreamKind = StreamKind::Journal;
 }
 
 #[cfg(test)]

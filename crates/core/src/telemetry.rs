@@ -28,7 +28,7 @@
 use std::cell::Cell;
 use std::collections::HashMap;
 use std::io;
-use std::path::Path;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
@@ -407,24 +407,24 @@ struct Inner {
     registry: MetricsRegistry,
     spans: Box<[Mutex<Vec<SpanRecord>>]>,
     span_count: AtomicUsize,
-    sink: Mutex<Option<FramedWriter>>,
-    /// Per-shard event sinks for multi-writer sweeps: each worker routes
-    /// its events (via the thread-local shard scope) to its app's shard
-    /// file, so concurrent appends never contend on one sink mutex.
-    shard_sinks: RwLock<Vec<Arc<Mutex<FramedWriter>>>>,
+    /// Framed event sinks: index 0 is the base event stream, index `k`
+    /// shard `k`'s stream in a multi-writer sweep. Each worker routes its
+    /// events (via the thread-local shard scope) to its app's shard, so
+    /// concurrent appends never contend on one sink mutex.
+    sinks: RwLock<Vec<Mutex<FramedWriter>>>,
 }
 
 thread_local! {
     /// The event shard the current thread's writes are scoped to. Set by
     /// [`Telemetry::event_shard_scope`] around each sharded-sweep task;
-    /// `None` routes to the base sink.
-    static EVENT_SHARD: Cell<Option<usize>> = const { Cell::new(None) };
+    /// 0 (the default) is the base sink.
+    static EVENT_SHARD: Cell<usize> = const { Cell::new(0) };
 }
 
 /// RAII guard scoping the current thread's event writes to one shard;
 /// restores the previous scope on drop (scopes nest).
 pub struct EventShardGuard {
-    prev: Option<usize>,
+    prev: usize,
 }
 
 impl Drop for EventShardGuard {
@@ -460,8 +460,7 @@ impl Inner {
             registry: MetricsRegistry::new(),
             spans,
             span_count: AtomicUsize::new(0),
-            sink: Mutex::new(None),
-            shard_sinks: RwLock::new(Vec::new()),
+            sinks: RwLock::new(Vec::new()),
         }
     }
 
@@ -484,27 +483,15 @@ impl Inner {
 
     fn write_event(&self, line: &str) {
         // A thread inside a shard scope appends to its shard's sink so
-        // concurrent workers never contend on the base sink mutex; all
-        // other threads (and non-sharded runs) use the base sink.
-        if let Some(shard) = EVENT_SHARD.with(Cell::get) {
-            let writer = {
-                let sinks = self.shard_sinks.read().expect("shard sinks poisoned");
-                if sinks.is_empty() {
-                    None
-                } else {
-                    Some(Arc::clone(&sinks[shard % sinks.len()]))
-                }
-            };
-            if let Some(writer) = writer {
-                let mut w = writer.lock().expect("shard sink poisoned");
-                self.append_event(&mut w, line);
-                return;
-            }
+        // concurrent workers never contend on one sink mutex; all other
+        // threads (and non-sharded runs) use the base sink at index 0.
+        let sinks = self.sinks.read().expect("event sinks poisoned");
+        if sinks.is_empty() {
+            return;
         }
-        let mut sink = self.sink.lock().expect("event sink poisoned");
-        if let Some(w) = sink.as_mut() {
-            self.append_event(w, line);
-        }
+        let shard = EVENT_SHARD.with(Cell::get) % sinks.len();
+        let mut w = sinks[shard].lock().expect("event sink poisoned");
+        self.append_event(&mut w, line);
     }
 
     /// Mirror the journal's crash discipline: one framed line per
@@ -651,67 +638,42 @@ impl Telemetry {
     /// extend the same stream; a torn or corrupt tail is truncated and
     /// the frame sequence continues from the valid prefix.
     pub fn set_event_sink(&self, path: &Path) -> io::Result<()> {
-        self.set_event_sink_with(path, SinkOptions::direct(StreamKind::Events))
+        self.set_event_sinks(
+            &[path.to_path_buf()],
+            &SinkOptions::direct(StreamKind::Events),
+        )
     }
 
-    /// Like [`Telemetry::set_event_sink`], but with explicit sink
-    /// options so the pipeline can thread the run's shared I/O state,
-    /// sync policy, and fault harness through.
-    pub fn set_event_sink_with(&self, path: &Path, opts: SinkOptions) -> io::Result<()> {
+    /// Opens one framed event sink per path — `paths[0]` is the base
+    /// stream, `paths[k]` shard `k`'s — replacing any previous sinks.
+    /// Each sink appends with the same contract as
+    /// [`Telemetry::set_event_sink`]; `opts` threads the run's shared
+    /// I/O state, sync policy, and fault harness through. Worker threads
+    /// opt into a shard with [`Telemetry::event_shard_scope`].
+    pub fn set_event_sinks(&self, paths: &[PathBuf], opts: &SinkOptions) -> io::Result<()> {
         let Some(inner) = &self.inner else {
             return Ok(());
         };
-        let writer = FramedWriter::open(path, opts)?;
-        *inner.sink.lock().expect("event sink poisoned") = Some(writer);
+        let sinks = paths
+            .iter()
+            .map(|path| FramedWriter::open(path, opts.clone()).map(Mutex::new))
+            .collect::<io::Result<Vec<_>>>()?;
+        *inner.sinks.write().expect("event sinks poisoned") = sinks;
         Ok(())
     }
 
-    /// Opens one framed event sink per shard path (appending, torn tails
-    /// truncated — same contract as [`Telemetry::set_event_sink_with`]).
-    /// Worker threads opt into a shard with
-    /// [`Telemetry::event_shard_scope`]; threads outside any scope keep
-    /// writing to the base sink. Replaces any previous shard sinks.
-    pub fn set_sharded_event_sinks(
-        &self,
-        paths: &[std::path::PathBuf],
-        opts: &SinkOptions,
-    ) -> io::Result<()> {
-        let Some(inner) = &self.inner else {
-            return Ok(());
-        };
-        let mut sinks = Vec::with_capacity(paths.len());
-        for path in paths {
-            let writer = FramedWriter::open(path, opts.clone())?;
-            sinks.push(Arc::new(Mutex::new(writer)));
-        }
-        *inner.shard_sinks.write().expect("shard sinks poisoned") = sinks;
-        Ok(())
-    }
-
-    /// Closes all per-shard event sinks (flushing on drop); subsequent
-    /// writes from any shard scope fall back to the base sink.
-    pub fn clear_sharded_event_sinks(&self) {
-        if let Some(inner) = &self.inner {
-            inner
-                .shard_sinks
-                .write()
-                .expect("shard sinks poisoned")
-                .clear();
-        }
-    }
-
-    /// Scopes the current thread's event writes to `shard` until the
-    /// returned guard drops (pass `None` to force the base sink). Safe
-    /// to call with telemetry disabled — the scope is thread-local and
-    /// simply never consulted.
-    pub fn event_shard_scope(&self, shard: Option<usize>) -> EventShardGuard {
+    /// Scopes the current thread's event writes to sink `shard` (0 = the
+    /// base stream) until the returned guard drops. Safe to call with
+    /// telemetry disabled — the scope is thread-local and simply never
+    /// consulted.
+    pub fn event_shard_scope(&self, shard: usize) -> EventShardGuard {
         let prev = EVENT_SHARD.with(|s| s.replace(shard));
         EventShardGuard { prev }
     }
 
     /// Atomically replaces the event stream at `path` with the given
-    /// canonical body lines (reframed from sequence 0), closing the live
-    /// sink first. Called when a journaled run completes: the canonical
+    /// canonical body lines (reframed from sequence 0), closing every
+    /// live sink first. Called when a journaled run completes: the canonical
     /// stream holds only interleave-independent lines, which is what
     /// makes the finalized file byte-identical across same-seed and
     /// resumed runs. No-op when telemetry is disabled.
@@ -728,12 +690,7 @@ impl Telemetry {
         let Some(inner) = &self.inner else {
             return Ok(());
         };
-        *inner.sink.lock().expect("event sink poisoned") = None;
-        inner
-            .shard_sinks
-            .write()
-            .expect("shard sinks poisoned")
-            .clear();
+        inner.sinks.write().expect("event sinks poisoned").clear();
         atomic_write_frames(path, bodies, harness)
     }
 
@@ -1261,34 +1218,36 @@ mod tests {
             std::thread::current().id()
         ));
         std::fs::create_dir_all(&dir).expect("mkdir");
-        let base = dir.join("events.jsonl");
-        let shard_paths = vec![
-            dir.join("shard-0.events.jsonl"),
+        let paths = vec![
+            dir.join("events.jsonl"),
             dir.join("shard-1.events.jsonl"),
+            dir.join("shard-2.events.jsonl"),
         ];
 
         let t = Telemetry::new(true);
-        t.set_event_sink(&base).expect("base sink");
-        t.set_sharded_event_sinks(&shard_paths, &SinkOptions::direct(StreamKind::Events))
-            .expect("shard sinks");
+        t.set_event_sinks(&paths, &SinkOptions::direct(StreamKind::Events))
+            .expect("event sinks");
 
-        // No scope → base sink; scoped → that shard; scopes nest/restore.
+        // No scope → base sink (index 0); scoped → that shard; scopes
+        // nest/restore, and scope 0 is the base sink.
         t.emit_checkpoint("com.base", 1);
         {
-            let _guard = t.event_shard_scope(Some(0));
-            t.emit_checkpoint("com.zero", 2);
+            let _guard = t.event_shard_scope(1);
+            t.emit_checkpoint("com.one", 2);
             {
-                let _inner = t.event_shard_scope(Some(1));
-                t.emit_checkpoint("com.one", 3);
+                let _inner = t.event_shard_scope(2);
+                t.emit_checkpoint("com.two", 3);
             }
-            t.emit_checkpoint("com.zero.again", 4);
+            t.emit_checkpoint("com.one.again", 4);
+            let _base = t.event_shard_scope(0);
+            t.emit_checkpoint("com.base.scoped", 5);
         }
-        t.emit_checkpoint("com.base.again", 5);
-        t.clear_sharded_event_sinks();
+        t.emit_checkpoint("com.base.again", 6);
+        t.set_event_sink(&paths[0]).expect("base sink");
         {
-            // After clearing, a scoped write falls back to the base sink.
-            let _guard = t.event_shard_scope(Some(0));
-            t.emit_checkpoint("com.fallback", 6);
+            // With only the base sink left, a scoped write falls back to it.
+            let _guard = t.event_shard_scope(1);
+            t.emit_checkpoint("com.fallback", 7);
         }
         drop(t);
 
@@ -1297,16 +1256,17 @@ mod tests {
                 .expect("scan")
                 .map_or_else(Vec::new, |s| s.bodies)
         };
-        let base_bodies = read(&base);
-        assert_eq!(base_bodies.len(), 3);
+        let base_bodies = read(&paths[0]);
+        assert_eq!(base_bodies.len(), 4);
         assert!(base_bodies[0].contains("com.base"));
-        assert!(base_bodies[2].contains("com.fallback"));
-        let zero = read(&shard_paths[0]);
-        assert_eq!(zero.len(), 2);
-        assert!(zero[0].contains("com.zero") && zero[1].contains("com.zero.again"));
-        let one = read(&shard_paths[1]);
-        assert_eq!(one.len(), 1);
-        assert!(one[0].contains("com.one"));
+        assert!(base_bodies[1].contains("com.base.scoped"));
+        assert!(base_bodies[3].contains("com.fallback"));
+        let one = read(&paths[1]);
+        assert_eq!(one.len(), 2);
+        assert!(one[0].contains("com.one") && one[1].contains("com.one.again"));
+        let two = read(&paths[2]);
+        assert_eq!(two.len(), 1);
+        assert!(two[0].contains("com.two"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

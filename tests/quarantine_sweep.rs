@@ -1,0 +1,92 @@
+//! Quarantine acceptance: an app that has already used up its
+//! interrupted-attempt budget is not re-analysed. Its harness-failure
+//! record goes through the sweep's one append path, and the finalized
+//! streams come out byte-identical at one worker and at four.
+
+use std::path::PathBuf;
+
+use dydroid::sweep::QuarantineEntry;
+use dydroid::{Journal, Pipeline, PipelineConfig};
+use dydroid_workload::{generate, CorpusSpec, SyntheticApp};
+
+fn small_corpus(n: usize) -> Vec<SyntheticApp> {
+    let mut corpus = generate(&CorpusSpec {
+        scale: 0.004,
+        seed: 99,
+    });
+    corpus.truncate(n);
+    assert_eq!(corpus.len(), n, "corpus generation too small");
+    corpus
+}
+
+fn config(workers: usize) -> PipelineConfig {
+    PipelineConfig {
+        workers,
+        environment_reruns: false,
+        app_deadline_ms: 400,
+        ..PipelineConfig::default()
+    }
+}
+
+/// Seeds the quarantine file with `package` at 3 attempts, sweeps at
+/// `workers`, checks the quarantined record and a clean recovery, and
+/// returns the finalized journal, ledger and event stream, concatenated.
+fn quarantined_sweep(corpus: &[SyntheticApp], package: &str, workers: usize) -> Vec<u8> {
+    let path: PathBuf = std::env::temp_dir().join(format!(
+        "dydroid_quarantine_w{workers}_{}.jsonl",
+        std::process::id()
+    ));
+    let journal = Journal::new(path);
+    journal.reset().expect("reset journal");
+    journal
+        .write_quarantine(&[QuarantineEntry {
+            package: package.to_string(),
+            attempts: 3,
+        }])
+        .expect("seed quarantine");
+
+    let report = Pipeline::new(config(workers))
+        .run_resumable(corpus, &journal)
+        .expect("sweep");
+    assert_eq!(report.records().len(), corpus.len());
+    let record = report
+        .records()
+        .iter()
+        .find(|r| r.package == package)
+        .expect("quarantined app has a record");
+    assert_eq!(
+        record.harness_failure(),
+        Some("quarantined after 3 interrupted attempts"),
+        "{workers} worker(s): quarantined app was not recorded as quarantined"
+    );
+    assert_eq!(report.stats().quarantined, vec![package.to_string()]);
+
+    let mut bytes = std::fs::read(journal.path()).expect("journal bytes");
+    bytes.extend(std::fs::read(journal.provenance_path()).expect("ledger bytes"));
+    bytes.extend(std::fs::read(journal.events_path()).expect("events bytes"));
+
+    let outcome = Pipeline::new(config(workers))
+        .recover_all(&journal)
+        .expect("recover the finished journal");
+    assert!(
+        outcome.inconsistent.is_empty(),
+        "{workers} worker(s): inconsistent apps after a finished sweep: {:?}",
+        outcome.inconsistent
+    );
+    assert_eq!(outcome.records.len(), corpus.len());
+    journal.reset().expect("cleanup");
+    bytes
+}
+
+#[test]
+fn quarantined_app_is_recorded_and_streams_match_across_worker_counts() {
+    let corpus = small_corpus(24);
+    let package = corpus[5].package().to_string();
+    let serial = quarantined_sweep(&corpus, &package, 1);
+    let parallel = quarantined_sweep(&corpus, &package, 4);
+    assert!(!serial.is_empty());
+    assert!(
+        serial == parallel,
+        "finalized streams differ between 1 and 4 workers"
+    );
+}

@@ -64,7 +64,7 @@ fn sharded_multiworker_streams_finalize_byte_identical_to_serial() {
     assert_eq!(
         serial_report.stats().stream_shards,
         1,
-        "one worker must keep the single-writer collector path"
+        "one worker must append through shard 0, the base streams, alone"
     );
     let serial_bytes = stream_bytes(&serial_journal);
 
@@ -127,10 +127,23 @@ fn killed_sharded_sweep_resumes_byte_identical_to_serial() {
         .run_resumable(&corpus, &journal)
         .expect("interrupted sweep still returns");
 
-    // The kill left unmerged per-shard files behind.
+    // The kill left unmerged per-shard files behind. Shard 0 is the base
+    // triplet itself: it has no shard file, and its apps' frames sit in
+    // the base journal.
     assert!(
         !journal.discover_shards().expect("scan").is_empty(),
         "interrupted sharded sweep should leave shard files"
+    );
+    assert!(
+        !journal.shard_path(0).exists(),
+        "shard 0 must append to the base journal, not a shard file"
+    );
+    let base_frames = scan_path(journal.path())
+        .expect("scan base journal")
+        .map_or(0, |scan| scan.bodies.len());
+    assert!(
+        base_frames > 0,
+        "shard 0's appends must land in the base journal"
     );
 
     let resumed = Pipeline::new(config(4))
