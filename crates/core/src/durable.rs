@@ -36,46 +36,11 @@ use std::io::{self, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
+use dydroid_dex::checksum::crc32;
 use dydroid_workload::faults::{retry_jitter, IoFaultKind, IoFaultScript};
 use serde::{Deserialize, Serialize};
-
-// ---------------------------------------------------------------------------
-// CRC32 (IEEE 802.3 polynomial, table-driven)
-// ---------------------------------------------------------------------------
-
-fn crc_table() -> &'static [u32; 256] {
-    static TABLE: OnceLock<[u32; 256]> = OnceLock::new();
-    TABLE.get_or_init(|| {
-        let mut table = [0u32; 256];
-        for (i, slot) in table.iter_mut().enumerate() {
-            let mut c = i as u32;
-            for _ in 0..8 {
-                c = if c & 1 != 0 {
-                    0xEDB8_8320 ^ (c >> 1)
-                } else {
-                    c >> 1
-                };
-            }
-            *slot = c;
-        }
-        table
-    })
-}
-
-/// CRC32 checksum (IEEE 802.3 reflected polynomial) of `bytes`.
-///
-/// Because the polynomial is not of the form `x^j`, CRC32 detects every
-/// single-bit error — the property the bit-flip proptests lean on.
-pub fn crc32(bytes: &[u8]) -> u32 {
-    let table = crc_table();
-    let mut c = 0xFFFF_FFFFu32;
-    for &b in bytes {
-        c = table[((c ^ u32::from(b)) & 0xFF) as usize] ^ (c >> 8);
-    }
-    c ^ 0xFFFF_FFFF
-}
 
 // ---------------------------------------------------------------------------
 // Frame encode / decode / stream scan
