@@ -1,9 +1,13 @@
 //! The unpack/decompile/repackage front-end (baksmali + apktool stand-in).
 //!
 //! Mirrors the paper's implementation section: the APK is unpacked and
-//! decompiled into smali IR; apps that need it are rewritten with
-//! `WRITE_EXTERNAL_STORAGE` injected and repacked. Both steps have the
-//! failure modes the measurement reports in Table II:
+//! its `classes.dex` parsed once into a shared [`DexFile`]; apps that need
+//! it are rewritten with `WRITE_EXTERNAL_STORAGE` injected and repacked.
+//! The filter and the obfuscation analysis scan the parsed `DexFile`
+//! directly, and the pipeline hands the same `Arc` on to install and
+//! every launch; smali text is rendered only on demand, through
+//! [`dydroid_dex::smali::disassemble`]. Both steps have the failure modes
+//! the measurement reports in Table II:
 //!
 //! - **anti-decompilation**: some apps exploit a known decompiler bug —
 //!   modeled faithfully as a real pattern our decompiler refuses to
@@ -15,9 +19,10 @@
 //!   apktool.
 
 use dydroid_dex::manifest::WRITE_EXTERNAL_STORAGE;
-use dydroid_dex::{smali, Apk, ApkError, DexFile, Instruction, Manifest};
+use dydroid_dex::{Apk, ApkError, DexFile, Instruction, Manifest};
 
 use std::fmt;
+use std::sync::Arc;
 
 /// The resource-table entry packers plant to break repackaging.
 pub const ANTI_REPACK_TRAP: &str = "res/raw/.pack";
@@ -66,16 +71,14 @@ impl From<ApkError> for DecompileError {
     }
 }
 
-/// A successfully decompiled app: parsed manifest, parsed classes, and the
-/// smali rendering the downstream detectors scan.
+/// A successfully decompiled app: parsed manifest and parsed classes,
+/// which the downstream detectors scan directly.
 #[derive(Debug, Clone)]
 pub struct DecompiledApp {
     /// Parsed manifest.
     pub manifest: Manifest,
-    /// Parsed primary DEX.
-    pub classes: DexFile,
-    /// smali disassembly of `classes`.
-    pub smali: String,
+    /// Parsed primary DEX, shared with the device the app is installed on.
+    pub classes: Arc<DexFile>,
     /// The archive itself (assets/lib inspection).
     pub apk: Apk,
 }
@@ -110,11 +113,9 @@ pub fn decompile(apk_bytes: &[u8]) -> Result<DecompiledApp, DecompileError> {
     if let Some(class) = has_anti_decompilation_pattern(&classes) {
         return Err(DecompileError::AntiDecompilation { class });
     }
-    let smali = smali::disassemble(&classes);
     Ok(DecompiledApp {
         manifest,
-        classes,
-        smali,
+        classes: Arc::new(classes),
         apk,
     })
 }
@@ -164,7 +165,7 @@ pub fn prepare_for_dynamic_analysis(
 mod tests {
     use super::*;
     use dydroid_dex::builder::DexBuilder;
-    use dydroid_dex::{AccessFlags, Component};
+    use dydroid_dex::{smali, AccessFlags, Component};
 
     fn plain_apk(pkg: &str) -> Apk {
         let mut manifest = Manifest::new(pkg);
@@ -182,7 +183,8 @@ mod tests {
     fn decompiles_plain_app() {
         let app = decompile(&plain_apk("com.a").to_bytes()).unwrap();
         assert_eq!(app.package(), "com.a");
-        assert!(app.smali.contains(".class public Lcom/a/Main;"));
+        // smali is rendered on demand from the parsed classes.
+        assert!(smali::disassemble(&app.classes).contains(".class public Lcom/a/Main;"));
     }
 
     #[test]

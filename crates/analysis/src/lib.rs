@@ -2,13 +2,16 @@
 //!
 //! The static-analysis half of DyDroid:
 //!
-//! - [`decompiler`] — the baksmali/apktool equivalent: unpack an APK into
-//!   smali IR, with the realistic failure modes (anti-decompilation,
-//!   anti-repackaging) that Table II's failure rows measure, plus the
-//!   permission-injecting rewriter;
-//! - [`filter`] — the static pre-filter for DCL-related code;
+//! - [`decompiler`] — the baksmali/apktool equivalent: unpack an APK and
+//!   parse its bytecode once into a shared `DexFile` (smali text only on
+//!   demand, via `dydroid_dex::smali::disassemble`), with the realistic
+//!   failure modes (anti-decompilation, anti-repackaging) that Table II's
+//!   failure rows measure, plus the permission-injecting rewriter;
+//! - [`filter`] — the static pre-filter for DCL-related code, scanning the
+//!   parsed `DexFile`;
 //! - [`obfuscation`] — detectors for the five hardening techniques of
-//!   Table VI, including the three-rule DEX-encryption pattern;
+//!   Table VI, including the three-rule DEX-encryption pattern, also over
+//!   the parsed `DexFile`;
 //! - [`entity`] — own vs. third-party attribution from call-site classes;
 //! - [`taint`] — a FlowDroid-like data-flow analysis over intercepted DEX
 //!   code with the paper's modified entry-point rule (Table X);

@@ -2,6 +2,7 @@
 //! instrumentation, and app install/launch.
 
 use std::collections::HashMap;
+use std::sync::Arc;
 
 use dydroid_dex::manifest::WRITE_EXTERNAL_STORAGE;
 use dydroid_dex::{Apk, DexFile, Manifest, NativeLibrary};
@@ -76,8 +77,9 @@ pub struct InstalledApp {
     pub apk: Apk,
     /// Parsed manifest.
     pub manifest: Manifest,
-    /// Parsed primary bytecode.
-    pub classes: DexFile,
+    /// Parsed primary bytecode. Every launch's process shares it as its
+    /// base class space; DCL loads append spaces beside it, never into it.
+    pub classes: Arc<DexFile>,
 }
 
 /// The simulated device.
@@ -168,8 +170,9 @@ impl Device {
         !self.state.airplane_mode || self.state.wifi_on
     }
 
-    /// Installs an app from APK bytes: parses manifest and bytecode,
-    /// extracts native libraries to `/data/app-lib/<pkg>/`.
+    /// Installs an app from APK bytes: parses the archive, its manifest
+    /// and its bytecode, then installs them through
+    /// [`Device::install_parsed`].
     ///
     /// # Errors
     ///
@@ -179,6 +182,25 @@ impl Device {
         let apk = Apk::parse(apk_bytes)?;
         let manifest = apk.manifest()?;
         let classes = apk.classes()?;
+        self.install_parsed(apk, manifest, classes)
+    }
+
+    /// Installs an already-parsed app: `manifest` and `classes` must be
+    /// the parse of `apk`'s manifest and `classes.dex` entries. Extracts
+    /// native libraries to `/data/app-lib/<pkg>/` and keeps `classes` as
+    /// the shared base class space of every launch, so a caller that
+    /// already holds the parsed bytecode installs it without a re-parse
+    /// or a copy.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AvmError::AlreadyInstalled`].
+    pub fn install_parsed(
+        &mut self,
+        apk: Apk,
+        manifest: Manifest,
+        classes: impl Into<Arc<DexFile>>,
+    ) -> Result<String, AvmError> {
         let package = manifest.package.clone();
         if self.installed.contains_key(&package) {
             return Err(AvmError::AlreadyInstalled(package));
@@ -196,7 +218,7 @@ impl Device {
                 package: package.clone(),
                 apk,
                 manifest,
-                classes,
+                classes: classes.into(),
             },
         );
         Ok(package)
@@ -376,7 +398,7 @@ impl Device {
             .installed
             .get(pkg)
             .ok_or_else(|| AvmError::NotInstalled(pkg.to_string()))?;
-        let mut process = Process::new(pkg.to_string(), app.classes.clone(), &app.manifest);
+        let mut process = Process::new(pkg.to_string(), Arc::clone(&app.classes), &app.manifest);
         // Run the Application container first (packers hinge on this).
         if let Some(app_class) = app.manifest.application_class.clone() {
             process.run_entry(self, &app_class, "onCreate");

@@ -16,6 +16,8 @@
 //! returning null/zero, which keeps hostile inputs from crashing the
 //! harness.
 
+use std::sync::Arc;
+
 use dydroid_dex::{DexFile, MethodRef, NativeLibrary};
 
 use crate::error::Exec;
@@ -880,23 +882,28 @@ fn dex_load(
     let parsed = bytes.as_ref().ok().and_then(|b| DexFile::parse(b).ok());
     let success = parsed.is_some();
 
-    if let (Ok(bytes), Some(dex)) = (&bytes, parsed) {
+    if let (Ok(bytes), Some(dex)) = (bytes, parsed) {
         let space = vm.proc.spaces.len();
-        vm.proc.spaces.push(dex);
+        vm.proc.spaces.push(Arc::new(dex));
         if let Some(obj) = vm.proc.heap.get_mut(this) {
             obj.intrinsic = IntrinsicState::ClassLoader { space };
         }
+        // The runtime writes the optimized copy into the odex directory
+        // after the interception; only that copy clones the buffer, the
+        // interceptor takes it.
+        let odex = (!odex_dir.is_empty()).then(|| {
+            let path = format!("{}/{}.odex", odex_dir, paths::basename(dex_path));
+            (path, bytes.clone())
+        });
         vm.device.hooks.intercept(InterceptedBinary {
             path: dex_path.to_string(),
-            data: bytes.clone(),
+            data: bytes,
             kind,
             call_site_class: call_site.clone(),
             package: pkg.clone(),
         });
-        // The runtime writes the optimized copy into the odex directory.
-        if !odex_dir.is_empty() {
-            let odex_path = format!("{}/{}.odex", odex_dir, paths::basename(dex_path));
-            let _ = vm.device.app_write(&pkg, &odex_path, bytes.clone());
+        if let Some((path, copy)) = odex {
+            let _ = vm.device.app_write(&pkg, &path, copy);
         }
     }
 

@@ -85,9 +85,11 @@ impl Statics {
 
 /// A running application process.
 ///
-/// `spaces[0]` holds the classes from `classes.dex`; each successful DCL
-/// event appends another class space (mirroring one class loader per
-/// loaded file). Classes are resolved across all spaces in load order.
+/// `spaces[0]` holds the classes from `classes.dex`, shared with the
+/// installed app (and, in the pipeline, with its decompilation); each
+/// successful DCL event appends another class space (mirroring one class
+/// loader per loaded file). Classes are resolved across all spaces in
+/// load order. Spaces are immutable once pushed, so sharing them is safe.
 #[derive(Debug)]
 pub struct Process {
     /// Package of the app this process runs.
@@ -97,7 +99,7 @@ pub struct Process {
     /// Static fields, keyed by `(class, field)`.
     pub statics: Statics,
     /// Class spaces: app classes plus dynamically loaded DEX files.
-    pub spaces: Vec<DexFile>,
+    pub spaces: Vec<Arc<DexFile>>,
     /// Loaded native libraries, in load order.
     pub native_libs: Vec<NativeLibrary>,
     /// Whether the process is still running (false after a crash).
@@ -132,13 +134,14 @@ pub struct Process {
 pub type UiCallbacks = Arc<Vec<(String, String)>>;
 
 impl Process {
-    /// Creates a process with the app's primary class space.
-    pub fn new(package: String, classes: DexFile, manifest: &Manifest) -> Self {
+    /// Creates a process with the app's primary class space (an owned
+    /// `DexFile` or a shared `Arc` of one).
+    pub fn new(package: String, classes: impl Into<Arc<DexFile>>, manifest: &Manifest) -> Self {
         Process {
             package,
             heap: Heap::new(),
             statics: Statics::default(),
-            spaces: vec![classes],
+            spaces: vec![classes.into()],
             native_libs: Vec::new(),
             alive: true,
             permissions: manifest.permissions.iter().cloned().collect(),
@@ -425,7 +428,7 @@ mod tests {
         b.class("com.a.Child", "com.a.Base")
             .method("nope", "()V", AccessFlags::PUBLIC)
             .ret_void();
-        p.spaces.push(b.build());
+        p.spaces.push(Arc::new(b.build()));
         // First-match keeps the original Child (without `nope`), so the
         // lookup result must not change — exactly like resolve_method.
         assert_eq!(
@@ -473,7 +476,7 @@ mod tests {
         let again = p.ui_callbacks(&manifest());
         assert!(Arc::ptr_eq(&cbs, &again));
         // A DCL space append invalidates the cache.
-        p.spaces.push(DexFile::new());
+        p.spaces.push(Arc::new(DexFile::new()));
         let after = p.ui_callbacks(&manifest());
         assert!(!Arc::ptr_eq(&cbs, &after));
         assert_eq!(*cbs, *after);
@@ -483,7 +486,7 @@ mod tests {
     fn dynamic_space_count() {
         let mut p = Process::new("com.a".to_string(), classes(), &manifest());
         assert_eq!(p.dynamic_space_count(), 0);
-        p.spaces.push(DexFile::new());
+        p.spaces.push(Arc::new(DexFile::new()));
         assert_eq!(p.dynamic_space_count(), 1);
     }
 }

@@ -1,6 +1,8 @@
 //! Loader-semantics edge cases: the corners of the DCL hooks that the
 //! measurement's failure statistics depend on.
 
+use std::sync::Arc;
+
 use dydroid_avm::events::DclKind;
 use dydroid_avm::{Device, DeviceConfig, Process};
 use dydroid_dex::builder::DexBuilder;
@@ -275,4 +277,67 @@ fn dcl_from_dynamically_loaded_code_is_also_intercepted() {
     assert_eq!(events[1].call_site_class, "chain.B");
     assert_eq!(process.dynamic_space_count(), 2);
     assert_eq!(device.hooks.intercepted().len(), 2);
+}
+
+#[test]
+fn dcl_load_appends_a_space_and_leaves_the_installed_base_shared() {
+    // Every launch shares the installed app's parsed classes as its base
+    // class space; a DCL load appends a space beside it, never into it.
+    let pkg = "com.shared.base";
+    let payload = {
+        let mut b = DexBuilder::new();
+        b.class("p.P", "java.lang.Object").default_constructor();
+        b.build()
+    };
+    let staged = format!("/data/data/{pkg}/files/p.dex");
+    let odex_dir = format!("/data/data/{pkg}/odex");
+    let mut manifest = Manifest::new(pkg);
+    manifest
+        .components
+        .push(Component::main_activity(format!("{pkg}.Main")));
+    let mut b = DexBuilder::new();
+    {
+        let c = b.class(format!("{pkg}.Main"), "android.app.Activity");
+        let m = c.method("onCreate", "()V", AccessFlags::PUBLIC);
+        m.registers(8);
+        m.const_str(1, &staged);
+        m.const_str(2, &odex_dir);
+        m.new_instance(3, "dalvik.system.DexClassLoader");
+        m.invoke_direct(
+            MethodRef::new(
+                "dalvik.system.DexClassLoader",
+                "<init>",
+                "(Ljava/lang/String;Ljava/lang/String;)V",
+            ),
+            vec![3, 1, 2],
+        );
+        m.ret_void();
+    }
+    let classes = b.build();
+    let mut device = Device::new(DeviceConfig::default());
+    device
+        .install(&Apk::build(manifest, classes.clone()).to_bytes())
+        .unwrap();
+    device.app_write(pkg, &staged, payload.to_bytes()).unwrap();
+    let base = Arc::clone(&device.app(pkg).unwrap().classes);
+
+    let process = device.launch(pkg).unwrap();
+    assert!(process.alive);
+    assert_eq!(process.dynamic_space_count(), 1);
+    assert!(
+        Arc::ptr_eq(&process.spaces[0], &base),
+        "launch copied the base"
+    );
+    assert_eq!(*process.spaces[1], payload);
+    let installed = &device.app(pkg).unwrap().classes;
+    assert!(Arc::ptr_eq(installed, &base), "install record replaced");
+    assert_eq!(**installed, classes, "base class space mutated by the load");
+
+    // The interceptor and the odex copy both hold the loaded bytes.
+    assert_eq!(device.hooks.intercepted().len(), 1);
+    assert_eq!(device.hooks.intercepted()[0].data, payload.to_bytes());
+    assert_eq!(
+        device.fs.read(&format!("{odex_dir}/p.dex.odex")).unwrap(),
+        payload.to_bytes().as_slice()
+    );
 }

@@ -7,8 +7,11 @@
 //!
 //! The pipeline per app (Figure 1 of the paper):
 //!
-//! 1. decompile the APK to smali IR ([`dydroid_analysis::decompiler`]),
-//!    recording anti-decompilation failures;
+//! 1. decompile the APK ([`dydroid_analysis::decompiler`]), recording
+//!    anti-decompilation failures: `classes.dex` is parsed once into a
+//!    shared `Arc<DexFile>` that the filter and the obfuscation detectors
+//!    scan and that install and every launch reuse (smali text is
+//!    rendered only on demand);
 //! 2. statically filter for DCL-related code ([`dydroid_analysis::filter`])
 //!    and run the obfuscation detectors;
 //! 3. rewrite/repack if the external-storage permission is missing;

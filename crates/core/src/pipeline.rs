@@ -19,7 +19,9 @@ use dydroid_analysis::entity::EntityMix;
 use dydroid_analysis::obfuscation::{self, ObfuscationReport};
 use dydroid_analysis::taint::{Leak, PrivacyType, TaintAnalysis};
 use dydroid_analysis::{DclFilter, MalwareDetector, VulnKind};
-use dydroid_avm::{DclEvent, Device, Owner};
+use dydroid_avm::{AvmError, DclEvent, Device, Owner};
+use dydroid_dex::apk::CLASSES_ENTRY;
+use dydroid_dex::Apk;
 use dydroid_monkey::{ExerciseOutcome, Monkey, MonkeyConfig};
 use dydroid_workload::{AppMetadata, SyntheticApp};
 use serde::{Deserialize, Serialize};
@@ -1634,7 +1636,7 @@ impl Pipeline {
         {
             let mut install_span = self.telemetry.span_with_parent("install", parent_span);
             install_span.field("bytes", install_bytes.len());
-            if device.install(install_bytes).is_err() {
+            if install(device, install_bytes, decompiled).is_err() {
                 install_span.field("result", "error");
                 return (
                     DynamicOutcome::empty(DynamicStatus::RewriteFailure),
@@ -2287,6 +2289,29 @@ fn canonical_event(package: &str, kind: &str) -> String {
         ("app".to_string(), serde::Value::Str(package.to_string())),
     ])
     .to_compact_string()
+}
+
+/// Installs `install_bytes` on `device` as [`Device::install`] does — the
+/// archive and its manifest are parsed and CRC-checked, so a rewrite that
+/// produced an uninstallable archive still fails here — but reuses the
+/// decompiler's parsed class space when the archive's `classes.dex` is
+/// byte-equal to the one it was parsed from. The rewrite touches only the
+/// manifest, so install never re-parses bytecode the decompiler parsed,
+/// and the four Table VIII re-runs of an app share one parse.
+fn install(
+    device: &mut Device,
+    install_bytes: &[u8],
+    decompiled: &decompiler::DecompiledApp,
+) -> Result<String, AvmError> {
+    let apk = Apk::parse(install_bytes)?;
+    let manifest = apk.manifest()?;
+    let classes = match apk.entry(CLASSES_ENTRY) {
+        Some(dex) if decompiled.apk.entry(CLASSES_ENTRY) == Some(dex) => {
+            Arc::clone(&decompiled.classes)
+        }
+        _ => Arc::new(apk.classes()?),
+    };
+    device.install_parsed(apk, manifest, classes)
 }
 
 /// Stable label for a [`DynamicStatus`], used as a span field value.

@@ -7,6 +7,9 @@
 //! graph encodes identically through `serde_json::to_string` and through
 //! the `Value` tree, that the journal reads back to the records the
 //! sweep returned, and that recovery of the finished run is clean.
+//! It also pins the sweep's serialized report and the interpreter
+//! instructions it retired, so a change to the analysis path that moves
+//! a verdict or a single retired instruction fails here too.
 
 use std::path::PathBuf;
 
@@ -20,6 +23,15 @@ const GOLDEN: [(&str, usize, u64); 3] = [
     ("ledger", 322_849, 0x509e_c3df_95cc_a59e),
     ("events", 111_961, 0x4792_f3fa_83a0_e141),
 ];
+
+/// `(byte length, FNV-1a 64 digest)` of the same sweep's report JSON
+/// (`serde_json::to_string` of the `MeasurementReport`), and the
+/// interpreter instructions it retired in total (the `avm.instructions`
+/// counter: baseline runs plus Table VIII re-runs). Both were computed
+/// before the class space was parsed once and shared from decompile
+/// through install and launch, and that change left them as they were.
+const GOLDEN_REPORT: (usize, u64) = (408_909, 0xead6_8a2c_6966_c5e9);
+const GOLDEN_INSTRUCTIONS: u64 = 26_002;
 
 fn fnv1a(bytes: &[u8]) -> u64 {
     bytes.iter().fold(0xcbf2_9ce4_8422_2325, |h, &b| {
@@ -52,10 +64,13 @@ fn finalized_streams_match_committed_goldens() {
         std::env::temp_dir().join(format!("dydroid_golden_{}.jsonl", std::process::id()));
     let journal = Journal::new(path);
     journal.reset().expect("reset journal");
-    let report = Pipeline::new(config.clone())
+    let pipeline = Pipeline::new(config.clone());
+    let report = pipeline
         .run_resumable(&corpus, &journal)
         .expect("journaled sweep");
     assert_eq!(report.records().len(), corpus.len());
+    let report_json = serde_json::to_string(&report).expect("serialise report");
+    let instructions = pipeline.telemetry().counter_value("avm.instructions");
 
     let streams = [
         ("journal", journal.path().to_path_buf()),
@@ -101,5 +116,14 @@ fn finalized_streams_match_committed_goldens() {
         measured,
         GOLDEN.to_vec(),
         "finalized stream bytes moved (stream, length, FNV-1a)"
+    );
+    assert_eq!(
+        (report_json.len(), fnv1a(report_json.as_bytes())),
+        GOLDEN_REPORT,
+        "report JSON moved (length, FNV-1a)"
+    );
+    assert_eq!(
+        instructions, GOLDEN_INSTRUCTIONS,
+        "instructions retired moved"
     );
 }

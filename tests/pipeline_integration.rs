@@ -2,7 +2,13 @@
 //! filter → dynamic → static analysis, and the aggregate tables satisfy
 //! the structural invariants of the paper's Table II.
 
+use std::sync::Arc;
+
+use dydroid::pipeline::DynamicStatus;
 use dydroid::{Pipeline, PipelineConfig};
+use dydroid_analysis::decompiler::{self, ANTI_REPACK_TRAP};
+use dydroid_analysis::DclFilter;
+use dydroid_avm::{Device, DeviceConfig};
 use dydroid_workload::{generate, CorpusSpec};
 
 fn spec() -> CorpusSpec {
@@ -235,4 +241,81 @@ fn analyze_apk_entry_point_works_standalone() {
     assert!(pipeline
         .analyze_apk(b"junk".to_vec(), vec![], vec![])
         .is_err());
+}
+
+#[test]
+fn pipeline_install_equals_a_fresh_parse_of_the_install_bytes() {
+    // The pipeline installs each app from its decompilation's shared
+    // class space instead of re-parsing `classes.dex`. What it installs
+    // must still equal what `Device::install` parses from the same bytes:
+    // for rewritten apps, apps that already hold the permission, and
+    // anti-repackaging apps (whose rewrite fails before any install).
+    let corpus = generate(&CorpusSpec {
+        scale: 0.01,
+        ..CorpusSpec::default()
+    });
+    let pipeline = Pipeline::new(PipelineConfig {
+        environment_reruns: false,
+        ..Default::default()
+    });
+    let (mut rewritten, mut original, mut anti_repack) = (0, 0, 0);
+    let mut previous: Option<decompiler::DecompiledApp> = None;
+    for app in &corpus {
+        let Ok(decompiled) = decompiler::decompile(&app.apk) else {
+            continue;
+        };
+        if !DclFilter::scan(&decompiled.classes).any() {
+            continue;
+        }
+        let install = if decompiler::needs_rewriting(&decompiled.manifest) {
+            match decompiler::repackage_with_permission(&decompiled) {
+                Ok(bytes) => {
+                    rewritten += 1;
+                    bytes
+                }
+                Err(_) => {
+                    anti_repack += 1;
+                    assert!(decompiled.apk.entry(ANTI_REPACK_TRAP).is_some());
+                    let record = pipeline.analyze_app(app);
+                    let dynamic = record.dynamic.expect("filter passed");
+                    assert_eq!(dynamic.status, DynamicStatus::RewriteFailure);
+                    continue;
+                }
+            }
+        } else {
+            original += 1;
+            app.apk.clone()
+        };
+        let pkg = app.package();
+        let mut fresh = Device::new(DeviceConfig::default());
+        fresh.install(&install).expect("install bytes parse");
+        let want = fresh.app(pkg).expect("freshly installed");
+
+        let mut device = pipeline.prepare_device(app, pipeline.config().device_config());
+        pipeline.exercise_and_analyze(app, &mut device, &install, &decompiled);
+        let got = device.app(pkg).expect("pipeline installed the app");
+        assert_eq!(got.package, want.package);
+        assert_eq!(got.apk, want.apk, "{pkg}: archive differs");
+        assert_eq!(got.manifest, want.manifest, "{pkg}: manifest differs");
+        assert_eq!(*got.classes, *want.classes, "{pkg}: classes differ");
+        assert!(
+            Arc::ptr_eq(&got.classes, &decompiled.classes),
+            "{pkg}: byte-equal classes.dex was parsed again"
+        );
+
+        // A decompilation of a different app has a different
+        // `classes.dex`, so the install parses the bytes it was given.
+        if let Some(other) = &previous {
+            let mut device = pipeline.prepare_device(app, pipeline.config().device_config());
+            pipeline.exercise_and_analyze(app, &mut device, &install, other);
+            let got = device.app(pkg).expect("pipeline installed the app");
+            assert_eq!(*got.classes, *want.classes, "{pkg}: fallback parse differs");
+            assert!(!Arc::ptr_eq(&got.classes, &other.classes));
+        }
+        previous = Some(decompiled);
+    }
+    assert!(
+        rewritten > 0 && original > 0 && anti_repack > 0,
+        "corpus lacks an install kind: {rewritten} rewritten, {original} original, {anti_repack} anti-repackaging"
+    );
 }
