@@ -40,7 +40,7 @@
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
 
-use dydroid::durable::scan_path;
+use dydroid::durable::{read_stream, scan_stream};
 use dydroid::obs::{MetricsSnapshot, SpanRecord};
 use dydroid::provenance::{check_against_journal, corpus_dot};
 use dydroid::{AppProvenance, Journal, ProvenanceLedger, SpanProfile};
@@ -178,8 +178,9 @@ fn cmd_export(records: &[AppProvenance], app: Option<&str>, out: Option<&str>) {
 /// Returns the number of corrupt/dropped frames (0 for a missing file,
 /// which only `required` streams report as a defect).
 fn check_stream(name: &str, path: &std::path::Path, required: bool) -> usize {
-    match scan_path(path) {
-        Ok(Some(scan)) => {
+    match read_stream(path) {
+        Ok(Some(bytes)) => {
+            let scan = scan_stream(&bytes);
             match &scan.defect {
                 Some(defect) => println!(
                     "{name}: {} intact frame(s), {} dropped ({defect})",
@@ -302,7 +303,7 @@ fn cmd_profile(journal_path: &str, out: Option<&str>) {
 
 /// One repaint's worth of observatory state, read fresh from the
 /// streams each frame. Torn tails are expected (the sweep is mid-write)
-/// and tolerated: `scan_path` yields the intact prefix.
+/// and tolerated: `scan_stream` yields the intact prefix.
 #[derive(Default)]
 struct TopFrame {
     /// Distinct apps with a checkpoint event (survives resume stitching,
@@ -325,8 +326,12 @@ struct TopFrame {
 }
 
 fn scan_bodies(path: &std::path::Path) -> Vec<String> {
-    match scan_path(path) {
-        Ok(Some(scan)) => scan.bodies,
+    match read_stream(path) {
+        Ok(Some(bytes)) => scan_stream(&bytes)
+            .bodies
+            .into_iter()
+            .map(str::to_owned)
+            .collect(),
         _ => Vec::new(),
     }
 }

@@ -12,7 +12,7 @@
 use std::io;
 use std::path::Path;
 
-use dydroid::durable::{scan_path, FramedWriter, SinkOptions, StreamKind};
+use dydroid::durable::{read_stream, scan_stream, FramedWriter, SinkOptions, StreamKind};
 
 use crate::Measurement;
 
@@ -46,9 +46,10 @@ pub fn append(path: &Path, record: &Measurement) -> io::Result<u64> {
 ///
 /// Propagates read errors.
 pub fn load(path: &Path) -> io::Result<Vec<Measurement>> {
-    let Some(scan) = scan_path(path)? else {
+    let Some(bytes) = read_stream(path)? else {
         return Ok(Vec::new());
     };
+    let scan = scan_stream(&bytes);
     let mut records = Vec::with_capacity(scan.bodies.len());
     for (i, body) in scan.bodies.iter().enumerate() {
         match Measurement::parse(body) {

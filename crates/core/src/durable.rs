@@ -30,7 +30,7 @@
 //! provenance ledger and the quarantine file share its load, recover,
 //! rewrite, finalize and append code.
 
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
 use std::io::{self, Write};
 use std::marker::PhantomData;
@@ -83,24 +83,49 @@ impl fmt::Display for FrameDefect {
     }
 }
 
-/// Encodes one body line into a framed record line (with trailing `\n`).
+/// Appends the framed record line (with trailing `\n`) of one body to
+/// `out`.
 ///
 /// The body must be single-line JSON; the envelope embeds it verbatim so
 /// the frame itself stays valid JSON.
-pub fn encode_frame(seq: u64, body: &str) -> String {
+fn push_frame(out: &mut String, seq: u64, body: &str) {
     debug_assert!(!body.contains('\n'), "frame bodies must be single-line");
-    format!(
-        "{{\"seq\":{seq},\"len\":{len},\"crc\":{crc},\"body\":{body}}}\n",
+    let _ = write!(
+        out,
+        "{{\"seq\":{seq},\"len\":{len},\"crc\":{crc},\"body\":",
         len = body.len(),
         crc = crc32(body.as_bytes()),
-    )
+    );
+    out.push_str(body);
+    out.push_str("}\n");
+}
+
+/// Encodes one body line into a framed record line (with trailing `\n`).
+pub fn encode_frame(seq: u64, body: &str) -> String {
+    let mut out = String::new();
+    push_frame(&mut out, seq, body);
+    out
 }
 
 /// Encodes a batch of bodies as consecutive frames starting at `start_seq`.
 pub fn encode_frames(start_seq: u64, bodies: &[String]) -> String {
     let mut out = String::new();
-    for (i, body) in bodies.iter().enumerate() {
-        out.push_str(&encode_frame(start_seq + i as u64, body));
+    for (seq, body) in (start_seq..).zip(bodies) {
+        push_frame(&mut out, seq, body);
+    }
+    out
+}
+
+/// Encodes `records` as consecutive frames from sequence 0 into one
+/// buffer: each body is written once into a reused scratch string, then
+/// its header and the body are appended.
+pub(crate) fn encode_records<T: Serialize>(records: &[T]) -> String {
+    let mut out = String::new();
+    let mut body = String::new();
+    for (seq, record) in (0..).zip(records) {
+        body.clear();
+        record.write_json(&mut body);
+        push_frame(&mut out, seq, &body);
     }
     out
 }
@@ -145,11 +170,21 @@ pub fn decode_frame(line: &str) -> Result<(u64, &str), FrameDefect> {
     Ok((seq, body))
 }
 
+/// Where the valid frames of a stream end: the writer's resume point.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct StreamEnd {
+    /// Sequence number the next appended frame must carry.
+    pub next_seq: u64,
+    /// Byte length of the valid frames (including the trailing newline).
+    pub valid_len: u64,
+}
+
 /// Result of scanning a framed stream for its longest valid prefix.
 #[derive(Debug, Clone, Default)]
-pub struct StreamScan {
-    /// Body payloads of the valid prefix, in sequence order.
-    pub bodies: Vec<String>,
+pub struct StreamScan<'a> {
+    /// Body payloads of the valid prefix, in sequence order, borrowed
+    /// from the scanned bytes.
+    pub bodies: Vec<&'a str>,
     /// Non-empty lines rejected at or after the first defect.
     pub dropped: usize,
     /// The defect that terminated the scan, if any.
@@ -161,10 +196,18 @@ pub struct StreamScan {
     pub valid_len: u64,
 }
 
-impl StreamScan {
+impl StreamScan<'_> {
     /// True when the scan rejected nothing.
     pub fn is_clean(&self) -> bool {
         self.dropped == 0 && self.defect.is_none()
+    }
+
+    /// Where the valid prefix ends.
+    pub fn end(&self) -> StreamEnd {
+        StreamEnd {
+            next_seq: self.next_seq,
+            valid_len: self.valid_len,
+        }
     }
 }
 
@@ -174,7 +217,7 @@ impl StreamScan {
 /// sequence numbers `0..n` with no gaps — and everything from that point
 /// on is counted as dropped. Empty lines inside the valid prefix are
 /// skipped but kept (they cannot corrupt a reader).
-pub fn scan_stream(bytes: &[u8]) -> StreamScan {
+pub fn scan_stream(bytes: &[u8]) -> StreamScan<'_> {
     let mut scan = StreamScan::default();
     let mut pos = 0usize;
     let mut defect = None;
@@ -196,7 +239,7 @@ pub fn scan_stream(bytes: &[u8]) -> StreamScan {
             Ok(_) if !has_newline => Err(FrameDefect::TornTail),
             Ok(line) => decode_frame(line).and_then(|(seq, body)| {
                 if seq == scan.next_seq {
-                    Ok(body.to_string())
+                    Ok(body)
                 } else {
                     Err(FrameDefect::SeqGap {
                         expected: scan.next_seq,
@@ -229,10 +272,11 @@ pub fn scan_stream(bytes: &[u8]) -> StreamScan {
     scan
 }
 
-/// Scans the framed stream at `path`; `Ok(None)` when the file is absent.
-pub fn scan_path(path: &Path) -> io::Result<Option<StreamScan>> {
+/// Reads the framed stream at `path` for [`scan_stream`]; `Ok(None)`
+/// when the file is absent.
+pub fn read_stream(path: &Path) -> io::Result<Option<Vec<u8>>> {
     match std::fs::read(path) {
-        Ok(bytes) => Ok(Some(scan_stream(&bytes))),
+        Ok(bytes) => Ok(Some(bytes)),
         Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
         Err(e) => Err(e),
     }
@@ -702,6 +746,8 @@ pub struct FramedWriter {
     seq: u64,
     good_len: u64,
     since_sync: u64,
+    /// The frame being appended, reused across appends.
+    frame: String,
 }
 
 impl FramedWriter {
@@ -709,21 +755,32 @@ impl FramedWriter {
     /// writer resumes at the next sequence number; a torn or corrupt
     /// tail is truncated away first.
     pub fn open(path: &Path, opts: SinkOptions) -> io::Result<Self> {
-        let scan = scan_path(path)?.unwrap_or_default();
+        let bytes = read_stream(path)?.unwrap_or_default();
+        let scan = scan_stream(&bytes);
+        let mut writer = FramedWriter::resume(path, opts, scan.end())?;
+        if !scan.is_clean() {
+            writer.io.truncate(scan.valid_len)?;
+        }
+        Ok(writer)
+    }
+
+    /// Opens the stream at `path` to append after `end` without scanning
+    /// it: `end` must be where the file's valid frames end and the file
+    /// must hold nothing past them, as after a recovery that just read or
+    /// rewrote it.
+    pub(crate) fn resume(path: &Path, opts: SinkOptions, end: StreamEnd) -> io::Result<Self> {
         let file = FileIo::open(path)?;
-        let mut io: Box<dyn RecordIo> = match &opts.harness {
+        let io: Box<dyn RecordIo> = match &opts.harness {
             Some(h) => Box::new(FaultIo::new(file, Arc::clone(h))),
             None => Box::new(file),
         };
-        if !scan.is_clean() {
-            io.truncate(scan.valid_len)?;
-        }
         Ok(FramedWriter {
             io,
             opts,
-            seq: scan.next_seq,
-            good_len: scan.valid_len,
+            seq: end.next_seq,
+            good_len: end.valid_len,
             since_sync: 0,
+            frame: String::new(),
         })
     }
 
@@ -741,14 +798,14 @@ impl FramedWriter {
             state.count_shed(stream);
             return Ok(Appended::Shed);
         }
-        let frame = encode_frame(self.seq, body);
-        let bytes = frame.as_bytes();
+        self.frame.clear();
+        push_frame(&mut self.frame, self.seq, body);
         let mut attempt = 0u32;
         loop {
-            match self.io.append(bytes) {
+            match self.io.append(self.frame.as_bytes()) {
                 Ok(()) => {
                     self.seq += 1;
-                    self.good_len += bytes.len() as u64;
+                    self.good_len += self.frame.len() as u64;
                     self.maybe_sync()?;
                     return Ok(Appended::Written);
                 }
@@ -802,18 +859,18 @@ impl FramedWriter {
 // Atomic finalize
 // ---------------------------------------------------------------------------
 
-/// Atomically replaces `path` with `bodies` framed from sequence 0:
-/// writes a temp file beside the target and renames it into place, so a
-/// crash or fault at any boundary leaves either the old bytes or the new
-/// bytes — never a blend. Routed through `harness` when present (a
-/// crashed harness freezes the old file; an injected fault aborts the
-/// rewrite with the old file intact).
-pub fn atomic_write_frames(
+/// Atomically replaces `path` with `text` (its framed records): writes
+/// and syncs a temp file beside the target, renames it into place and
+/// syncs the directory, so a crash, power loss or fault at any boundary
+/// leaves either the old bytes or the new bytes — never a blend. Routed
+/// through `harness` when present as one op (a crashed harness freezes
+/// the old file; an injected fault aborts the rewrite with the old file
+/// intact).
+pub fn atomic_replace(
     path: &Path,
-    bodies: &[String],
+    mut text: String,
     harness: Option<&Arc<IoHarness>>,
 ) -> io::Result<()> {
-    let mut text = encode_frames(0, bodies);
     if let Some(h) = harness {
         let op = h.next_op();
         if h.crashed() {
@@ -842,14 +899,28 @@ pub fn atomic_write_frames(
             Some(IoFaultKind::DiskFull) => return Err(disk_full_error()),
         }
     }
-    if let Some(parent) = path.parent() {
-        if !parent.as_os_str().is_empty() {
+    let dir = match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => {
             std::fs::create_dir_all(parent)?;
+            parent
         }
-    }
-    let tmp = path.with_extension("tmp");
-    std::fs::write(&tmp, text)?;
-    std::fs::rename(&tmp, path)
+        _ => Path::new("."),
+    };
+    let tmp = temp_file_for(path);
+    let mut file = File::create(&tmp)?;
+    file.write_all(text.as_bytes())?;
+    file.sync_all()?;
+    drop(file);
+    std::fs::rename(&tmp, path)?;
+    File::open(dir)?.sync_all()
+}
+
+/// The temp file [`atomic_replace`] writes beside `path`: its whole file
+/// name plus `.tmp`, so no two targets (and no target itself) share it.
+fn temp_file_for(path: &Path) -> PathBuf {
+    let mut name = path.file_name().unwrap_or_default().to_os_string();
+    name.push(".tmp");
+    path.with_file_name(name)
 }
 
 /// Removes `path`; a file that is already gone is not an error.
@@ -871,15 +942,6 @@ pub trait Record: Serialize + Deserialize {
     const STREAM: StreamKind;
 }
 
-fn record_bodies<T: Serialize>(records: &[T]) -> io::Result<Vec<String>> {
-    records.iter().map(record_body).collect()
-}
-
-fn record_body<T: Serialize>(record: &T) -> io::Result<String> {
-    serde_json::to_string(record)
-        .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
-}
-
 /// A framed file of `T` records — the sweep journal, the provenance
 /// ledger and the quarantine file are all one of these. Streamed during
 /// a sweep for resume-safety, cut back to its valid prefix on recovery,
@@ -898,6 +960,10 @@ pub struct Recovery<T> {
     pub records: Vec<T>,
     /// Frames/lines discarded from the first defect onward.
     pub dropped_lines: usize,
+    /// Where the file's frames end once recovery is done: after
+    /// [`RecordFile::recover_counted`] the file holds exactly `records`,
+    /// and a writer resumes here.
+    pub end: StreamEnd,
 }
 
 impl<T: Record> RecordFile<T> {
@@ -946,30 +1012,28 @@ impl<T: Record> RecordFile<T> {
     ///
     /// Returns I/O errors from reading or rewriting the file.
     pub fn recover_counted(&self) -> io::Result<Recovery<T>> {
-        let recovery = self.load_split()?;
+        let mut recovery = self.load_split()?;
         if recovery.dropped_lines > 0 {
-            self.rewrite(&recovery.records)?;
+            recovery.end = self.rewrite(&recovery.records)?;
         }
         Ok(recovery)
     }
 
-    /// Rewrites the file to exactly `records`, reframed from sequence 0
-    /// (plain write; for recovery paths).
+    /// Atomically replaces the file with exactly `records`, reframed from
+    /// sequence 0 — [`RecordFile::finalize_with`] without a fault
+    /// harness, for recovery paths. Returns where the new frames end.
     ///
     /// # Errors
     ///
-    /// Returns serialization or write errors.
-    pub fn rewrite(&self, records: &[T]) -> io::Result<()> {
-        std::fs::write(&self.path, encode_frames(0, &record_bodies(records)?))
-    }
-
-    /// [`RecordFile::finalize_with`] without a fault harness.
-    ///
-    /// # Errors
-    ///
-    /// Returns serialization or write errors.
-    pub fn finalize(&self, records: &[T]) -> io::Result<()> {
-        self.finalize_with(records, None)
+    /// Returns write errors.
+    pub fn rewrite(&self, records: &[T]) -> io::Result<StreamEnd> {
+        let text = encode_records(records);
+        let end = StreamEnd {
+            next_seq: records.len() as u64,
+            valid_len: text.len() as u64,
+        };
+        atomic_replace(&self.path, text, None)?;
+        Ok(end)
     }
 
     /// Atomically replaces the file with `records` in the given (corpus)
@@ -981,25 +1045,45 @@ impl<T: Record> RecordFile<T> {
     ///
     /// # Errors
     ///
-    /// Returns serialization or write errors.
+    /// Returns write errors.
     pub fn finalize_with(&self, records: &[T], harness: Option<&Arc<IoHarness>>) -> io::Result<()> {
-        atomic_write_frames(&self.path, &record_bodies(records)?, harness)
+        self.replace(encode_records(records), harness)
+    }
+
+    /// Atomically replaces the file with `frames`, the
+    /// [`encode_records`] text of its records, routed through `harness`
+    /// like [`RecordFile::finalize_with`].
+    ///
+    /// # Errors
+    ///
+    /// Returns write errors.
+    pub(crate) fn replace(
+        &self,
+        frames: String,
+        harness: Option<&Arc<IoHarness>>,
+    ) -> io::Result<()> {
+        atomic_replace(&self.path, frames, harness)
     }
 
     /// Valid leading records plus the number of frames/lines dropped
     /// from the first defect onward (0 = the whole file scanned clean).
-    /// A frame whose body fails to parse as a `T` also ends the load.
+    /// A frame whose body fails to decode as a `T` also ends the load.
+    /// Bodies are decoded straight from the file buffer.
     fn load_split(&self) -> io::Result<Recovery<T>> {
-        let scan = scan_path(&self.path)?.unwrap_or_default();
+        let bytes = read_stream(&self.path)?.unwrap_or_default();
+        let scan = scan_stream(&bytes);
         let mut records = Vec::with_capacity(scan.bodies.len());
         for (i, body) in scan.bodies.iter().enumerate() {
             match serde_json::from_str::<T>(body) {
                 Ok(record) => records.push(record),
                 Err(_) => {
-                    let dropped_lines = scan.bodies.len() - i + scan.dropped;
                     return Ok(Recovery {
                         records,
-                        dropped_lines,
+                        dropped_lines: scan.bodies.len() - i + scan.dropped,
+                        // Not a resume point: the file still holds the
+                        // undecodable frames, so `recover_counted`
+                        // rewrites it and takes the rewrite's end.
+                        end: StreamEnd::default(),
                     });
                 }
             }
@@ -1007,6 +1091,7 @@ impl<T: Record> RecordFile<T> {
         Ok(Recovery {
             records,
             dropped_lines: scan.dropped,
+            end: scan.end(),
         })
     }
 
@@ -1029,10 +1114,26 @@ impl<T: Record> RecordFile<T> {
     ///
     /// Returns the underlying open error.
     pub fn writer_with(&self, opts: SinkOptions) -> io::Result<RecordWriter<T>> {
-        Ok(RecordWriter {
-            inner: FramedWriter::open(&self.path, opts)?,
-            record: PhantomData,
-        })
+        self.open_writer(opts, None)
+    }
+
+    /// Like [`RecordFile::writer_with`]; with `end` set, appends after it
+    /// without scanning the file. `end` must come from a [`Recovery`] of
+    /// this file (or a [`RecordFile::rewrite`] of it) in this session.
+    ///
+    /// # Errors
+    ///
+    /// Returns the underlying open error.
+    pub(crate) fn open_writer(
+        &self,
+        opts: SinkOptions,
+        end: Option<StreamEnd>,
+    ) -> io::Result<RecordWriter<T>> {
+        let inner = match end {
+            Some(end) => FramedWriter::resume(&self.path, opts, end)?,
+            None => FramedWriter::open(&self.path, opts)?,
+        };
+        Ok(RecordWriter::new(inner))
     }
 
     /// Deletes the file if present.
@@ -1053,10 +1154,20 @@ impl<T: Record> RecordFile<T> {
 #[derive(Debug)]
 pub struct RecordWriter<T> {
     inner: FramedWriter,
+    /// The record being appended, encoded once, reused across appends.
+    body: String,
     record: PhantomData<fn(&T)>,
 }
 
 impl<T: Record> RecordWriter<T> {
+    fn new(inner: FramedWriter) -> Self {
+        RecordWriter {
+            inner,
+            body: String::new(),
+            record: PhantomData,
+        }
+    }
+
     /// Appends one record as a framed JSON line (or sheds it).
     ///
     /// # Errors
@@ -1064,7 +1175,9 @@ impl<T: Record> RecordWriter<T> {
     /// Returns the underlying write error (transient faults are retried
     /// within the run's budget first).
     pub fn append(&mut self, record: &T) -> io::Result<()> {
-        self.inner.append_body(&record_body(record)?).map(|_| ())
+        self.body.clear();
+        record.write_json(&mut self.body);
+        self.inner.append_body(&self.body).map(|_| ())
     }
 
     /// Sequence number the next appended record will carry.
@@ -1196,7 +1309,8 @@ mod tests {
             assert_eq!(w.seq(), 2, "resume after the valid prefix");
             w.append_body("{\"a\":3}").unwrap();
         }
-        let scan = scan_path(&path).unwrap().expect("file exists");
+        let bytes = std::fs::read(&path).expect("file exists");
+        let scan = scan_stream(&bytes);
         assert!(scan.is_clean());
         assert_eq!(scan.bodies.len(), 3);
         let _ = std::fs::remove_file(&path);
@@ -1236,7 +1350,8 @@ mod tests {
             }
         }
         drop(w);
-        let scan = scan_path(&path).unwrap().expect("file exists");
+        let bytes = std::fs::read(&path).expect("file exists");
+        let scan = scan_stream(&bytes);
         // Bit-flips are silent corruption: the scan stops there, but the
         // prefix before the first flip is exactly a prefix of the bodies
         // the writer accepted — every retried transient/short write left
@@ -1288,7 +1403,8 @@ mod tests {
         assert_eq!(w.append_body("{\"e\":2}").unwrap(), Appended::Shed);
         drop(w);
         assert_eq!(state.snapshot().shed[StreamKind::Events.index()], 2);
-        let scan = scan_path(&path).unwrap().expect("file created");
+        let bytes = std::fs::read(&path).expect("file created");
+        let scan = scan_stream(&bytes);
         assert_eq!(scan.bodies.len(), 0);
         let _ = std::fs::remove_file(&path);
     }
@@ -1312,7 +1428,8 @@ mod tests {
         drop(w);
         assert!(harness.crashed());
         assert_eq!(harness.ops(), 6, "ops keep ticking after the crash");
-        let scan = scan_path(&path).unwrap().expect("file exists");
+        let bytes = std::fs::read(&path).expect("file exists");
+        let scan = scan_stream(&bytes);
         // The two pre-crash frames survive; op 2 died mid-write, so at
         // most a torn prefix of it (or the whole frame, if the cut
         // landed at the end) is on disk — and nothing after it.
@@ -1377,22 +1494,66 @@ mod tests {
         let path = temp_path("atomic");
         let _ = std::fs::remove_file(&path);
         let old = vec!["{\"v\":1}".to_string()];
-        atomic_write_frames(&path, &old, None).unwrap();
+        atomic_replace(&path, encode_frames(0, &old), None).unwrap();
         let old_bytes = std::fs::read(&path).unwrap();
 
         // A crash scheduled on the rewrite op leaves the old bytes.
         let harness = IoHarness::new(Some(0), None);
         let new = vec!["{\"v\":2}".to_string(), "{\"v\":3}".to_string()];
-        atomic_write_frames(&path, &new, Some(&harness)).unwrap();
+        atomic_replace(&path, encode_frames(0, &new), Some(&harness)).unwrap();
         assert!(harness.crashed());
         assert_eq!(std::fs::read(&path).unwrap(), old_bytes);
 
         // Fault-free rewrite replaces the content wholesale.
-        atomic_write_frames(&path, &new, None).unwrap();
-        let scan = scan_path(&path).unwrap().expect("file exists");
+        atomic_replace(&path, encode_frames(0, &new), None).unwrap();
+        let bytes = std::fs::read(&path).expect("file exists");
+        let scan = scan_stream(&bytes);
         assert!(scan.is_clean());
         assert_eq!(scan.bodies, new);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn temp_files_never_collide_with_their_target_or_each_other() {
+        let dir = std::env::temp_dir().join(format!(
+            "dydroid-durable-tmpname-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        // A journal named `*.tmp` is not its own temp file, and targets
+        // differing only in their extension get different temp files.
+        assert_eq!(
+            temp_file_for(&dir.join("sweep.tmp")),
+            dir.join("sweep.tmp.tmp")
+        );
+        assert_ne!(
+            temp_file_for(&dir.join("a.jsonl")),
+            temp_file_for(&dir.join("a.json"))
+        );
+        for (name, body) in [
+            ("sweep.tmp", "{\"t\":1}"),
+            ("a.jsonl", "{\"l\":1}"),
+            ("a.json", "{\"j\":1}"),
+        ] {
+            let path = dir.join(name);
+            atomic_replace(&path, encode_frame(0, "{}"), None).unwrap();
+            atomic_replace(&path, encode_frame(0, body), None).unwrap();
+            assert_eq!(
+                std::fs::read_to_string(&path).unwrap(),
+                encode_frame(0, body)
+            );
+        }
+        let mut left: Vec<String> = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .collect();
+        left.sort();
+        assert_eq!(
+            left,
+            ["a.json", "a.jsonl", "sweep.tmp"],
+            "no temp file is left behind"
+        );
+        std::fs::remove_dir_all(&dir).unwrap();
     }
 
     #[test]

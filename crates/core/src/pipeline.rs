@@ -28,7 +28,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::{content_hash, AnalysisCache, BinaryVerdict, CacheStats};
 use crate::config::PipelineConfig;
-use crate::durable::{scan_path, FramedWriter, IoHarness, IoState, SinkOptions, StreamKind};
+use crate::durable::{
+    encode_records, read_stream, scan_stream, FramedWriter, IoHarness, IoState, SinkOptions,
+    StreamEnd, StreamKind,
+};
 use crate::profile::{SpanProfile, StragglerEntry, Watchdog};
 use crate::provenance::{AppProvenance, ProvenanceLedger};
 use crate::report::{MeasurementReport, SweepStats};
@@ -278,7 +281,7 @@ impl Pipeline {
         }
         let io_state = IoState::new(self.config.io_retry_budget);
         let shards = ledger.as_ref().and_then(|ledger| {
-            StreamShards::open(self, None, Some(ledger), 1, &io_state)
+            StreamShards::open(self, None, Some((ledger, None)), 1, &io_state)
                 .map_err(|e| {
                     eprintln!(
                         "dydroid: failed to open ledger {}: {e}",
@@ -448,8 +451,13 @@ impl Pipeline {
         // so a one-worker (or nothing-pending) run keeps the single-writer
         // layout.
         let shard_count = self.config.effective_workers().min(pending.len()).max(1);
-        let shards =
-            StreamShards::open(self, Some(journal), ledger.as_ref(), shard_count, &io_state)?;
+        let shards = StreamShards::open(
+            self,
+            Some((journal, Some(outcome.journal_end))),
+            ledger.as_ref().map(|l| (l, outcome.ledger_end)),
+            shard_count,
+            &io_state,
+        )?;
         // Quarantine records are persisted through the same append as
         // every analysed app, so all three streams stay mutually
         // consistent.
@@ -570,6 +578,8 @@ impl Pipeline {
         // where both copies are identical.
         let base_record_count = base.records.len();
         let base_checkpoints = base.checkpoints.clone();
+        let mut journal_end = base.journal_end;
+        let mut ledger_end = base.ledger_end;
         let mut seen: HashSet<String> = HashSet::new();
         let mut consistent: Vec<AppRecord> = Vec::new();
         let mut provenance: Vec<AppProvenance> = Vec::new();
@@ -609,15 +619,21 @@ impl Pipeline {
         // set so this session's appends extend files that agree with
         // each other (and hold everything the shards contributed).
         if consistent.len() != base_journal_count || shards_contributed {
-            journal.rewrite(&consistent)?;
+            journal_end = journal.rewrite(&consistent)?;
         }
         if let Some(ledger) = &base_ledger {
             if !inconsistent.is_empty() || shards_contributed {
-                if let Err(e) = ledger.rewrite(&provenance) {
-                    eprintln!(
-                        "dydroid: failed to rewrite ledger {}: {e}",
-                        ledger.path().display()
-                    );
+                match ledger.rewrite(&provenance) {
+                    Ok(end) => ledger_end = Some(end),
+                    Err(e) => {
+                        // The file is in an unknown state: the writer
+                        // scans it afresh.
+                        ledger_end = None;
+                        eprintln!(
+                            "dydroid: failed to rewrite ledger {}: {e}",
+                            ledger.path().display()
+                        );
+                    }
                 }
             }
         }
@@ -690,19 +706,32 @@ impl Pipeline {
             inconsistent: inconsistent.into_iter().collect(),
             quarantine,
             quarantined,
+            journal_end,
+            ledger_end,
         })
     }
 
     /// Reconciles one segment — a (journal, ledger, events) triplet,
     /// either the base streams or one shard's — to its longest mutually
-    /// consistent prefix. Pure read: rewrites happen at the merge layer.
+    /// consistent prefix. Each stream is cut back to its own valid
+    /// prefix; cross-stream rewrites happen at the merge layer. The
+    /// journal and the ledger are recovered on two threads.
     fn recover_segment(
         &self,
         journal: &crate::sweep::Journal,
         ledger: Option<&ProvenanceLedger>,
         events_path: &Path,
     ) -> std::io::Result<SegmentRecovery> {
-        let recovery = journal.recover_counted()?;
+        let (recovery, ledger_recovery) = std::thread::scope(|scope| {
+            let ledger_job = ledger.map(|l| scope.spawn(|| l.recover_counted()));
+            let recovery = journal.recover_counted();
+            let ledger_recovery = ledger_job.map(|job| {
+                job.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            });
+            (recovery, ledger_recovery)
+        });
+        let recovery = recovery?;
         warn_recovered(
             "journal",
             journal.path(),
@@ -714,14 +743,14 @@ impl Pipeline {
 
         let mut ledger_records: Vec<AppProvenance> = Vec::new();
         let mut ledger_dropped = 0usize;
-        let mut ledger_active = false;
-        if let Some(ledger) = ledger {
-            match ledger.recover_counted() {
+        let mut ledger_end = None;
+        if let (Some(ledger), Some(result)) = (ledger, ledger_recovery) {
+            match result {
                 Ok(r) => {
                     warn_recovered("ledger", ledger.path(), r.records.len(), r.dropped_lines);
                     ledger_dropped = r.dropped_lines;
                     ledger_records = r.records;
-                    ledger_active = true;
+                    ledger_end = Some(r.end);
                 }
                 Err(e) => eprintln!(
                     "dydroid: failed to recover ledger {}: {e}",
@@ -729,6 +758,7 @@ impl Pipeline {
                 ),
             }
         }
+        let ledger_active = ledger_end.is_some();
 
         // The event stream constrains recovery only when telemetry is
         // enabled and a stream exists: each `checkpoint` event mirrors a
@@ -737,8 +767,9 @@ impl Pipeline {
         let mut events_dropped = 0usize;
         let mut checkpoints: Option<HashSet<String>> = None;
         if self.telemetry.is_enabled() {
-            match scan_path(events_path) {
-                Ok(Some(scan)) => {
+            match read_stream(events_path) {
+                Ok(Some(bytes)) => {
+                    let scan = scan_stream(&bytes);
                     warn_recovered("events", events_path, scan.bodies.len(), scan.dropped);
                     events_dropped = scan.dropped;
                     let mut set = HashSet::new();
@@ -802,6 +833,8 @@ impl Pipeline {
             inconsistent,
             journal_count,
             checkpoints,
+            journal_end: recovery.end,
+            ledger_end,
         })
     }
 
@@ -982,12 +1015,11 @@ impl Pipeline {
         } else {
             crate::environment::EnvOutcome::default()
         };
-        // Finalize the ledger: one record per corpus app, corpus order,
+        // The finalized ledger: one record per corpus app, corpus order,
         // env outcomes attached. Apps whose live graph is gone (resumed
         // with a torn ledger line) get a degraded reconstruction.
-        let mut finalized = true;
-        if self.config.provenance {
-            let final_provenance: Vec<AppProvenance> = corpus
+        let final_provenance: Option<Vec<AppProvenance>> = self.config.provenance.then(|| {
+            corpus
                 .iter()
                 .zip(&records)
                 .map(|(app, record)| {
@@ -1005,26 +1037,43 @@ impl Pipeline {
                         .collect();
                     p
                 })
-                .collect();
-            if let Some(ledger) = ledger {
-                if let Err(e) = ledger.finalize_with(&final_provenance, self.io_harness.as_ref()) {
-                    finalized = false;
-                    eprintln!(
-                        "dydroid: failed to finalize ledger {}: {e}",
-                        ledger.path().display()
-                    );
-                }
-            }
-        }
-        // Finalize the journal and the event stream the same way the
-        // ledger is finalized: atomically rewritten in corpus order, so
-        // a completed run's three streams are byte-identical however the
+                .collect()
+        });
+        // The journal and the event stream are finalized the same way as
+        // the ledger: atomically rewritten in corpus order, so a
+        // completed run's three streams are byte-identical however the
         // sweep interleaved and however many resumes it took. The
         // canonical event stream keeps only the per-app checkpoint and
         // provenance-link facts; live span timings are interleave-
-        // dependent and are dropped.
-        if let Some(journal) = journal {
-            if let Err(e) = journal.finalize_with(&records, self.io_harness.as_ref()) {
+        // dependent and are dropped. The ledger and the journal are
+        // encoded on two threads; the writes then go out one at a time in
+        // a fixed order (ledger, journal, events), so a fault harness
+        // sees the same ops in the same order.
+        let (ledger_frames, journal_frames) = std::thread::scope(|scope| {
+            let ledger_job = final_provenance
+                .as_deref()
+                .filter(|_| ledger.is_some())
+                .map(|graphs| scope.spawn(|| encode_records(graphs)));
+            let journal_frames = journal.map(|_| encode_records(&records));
+            let ledger_frames = ledger_job.map(|job| {
+                job.join()
+                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+            });
+            (ledger_frames, journal_frames)
+        });
+        drop(final_provenance);
+        let mut finalized = true;
+        if let (Some(ledger), Some(frames)) = (ledger, ledger_frames) {
+            if let Err(e) = ledger.replace(frames, self.io_harness.as_ref()) {
+                finalized = false;
+                eprintln!(
+                    "dydroid: failed to finalize ledger {}: {e}",
+                    ledger.path().display()
+                );
+            }
+        }
+        if let (Some(journal), Some(frames)) = (journal, journal_frames) {
+            if let Err(e) = journal.replace(frames, self.io_harness.as_ref()) {
                 finalized = false;
                 eprintln!(
                     "dydroid: failed to finalize journal {}: {e}",
@@ -1897,11 +1946,13 @@ impl StreamShards {
     /// Opens `count` shards: a journal writer per shard when `journal` is
     /// attached, a ledger writer per shard when `ledger` is, and — on a
     /// journaled telemetry run — one event sink per shard. Per-shard frame
-    /// sequences continue from each file's valid prefix.
+    /// sequences continue from each file's valid prefix: shard 0 resumes
+    /// at the base stream's end when this session's recovery found it,
+    /// and every other file is scanned.
     fn open(
         pipeline: &Pipeline,
-        journal: Option<&crate::sweep::Journal>,
-        ledger: Option<&ProvenanceLedger>,
+        journal: Option<(&crate::sweep::Journal, Option<StreamEnd>)>,
+        ledger: Option<(&ProvenanceLedger, Option<StreamEnd>)>,
         count: usize,
         io_state: &Arc<IoState>,
     ) -> std::io::Result<StreamShards> {
@@ -1909,22 +1960,25 @@ impl StreamShards {
         let mut shards = Vec::with_capacity(count);
         for k in 0..count {
             let (journal_k, ledger_k) = match journal {
-                Some(j) if k > 0 => (
-                    Some(j.shard(k)),
-                    ledger.map(|_| ProvenanceLedger::new(j.shard_provenance_path(k))),
+                Some((j, _)) if k > 0 => (
+                    Some((j.shard(k), None)),
+                    ledger.map(|_| (ProvenanceLedger::new(j.shard_provenance_path(k)), None)),
                 ),
-                _ => (journal.cloned(), ledger.cloned()),
+                _ => (
+                    journal.map(|(j, end)| (j.clone(), end)),
+                    ledger.map(|(l, end)| (l.clone(), end)),
+                ),
             };
             shards.push(Mutex::new(ShardStreams {
                 journal: journal_k
-                    .map(|j| j.writer_with(sink(StreamKind::Journal)))
+                    .map(|(j, end)| j.open_writer(sink(StreamKind::Journal), end))
                     .transpose()?,
                 ledger: ledger_k
-                    .map(|l| l.writer_with(sink(StreamKind::Ledger)))
+                    .map(|(l, end)| l.open_writer(sink(StreamKind::Ledger), end))
                     .transpose()?,
             }));
         }
-        if let Some(journal) = journal.filter(|_| pipeline.telemetry.is_enabled()) {
+        if let Some((journal, _)) = journal.filter(|_| pipeline.telemetry.is_enabled()) {
             let mut paths = vec![journal.events_path()];
             paths.extend((1..count).map(|k| journal.shard_events_path(k)));
             if let Err(e) = pipeline
@@ -2231,6 +2285,12 @@ pub struct RecoveryOutcome {
     /// (sorted); [`Pipeline::run_resumable`] records these as analysis
     /// failures instead of re-analysing them.
     pub quarantined: Vec<String>,
+    /// Where the base journal's frames end after this reconciliation,
+    /// so the session's writer resumes there without a second scan.
+    pub(crate) journal_end: StreamEnd,
+    /// The same for the base ledger; `None` when it was not recovered
+    /// or its rewrite failed (the writer then scans it).
+    pub(crate) ledger_end: Option<StreamEnd>,
 }
 
 /// One segment's reconciliation: the longest mutually consistent prefix
@@ -2246,6 +2306,10 @@ struct SegmentRecovery {
     inconsistent: BTreeSet<String>,
     journal_count: usize,
     checkpoints: Option<HashSet<String>>,
+    /// Where the segment's journal frames end after its recovery.
+    journal_end: StreamEnd,
+    /// Where its ledger frames end, when the ledger was recovered.
+    ledger_end: Option<StreamEnd>,
 }
 
 /// Marks of the monotonic avm telemetry counters taken at sweep start,

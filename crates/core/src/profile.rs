@@ -31,7 +31,7 @@ use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 
-use crate::durable::scan_path;
+use crate::durable::{read_stream, scan_stream};
 use crate::sweep::Journal;
 use crate::telemetry::SpanRecord;
 
@@ -125,10 +125,10 @@ impl SpanProfile {
     pub fn from_event_streams(paths: &[PathBuf]) -> io::Result<SpanProfile> {
         let mut spans = Vec::new();
         for path in paths {
-            let Some(scan) = scan_path(path)? else {
+            let Some(bytes) = read_stream(path)? else {
                 continue;
             };
-            for body in &scan.bodies {
+            for body in scan_stream(&bytes).bodies {
                 let Ok(value) = serde_json::from_str::<serde::Value>(body) else {
                     break;
                 };

@@ -965,7 +965,7 @@ mod tests {
         assert_eq!(recovery.dropped_lines, 1);
         assert_eq!(recovery.records[0], prov);
         // Finalize rewrites deterministically.
-        ledger.finalize(std::slice::from_ref(&prov)).unwrap();
+        ledger.rewrite(std::slice::from_ref(&prov)).unwrap();
         let finalized = std::fs::read_to_string(&path).unwrap();
         assert_eq!(finalized, text);
         ledger.reset().unwrap();

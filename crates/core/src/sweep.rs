@@ -205,14 +205,14 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Returns serialization or write errors.
+    /// Returns write errors.
     pub fn write_quarantine(&self, entries: &[QuarantineEntry]) -> io::Result<()> {
         if entries.is_empty() {
             return self.quarantine().reset();
         }
         let mut sorted = entries.to_vec();
         sorted.sort_by(|a, b| a.package.cmp(&b.package));
-        self.quarantine().rewrite(&sorted)
+        self.quarantine().rewrite(&sorted).map(drop)
     }
 
     /// Deletes the journal file if present (start a sweep from scratch).
@@ -602,9 +602,8 @@ mod tests {
         assert_eq!(shard1.len(), 2);
         assert_eq!(shard1[0].package, "com.shard1a");
         // Per-shard sequences each start at 0.
-        let scan = crate::durable::scan_path(&journal.shard_path(1))
-            .unwrap()
-            .unwrap();
+        let bytes = std::fs::read(journal.shard_path(1)).unwrap();
+        let scan = crate::durable::scan_stream(&bytes);
         assert_eq!(scan.next_seq, 2);
         assert_eq!(scan.dropped, 0);
         journal.reset().unwrap();

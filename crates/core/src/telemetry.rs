@@ -34,7 +34,8 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use crate::durable::{
-    atomic_write_frames, scan_path, FramedWriter, IoHarness, SinkOptions, StreamKind,
+    atomic_replace, encode_frames, read_stream, scan_stream, FramedWriter, IoHarness, SinkOptions,
+    StreamKind,
 };
 
 use serde::{Deserialize, Serialize};
@@ -691,7 +692,7 @@ impl Telemetry {
             return Ok(());
         };
         inner.sinks.write().expect("event sinks poisoned").clear();
-        atomic_write_frames(path, bodies, harness)
+        atomic_replace(path, encode_frames(0, bodies), harness)
     }
 
     /// Emits a checkpoint event tying a journaled app record to the span
@@ -760,12 +761,12 @@ impl Telemetry {
         let Some(inner) = &self.inner else {
             return Ok(0);
         };
-        let Some(scan) = scan_path(path)? else {
+        let Some(bytes) = read_stream(path)? else {
             return Ok(0);
         };
         let mut loaded = 0usize;
         let mut max_id = 0u64;
-        for body in &scan.bodies {
+        for body in scan_stream(&bytes).bodies {
             let Ok(value) = serde_json::from_str::<serde::Value>(body) else {
                 break;
             };
@@ -1251,10 +1252,10 @@ mod tests {
         }
         drop(t);
 
-        let read = |p: &Path| {
-            scan_path(p)
-                .expect("scan")
-                .map_or_else(Vec::new, |s| s.bodies)
+        let read = |p: &Path| -> Vec<String> {
+            let bytes = read_stream(p).expect("read").unwrap_or_default();
+            let bodies = scan_stream(&bytes).bodies;
+            bodies.into_iter().map(str::to_owned).collect()
         };
         let base_bodies = read(&paths[0]);
         assert_eq!(base_bodies.len(), 4);

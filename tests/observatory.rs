@@ -10,7 +10,7 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 
 use dydroid::durable::{
-    encode_frames, scan_path, scan_stream, FramedWriter, SinkOptions, StreamKind,
+    encode_frames, read_stream, scan_stream, FramedWriter, SinkOptions, StreamKind,
 };
 use dydroid::obs::{MetricsSnapshot, SpanRecord};
 use dydroid::{IoHarness, Journal, Pipeline, PipelineConfig, SpanProfile, Telemetry};
@@ -181,18 +181,20 @@ fn metrics_stream_survives_crash_and_resume() {
     let _ = first
         .run_resumable(&corpus, &journal)
         .expect("interrupted sweep still returns");
-    let mid = scan_path(&journal.metrics_path())
-        .expect("scan metrics")
+    let mid_bytes = read_stream(&journal.metrics_path())
+        .expect("read metrics")
         .expect("metrics stream exists");
+    let mid = scan_stream(&mid_bytes);
     assert!(!mid.bodies.is_empty(), "no snapshots before the crash");
 
     let second = Pipeline::new(config);
     let _ = second
         .run_resumable(&corpus, &journal)
         .expect("resumed sweep");
-    let scan = scan_path(&journal.metrics_path())
-        .expect("scan metrics")
+    let bytes = read_stream(&journal.metrics_path())
+        .expect("read metrics")
         .expect("metrics stream exists");
+    let scan = scan_stream(&bytes);
     assert!(
         scan.is_clean(),
         "resumed stream has defect {:?}",
@@ -362,7 +364,8 @@ proptest! {
             .expect("append after heal");
         writer.sync_now().expect("sync");
         drop(writer);
-        let healed = scan_path(&path).expect("scan healed").expect("healed exists");
+        let healed_bytes = read_stream(&path).expect("read healed").expect("healed exists");
+        let healed = scan_stream(&healed_bytes);
         prop_assert!(healed.is_clean(), "healed stream defect {:?}", healed.defect);
         prop_assert_eq!(healed.bodies.len(), scan.bodies.len() + 1);
         let _ = std::fs::remove_file(&path);

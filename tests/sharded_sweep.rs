@@ -8,7 +8,7 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use dydroid::durable::scan_path;
+use dydroid::durable::{read_stream, scan_stream};
 use dydroid::pipeline::{DynamicOutcome, DynamicStatus};
 use dydroid::{AppRecord, IoHarness, Journal, Pipeline, PipelineConfig};
 use dydroid_workload::{generate, CorpusSpec, SyntheticApp};
@@ -138,9 +138,9 @@ fn killed_sharded_sweep_resumes_byte_identical_to_serial() {
         !journal.shard_path(0).exists(),
         "shard 0 must append to the base journal, not a shard file"
     );
-    let base_frames = scan_path(journal.path())
-        .expect("scan base journal")
-        .map_or(0, |scan| scan.bodies.len());
+    let base_frames = read_stream(journal.path())
+        .expect("read base journal")
+        .map_or(0, |bytes| scan_stream(&bytes).bodies.len());
     assert!(
         base_frames > 0,
         "shard 0's appends must land in the base journal"
@@ -232,7 +232,8 @@ proptest! {
             if ids.is_empty() {
                 continue; // opening wrote no frames; file may be empty
             }
-            let scan = scan_path(&journal.shard_path(k)).unwrap().unwrap();
+            let bytes = read_stream(&journal.shard_path(k)).unwrap().unwrap();
+            let scan = scan_stream(&bytes);
             prop_assert_eq!(scan.dropped, 0usize);
             prop_assert_eq!(scan.next_seq, ids.len() as u64);
         }
@@ -256,7 +257,8 @@ proptest! {
         if expected.is_empty() {
             // Nothing to rewrite; the base journal may not even exist.
         } else {
-            let scan = scan_path(journal.path()).unwrap().unwrap();
+            let bytes = read_stream(journal.path()).unwrap().unwrap();
+            let scan = scan_stream(&bytes);
             prop_assert_eq!(scan.dropped, 0usize);
             prop_assert_eq!(scan.next_seq, expected.len() as u64);
         }
