@@ -106,11 +106,13 @@ pub struct PipelineConfig {
     pub max_events_per_app: usize,
     /// Record per-app provenance graphs (URL → file → load → verdict)
     /// and persist them as a JSONL ledger beside the journal when one is
-    /// in use (see `crate::provenance`).
+    /// in use, or at `provenance_out` (see `crate::provenance`). A sweep
+    /// builds graphs only when such a ledger receives them; no table
+    /// reads them.
     pub provenance: bool,
     /// Explicit path for the provenance ledger. `None` places it beside
     /// the sweep journal (`<journal>.provenance.jsonl`); without a
-    /// journal the ledger is kept in memory only. A plain [`Pipeline::run`]
+    /// journal no ledger is kept and no graph is built. A plain [`Pipeline::run`]
     /// streams it through the same shard append as a journaled sweep (one
     /// ledger-only shard) and finalizes it in corpus order.
     ///

@@ -269,9 +269,38 @@ impl Pipeline {
         let detector_mark = self.detector.stats();
         let avm_marks = self.avm_counter_marks();
         // Without a journal the ledger only materializes on disk when an
-        // explicit path was configured; a fresh run starts it clean.
+        // explicit path was configured.
         let ledger = self.ledger_for(None);
-        if let Some(ledger) = &ledger {
+        let io_state = IoState::new(self.config.io_retry_budget);
+        let (slots, perf, observatory) = self.plain_sweep(corpus, ledger.as_ref(), &io_state);
+        self.assemble(
+            corpus,
+            slots,
+            HashMap::new(),
+            Vec::new(),
+            ledger.as_ref(),
+            None,
+            &io_state,
+            None,
+            perf,
+            observatory,
+            cache_mark,
+            detector_mark,
+            avm_marks,
+        )
+    }
+
+    /// The sweep of a plain [`Pipeline::run`]: every corpus app, with the
+    /// ledger (when `provenance_out` configures one) started clean and
+    /// appended through one ledger-only shard. Graphs are kept only for
+    /// that ledger.
+    fn plain_sweep(
+        &self,
+        corpus: &[SyntheticApp],
+        ledger: Option<&ProvenanceLedger>,
+        io_state: &Arc<IoState>,
+    ) -> (Vec<SweepSlot>, SweepPerf, Option<Observatory>) {
+        if let Some(ledger) = ledger {
             if let Err(e) = ledger.reset() {
                 eprintln!(
                     "dydroid: failed to reset ledger {}: {e}",
@@ -279,9 +308,8 @@ impl Pipeline {
                 );
             }
         }
-        let io_state = IoState::new(self.config.io_retry_budget);
-        let shards = ledger.as_ref().and_then(|ledger| {
-            StreamShards::open(self, None, Some((ledger, None)), 1, &io_state)
+        let shards = ledger.and_then(|ledger| {
+            StreamShards::open(self, None, Some((ledger, None)), 1, io_state)
                 .map_err(|e| {
                     eprintln!(
                         "dydroid: failed to open ledger {}: {e}",
@@ -290,15 +318,16 @@ impl Pipeline {
                 })
                 .ok()
         });
-        let observatory = Observatory::open(self, None, &io_state);
+        let observatory = Observatory::open(self, None, io_state);
         let sweep_start = Instant::now();
         let indices: Vec<usize> = (0..corpus.len()).collect();
         let mut sweep_span = self.telemetry.span("sweep");
         sweep_span.field("apps", indices.len());
-        let (results, worker_stats) = self.sweep(
+        let (slots, worker_stats) = self.sweep(
             corpus,
             &indices,
             shards.as_ref(),
+            ledger.is_some(),
             &HashSet::new(),
             observatory.as_ref(),
             sweep_span.id(),
@@ -309,27 +338,13 @@ impl Pipeline {
         if let Some(obs) = &observatory {
             obs.finish(self);
         }
-        let sweep_ms = sweep_start.elapsed().as_millis() as u64;
-        self.assemble(
-            corpus,
-            results,
-            HashMap::new(),
-            Vec::new(),
-            ledger.as_ref(),
-            None,
-            &io_state,
-            None,
-            SweepPerf {
-                worker_stats,
-                stream_shards: 1,
-                shard_contention,
-            },
-            observatory,
-            sweep_ms,
-            cache_mark,
-            detector_mark,
-            avm_marks,
-        )
+        let perf = SweepPerf {
+            worker_stats,
+            stream_shards: 1,
+            shard_contention,
+            sweep_ms: sweep_start.elapsed().as_millis() as u64,
+        };
+        (slots, perf, observatory)
     }
 
     /// The ledger backing this run's provenance records, if any: the
@@ -461,13 +476,14 @@ impl Pipeline {
         // Quarantine records are persisted through the same append as
         // every analysed app, so all three streams stay mutually
         // consistent.
+        let keep_graphs = ledger.is_some();
         for app in quarantined {
             let record = &done[app.package()];
-            let provenance = AppProvenance::from_record(record);
+            let provenance = keep_graphs.then(|| AppProvenance::from_record(record));
             shards.append(
                 shards.shard_of(app),
                 record,
-                Some(&provenance),
+                provenance.as_ref(),
                 0,
                 &self.telemetry,
             );
@@ -483,10 +499,11 @@ impl Pipeline {
         let mut sweep_span = self.telemetry.span("sweep");
         sweep_span.field("apps", pending.len());
         sweep_span.field("resumed", recovered);
-        let (results, worker_stats) = self.sweep(
+        let (slots, worker_stats) = self.sweep(
             corpus,
             &pending,
             Some(&shards),
+            keep_graphs,
             &retry,
             observatory.as_ref(),
             sweep_span.id(),
@@ -495,16 +512,17 @@ impl Pipeline {
         if let Some(obs) = &observatory {
             obs.finish(self);
         }
-        let perf = SweepPerf {
-            worker_stats,
-            stream_shards: shard_count,
-            shard_contention: shards.contention(),
-        };
+        let shard_contention = shards.contention();
         // Close the shard writers before finalize merges and removes the
         // shard files (the telemetry event sinks close inside
         // `finalize_event_sink`).
         drop(shards);
-        let sweep_ms = sweep_start.elapsed().as_millis() as u64;
+        let perf = SweepPerf {
+            worker_stats,
+            stream_shards: shard_count,
+            shard_contention,
+            sweep_ms: sweep_start.elapsed().as_millis() as u64,
+        };
         let summary = RecoverySummary {
             recovered: recovered as u64,
             dropped: (outcome.journal_dropped + outcome.ledger_dropped + outcome.events_dropped)
@@ -514,7 +532,7 @@ impl Pipeline {
         };
         Ok(self.assemble(
             corpus,
-            results,
+            slots,
             done,
             prior_provenance,
             ledger.as_ref(),
@@ -523,7 +541,6 @@ impl Pipeline {
             Some(summary),
             perf,
             observatory,
-            sweep_ms,
             cache_mark,
             detector_mark,
             avm_marks,
@@ -845,16 +862,21 @@ impl Pipeline {
     /// finished record to its app's stream shard — the sweep's only
     /// append path. Results flow through a bounded channel so a slow
     /// collector backpressures workers instead of buffering the whole
-    /// corpus in memory.
+    /// corpus in memory; the collector files each one at its corpus
+    /// index, so the returned slots are `corpus.len()` long and empty
+    /// wherever no result arrived. Provenance graphs are built only when
+    /// `keep_graphs` says a ledger will receive them.
+    #[allow(clippy::too_many_arguments)]
     fn sweep(
         &self,
         corpus: &[SyntheticApp],
         indices: &[usize],
         shards: Option<&StreamShards>,
+        keep_graphs: bool,
         retry: &HashSet<String>,
         observatory: Option<&Observatory>,
         parent_span: u64,
-    ) -> (Vec<SweepItem>, Vec<WorkerStats>) {
+    ) -> (Vec<SweepSlot>, Vec<WorkerStats>) {
         let workers = self.config.effective_workers().min(indices.len().max(1));
         let scheduler = Scheduler::new(workers);
         for (pos, &i) in indices.iter().enumerate() {
@@ -880,7 +902,8 @@ impl Pipeline {
 
         // Collected outside the scope so partial results survive even a
         // worker-thread panic that escapes the per-app isolation.
-        let collected: Mutex<Vec<SweepItem>> = Mutex::new(Vec::new());
+        let mut slots: Vec<SweepSlot> = Vec::new();
+        slots.resize_with(corpus.len(), || None);
         let scope_result = crossbeam::thread::scope(|scope| {
             for worker in 0..workers {
                 let result_tx = result_tx.clone();
@@ -895,7 +918,7 @@ impl Pipeline {
                         let _scope = shard.map(|k| self.telemetry.event_shard_scope(k));
                         let started = Instant::now();
                         let (record, provenance, span_id, virtual_us) =
-                            self.analyze_app_traced(app, parent_span);
+                            self.analyze_app_traced(app, parent_span, keep_graphs);
                         if let (Some(shards), Some(k)) = (shards, shard) {
                             shards.append(
                                 k,
@@ -945,18 +968,13 @@ impl Pipeline {
                         eprintln!("dydroid: {line}");
                     }
                 }
-                if let Ok(mut records) = collected.lock() {
-                    records.push((i, record, provenance));
-                }
+                slots[i] = Some((record, provenance));
             }
         });
         if scope_result.is_err() {
             eprintln!("dydroid: a sweep thread panicked outside per-app isolation; continuing with partial results");
         }
-        (
-            collected.into_inner().unwrap_or_default(),
-            scheduler.worker_stats(),
-        )
+        (slots, scheduler.worker_stats())
     }
 
     /// Merges sweep results (and any journaled records) into a complete,
@@ -970,7 +988,7 @@ impl Pipeline {
     fn assemble(
         &self,
         corpus: &[SyntheticApp],
-        results: Vec<SweepItem>,
+        slots: Vec<SweepSlot>,
         mut done: HashMap<String, AppRecord>,
         prior_provenance: Vec<AppProvenance>,
         ledger: Option<&ProvenanceLedger>,
@@ -979,33 +997,28 @@ impl Pipeline {
         recovery: Option<RecoverySummary>,
         perf: SweepPerf,
         observatory: Option<Observatory>,
-        sweep_ms: u64,
         cache_mark: CacheStats,
         detector_mark: dydroid_analysis::DetectorStats,
         avm_marks: AvmMarks,
     ) -> MeasurementReport {
-        // Live-built graphs win over recovered ledger lines; recovered
-        // lines cover the resumed apps this session never re-ran.
-        let mut provenance: HashMap<String, AppProvenance> = prior_provenance
-            .into_iter()
-            .map(|p| (p.package.clone(), p))
-            .collect();
-        for (i, record, prov) in results {
-            if let Some(app) = corpus.get(i) {
-                done.insert(app.package().to_string(), record);
-                if let Some(prov) = prov {
-                    provenance.insert(app.package().to_string(), prov);
-                }
-            }
-        }
-        let records: Vec<AppRecord> = corpus
-            .iter()
-            .map(|app| {
-                done.remove(app.package()).unwrap_or_else(|| {
+        // Live results win; recovered journal records fill only the
+        // slots this session never re-ran. Graphs are gathered only for
+        // a ledger.
+        let mut records: Vec<AppRecord> = Vec::with_capacity(corpus.len());
+        let mut graphs: Option<Vec<Option<AppProvenance>>> =
+            ledger.map(|_| Vec::with_capacity(corpus.len()));
+        for (app, slot) in corpus.iter().zip(slots) {
+            let (record, graph) = slot.unwrap_or_else(|| {
+                let record = done.remove(app.package()).unwrap_or_else(|| {
                     self.failure_record(app, "record lost: sweep worker died".to_string())
-                })
-            })
-            .collect();
+                });
+                (record, None)
+            });
+            if let Some(graphs) = &mut graphs {
+                graphs.push(graph);
+            }
+            records.push(record);
+        }
         let env_start = Instant::now();
         let env = if self.config.environment_reruns {
             let mut env_span = self.telemetry.span("environment");
@@ -1016,20 +1029,33 @@ impl Pipeline {
             crate::environment::EnvOutcome::default()
         };
         // The finalized ledger: one record per corpus app, corpus order,
-        // env outcomes attached. Apps whose live graph is gone (resumed
-        // with a torn ledger line) get a degraded reconstruction.
-        let final_provenance: Option<Vec<AppProvenance>> = self.config.provenance.then(|| {
-            corpus
-                .iter()
+        // env outcomes attached. Recovered ledger lines cover the resumed
+        // apps this session never re-ran; apps whose graph is gone
+        // (resumed with a torn ledger line) get a degraded
+        // reconstruction.
+        let final_provenance: Option<Vec<AppProvenance>> = graphs.map(|graphs| {
+            let mut prior: HashMap<String, AppProvenance> = prior_provenance
+                .into_iter()
+                .map(|p| (p.package.clone(), p))
+                .collect();
+            let mut env_loads: HashMap<&str, Vec<&crate::environment::EnvLoad>> = HashMap::new();
+            for load in &env.loads {
+                env_loads
+                    .entry(load.package.as_str())
+                    .or_default()
+                    .push(load);
+            }
+            graphs
+                .into_iter()
                 .zip(&records)
-                .map(|(app, record)| {
-                    let mut p = provenance
-                        .remove(app.package())
+                .map(|(graph, record)| {
+                    let mut p = graph
+                        .or_else(|| prior.remove(record.package.as_str()))
                         .unwrap_or_else(|| AppProvenance::from_record(record));
-                    p.env_loads = env
-                        .loads
-                        .iter()
-                        .filter(|l| l.package == record.package)
+                    p.env_loads = env_loads
+                        .get(record.package.as_str())
+                        .into_iter()
+                        .flatten()
                         .map(|l| crate::provenance::EnvLoadOutcome {
                             path: l.path.clone(),
                             configs: l.configs.clone(),
@@ -1052,7 +1078,6 @@ impl Pipeline {
         let (ledger_frames, journal_frames) = std::thread::scope(|scope| {
             let ledger_job = final_provenance
                 .as_deref()
-                .filter(|_| ledger.is_some())
                 .map(|graphs| scope.spawn(|| encode_records(graphs)));
             let journal_frames = journal.map(|_| encode_records(&records));
             let ledger_frames = ledger_job.map(|job| {
@@ -1178,7 +1203,7 @@ impl Pipeline {
         let io = io_state.snapshot();
         let recovery = recovery.unwrap_or_default();
         let stats = SweepStats {
-            sweep_ms,
+            sweep_ms: perf.sweep_ms,
             env_ms: env_start.elapsed().as_millis() as u64,
             analyzed_apps: records.len(),
             telemetry: self.telemetry.is_enabled(),
@@ -1269,19 +1294,20 @@ impl Pipeline {
     /// (reseeding the Monkey when `retry_reseed` is set), and the final
     /// failure is recorded as [`DynamicStatus::AnalysisFailure`].
     pub fn analyze_app_resilient(&self, app: &SyntheticApp) -> AppRecord {
-        self.analyze_app_traced(app, 0).0
+        self.analyze_app_traced(app, 0, false).0
     }
 
     /// [`Pipeline::analyze_app_resilient`] under a per-app telemetry span
-    /// (parented to the sweep span); returns the record and provenance
-    /// graph together with the span id (so the shard append can
-    /// checkpoint and ledger them) and the app's deterministic virtual
-    /// cost in microseconds, summed across attempts, which the scheduler
-    /// charges to the worker that ran it.
+    /// (parented to the sweep span); returns the record and, with
+    /// `keep_graphs`, its provenance graph, together with the span id (so
+    /// the shard append can checkpoint and ledger them) and the app's
+    /// deterministic virtual cost in microseconds, summed across
+    /// attempts, which the scheduler charges to the worker that ran it.
     fn analyze_app_traced(
         &self,
         app: &SyntheticApp,
         parent_span: u64,
+        keep_graphs: bool,
     ) -> (AppRecord, Option<AppProvenance>, u64, u64) {
         let mut span = self.telemetry.span_with_parent("app", parent_span);
         span.field("app", &app.plan.package);
@@ -1302,7 +1328,7 @@ impl Pipeline {
                 RETRY_SEED_SALT.wrapping_mul(u64::from(attempt))
             };
             match catch_unwind(AssertUnwindSafe(|| {
-                self.analyze_app_salted(app, salt, span_id)
+                self.analyze_app_salted(app, salt, span_id, keep_graphs)
             })) {
                 Ok((record, provenance, virtual_us)) => {
                     total_virtual_us += virtual_us;
@@ -1313,7 +1339,7 @@ impl Pipeline {
                         // no live device state; they still get a ledger
                         // entry, reconstructed from the record, so the
                         // ledger's app set always matches the journal's.
-                        let provenance = self.config.provenance.then(|| {
+                        let provenance = keep_graphs.then(|| {
                             let mut p =
                                 provenance.unwrap_or_else(|| AppProvenance::from_record(&record));
                             p.span = span_id;
@@ -1341,7 +1367,7 @@ impl Pipeline {
         span.field("verdict", verdict_label(&record));
         // Harness failures carry no live device state; the ledger gets a
         // degraded record reconstructed from the app record at finalize.
-        let provenance = self.config.provenance.then(|| {
+        let provenance = keep_graphs.then(|| {
             let mut p = AppProvenance::from_record(&record);
             p.span = span_id;
             p
@@ -1425,7 +1451,8 @@ impl Pipeline {
     ) -> (AppRecord, Option<AppProvenance>) {
         let mut span = self.telemetry.span("app");
         span.field("app", &app.plan.package);
-        let (record, mut provenance, _) = self.analyze_app_salted(app, 0, span.id());
+        let (record, mut provenance, _) =
+            self.analyze_app_salted(app, 0, span.id(), self.config.provenance);
         span.field("verdict", verdict_label(&record));
         if let Some(p) = &mut provenance {
             p.span = span.id();
@@ -1436,13 +1463,14 @@ impl Pipeline {
     /// [`Pipeline::analyze_app`] with a Monkey seed salt (non-zero on
     /// reseeded retries) and a parent span for the phase children. Also
     /// returns the app's provenance graph when the dynamic phase ran and
-    /// `PipelineConfig::provenance` is on (the graph is built from live
-    /// device state — flow graph, event log — that the record drops).
+    /// `keep_graphs` is set (the graph is built from live device state —
+    /// flow graph, event log — that the record drops).
     fn analyze_app_salted(
         &self,
         app: &SyntheticApp,
         seed_salt: u64,
         parent_span: u64,
+        keep_graphs: bool,
     ) -> (AppRecord, Option<AppProvenance>, u64) {
         let metadata = app.plan.metadata.clone();
         let package = app.plan.package.clone();
@@ -1584,7 +1612,7 @@ impl Pipeline {
         }
         // The flight recorder fuses the device state the record is about
         // to drop (flow graph, raw event log) with the outcome.
-        let provenance = self.config.provenance.then(|| {
+        let provenance = keep_graphs.then(|| {
             AppProvenance::build(
                 &package,
                 status_label(&dynamic.status),
@@ -2062,6 +2090,7 @@ struct SweepPerf {
     worker_stats: Vec<WorkerStats>,
     stream_shards: usize,
     shard_contention: u64,
+    sweep_ms: u64,
 }
 
 /// The live observability rig of one sweep (DESIGN.md §5j): the durable
@@ -2256,8 +2285,9 @@ const RETRY_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// `(decompiled, filter, obfuscation)` from the cheap static phases.
 type StaticPhases = (bool, DclFilter, ObfuscationReport);
 
-/// One collected sweep result: corpus index, record, provenance graph.
-type SweepItem = (usize, AppRecord, Option<AppProvenance>);
+/// One corpus index's sweep result: the record and, when a ledger keeps
+/// them, its provenance graph; `None` when no result arrived.
+type SweepSlot = Option<(AppRecord, Option<AppProvenance>)>;
 
 /// What [`Pipeline::recover_all`] reconciled out of the three persistent
 /// streams (journal, provenance ledger, telemetry events) of an
@@ -2438,6 +2468,41 @@ mod tests {
         assert_eq!(report.env_counts().total_files, 0);
         // All tables render from nothing.
         let _ = report.render_all();
+    }
+
+    #[test]
+    fn a_plain_sweep_keeps_graphs_only_for_a_ledger() {
+        let corpus = tiny_corpus();
+        let corpus = &corpus[..60];
+        let path = std::env::temp_dir().join(format!(
+            "dydroid_graph_gate_{}.provenance.jsonl",
+            std::process::id()
+        ));
+        for provenance_out in [None, Some(path.to_string_lossy().into_owned())] {
+            let ledgered = provenance_out.is_some();
+            let pipeline = Pipeline::new(PipelineConfig {
+                workers: 2,
+                environment_reruns: false,
+                provenance_out,
+                ..Default::default()
+            });
+            let ledger = pipeline.ledger_for(None);
+            assert_eq!(ledger.is_some(), ledgered);
+            let io_state = IoState::new(pipeline.config.io_retry_budget);
+            let (slots, _, _) = pipeline.plain_sweep(corpus, ledger.as_ref(), &io_state);
+            assert_eq!(slots.len(), corpus.len());
+            for (app, slot) in corpus.iter().zip(&slots) {
+                let (record, graph) = slot.as_ref().expect("every app is swept");
+                assert_eq!(record.package, app.package());
+                assert_eq!(
+                    graph.as_ref().map(|g| g.package.as_str()),
+                    ledgered.then(|| app.package()),
+                    "graph of `{}` with provenance_out {ledgered}",
+                    app.package()
+                );
+            }
+        }
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]

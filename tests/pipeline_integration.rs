@@ -319,3 +319,50 @@ fn pipeline_install_equals_a_fresh_parse_of_the_install_bytes() {
         "corpus lacks an install kind: {rewritten} rewritten, {original} original, {anti_repack} anti-repackaging"
     );
 }
+
+/// Two corpus entries with one package name — an app and its repackaged
+/// clone — each get their own analysed record. Results are filed by
+/// corpus index, so the second entry is not mistaken for a record lost
+/// to a dead worker (a false Table II harness failure).
+#[test]
+fn duplicate_packages_each_keep_their_record() {
+    let mut corpus = generate(&CorpusSpec {
+        scale: 0.005,
+        seed: 5,
+    });
+    corpus.push(corpus[3].clone());
+    let clone = corpus.len() - 1;
+    let config = PipelineConfig {
+        workers: 2,
+        environment_reruns: false,
+        ..Default::default()
+    };
+    let journal = dydroid::Journal::new(std::env::temp_dir().join(format!(
+        "dydroid_duplicate_packages_{}.jsonl",
+        std::process::id()
+    )));
+    journal.reset().expect("reset journal");
+    let plain = Pipeline::new(config.clone()).run(&corpus);
+    let journaled = Pipeline::new(config)
+        .run_resumable(&corpus, &journal)
+        .expect("fresh journaled sweep");
+    journal.reset().expect("cleanup");
+    for (name, report) in [("run", &plain), ("run_resumable", &journaled)] {
+        let records = report.records();
+        assert_eq!(records.len(), corpus.len(), "{name}");
+        let harness: Vec<&str> = records.iter().filter_map(|r| r.harness_failure()).collect();
+        assert!(harness.is_empty(), "{name}: harness failures {harness:?}");
+        let t2 = report.table2();
+        assert_eq!(
+            (t2.dex.harness_failure, t2.native.harness_failure),
+            (0, 0),
+            "{name}"
+        );
+        let original = serde_json::to_string(&records[3]).expect("serialise");
+        assert_eq!(
+            serde_json::to_string(&records[clone]).expect("serialise"),
+            original,
+            "{name}: the clone's record differs from the original's"
+        );
+    }
+}

@@ -450,3 +450,37 @@ fn ledger_is_byte_identical_across_reruns_and_resume() {
     a.reset().expect("cleanup");
     b.reset().expect("cleanup");
 }
+
+/// Provenance graphs feed only the ledger: every table comes from the
+/// app records, so the report is byte-identical whether graphs are off,
+/// on without a ledger (none built), or on with a `provenance_out` ledger.
+#[test]
+fn report_is_identical_with_and_without_a_ledger() {
+    let corpus = generate(&CorpusSpec {
+        scale: 0.01,
+        ..Default::default()
+    });
+    let ledger_path = std::env::temp_dir().join(format!(
+        "dydroid_prov_report_{}.provenance.jsonl",
+        std::process::id()
+    ));
+    let report_json = |provenance: bool, provenance_out: Option<&PathBuf>| {
+        let report = Pipeline::new(PipelineConfig {
+            provenance,
+            provenance_out: provenance_out.map(|p| p.to_string_lossy().into_owned()),
+            ..Default::default()
+        })
+        .run(&corpus);
+        serde_json::to_string(&report).expect("serialise report")
+    };
+    let on = report_json(true, None);
+    let off = report_json(false, None);
+    let ledgered = report_json(true, Some(&ledger_path));
+    let graphs = ProvenanceLedger::new(&ledger_path)
+        .load()
+        .expect("ledger loads");
+    let _ = std::fs::remove_file(&ledger_path);
+    assert_eq!(graphs.len(), corpus.len(), "one ledger graph per app");
+    assert_eq!(on, off, "provenance on vs off");
+    assert_eq!(on, ledgered, "no ledger vs provenance_out");
+}
