@@ -11,7 +11,7 @@
 //!
 //! The matcher is *indexed*: at train time every sample's block multiset
 //! is folded into an inverted index `BlockSig → [(sample, count)]`
-//! ([`SigIndex`]). Detection builds the test binary's block pool once,
+//! (`SigIndex`). Detection builds the test binary's block pool once,
 //! walks only the test's **distinct** signatures through the index, and
 //! accumulates the exact multiset-intersection size per candidate sample
 //! in a single pass — samples sharing no block with the test are never
@@ -356,9 +356,6 @@ fn min_matched(threshold: f64, block_count: usize) -> u32 {
 pub struct MalwareDetector {
     threshold: f64,
     families: Vec<(String, Vec<BinarySig>)>,
-    /// Route `detect_sig` through the quadratic reference scan instead
-    /// of the index (baselines and differential tests).
-    naive: bool,
     /// Rebuilt after every `train` call and on deserialization.
     index: SigIndex,
     stats: DetectorCounters,
@@ -371,7 +368,6 @@ impl Serialize for MalwareDetector {
         serde::Value::Object(vec![
             ("threshold".to_string(), self.threshold.to_json()),
             ("families".to_string(), self.families.to_json()),
-            ("naive".to_string(), self.naive.to_json()),
         ])
     }
 }
@@ -381,7 +377,6 @@ impl Deserialize for MalwareDetector {
         let mut detector = MalwareDetector {
             threshold: Deserialize::from_json(serde::__field(v, "threshold"))?,
             families: Deserialize::from_json(serde::__field(v, "families"))?,
-            naive: Deserialize::from_json(serde::__field(v, "naive"))?,
             index: SigIndex::default(),
             stats: DetectorCounters::default(),
         };
@@ -402,7 +397,6 @@ impl MalwareDetector {
         MalwareDetector {
             threshold,
             families: Vec::new(),
-            naive: false,
             index: SigIndex::default(),
             stats: DetectorCounters::default(),
         }
@@ -411,17 +405,6 @@ impl MalwareDetector {
     /// The active threshold.
     pub fn threshold(&self) -> f64 {
         self.threshold
-    }
-
-    /// Routes [`MalwareDetector::detect_sig`] through the naive scan
-    /// (`true`) or the inverted index (`false`, the default).
-    pub fn set_naive(&mut self, naive: bool) {
-        self.naive = naive;
-    }
-
-    /// Whether detection runs the naive reference scan.
-    pub fn is_naive(&self) -> bool {
-        self.naive
     }
 
     /// A snapshot of the matcher counters.
@@ -500,18 +483,6 @@ impl MalwareDetector {
         (sig, hit)
     }
 
-    /// Detection over a prebuilt signature (for batch pipelines).
-    /// Dispatches to the indexed matcher, or the naive scan when
-    /// [`MalwareDetector::set_naive`] selected it; both return identical
-    /// verdicts.
-    pub fn detect_sig(&self, test: &BinarySig) -> Option<FamilyMatch> {
-        if self.naive {
-            self.detect_sig_naive(test)
-        } else {
-            self.detect_sig_indexed(test)
-        }
-    }
-
     /// The quadratic reference scan: every trained sample scored with
     /// [`match_fraction`], rebuilding the test pool per sample. Kept as
     /// the baseline for `detectbench` and the differential tests.
@@ -546,11 +517,13 @@ impl MalwareDetector {
         best
     }
 
-    /// The indexed matcher: build the test pool once, accumulate the
+    /// Detection over a prebuilt signature (for batch pipelines), by
+    /// the indexed matcher: build the test pool once, accumulate the
     /// exact multiset-intersection size per candidate via the inverted
     /// index, prune on the integer threshold bound, early-exit on an
-    /// exact 1.0.
-    fn detect_sig_indexed(&self, test: &BinarySig) -> Option<FamilyMatch> {
+    /// exact 1.0. Verdicts are identical to
+    /// [`MalwareDetector::detect_sig_naive`].
+    pub fn detect_sig(&self, test: &BinarySig) -> Option<FamilyMatch> {
         let index = &self.index;
         if index.samples.is_empty() {
             return None;
@@ -857,10 +830,6 @@ mod tests {
             "chathook_ptrace",
             &[CodeBinary::Native(ptrace_lib("com.tencent.mobileqq"))],
         );
-        let mut naive = d.clone();
-        naive.set_naive(true);
-        assert!(!d.is_naive());
-        assert!(naive.is_naive());
         for binary in [
             CodeBinary::Dex(mal_dex("com.other", 42)),
             CodeBinary::Dex(benign_dex()),
@@ -868,7 +837,7 @@ mod tests {
             CodeBinary::Dex(DexFile::new()),
         ] {
             let sig = BinarySig::build(&binary);
-            assert_eq!(d.detect_sig(&sig), naive.detect_sig(&sig));
+            assert_eq!(d.detect_sig(&sig), d.detect_sig_naive(&sig));
         }
     }
 

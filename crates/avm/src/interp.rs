@@ -13,7 +13,7 @@
 //! # Two execution paths
 //!
 //! The **fast path** (default) runs each method's pre-resolved
-//! [`crate::resolved::RInsn`] stream: interned operands, per-site inline
+//! `resolved::RInsn` stream: interned operands, per-site inline
 //! caches for invoke/field/static resolution, pooled register files and
 //! an arena heap — no strings and no hash map on the hot loop. The
 //! **legacy path** (`DeviceConfig::legacy_interp`) is the original

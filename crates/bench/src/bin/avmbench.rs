@@ -348,3 +348,39 @@ fn main() {
         }
     }
 }
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// Instructions one entry of each workload retires on the fast
+    /// engine. These pin the workloads absolutely, not only relative to
+    /// the legacy engine the benchmark compares against.
+    #[test]
+    fn workloads_retire_pinned_instruction_counts() {
+        let retired: Vec<(&str, u64)> = workloads()
+            .into_iter()
+            .map(|(name, classes)| {
+                let mut device = Device::new(DeviceConfig {
+                    instrumented: false,
+                    ..DeviceConfig::default()
+                });
+                let mut proc = Process::new(PKG.to_string(), classes, &Manifest::new(PKG));
+                assert!(
+                    proc.run_entry(&mut device, ENTRY_CLASS, ENTRY),
+                    "{name} crashed"
+                );
+                (name, device.instructions_retired())
+            })
+            .collect();
+        assert_eq!(
+            retired,
+            [
+                ("calls", 54_005),
+                ("fields", 30_021),
+                ("mixed", 48_007),
+                ("arith", 75_006),
+            ]
+        );
+    }
+}

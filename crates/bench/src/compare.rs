@@ -15,7 +15,7 @@
 //! "unchanged", not "0.99x regression" — the failure mode the old
 //! single-pair sweepbench comparison had.
 //!
-//! Each metric's [`Direction`](crate::measure::Direction) turns a
+//! Each metric's [`Direction`] turns a
 //! significant delta into an improvement or a regression; `Steady`
 //! metrics (instruction-retirement identities, deterministic event
 //! totals) regress on *any* significant movement. Gating — what makes

@@ -1,6 +1,6 @@
 //! The regression-gated bench history: `BENCH_history.jsonl`.
 //!
-//! Every bench run appends its unified [`Measurement`](crate::Measurement)
+//! Every bench run appends its unified [`Measurement`]
 //! as **one framed line** — the same `{"seq","len","crc","body"}` record
 //! frame the sweep journal uses (`dydroid::durable`), so a crash mid-
 //! append can only tear the tail, and the next append (or load) truncates

@@ -6,10 +6,11 @@
 //!   paper's evaluation section (`cargo run -p dydroid-bench --bin tables`);
 //! - the Criterion benches under `benches/` measure component throughput
 //!   and run the ablations called out in `DESIGN.md`;
-//! - the [`measure`]/[`compare`]/[`history`]/[`args`] modules form the
-//!   unified measurement harness every `*bench` binary reports through:
-//!   one record shape (`BENCH_*.json`), one noise-aware comparator
-//!   (`benchcmp`), one framed history stream (`BENCH_history.jsonl`);
+//! - the [`measure`]/[`compare`](mod@compare)/[`history`]/[`args`]
+//!   modules form the unified measurement harness every `*bench` binary
+//!   reports through: one record shape (`BENCH_*.json`), one noise-aware
+//!   comparator (`benchcmp`), one framed history stream
+//!   (`BENCH_history.jsonl`);
 //! - the [`trend`] module renders per-metric median trajectories over
 //!   that history (`benchcmp --trend`).
 

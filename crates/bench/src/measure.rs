@@ -11,7 +11,7 @@
 //! `payload`. The same record, compact-framed, is what each bench
 //! appends to `BENCH_history.jsonl` (see [`crate::history`]) and what
 //! `benchcmp` diffs with noise-aware thresholds (see
-//! [`crate::compare`]).
+//! [`crate::compare`](mod@crate::compare)).
 
 use std::collections::BTreeMap;
 use std::io;
@@ -219,7 +219,8 @@ impl Measurement {
         self.counters.insert(name.to_string(), value);
     }
 
-    /// Merges every counter of a telemetry [`MetricsSnapshot`] into the
+    /// Merges every counter of a telemetry
+    /// [`MetricsSnapshot`](dydroid::obs::MetricsSnapshot) into the
     /// record (the registry names are kept verbatim).
     pub fn counters_from_snapshot(&mut self, snap: &dydroid::obs::MetricsSnapshot) {
         for (name, value) in snap.counter_map() {

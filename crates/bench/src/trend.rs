@@ -1,12 +1,12 @@
 //! `benchcmp --trend`: per-metric median trajectories over the bench
 //! history stream.
 //!
-//! Where [`crate::compare`] judges one old/new pair, the trend view
+//! Where [`crate::compare`](mod@crate::compare) judges one old/new pair, the trend view
 //! walks the whole committed `BENCH_history.jsonl` and renders, per
 //! bench and per metric, the median of every record oldest → newest —
 //! the repo's perf trajectory at a glance. The *last* step of each
 //! trajectory is judged with the same noise-aware
-//! [`significant`](crate::compare::significant) test and each metric's
+//! [`significant`] test and each metric's
 //! [`Direction`], so a row ends in `improving`, `steady`, or
 //! `REGRESSING` rather than a bare number. Single-entry benches (a
 //! freshly added bench has exactly one committed record) still render,
@@ -83,7 +83,7 @@ fn judge(history: &[&Measurement], metric: &Metric, floor: f64, k: f64) -> Trend
 
 /// Builds one [`TrendRow`] per metric of each bench's *latest* record,
 /// benches in first-appearance order, using the same `floor`/`k` noise
-/// thresholds as [`crate::compare`].
+/// thresholds as [`crate::compare`](mod@crate::compare).
 pub fn trend_rows(records: &[Measurement], floor: f64, k: f64) -> Vec<TrendRow> {
     let mut benches: Vec<&str> = Vec::new();
     for r in records {

@@ -53,21 +53,6 @@ pub struct PipelineConfig {
     /// each unique payload is analysed exactly once however many apps
     /// load it. Disable for differential testing and baselines.
     pub analysis_cache: bool,
-    /// Run the Table VIII environment re-runs serially with per-config
-    /// re-decompilation (the pre-optimization code path), instead of
-    /// fanning (app × config) pairs over the worker pool with a single
-    /// decompile per app. Kept for differential tests and the
-    /// `sweepbench` baseline.
-    pub serial_env_reruns: bool,
-    /// Route malware detection through the quadratic naive scan instead
-    /// of the inverted block index. Kept for differential tests and the
-    /// `detectbench` baseline; verdicts are identical either way.
-    pub naive_detector: bool,
-    /// Run every app on the AVM's legacy string-resolving interpreter
-    /// instead of the interned/pre-resolved fast path. Outcomes —
-    /// verdicts, ledger, report JSON — are identical either way; kept
-    /// for differential tests and the `avmbench` baseline.
-    pub legacy_interp: bool,
     /// Collect span traces and metrics during the run (see
     /// `crate::telemetry`). Disabled, every telemetry call site is a
     /// single branch — the no-op fast path measured by `tracebench`.
@@ -147,9 +132,6 @@ impl Default for PipelineConfig {
             max_retries: 1,
             retry_reseed: true,
             analysis_cache: true,
-            serial_env_reruns: false,
-            naive_detector: false,
-            legacy_interp: false,
             telemetry: true,
             progress: false,
             trace_out: None,
@@ -170,10 +152,7 @@ impl Default for PipelineConfig {
 impl PipelineConfig {
     /// The baseline device configuration (instrumented, defaults).
     pub fn device_config(&self) -> DeviceConfig {
-        DeviceConfig {
-            legacy_interp: self.legacy_interp,
-            ..DeviceConfig::default()
-        }
+        DeviceConfig::default()
     }
 
     /// The deadline as an `Option` (`0` = disabled).
@@ -212,9 +191,6 @@ mod tests {
         assert_eq!(c.max_retries, 1);
         assert!(c.retry_reseed);
         assert!(c.analysis_cache);
-        assert!(!c.serial_env_reruns);
-        assert!(!c.naive_detector);
-        assert!(!c.legacy_interp);
         assert!(c.telemetry);
         assert!(!c.progress);
         assert_eq!(c.trace_out, None);

@@ -9,16 +9,14 @@
 //! `dcltrace diff` surfaces loads that only occur under some configs —
 //! the logic-bomb signal.
 //!
-//! The re-runs are **decompile-once and parallel**: each flagged app is
-//! decompiled and rewritten a single time, then the (app × config) pairs
-//! fan out over the same worker pool the sweep uses. The pre-optimization
-//! serial path (one decompile per app per configuration) survives as
-//! [`rerun_all_serial`] for differential tests and the `sweepbench`
-//! baseline, selectable via `PipelineConfig::serial_env_reruns`.
+//! The re-runs are one loop on the calling thread: each flagged app is
+//! decompiled and rewritten a single time, then run under the four
+//! configurations in Table VIII order. Each (app × config) pair runs under
+//! `catch_unwind`, so a panicking re-run counts as "not loaded" for that
+//! pair alone and never aborts the sweep.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::OnceLock;
+use std::panic::{catch_unwind, AssertUnwindSafe};
 
 use dydroid_analysis::decompiler::{self, DecompiledApp};
 use dydroid_avm::DeviceConfig;
@@ -112,10 +110,6 @@ pub fn configurations() -> [(&'static str, DeviceConfig); 4] {
     ]
 }
 
-/// A once-written slot holding one flagged app's decompilation and
-/// rewritten install bytes (`None` if preparation failed).
-type PreparedSlot = OnceLock<Option<(DecompiledApp, Vec<u8>)>>;
-
 /// The malware-flagged subset of the corpus with their malicious paths.
 fn flagged_apps<'c>(
     corpus: &'c [SyntheticApp],
@@ -136,9 +130,8 @@ fn flagged_apps<'c>(
 }
 
 /// Folds per-(app, config) load flags — one `bool` per malicious-path
-/// entry — into Table VIII counts and per-file [`EnvLoad`] detail. The
-/// fold runs on one thread in flagged order, so the outcome is identical
-/// however the flags were produced.
+/// entry — into Table VIII counts and per-file [`EnvLoad`] detail, in
+/// flagged order.
 fn assemble_outcome(
     flagged: &[(&SyntheticApp, Vec<String>)],
     flags_for: impl Fn(usize, usize) -> Option<Vec<bool>>,
@@ -179,111 +172,33 @@ fn assemble_outcome(
 }
 
 /// Re-runs every malware-flagged app under the four configurations:
-/// decompile/rewrite once per app, then fan the (app × config) pairs out
-/// over the worker pool. Per-pair load flags land in once-written slots
-/// and are folded deterministically, so the result is identical to
-/// [`rerun_all_serial`].
+/// decompile/rewrite once per app, then exercise it once per
+/// configuration. A pair that panics, or an app that fails to prepare,
+/// contributes no loads.
 pub fn rerun_all(
     pipeline: &Pipeline,
     corpus: &[SyntheticApp],
     records: &[AppRecord],
 ) -> EnvOutcome {
-    if pipeline.config().serial_env_reruns {
-        return rerun_all_serial(pipeline, corpus, records);
-    }
     let flagged = flagged_apps(corpus, records);
-    if flagged.is_empty() {
-        return assemble_outcome(&flagged, |_, _| None);
-    }
     let configs = configurations();
-    let workers = pipeline
-        .config()
-        .effective_workers()
-        .min(flagged.len() * configs.len());
-
-    // Phase 1: decompile + rewrite each flagged app exactly once, in
-    // parallel. Slots are OnceLocks so each is written by one worker.
-    let prepared: Vec<PreparedSlot> = (0..flagged.len()).map(|_| OnceLock::new()).collect();
-    let next = AtomicUsize::new(0);
-    let scope_result = crossbeam::thread::scope(|scope| {
-        for _ in 0..workers.min(flagged.len()) {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= flagged.len() {
-                    break;
-                }
-                let app = flagged[i].0;
-                let p = decompiler::prepare_for_dynamic_analysis(&app.apk)
+    let loaded: Vec<Vec<Option<Vec<bool>>>> = flagged
+        .iter()
+        .map(|(app, paths)| {
+            let prepared = decompiler::prepare_for_dynamic_analysis(&app.apk).ok();
+            configs
+                .iter()
+                .map(|(name, config)| {
+                    let (decompiled, bytes, _) = prepared.as_ref()?;
+                    catch_unwind(AssertUnwindSafe(|| {
+                        loaded_flags(pipeline, app, name, config, decompiled, bytes, paths)
+                    }))
                     .ok()
-                    .map(|(decompiled, bytes, _)| (decompiled, bytes));
-                let _ = prepared[i].set(p);
-            });
-        }
-    });
-    if scope_result.is_err() {
-        eprintln!(
-            "dydroid: an environment prepare thread panicked; continuing with what was prepared"
-        );
-    }
-
-    // Phase 2: the (app × config) pairs, each writing its load flags
-    // into a once-written slot keyed by pair index.
-    let loaded: Vec<OnceLock<Vec<bool>>> = (0..flagged.len() * configs.len())
-        .map(|_| OnceLock::new())
+                })
+                .collect()
+        })
         .collect();
-    let next = AtomicUsize::new(0);
-    let pairs = loaded.len();
-    let scope_result = crossbeam::thread::scope(|scope| {
-        for _ in 0..workers {
-            scope.spawn(|_| loop {
-                let i = next.fetch_add(1, Ordering::Relaxed);
-                if i >= pairs {
-                    break;
-                }
-                let (a, c) = (i / configs.len(), i % configs.len());
-                let Some(Some((decompiled, bytes))) = prepared[a].get() else {
-                    continue;
-                };
-                let (app, paths) = &flagged[a];
-                let (name, config) = &configs[c];
-                let flags = loaded_flags(pipeline, app, name, config, decompiled, bytes, paths);
-                let _ = loaded[i].set(flags);
-            });
-        }
-    });
-    if scope_result.is_err() {
-        eprintln!("dydroid: an environment re-run thread panicked; counts may be partial");
-    }
-    assemble_outcome(&flagged, |a, c| {
-        loaded[a * configs.len() + c].get().cloned()
-    })
-}
-
-/// The pre-optimization serial re-run path: one decompile + rewrite per
-/// app **per configuration**, on the calling thread. Reference
-/// implementation for the differential tests and the `sweepbench`
-/// uncached-serial baseline.
-pub fn rerun_all_serial(
-    pipeline: &Pipeline,
-    corpus: &[SyntheticApp],
-    records: &[AppRecord],
-) -> EnvOutcome {
-    let flagged = flagged_apps(corpus, records);
-    let configs = configurations();
-    assemble_outcome(&flagged, |a, c| {
-        let (app, malicious_paths) = &flagged[a];
-        let (name, config) = &configs[c];
-        let (decompiled, bytes, _) = decompiler::prepare_for_dynamic_analysis(&app.apk).ok()?;
-        Some(loaded_flags(
-            pipeline,
-            app,
-            name,
-            config,
-            &decompiled,
-            &bytes,
-            malicious_paths,
-        ))
-    })
+    assemble_outcome(&flagged, |a, c| loaded[a][c].clone())
 }
 
 /// Exercises one prepared app under `config` and reports, per malicious

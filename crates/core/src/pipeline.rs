@@ -193,9 +193,7 @@ impl Pipeline {
     /// inverted block index is built once here, at train time).
     pub fn new(config: PipelineConfig) -> Self {
         let telemetry = Telemetry::new(config.telemetry);
-        let mut detector =
-            training::reference_detector_traced(config.malware_threshold, &telemetry);
-        detector.set_naive(config.naive_detector);
+        let detector = training::reference_detector_traced(config.malware_threshold, &telemetry);
         let cache = if config.analysis_cache {
             AnalysisCache::new(0)
         } else {
@@ -1641,16 +1639,9 @@ impl Pipeline {
     }
 
     /// Builds a device with the app's environment fixtures in place. The
-    /// interpreter selection always follows the pipeline's
-    /// `legacy_interp` knob, whatever environment configuration the
-    /// caller passes (the Table VIII re-runs vary device state, not the
-    /// execution engine).
-    pub fn prepare_device(
-        &self,
-        app: &SyntheticApp,
-        mut config: dydroid_avm::DeviceConfig,
-    ) -> Device {
-        config.legacy_interp = self.config.legacy_interp;
+    /// caller's `config` decides everything about the device, the
+    /// interpreter engine included.
+    pub fn prepare_device(&self, app: &SyntheticApp, config: dydroid_avm::DeviceConfig) -> Device {
         let mut device = Device::new(config);
         device.hooks.suppress_file_ops = self.config.suppress_file_ops;
         device.log.set_capacity(self.config.max_events_per_app);

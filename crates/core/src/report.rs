@@ -52,7 +52,8 @@ pub struct SweepStats {
     /// Duplicate flow-rule firings folded into edge multiplicities.
     pub flow_deduped: u64,
     /// Interpreter call-site inline-cache hits across the baseline
-    /// sweep (zero under `PipelineConfig::legacy_interp`).
+    /// sweep (zero on a device running the legacy engine,
+    /// `DeviceConfig::legacy_interp`).
     pub ic_call_hits: u64,
     /// Interpreter call-site inline-cache misses (first executions and
     /// receiver-class flips at a site).

@@ -378,7 +378,7 @@ fn parse_insn(line: &str) -> Result<Instruction, DexError> {
             };
             // Form: {v1, v2}, Lcls;->name(sig)ret
             let open = rest.find('{').ok_or_else(bad)?;
-            let close = rest.find('}').ok_or_else(bad)?;
+            let close = open + rest[open..].find('}').ok_or_else(bad)?;
             let reg_list = &rest[open + 1..close];
             let regs: Result<Vec<Reg>, DexError> = reg_list
                 .split(',')
@@ -575,6 +575,12 @@ mod tests {
             assemble(".class Lx/Y;\n.method public f()V\nbogus-insn v0\n.end method\n").is_err()
         );
         assert!(assemble(".class Lx/Y;\n.method public f()V\n.registers 2\n").is_err());
+        // A `}` before the `{` must be a syntax error, not a slice panic.
+        assert!(assemble(
+            ".class Lx/Y;\n.method public static f()V\n.registers 1\n\
+             invoke-static }, {v0 La/B;->m()V\n.end method\n"
+        )
+        .is_err());
     }
 
     #[test]

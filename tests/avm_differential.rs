@@ -1,110 +1,79 @@
 //! Differential tests for the interpreter fast path: the interned /
 //! pre-resolved / inline-cached engine must not change a single measured
 //! byte versus the legacy string-resolving reference interpreter —
-//! report JSON, provenance ledger, per-app verdicts — while its caches
+//! per-app outcomes, event logs, retired instructions — while its caches
 //! demonstrably do the work.
 
 use dydroid::{Pipeline, PipelineConfig};
+use dydroid_analysis::decompiler;
 use dydroid_avm::{Device, DeviceConfig, Interner, Process, Value};
 use dydroid_dex::builder::DexBuilder;
 use dydroid_dex::{AccessFlags, CmpKind, Manifest, MethodRef};
-use dydroid_workload::faults::{IoFaultScript, IoFaultSpec};
 use dydroid_workload::{generate, CorpusSpec};
 use proptest::prelude::*;
 
-fn fast_config() -> PipelineConfig {
-    PipelineConfig::default()
-}
-
-fn legacy_config() -> PipelineConfig {
-    PipelineConfig {
-        legacy_interp: true,
-        ..PipelineConfig::default()
-    }
-}
-
-/// The tentpole invariant at corpus scale: sweeping the same apps on the
-/// fast interpreter yields report JSON byte-identical to the legacy
-/// reference — and only the fast run's inline caches fire.
+/// The tentpole invariant at corpus scale, per app: exercising each app
+/// on a fast-engine device and on a legacy-engine device yields the same
+/// serialized outcome, event log, download flow graph and retired
+/// instruction count, and only the fast devices' inline caches fire. The
+/// report JSON, journal and ledger derive from these through
+/// engine-independent code.
 #[test]
-fn fast_sweep_report_is_byte_identical_to_legacy() {
+fn every_app_runs_identically_on_both_engines() {
     let corpus = generate(&CorpusSpec {
         scale: 0.01,
         seed: CorpusSpec::default().seed,
     });
+    let pipeline = Pipeline::new(PipelineConfig::default());
 
-    let fast_pipeline = Pipeline::new(fast_config());
-    let fast = fast_pipeline.run(&corpus);
-    let legacy_pipeline = Pipeline::new(legacy_config());
-    let legacy = legacy_pipeline.run(&corpus);
-
-    let fast_json = serde_json::to_string(&fast).expect("serialise fast report");
-    let legacy_json = serde_json::to_string(&legacy).expect("serialise legacy report");
-    assert!(!fast_json.is_empty(), "report must not serialise empty");
-    assert_eq!(
-        fast_json, legacy_json,
-        "the fast interpreter changed the measured results"
-    );
-
-    // The cache machinery actually ran on the fast path (this corpus's
-    // apps guard their loaders to run once, so call sites execute once
-    // per process and the counters legitimately skew to misses; the
-    // probe tests below pin down hit behaviour); the legacy path must
-    // not touch the counters at all.
-    let fs = fast.stats();
-    assert!(
-        fs.ic_call_hits + fs.ic_call_misses > 0,
-        "fast sweep must exercise call-site inline caches"
-    );
-    let ls = legacy.stats();
-    assert_eq!(
-        ls.ic_call_hits + ls.ic_call_misses,
-        0,
-        "legacy has no call ICs"
-    );
-    assert_eq!(
-        ls.ic_field_hits + ls.ic_field_misses,
-        0,
-        "legacy has no field ICs"
-    );
-}
-
-/// Provenance ledgers written under injected transient I/O faults are
-/// byte-identical between the two interpreters: same records, same
-/// order, same retry-survived frames. One worker keeps the write
-/// sequence deterministic so both runs fault the exact same ops.
-#[test]
-fn ledger_under_faults_is_byte_identical_between_interpreters() {
-    let corpus = generate(&CorpusSpec {
-        scale: 0.004,
-        seed: 41,
-    });
-    let dir = std::env::temp_dir().join(format!("avm_diff_{}", std::process::id()));
-    std::fs::create_dir_all(&dir).expect("create temp dir");
-
-    let mut ledgers = Vec::new();
-    for (name, config) in [("fast", fast_config()), ("legacy", legacy_config())] {
-        let path = dir.join(format!("ledger_{name}.jsonl"));
-        let mut pipeline = Pipeline::new(PipelineConfig {
-            workers: 1,
-            environment_reruns: false,
-            provenance_out: Some(path.to_string_lossy().into_owned()),
-            ..config
+    let mut compared = 0;
+    let mut fast_ic = 0;
+    for app in &corpus {
+        let Ok((decompiled, bytes, _)) = decompiler::prepare_for_dynamic_analysis(&app.apk) else {
+            continue;
+        };
+        let run = |config: DeviceConfig| {
+            let mut device = pipeline.prepare_device(app, config);
+            let outcome = pipeline.exercise_and_analyze(app, &mut device, &bytes, &decompiled);
+            let json = serde_json::to_string(&outcome).expect("serialise outcome");
+            (json, device)
+        };
+        let (fast_json, fast) = run(DeviceConfig::default());
+        let (legacy_json, legacy) = run(DeviceConfig {
+            legacy_interp: true,
+            ..DeviceConfig::default()
         });
-        pipeline.set_io_harness(dydroid::IoHarness::new(
-            None,
-            Some(IoFaultScript::new(IoFaultSpec { rate: 0.1, seed: 9 })),
-        ));
-        let _ = pipeline.run(&corpus);
-        ledgers.push(std::fs::read(&path).expect("read ledger"));
-    }
 
-    assert!(!ledgers[0].is_empty(), "fast run must write a ledger");
-    assert_eq!(
-        ledgers[0], ledgers[1],
-        "fast and legacy provenance ledgers diverge under I/O faults"
-    );
-    let _ = std::fs::remove_dir_all(&dir);
+        let pkg = app.package();
+        assert_eq!(fast_json, legacy_json, "{pkg}: outcome diverges");
+        assert_eq!(
+            fast.log.events(),
+            legacy.log.events(),
+            "{pkg}: event log diverges"
+        );
+        assert_eq!(
+            serde_json::to_string(&fast.hooks.flow).expect("serialise flow graph"),
+            serde_json::to_string(&legacy.hooks.flow).expect("serialise flow graph"),
+            "{pkg}: flow graph diverges"
+        );
+        assert_eq!(
+            fast.instructions_retired(),
+            legacy.instructions_retired(),
+            "{pkg}: retired instructions diverge"
+        );
+        let (fast_stats, legacy_stats) = (fast.ic_stats(), legacy.ic_stats());
+        assert_eq!(
+            legacy_stats.hits() + legacy_stats.misses(),
+            0,
+            "{pkg}: legacy engine has no inline caches"
+        );
+        fast_ic += fast_stats.hits() + fast_stats.misses();
+        compared += 1;
+    }
+    assert!(compared > 0, "no corpus app reached dynamic analysis");
+    // This corpus's apps guard their loaders to run once, so the counters
+    // skew to misses; the probe tests below pin down hit behaviour.
+    assert!(fast_ic > 0, "fast devices must exercise inline caches");
 }
 
 /// Builds the polymorphic probe program: `Sub0..Sub2` override `v()I`,

@@ -1,10 +1,14 @@
-//! Differential tests for the content-addressed analysis cache, the
-//! parallel environment re-runs, and the indexed signature matcher: the
-//! optimizations must not change a single measured byte, and the cache
-//! must analyse each unique intercepted binary exactly once.
+//! Differential tests for the content-addressed analysis cache and the
+//! indexed signature matcher, plus the pinned Table VIII re-run outcome:
+//! the optimizations must not change a single measured byte, and the
+//! cache must analyse each unique intercepted binary exactly once.
 
-use dydroid::environment::{rerun_all, rerun_all_serial};
+use dydroid::environment::{config_names, rerun_all, EnvCounts, EnvLoad, EnvOutcome};
+use dydroid::training::reference_detector;
 use dydroid::{Pipeline, PipelineConfig};
+use dydroid_analysis::mail::CodeBinary;
+use dydroid_analysis::BinarySig;
+use dydroid_dex::Apk;
 use dydroid_workload::{generate, CorpusSpec};
 
 /// ~235 apps with every archetype represented, including malware, so the
@@ -20,22 +24,21 @@ fn cached_config() -> PipelineConfig {
     PipelineConfig::default()
 }
 
-fn uncached_serial_config() -> PipelineConfig {
+fn uncached_config() -> PipelineConfig {
     PipelineConfig {
         analysis_cache: false,
-        serial_env_reruns: true,
         ..PipelineConfig::default()
     }
 }
 
-/// The tentpole invariant: with the cache on (and parallel re-runs) the
-/// report JSON is byte-identical to the uncached serial sweep.
+/// The tentpole invariant: with the cache on the report JSON is
+/// byte-identical to the uncached sweep.
 #[test]
 fn cached_sweep_report_is_byte_identical_to_uncached() {
     let corpus = tiny_corpus();
 
     let cached = Pipeline::new(cached_config()).run(&corpus);
-    let uncached = Pipeline::new(uncached_serial_config()).run(&corpus);
+    let uncached = Pipeline::new(uncached_config()).run(&corpus);
 
     let cached_json = serde_json::to_string(&cached).expect("serialise cached report");
     let uncached_json = serde_json::to_string(&uncached).expect("serialise uncached report");
@@ -45,37 +48,54 @@ fn cached_sweep_report_is_byte_identical_to_uncached() {
     );
     assert_eq!(
         cached_json, uncached_json,
-        "cache + parallel re-runs changed the measured results"
+        "the analysis cache changed the measured results"
     );
 }
 
-/// The indexed matcher invariant: routing detection through the
-/// inverted block index (the default) yields a report byte-identical to
-/// the naive quadratic scan, at the paper's 90% match threshold where
-/// near-boundary variant scores decide verdicts.
+/// The indexed matcher invariant: for every payload of the scale-0.01
+/// corpus that parses as code (APK entries, hosted remote resources and
+/// planted device files), the inverted block index returns exactly the
+/// naive quadratic scan's verdict at the paper's 90% match threshold,
+/// where near-boundary variant scores decide verdicts.
 #[test]
-fn indexed_detector_report_is_byte_identical_to_naive() {
-    let corpus = tiny_corpus();
-
-    let indexed_pipeline = Pipeline::new(cached_config());
-    let indexed = indexed_pipeline.run(&corpus);
-    let naive_pipeline = Pipeline::new(PipelineConfig {
-        naive_detector: true,
-        ..PipelineConfig::default()
+fn indexed_detector_matches_naive_on_corpus_payloads() {
+    let corpus = generate(&CorpusSpec {
+        scale: 0.01,
+        seed: CorpusSpec::default().seed,
     });
-    let naive = naive_pipeline.run(&corpus);
+    let indexed = reference_detector(0.9);
+    let naive = reference_detector(0.9);
 
-    let indexed_json = serde_json::to_string(&indexed).expect("serialise indexed report");
-    let naive_json = serde_json::to_string(&naive).expect("serialise naive report");
-    assert_eq!(
-        indexed_json, naive_json,
-        "indexed signature matching changed the measured results"
-    );
+    let mut matched = 0;
+    for app in &corpus {
+        let apk = Apk::parse(&app.apk).ok();
+        let payloads = apk
+            .iter()
+            .flat_map(Apk::entries)
+            .map(|e| &e.data)
+            .chain(app.remote_resources.iter().map(|(_, _, bytes)| bytes))
+            .chain(app.device_files.iter().map(|(_, _, bytes)| bytes));
+        for bytes in payloads {
+            let Ok(binary) = CodeBinary::from_bytes(bytes) else {
+                continue;
+            };
+            let sig = BinarySig::build(&binary);
+            let verdict = indexed.detect_sig(&sig);
+            assert_eq!(
+                verdict,
+                naive.detect_sig_naive(&sig),
+                "{}: indexed and naive verdicts diverge",
+                app.package()
+            );
+            matched += usize::from(verdict.is_some());
+        }
+    }
+    assert!(matched > 0, "no corpus payload matched a trained family");
 
-    // The index actually ran (and pruned) on the default path, while the
-    // naive path considered every sample and pruned nothing.
-    let istats = indexed_pipeline.detector_stats();
-    let nstats = naive_pipeline.detector_stats();
+    // The index actually ran (and pruned), while the naive scan
+    // considered every sample and pruned nothing.
+    let istats = indexed.stats();
+    let nstats = naive.stats();
     assert!(istats.candidates > 0, "indexed path saw no candidates");
     assert!(
         istats.fully_scored <= istats.candidates,
@@ -133,7 +153,7 @@ fn cache_analyzes_each_unique_binary_exactly_once() {
 #[test]
 fn disabled_cache_recomputes_every_lookup() {
     let corpus = tiny_corpus();
-    let pipeline = Pipeline::new(uncached_serial_config());
+    let pipeline = Pipeline::new(uncached_config());
 
     let _ = pipeline.run(&corpus);
     let stats = pipeline.cache_stats();
@@ -145,10 +165,11 @@ fn disabled_cache_recomputes_every_lookup() {
     );
 }
 
-/// Parallel (app × config) environment re-runs produce the same Table
-/// VIII counts as the serial decompile-per-config reference path.
+/// The Table VIII re-runs of the fixed-seed corpus reproduce a pinned
+/// outcome: per-config counts and, per malicious file, the configs under
+/// which it still loaded.
 #[test]
-fn parallel_env_reruns_match_serial_counts() {
+fn env_reruns_reproduce_pinned_outcome() {
     let corpus = tiny_corpus();
     // Sweep once without re-runs to obtain the flagged records.
     let pipeline = Pipeline::new(PipelineConfig {
@@ -156,16 +177,44 @@ fn parallel_env_reruns_match_serial_counts() {
         ..PipelineConfig::default()
     });
     let report = pipeline.run(&corpus);
-    let records = report.records();
 
-    let parallel = rerun_all(&pipeline, &corpus, records);
-    let serial = rerun_all_serial(&pipeline, &corpus, records);
-    assert!(
-        parallel.counts.total_files > 0,
-        "fixed-seed corpus must flag some malware for the re-runs"
-    );
-    assert_eq!(
-        parallel, serial,
-        "parallel re-run outcomes (counts and per-file loads) diverge from serial"
-    );
+    let names = config_names();
+    let load = |package: &str, path: &str, configs: &[usize]| EnvLoad {
+        package: package.to_string(),
+        path: path.to_string(),
+        configs: configs.iter().map(|&c| names[c].to_string()).collect(),
+    };
+    let tinyfarm = "com.com2us.tinyfarm.normal.freefull.google.global.android.common";
+    let expected = EnvOutcome {
+        counts: EnvCounts {
+            total_files: 4,
+            time_before_release: 3,
+            airplane_wifi_on: 3,
+            airplane_wifi_off: 2,
+            location_off: 3,
+        },
+        loads: vec![
+            load(
+                "com.sktelecom.hoppin.mobile",
+                "/data/data/com.sktelecom.hoppin.mobile/cache/mal0.dex",
+                &[1, 2, 3],
+            ),
+            load(
+                "com.oshare.app",
+                "/data/data/com.oshare.app/cache/mal0.dex",
+                &[0, 3],
+            ),
+            load(
+                tinyfarm,
+                &format!("/data/app-lib/{tinyfarm}/libchathook0.so"),
+                &[0, 1, 3],
+            ),
+            load(
+                tinyfarm,
+                &format!("/data/app-lib/{tinyfarm}/libchathook1.so"),
+                &[0, 1, 2],
+            ),
+        ],
+    };
+    assert_eq!(rerun_all(&pipeline, &corpus, report.records()), expected);
 }

@@ -53,12 +53,10 @@ proptest! {
                 .collect();
             indexed.train_sigs(format!("family_{f}"), sigs);
         }
-        let mut naive = indexed.clone();
-        naive.set_naive(true);
 
         let test = BinarySig::from_blocks(test_blocks);
         let a = indexed.detect_sig(&test);
-        let b = naive.detect_sig(&test);
+        let b = indexed.detect_sig_naive(&test);
         match (&a, &b) {
             (None, None) => {}
             (Some(x), Some(y)) => {
@@ -79,8 +77,6 @@ proptest! {
         // precisely on the 0.9 default threshold.
         let mut indexed = MalwareDetector::with_threshold(0.9);
         indexed.train_sigs("fam", vec![BinarySig::from_blocks(base.clone())]);
-        let mut naive = indexed.clone();
-        naive.set_naive(true);
 
         let mut probe: Vec<BlockSig> = base.iter().take(keep.min(10)).copied().collect();
         probe.resize(
@@ -92,7 +88,7 @@ proptest! {
         );
         let test = BinarySig::from_blocks(probe);
         let a = indexed.detect_sig(&test);
-        let b = naive.detect_sig(&test);
+        let b = indexed.detect_sig_naive(&test);
         prop_assert_eq!(a.is_some(), b.is_some());
         if let (Some(x), Some(y)) = (&a, &b) {
             prop_assert_eq!(&x.family, &y.family);
