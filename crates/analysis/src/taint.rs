@@ -587,6 +587,53 @@ mod tests {
         assert_eq!(leaks[0].class, "com.sdk.B");
     }
 
+    /// `com.sdk.Entry.go` reads the IMEI and hands it down a chain of
+    /// `hops` static `pass` methods, each also stashing it in a field;
+    /// the last hop logs it.
+    fn chained_payload(hops: usize) -> DexFile {
+        let mut b = DexBuilder::new();
+        for i in 0..hops {
+            let cls = format!("com.sdk.stage{i}.Hop");
+            let c = b.class(&cls, "java.lang.Object");
+            let m = c.method(
+                "pass",
+                "(Ljava/lang/String;)V",
+                AccessFlags::PUBLIC | AccessFlags::STATIC,
+            );
+            m.registers(8);
+            if i + 1 < hops {
+                let next = format!("com.sdk.stage{}.Hop", i + 1);
+                m.invoke_static(
+                    MethodRef::new(&next, "pass", "(Ljava/lang/String;)V"),
+                    vec![0],
+                );
+            } else {
+                log_sink(m, 0);
+            }
+            m.sput(0, FieldRef::new(&cls, "stash", "Ljava/lang/String;"));
+            m.ret_void();
+        }
+        let c = b.class("com.sdk.Entry", "java.lang.Object");
+        let m = c.method("go", "()V", AccessFlags::PUBLIC);
+        m.registers(8);
+        imei_call(m, 1);
+        m.invoke_static(
+            MethodRef::new("com.sdk.stage0.Hop", "pass", "(Ljava/lang/String;)V"),
+            vec![1],
+        );
+        m.ret_void();
+        b.build()
+    }
+
+    #[test]
+    fn taint_survives_deep_static_call_chains() {
+        for hops in [2, 8, 32] {
+            let leaks = TaintAnalysis::new().run(&chained_payload(hops));
+            assert_eq!(leaks.len(), 1, "{hops} hops: {leaks:?}");
+            assert_eq!(leaks[0].class, format!("com.sdk.stage{}.Hop", hops - 1));
+        }
+    }
+
     #[test]
     fn taint_interprocedural_through_returns() {
         let mut b = DexBuilder::new();

@@ -23,6 +23,12 @@ pub const EXIT_USAGE: i32 = 2;
 pub const EXIT_CODE_HELP: &str = "exit codes: 0 clean · 1 finding (gated regression, failed \
 identity or integrity check) · 2 usage error";
 
+/// Parses a corpus scale: a finite float above zero. Anything else
+/// would silently generate the minimum corpus.
+pub fn parse_scale(v: &str) -> Option<f64> {
+    v.parse().ok().filter(|s: &f64| s.is_finite() && *s > 0.0)
+}
+
 /// Iterates the process arguments with typed flag-value helpers and the
 /// shared usage/exit-code convention.
 pub struct ArgParser {
@@ -52,6 +58,15 @@ impl ArgParser {
             .next()
             .and_then(|v| v.parse().ok())
             .unwrap_or_else(|| self.fail(&format!("{flag} needs {what}")))
+    }
+
+    /// The corpus scale following `flag` (see [`parse_scale`]); exits
+    /// with [`EXIT_USAGE`] when missing or out of range.
+    pub fn scale(&mut self, flag: &str) -> f64 {
+        match self.args.next().as_deref().and_then(parse_scale) {
+            Some(scale) => scale,
+            None => self.fail(&format!("{flag} needs a positive float")),
+        }
     }
 
     /// The raw string following `flag`; exits with [`EXIT_USAGE`] when
@@ -121,7 +136,7 @@ impl CommonArgs {
     /// caller can try its bench-specific flags.
     pub fn accept(&mut self, arg: &str, p: &mut ArgParser) -> bool {
         match arg {
-            "--scale" => self.scale = p.value("--scale", "a float"),
+            "--scale" => self.scale = p.scale("--scale"),
             "--seed" => self.seed = p.value("--seed", "an integer"),
             "--out" => self.out = p.raw("--out"),
             "--history" => self.history = Some(p.raw("--history")),

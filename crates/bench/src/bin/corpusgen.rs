@@ -17,24 +17,25 @@
 use std::fs;
 use std::path::PathBuf;
 
+use dydroid_bench::ArgParser;
 use dydroid_workload::{generate, CorpusSpec};
 
+const USAGE: &str = "corpusgen <out-dir> [--scale F] [--seed N]";
+
 fn main() {
-    let mut args = std::env::args().skip(1);
-    let Some(out_dir) = args.next().map(PathBuf::from) else {
-        eprintln!("usage: corpusgen <out-dir> [--scale F] [--seed N]");
-        std::process::exit(2);
+    let mut args = ArgParser::new(USAGE);
+    let out_dir = match args.next() {
+        Some(flag) if flag.starts_with('-') => args.fail("the first argument is <out-dir>"),
+        Some(dir) => PathBuf::from(dir),
+        None => args.fail("missing <out-dir>"),
     };
     let mut scale = 0.01f64;
     let mut seed = CorpusSpec::default().seed;
     while let Some(arg) = args.next() {
         match arg.as_str() {
-            "--scale" => scale = args.next().and_then(|v| v.parse().ok()).unwrap_or(scale),
-            "--seed" => seed = args.next().and_then(|v| v.parse().ok()).unwrap_or(seed),
-            other => {
-                eprintln!("unknown argument {other:?}");
-                std::process::exit(2);
-            }
+            "--scale" => scale = args.scale("--scale"),
+            "--seed" => seed = args.value("--seed", "an integer"),
+            other => args.fail(&format!("unknown argument {other:?}")),
         }
     }
 

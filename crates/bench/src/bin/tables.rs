@@ -33,6 +33,7 @@
 use std::io::Write as _;
 
 use dydroid::{Journal, Pipeline, PipelineConfig, SyncPolicy};
+use dydroid_bench::args::parse_scale;
 use dydroid_workload::{generate, CorpusSpec};
 
 struct Args {
@@ -77,8 +78,9 @@ fn parse_args() -> Args {
             "--scale" => {
                 args.scale = it
                     .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--scale needs a float"));
+                    .as_deref()
+                    .and_then(parse_scale)
+                    .unwrap_or_else(|| usage("--scale needs a positive float"));
             }
             "--seed" => {
                 args.seed = it
@@ -96,6 +98,7 @@ fn parse_args() -> Args {
                 let n = it
                     .next()
                     .and_then(|v| v.parse().ok())
+                    .filter(|n| (2..=10).contains(n))
                     .unwrap_or_else(|| usage("--table needs a number 2..=10"));
                 args.tables.push(n);
             }
@@ -215,10 +218,7 @@ fn main() {
                 8 => report.env_counts().render(),
                 9 => report.table9().render(),
                 10 => report.table10().render(),
-                other => {
-                    eprintln!("no table {other}; valid: 2..=10");
-                    continue;
-                }
+                _ => unreachable!("parse_args admits tables 2..=10 only"),
             };
             println!("{text}");
         }
