@@ -20,8 +20,7 @@
 //! integrity (CRC32 checksums and contiguous sequence numbers) across
 //! the journal, ledger and event streams — including any unmerged
 //! per-shard triplets (`<journal>.shard-K…`) a killed multi-writer
-//! sweep left behind, each with its own sequence space — plus the
-//! `<journal>.metrics.jsonl` snapshot stream when present, plus
+//! sweep left behind, each with its own sequence space — plus
 //! ledger↔journal agreement on the analysed app set, printing
 //! per-stream intact/dropped counts and exiting non-zero on any
 //! corruption or disagreement (the CI smoke gate).
@@ -32,10 +31,11 @@
 //! stack lines, falling back to the `<journal>.profile.folded` artifact
 //! a completed sweep leaves behind (finalize drops span lines from the
 //! canonical stream); `top` is a live plain-terminal monitor that tails
-//! the event and metrics-snapshot streams — torn tails and all, a
-//! running sweep's tail is torn by definition — and repaints apps/sec,
-//! worker utilization, per-phase latency quantiles, straggler alerts
-//! and the virtual-clock ETA until the sweep completes.
+//! the event streams — span, warning and metrics-snapshot lines, torn
+//! tails and all, a running sweep's tail is torn by definition — and
+//! repaints apps/sec, worker utilization, per-phase latency quantiles,
+//! straggler alerts and the virtual-clock ETA until the sweep completes
+//! (or its event stream is finalized).
 
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
@@ -219,10 +219,6 @@ fn cmd_check(records: &[AppProvenance], ledger_path: &str, journal_path: &str) {
     dropped += check_stream("journal", std::path::Path::new(journal_path), true);
     dropped += check_stream("ledger", std::path::Path::new(ledger_path), true);
     dropped += check_stream("events", &journal.events_path(), false);
-    // The metrics-snapshot sidecar is optional (telemetry off, or a
-    // zero snapshot interval), but when present its frames must verify
-    // like any other stream.
-    dropped += check_stream("metrics", &journal.metrics_path(), false);
     // Shard triplets of an interrupted multi-writer sweep (a completed
     // run merges and removes them): frame-verify each pre-merge, with
     // per-shard intact/dropped counts. Sequence numbers are per shard.
@@ -309,8 +305,11 @@ struct TopFrame {
     /// Distinct apps with a checkpoint event (survives resume stitching,
     /// where an app may appear in more than one stream generation).
     done: usize,
-    /// Gauges and counters from the newest metrics snapshot, 0 when the
-    /// snapshot stream is absent or empty.
+    /// The event stream is the finalized canonical one, which exists only
+    /// once the run completed: its checkpoint lines carry no span id.
+    finalized: bool,
+    /// Gauges and counters from the newest metrics snapshot line, 0 when
+    /// the streams hold none (a finalized stream drops them).
     total: u64,
     workers: u64,
     busy_us: u64,
@@ -345,16 +344,31 @@ fn read_top_frame(journal: &Journal) -> TopFrame {
         }
     }
     let mut done: HashSet<String> = HashSet::new();
+    let mut newest: Option<serde::Value> = None;
+    // Finalize rewrites the base stream to canonical lines only — bare
+    // checkpoint/provenance facts without span ids — and removes the
+    // shard streams; any other line means a session is (or was) live.
+    let (mut canonical, mut live) = (false, event_paths.len() > 1);
     for path in &event_paths {
         for body in scan_bodies(path) {
             let Ok(value) = serde_json::from_str::<serde::Value>(&body) else {
                 continue;
             };
-            match value.get("type").and_then(|t| t.as_str()) {
+            let kind = value.get("type").and_then(|t| t.as_str());
+            if matches!(kind, Some("checkpoint" | "provenance")) && value.get("span").is_none() {
+                canonical = true;
+            } else {
+                live = true;
+            }
+            match kind {
                 Some("checkpoint") => {
                     if let Some(app) = value.get("app").and_then(|a| a.as_str()) {
                         done.insert(app.to_string());
                     }
+                }
+                Some("metrics") => {
+                    frame.snapshots += 1;
+                    newest = Some(value);
                 }
                 Some("span") => {
                     if let Ok(span) = SpanRecord::from_json(&value) {
@@ -375,13 +389,8 @@ fn read_top_frame(journal: &Journal) -> TopFrame {
         }
     }
     frame.done = done.len();
-    let snapshots = scan_bodies(&journal.metrics_path());
-    frame.snapshots = snapshots.len();
-    let newest = snapshots.iter().rev().find_map(|body| {
-        let value = serde_json::from_str::<serde::Value>(body).ok()?;
-        if value.get("type").and_then(|t| t.as_str()) != Some("metrics") {
-            return None;
-        }
+    frame.finalized = canonical && !live;
+    let newest = newest.and_then(|value| {
         let virtual_us = value
             .get("virtual_us")
             .and_then(|v| v.as_u64())
@@ -402,6 +411,9 @@ fn read_top_frame(journal: &Journal) -> TopFrame {
         frame.busy_us = gauge("sweep.busy_us");
         frame.makespan_us = gauge("sweep.virtual_makespan_us");
         frame.stalls = snap.counter("watchdog.stragglers");
+    }
+    if frame.finalized {
+        frame.total = frame.total.max(frame.done as u64);
     }
     frame
 }
@@ -537,7 +549,7 @@ fn cmd_top(journal_path: &str, interval_ms: u64, iterations: u64) {
             // Repaint in place: home the cursor and clear to end.
             let _ = write!(stdout, "\x1b[H\x1b[J");
         }
-        let complete = frame.total > 0 && frame.done as u64 >= frame.total;
+        let complete = frame.finalized || (frame.total > 0 && frame.done as u64 >= frame.total);
         let _ = write!(
             stdout,
             "{}",

@@ -24,18 +24,21 @@ pub const MAX_EVENTS_PER_APP: usize = 65_536;
 /// analysis failure and skipped on re-runs.
 pub const QUARANTINE_THRESHOLD: u32 = 3;
 
-/// Default virtual-clock interval between durable metrics snapshots
-/// (~44 virtual µs per app at the default corpus mix → a snapshot every
-/// few dozen apps).
-pub const DEFAULT_METRICS_INTERVAL_US: u64 = 1_000;
+/// Virtual-clock interval between metrics snapshots on journaled
+/// telemetry runs: every time `monkey.virtual_us` advances this many
+/// microseconds, the full metrics registry goes to the live event
+/// stream as one `{"type":"metrics"}` line (~44 virtual µs per app at
+/// the default corpus mix → a snapshot every few dozen apps).
+pub const METRICS_INTERVAL_US: u64 = 1_000;
 
-/// Default straggler threshold: flag apps over 4× the running median
-/// virtual cost (a planted 10× app trips it; ordinary corpus variance
-/// does not).
-pub const DEFAULT_WATCHDOG_K: f64 = 4.0;
+/// Straggler threshold: the watchdog flags a dynamic-phase app whose
+/// virtual cost exceeds this multiple of the running median (a planted
+/// 10× app trips it; ordinary corpus variance does not).
+pub const WATCHDOG_K: f64 = 4.0;
 
-/// Default straggler-appendix size in the perf report.
-pub const DEFAULT_STRAGGLER_TOP: usize = 5;
+/// How many of the slowest flagged stragglers the perf report's
+/// appendix keeps, with per-phase breakdowns.
+pub const STRAGGLER_TOP: usize = 5;
 
 /// Configuration of a measurement run.
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -77,20 +80,6 @@ pub struct PipelineConfig {
     /// `root;child;leaf self_µs` line per distinct span path, ready for
     /// `flamegraph.pl` (requires `telemetry`; see `crate::profile`).
     pub profile_out: Option<String>,
-    /// Virtual-clock interval between durable metrics snapshots on
-    /// journaled runs: every time `monkey.virtual_us` advances by this
-    /// many microseconds, the full metrics registry is serialized as a
-    /// CRC-framed record to `<journal>.metrics.jsonl`. `0` disables the
-    /// snapshot stream (requires `telemetry`).
-    pub metrics_interval_us: u64,
-    /// Straggler watchdog threshold: a dynamic-phase app whose virtual
-    /// cost exceeds `watchdog_k` × the running per-app median is flagged
-    /// as a straggler (warning event + `SweepStats` stall section).
-    /// Values ≤ 1.0 disable the watchdog.
-    pub watchdog_k: f64,
-    /// How many of the slowest flagged stragglers the report appendix
-    /// keeps, with per-phase breakdowns.
-    pub straggler_top: usize,
     /// Record per-app provenance graphs (URL → file → load → verdict)
     /// and persist them as a JSONL ledger beside the journal when one is
     /// in use, or at `provenance_out` (see `crate::provenance`). A sweep
@@ -130,9 +119,6 @@ impl Default for PipelineConfig {
             progress: false,
             trace_out: None,
             profile_out: None,
-            metrics_interval_us: DEFAULT_METRICS_INTERVAL_US,
-            watchdog_k: DEFAULT_WATCHDOG_K,
-            straggler_top: DEFAULT_STRAGGLER_TOP,
             provenance: true,
             provenance_out: None,
             sync_policy: SyncPolicy::default(),
@@ -184,9 +170,6 @@ mod tests {
         assert!(!c.progress);
         assert_eq!(c.trace_out, None);
         assert_eq!(c.profile_out, None);
-        assert_eq!(c.metrics_interval_us, DEFAULT_METRICS_INTERVAL_US);
-        assert!((c.watchdog_k - 4.0).abs() < 1e-9);
-        assert_eq!(c.straggler_top, DEFAULT_STRAGGLER_TOP);
         assert!(c.provenance);
         assert_eq!(c.provenance_out, None);
         assert_eq!(c.sync_policy, SyncPolicy::Checkpoint);

@@ -1,8 +1,8 @@
 //! Crash-consistent record framing and fault-injectable I/O.
 //!
 //! Every persistent stream the sweep writes — the journal, the
-//! provenance ledger, the telemetry event stream, and the metrics
-//! snapshot stream — shares one framed-record format defined here:
+//! provenance ledger and the telemetry event stream — shares one
+//! framed-record format defined here:
 //! each line is a self-describing JSON envelope
 //!
 //! ```text
@@ -23,8 +23,8 @@
 //! [`FramedWriter`] layers policy on top: transient-error retries with
 //! exponential backoff and seeded jitter against a per-run retry budget,
 //! fsync scheduling per [`SyncPolicy`], and graceful degradation on disk
-//! pressure — metrics snapshots shed first, telemetry events second,
-//! provenance detail third, the journal never (see [`IoState`]).
+//! pressure — telemetry events shed first, provenance detail second,
+//! the journal never (see [`IoState`]).
 //!
 //! [`RecordFile`] types a framed file by its record: the journal, the
 //! provenance ledger and the quarantine file share its load, recover,
@@ -325,37 +325,27 @@ fn transient_error() -> io::Error {
 // Streams, sync policy, shared per-run I/O state
 // ---------------------------------------------------------------------------
 
-/// The four persistent streams a sweep writes, in shed-priority order:
-/// under disk pressure metrics snapshots are shed first, telemetry
-/// events second, provenance detail third, and the journal never.
+/// The three persistent streams a sweep writes, in shed-priority
+/// order: under disk pressure telemetry events (spans, checkpoints,
+/// warnings and metrics snapshots alike) are shed first, provenance
+/// detail second, and the journal never.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum StreamKind {
     /// The sweep journal — the source of truth, never shed.
     Journal,
     /// The provenance ledger — shed only under sustained pressure.
     Ledger,
-    /// The telemetry event stream — shed before provenance detail.
+    /// The telemetry event stream — first to shed.
     Events,
-    /// The durable metrics snapshot stream — first to shed.
-    Metrics,
 }
 
 impl StreamKind {
-    /// All streams, indexable by [`StreamKind::index`].
-    pub const ALL: [StreamKind; 4] = [
-        StreamKind::Journal,
-        StreamKind::Ledger,
-        StreamKind::Events,
-        StreamKind::Metrics,
-    ];
-
     /// Stable array index for per-stream counters.
     pub fn index(self) -> usize {
         match self {
             StreamKind::Journal => 0,
             StreamKind::Ledger => 1,
             StreamKind::Events => 2,
-            StreamKind::Metrics => 3,
         }
     }
 
@@ -365,7 +355,6 @@ impl StreamKind {
             StreamKind::Journal => "journal",
             StreamKind::Ledger => "ledger",
             StreamKind::Events => "events",
-            StreamKind::Metrics => "metrics",
         }
     }
 }
@@ -391,9 +380,8 @@ pub const DEFAULT_RETRY_BUDGET: u32 = 64;
 /// Shared per-run I/O accounting: the shed level, the transient-retry
 /// budget, and per-stream counters that feed `SweepStats`.
 ///
-/// The shed level is sticky for the run: `ENOSPC` on the metrics
-/// snapshot stream raises it to 1 (metrics shed), on the event stream
-/// to 2 (metrics and events shed), on the ledger or journal to 3
+/// The shed level is sticky for the run: `ENOSPC` on the event stream
+/// raises it to 1 (events shed), on the ledger or journal to 2
 /// (everything but the journal shed). The journal itself is never shed
 /// — its failures surface as errors so the app is re-analyzed on
 /// resume.
@@ -401,11 +389,11 @@ pub const DEFAULT_RETRY_BUDGET: u32 = 64;
 pub struct IoState {
     shed_level: AtomicU8,
     retry_budget: AtomicU64,
-    syncs: [AtomicU64; 4],
+    syncs: [AtomicU64; 3],
     retries: AtomicU64,
     backoff_us: AtomicU64,
-    shed: [AtomicU64; 4],
-    write_errors: [AtomicU64; 4],
+    shed: [AtomicU64; 3],
+    write_errors: [AtomicU64; 3],
 }
 
 impl IoState {
@@ -426,9 +414,8 @@ impl IoState {
     pub fn should_shed(&self, stream: StreamKind) -> bool {
         let level = self.shed_level.load(Ordering::Relaxed);
         match stream {
-            StreamKind::Metrics => level >= 1,
-            StreamKind::Events => level >= 2,
-            StreamKind::Ledger => level >= 3,
+            StreamKind::Events => level >= 1,
+            StreamKind::Ledger => level >= 2,
             StreamKind::Journal => false,
         }
     }
@@ -436,9 +423,8 @@ impl IoState {
     /// Raises the shed level after `ENOSPC` on `stream`.
     pub fn raise_shed_for(&self, stream: StreamKind) {
         let level = match stream {
-            StreamKind::Metrics => 1,
-            StreamKind::Events => 2,
-            StreamKind::Ledger | StreamKind::Journal => 3,
+            StreamKind::Events => 1,
+            StreamKind::Ledger | StreamKind::Journal => 2,
         };
         self.shed_level.fetch_max(level, Ordering::Relaxed);
     }
@@ -469,12 +455,11 @@ impl IoState {
 
     /// Point-in-time copy of the counters for `SweepStats`.
     pub fn snapshot(&self) -> IoStatsSnapshot {
-        let load = |a: &[AtomicU64; 4]| {
+        let load = |a: &[AtomicU64; 3]| {
             [
                 a[0].load(Ordering::Relaxed),
                 a[1].load(Ordering::Relaxed),
                 a[2].load(Ordering::Relaxed),
-                a[3].load(Ordering::Relaxed),
             ]
         };
         IoStatsSnapshot {
@@ -495,15 +480,15 @@ pub struct IoStatsSnapshot {
     /// Current shed level (0 = nothing shed).
     pub shed_level: u8,
     /// Fsyncs issued per stream.
-    pub syncs: [u64; 4],
+    pub syncs: [u64; 3],
     /// Transient-error retries spent.
     pub retries: u64,
     /// Virtual backoff charged across retries, in microseconds.
     pub backoff_us: u64,
     /// Records shed per stream under disk pressure.
-    pub shed: [u64; 4],
+    pub shed: [u64; 3],
     /// Append failures per stream (after retries, excluding sheds).
-    pub write_errors: [u64; 4],
+    pub write_errors: [u64; 3],
 }
 
 // ---------------------------------------------------------------------------
@@ -697,7 +682,7 @@ impl RecordIo for FaultIo {
 /// run's shared [`IoState`], and an optional fault harness.
 #[derive(Debug, Clone)]
 pub struct SinkOptions {
-    /// Which of the four streams this sink persists.
+    /// Which of the three streams this sink persists.
     pub stream: StreamKind,
     /// Fsync scheduling for this sink.
     pub policy: SyncPolicy,
@@ -1368,12 +1353,8 @@ mod tests {
     #[test]
     fn disk_full_raises_shed_level_in_order() {
         let state = IoState::new(0);
-        assert!(!state.should_shed(StreamKind::Metrics));
-        state.raise_shed_for(StreamKind::Metrics);
-        assert!(state.should_shed(StreamKind::Metrics));
         assert!(!state.should_shed(StreamKind::Events));
         state.raise_shed_for(StreamKind::Events);
-        assert!(state.should_shed(StreamKind::Metrics));
         assert!(state.should_shed(StreamKind::Events));
         assert!(!state.should_shed(StreamKind::Ledger));
         state.raise_shed_for(StreamKind::Ledger);
@@ -1383,7 +1364,7 @@ mod tests {
             "journal never sheds"
         );
         let snap = state.snapshot();
-        assert_eq!(snap.shed_level, 3);
+        assert_eq!(snap.shed_level, 2);
     }
 
     #[test]

@@ -28,11 +28,10 @@ use serde::{Deserialize, Serialize};
 
 use crate::cache::{content_hash, AnalysisCache, BinaryVerdict, CacheStats};
 use crate::config::{
-    PipelineConfig, MAX_EVENTS_PER_APP, MAX_RETRIES, MONKEY_SEED, QUARANTINE_THRESHOLD,
+    PipelineConfig, MAX_EVENTS_PER_APP, MAX_RETRIES, METRICS_INTERVAL_US, MONKEY_SEED,
+    QUARANTINE_THRESHOLD, STRAGGLER_TOP,
 };
-use crate::durable::{
-    encode_records, FramedWriter, IoHarness, IoState, SinkOptions, StreamEnd, StreamKind,
-};
+use crate::durable::{encode_records, IoHarness, IoState, SinkOptions, StreamEnd, StreamKind};
 use crate::profile::{SpanProfile, StragglerEntry, Watchdog};
 use crate::provenance::{AppProvenance, ProvenanceLedger};
 use crate::report::{MeasurementReport, SweepStats};
@@ -320,7 +319,7 @@ impl Pipeline {
                 })
                 .ok()
         });
-        let observatory = Observatory::open(self, None, io_state);
+        let observatory = Observatory::open(self, false);
         let sweep_start = Instant::now();
         let indices: Vec<usize> = (0..corpus.len()).collect();
         let mut sweep_span = self.telemetry.span("sweep");
@@ -492,7 +491,7 @@ impl Pipeline {
         let cache_mark = self.cache.stats();
         let detector_mark = self.detector.stats();
         let avm_marks = self.avm_counter_marks();
-        let observatory = Observatory::open(self, Some(journal), &io_state);
+        let observatory = Observatory::open(self, true);
         let sweep_start = Instant::now();
         let mut sweep_span = self.telemetry.span("sweep");
         sweep_span.field("apps", pending.len());
@@ -801,10 +800,12 @@ impl Pipeline {
         }
         if self.telemetry.is_enabled() {
             // Baseline gauges for the --progress line, the metrics
-            // snapshots, and `dcltrace top`.
+            // snapshots, and `dcltrace top`. The total is the corpus, not
+            // this session's pending apps: `top` counts an app done once
+            // any session checkpointed it.
             self.telemetry.gauge_set("sweep.workers", workers as u64);
             self.telemetry
-                .gauge_set("sweep.total_apps", indices.len() as u64);
+                .gauge_set("sweep.total_apps", corpus.len() as u64);
             self.telemetry.gauge_set("sweep.done", 0);
         }
         let (result_tx, result_rx) =
@@ -1075,7 +1076,7 @@ impl Pipeline {
                         .cmp(&a.0.virtual_us)
                         .then_with(|| a.0.package.cmp(&b.0.package))
                 });
-                entries.truncate(self.config.straggler_top);
+                entries.truncate(STRAGGLER_TOP);
                 let wanted: HashSet<u64> = entries.iter().map(|(_, id)| *id).collect();
                 let mut children: HashMap<u64, Vec<(String, u64)>> = HashMap::new();
                 if !wanted.is_empty() {
@@ -1155,7 +1156,6 @@ impl Pipeline {
             io_backoff_us: io.backoff_us,
             shed_events: io.shed[StreamKind::Events.index()],
             shed_provenance: io.shed[StreamKind::Ledger.index()],
-            shed_metrics: io.shed[StreamKind::Metrics.index()],
             recovered_records: recovery.recovered,
             recovery_dropped: recovery.dropped,
             inconsistent_apps: recovery.inconsistent,
@@ -1982,179 +1982,94 @@ struct SweepPerf {
     sweep_ms: u64,
 }
 
-/// The live observability rig of one sweep (DESIGN.md §5j): the durable
-/// metrics snapshot stream and the straggler watchdog, fed by the
-/// collector as apps complete. Built only when telemetry is enabled and
-/// at least one of its pieces is configured on, so the disabled fast
+/// The live observability rig of one telemetry-on sweep (DESIGN.md
+/// §5j): the straggler watchdog and, on journaled runs, the metrics
+/// snapshot lines of the live event stream, fed by the collector as apps
+/// complete. Built only when telemetry is enabled, so the disabled fast
 /// path stays a single branch per app.
 #[derive(Debug)]
 struct Observatory {
-    metrics: Option<MetricsStream>,
-    watchdog: Option<Mutex<Watchdog>>,
+    /// `monkey.virtual_us` at the last metrics snapshot; `None` on a
+    /// plain run, which keeps no event stream for snapshots to join.
+    last_snapshot_us: Option<AtomicU64>,
+    watchdog: Mutex<Watchdog>,
     /// Flagged stragglers paired with their app span ids, so assemble
     /// can fill per-phase breakdowns from the spans' children.
     stragglers: Mutex<Vec<(StragglerEntry, u64)>>,
 }
 
-/// The durable metrics snapshot stream: the full metrics registry,
-/// CRC-framed to `<journal>.metrics.jsonl` every time the deterministic
-/// virtual clock (`monkey.virtual_us`) advances by the configured
-/// interval. First stream to shed under disk pressure; resume-stitched
-/// (the writer continues from the file's valid prefix) like every other
-/// stream.
-#[derive(Debug)]
-struct MetricsStream {
-    writer: Mutex<FramedWriter>,
-    /// `monkey.virtual_us` at the last snapshot.
-    last_mark: AtomicU64,
-    interval_us: u64,
-}
-
 impl Observatory {
-    /// Builds the rig for one run. `None` when telemetry is off or every
-    /// piece is disabled; the metrics stream additionally needs a
-    /// journal to sit beside.
-    fn open(
-        pipeline: &Pipeline,
-        journal: Option<&crate::sweep::Journal>,
-        io_state: &Arc<IoState>,
-    ) -> Option<Observatory> {
-        if !pipeline.telemetry.is_enabled() {
-            return None;
-        }
-        let config = &pipeline.config;
-        let metrics = journal
-            .filter(|_| config.metrics_interval_us > 0)
-            .and_then(|journal| {
-                let path = journal.metrics_path();
-                match FramedWriter::open(
-                    &path,
-                    pipeline.sink_options(StreamKind::Metrics, io_state),
-                ) {
-                    Ok(writer) => Some(MetricsStream {
-                        writer: Mutex::new(writer),
-                        last_mark: AtomicU64::new(
-                            pipeline.telemetry.counter_value("monkey.virtual_us"),
-                        ),
-                        interval_us: config.metrics_interval_us,
-                    }),
-                    Err(e) => {
-                        eprintln!(
-                            "dydroid: failed to open metrics stream {}: {e}",
-                            path.display()
-                        );
-                        None
-                    }
-                }
-            });
-        let watchdog =
-            (config.watchdog_k > 1.0).then(|| Mutex::new(Watchdog::new(config.watchdog_k)));
-        if metrics.is_none() && watchdog.is_none() {
-            return None;
-        }
-        Some(Observatory {
-            metrics,
-            watchdog,
-            stragglers: Mutex::new(Vec::new()),
+    /// Builds the rig for one run; `None` when telemetry is off.
+    fn open(pipeline: &Pipeline, journaled: bool) -> Option<Observatory> {
+        let telemetry = &pipeline.telemetry;
+        telemetry.is_enabled().then(|| Observatory {
+            last_snapshot_us: journaled
+                .then(|| AtomicU64::new(telemetry.counter_value("monkey.virtual_us"))),
+            watchdog: Mutex::default(),
+            stragglers: Mutex::default(),
         })
     }
 
     /// Collector hook, once per completed app: feeds the watchdog the
     /// app's deterministic virtual cost (static-only apps charge none
-    /// and are not observations) and cuts a metrics snapshot when the
-    /// virtual clock has advanced a full interval.
+    /// and are not observations) and emits a metrics snapshot line when
+    /// the virtual clock has advanced [`METRICS_INTERVAL_US`].
     fn on_app_done(&self, pipeline: &Pipeline, package: &str, span_id: u64, virtual_us: u64) {
         if virtual_us > 0 {
-            if let Some(watchdog) = &self.watchdog {
-                let flagged = watchdog.lock().ok().and_then(|mut w| w.observe(virtual_us));
-                if let Some(median) = flagged {
-                    pipeline.telemetry.counter_add("watchdog.stragglers", 1);
-                    pipeline.telemetry.emit_warning(
-                        "straggler",
-                        package,
-                        &[("virtual_us", virtual_us), ("median_us", median)],
-                    );
-                    if let Ok(mut stragglers) = self.stragglers.lock() {
-                        stragglers.push((
-                            StragglerEntry {
-                                package: package.to_string(),
-                                virtual_us,
-                                median_virtual_us: median,
-                                phases: Vec::new(),
-                            },
-                            span_id,
-                        ));
-                    }
+            let flagged = self
+                .watchdog
+                .lock()
+                .ok()
+                .and_then(|mut w| w.observe(virtual_us));
+            if let Some(median) = flagged {
+                pipeline.telemetry.counter_add("watchdog.stragglers", 1);
+                pipeline.telemetry.emit_warning(
+                    "straggler",
+                    package,
+                    &[("virtual_us", virtual_us), ("median_us", median)],
+                );
+                if let Ok(mut stragglers) = self.stragglers.lock() {
+                    stragglers.push((
+                        StragglerEntry {
+                            package: package.to_string(),
+                            virtual_us,
+                            median_virtual_us: median,
+                            phases: Vec::new(),
+                        },
+                        span_id,
+                    ));
                 }
             }
         }
-        if let Some(stream) = &self.metrics {
+        if let Some(last) = &self.last_snapshot_us {
             let now = pipeline.telemetry.counter_value("monkey.virtual_us");
-            if now.saturating_sub(stream.last_mark.load(Ordering::Relaxed)) >= stream.interval_us {
-                stream.last_mark.store(now, Ordering::Relaxed);
-                stream.snapshot(pipeline, now);
+            if now.saturating_sub(last.load(Ordering::Relaxed)) >= METRICS_INTERVAL_US {
+                last.store(now, Ordering::Relaxed);
+                pipeline.telemetry.emit_metrics(now);
             }
         }
     }
 
-    /// End-of-sweep: one final snapshot (so a completed run's stream
-    /// always ends on the full registry) and an fsync.
+    /// End-of-sweep: one final snapshot, so the live stream ends on the
+    /// full registry until finalize rewrites it (or for good, when the
+    /// run dies first).
     fn finish(&self, pipeline: &Pipeline) {
-        if let Some(stream) = &self.metrics {
+        if self.last_snapshot_us.is_some() {
             let now = pipeline.telemetry.counter_value("monkey.virtual_us");
-            stream.last_mark.store(now, Ordering::Relaxed);
-            stream.snapshot(pipeline, now);
-            if let Ok(mut writer) = stream.writer.lock() {
-                if let Err(e) = writer.sync_now() {
-                    eprintln!("dydroid: metrics stream sync failed: {e}");
-                }
-            }
+            pipeline.telemetry.emit_metrics(now);
         }
     }
 
     /// Drains the flagged stragglers (with span ids) and the total flag
     /// count, for [`SweepStats`].
     fn take_stragglers(&self) -> (u64, Vec<(StragglerEntry, u64)>) {
-        let flagged = self
-            .watchdog
-            .as_ref()
-            .and_then(|w| w.lock().ok())
-            .map_or(0, |w| w.flagged());
+        let flagged = self.watchdog.lock().map_or(0, |w| w.flagged());
         let entries = self
             .stragglers
             .lock()
             .map(|mut s| std::mem::take(&mut *s))
             .unwrap_or_default();
         (flagged, entries)
-    }
-}
-
-impl MetricsStream {
-    /// Serializes the full registry as one framed
-    /// `{"type":"metrics","virtual_us":…,"snapshot":…}` record. Write
-    /// failures degrade to a counter plus a single warning — snapshots
-    /// are derived data; losing one never corrupts the run.
-    fn snapshot(&self, pipeline: &Pipeline, virtual_us: u64) {
-        let snapshot = pipeline.telemetry.snapshot();
-        let Ok(json) = serde_json::to_string(&snapshot) else {
-            return;
-        };
-        let body =
-            format!("{{\"type\":\"metrics\",\"virtual_us\":{virtual_us},\"snapshot\":{json}}}");
-        if let Ok(mut writer) = self.writer.lock() {
-            if let Err(e) = writer.append_body(&body) {
-                pipeline
-                    .telemetry
-                    .counter_add("telemetry.metrics_write_errors", 1);
-                if pipeline
-                    .telemetry
-                    .counter_value("telemetry.metrics_write_errors")
-                    == 1
-                {
-                    eprintln!("dydroid: metrics stream: write failed ({e}); degrading");
-                }
-            }
-        }
     }
 }
 

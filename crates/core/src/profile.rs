@@ -20,9 +20,9 @@
 //!
 //! The [`Watchdog`] rides the same data on the *deterministic virtual
 //! clock*: it keeps a running median of per-app virtual cost and flags
-//! any app exceeding `k×` that median as a straggler, so one wedged app
-//! in a corpus-scale sweep is named while it is happening instead of
-//! being averaged away post-hoc.
+//! any app exceeding [`WATCHDOG_K`]× that median as a straggler, so one
+//! wedged app in a corpus-scale sweep is named while it is happening
+//! instead of being averaged away post-hoc.
 
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
@@ -31,6 +31,7 @@ use std::path::PathBuf;
 
 use serde::{Deserialize, Serialize};
 
+use crate::config::WATCHDOG_K;
 use crate::durable::{read_stream, scan_stream};
 use crate::sweep::Journal;
 use crate::telemetry::SpanRecord;
@@ -215,7 +216,7 @@ impl SpanProfile {
 }
 
 /// One flagged straggler: an app whose deterministic virtual cost
-/// exceeded `k×` the running per-app median when it completed.
+/// exceeded [`WATCHDOG_K`]× the running per-app median when it completed.
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct StragglerEntry {
     /// The app's package name.
@@ -233,38 +234,32 @@ pub struct StragglerEntry {
 /// clock.
 ///
 /// The sweep collector feeds it one observation per completed
-/// dynamic-phase app. After [`WATCHDOG_WARMUP`] observations it flags
-/// any app whose virtual cost exceeds `k×` the running median —
-/// deterministic across worker counts and interleaves, because the
-/// virtual clock is. Noise-level variance (a few percent around the
-/// median) never trips a `k` of the default 4.0, while a planted 10×
-/// app always does.
-#[derive(Debug)]
+/// dynamic-phase app, in completion order. After [`WATCHDOG_WARMUP`]
+/// observations it flags any app whose virtual cost exceeds
+/// [`WATCHDOG_K`]× the median of the apps observed *before* it. Each
+/// app's cost is deterministic, but which apps precede it is not: the
+/// completion order, and so the median an app is judged against,
+/// depends on the worker count and the interleave, and so does whether
+/// an app completes inside the warm-up. After it, a cost far above the
+/// corpus spread is flagged under any order; a borderline one may be
+/// flagged in one run and not in another. Noise-level variance (a few
+/// percent around the median) never trips the 4× threshold, while a
+/// planted 10× app always does.
+#[derive(Debug, Default)]
 pub struct Watchdog {
-    k: f64,
     sorted: Vec<u64>,
     flagged: u64,
 }
 
 impl Watchdog {
-    /// Detector flagging apps over `k` × the running median; `k ≤ 1.0`
-    /// disables flagging (observations are still counted).
-    pub fn new(k: f64) -> Self {
-        Watchdog {
-            k,
-            sorted: Vec::new(),
-            flagged: 0,
-        }
-    }
-
     /// Notes one completed app's virtual cost. Returns the running
     /// median it was judged against when the app is flagged as a
     /// straggler, `None` otherwise.
     pub fn observe(&mut self, virtual_us: u64) -> Option<u64> {
         let mut verdict = None;
-        if self.k > 1.0 && self.sorted.len() >= WATCHDOG_WARMUP {
+        if self.sorted.len() >= WATCHDOG_WARMUP {
             let median = self.sorted[self.sorted.len() / 2];
-            if median > 0 && virtual_us as f64 > self.k * median as f64 {
+            if median > 0 && virtual_us as f64 > WATCHDOG_K * median as f64 {
                 self.flagged += 1;
                 verdict = Some(median);
             }
@@ -386,7 +381,7 @@ mod tests {
 
     #[test]
     fn watchdog_flags_planted_straggler_not_noise() {
-        let mut dog = Watchdog::new(4.0);
+        let mut dog = Watchdog::default();
         // Noise-level variance around 100 µs: never flagged.
         for i in 0..32u64 {
             let v = 95 + (i * 7) % 11; // 95..=105
@@ -404,21 +399,15 @@ mod tests {
     }
 
     #[test]
-    fn watchdog_warms_up_and_can_be_disabled() {
-        let mut dog = Watchdog::new(4.0);
+    fn watchdog_warms_up() {
+        let mut dog = Watchdog::default();
         // Before warmup even a huge outlier passes silently.
         for _ in 0..WATCHDOG_WARMUP - 1 {
             assert_eq!(dog.observe(100), None);
         }
         assert_eq!(dog.observe(100_000), None, "still warming up");
         assert_eq!(dog.observed(), WATCHDOG_WARMUP);
-        // k ≤ 1.0 disables flagging entirely.
-        let mut off = Watchdog::new(1.0);
-        for _ in 0..WATCHDOG_WARMUP * 2 {
-            off.observe(100);
-        }
-        assert_eq!(off.observe(100_000), None);
-        assert_eq!(off.flagged(), 0);
+        assert_eq!(dog.flagged(), 0);
     }
 
     #[test]

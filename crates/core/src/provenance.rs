@@ -760,7 +760,7 @@ pub type ProvenanceLedger = RecordFile<AppProvenance>;
 pub type LedgerRecovery = Recovery<AppProvenance>;
 
 /// An append handle to a [`ProvenanceLedger`]. Under sustained disk
-/// pressure (shed level ≥ 3) appends are shed — counted, not written —
+/// pressure (shed level ≥ 2) appends are shed — counted, not written —
 /// since the finalize at run completion reconstructs the full ledger
 /// from memory.
 pub type LedgerWriter = RecordWriter<AppProvenance>;

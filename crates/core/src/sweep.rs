@@ -78,14 +78,6 @@ impl Journal {
         self.sidecar(".quarantine.jsonl")
     }
 
-    /// Path of the durable metrics snapshot stream written alongside
-    /// this journal (`<journal>.metrics.jsonl`): periodic CRC-framed
-    /// serializations of the metrics registry on the virtual clock,
-    /// resume-stitched like the event stream (see `crate::profile`).
-    pub fn metrics_path(&self) -> PathBuf {
-        self.sidecar(".metrics.jsonl")
-    }
-
     /// Path of the folded span-profile artifact written alongside this
     /// journal when a run completes (`<journal>.profile.folded`):
     /// collapsed-stack lines ready for flamegraph tooling. Written at
@@ -221,16 +213,14 @@ impl Journal {
     ///
     /// Returns I/O errors other than the file not existing.
     pub fn reset(&self) -> io::Result<()> {
-        // The event stream, provenance ledger, quarantine file, metrics
-        // stream, profile artifact, and any shard files all describe the
-        // journal's records; a reset journal must not resume against
-        // stale ones.
+        // The event stream, provenance ledger, quarantine file, profile
+        // artifact, and any shard files all describe the journal's
+        // records; a reset journal must not resume against stale ones.
         self.remove_shards()?;
         for side in [
             self.events_path(),
             self.provenance_path(),
             self.quarantine_path(),
-            self.metrics_path(),
             self.profile_path(),
         ] {
             remove_if_exists(&side)?;
@@ -450,25 +440,21 @@ mod tests {
     }
 
     #[test]
-    fn metrics_and_profile_paths_sit_beside_the_journal() {
+    fn profile_path_sits_beside_the_journal() {
         let journal = Journal::new("/tmp/sweep.jsonl");
-        assert_eq!(
-            journal.metrics_path(),
-            PathBuf::from("/tmp/sweep.jsonl.metrics.jsonl")
-        );
         assert_eq!(
             journal.profile_path(),
             PathBuf::from("/tmp/sweep.jsonl.profile.folded")
         );
-        // The metrics sidecar must never register as a shard journal.
-        let dir = std::env::temp_dir().join(format!("dydroid_metrics_disc_{}", std::process::id()));
+        // The profile artifact must never register as a shard journal.
+        let dir = std::env::temp_dir().join(format!("dydroid_profile_disc_{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let j = Journal::new(dir.join("sweep.jsonl"));
         j.reset().unwrap();
-        std::fs::write(j.metrics_path(), b"").unwrap();
+        std::fs::write(j.profile_path(), b"").unwrap();
         assert!(j.discover_shards().unwrap().is_empty());
         j.reset().unwrap();
-        assert!(!j.metrics_path().exists(), "reset removes the stream");
+        assert!(!j.profile_path().exists(), "reset removes the artifact");
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -634,10 +634,11 @@ impl Telemetry {
         all
     }
 
-    /// Directs the framed JSONL event stream (span, checkpoint and
-    /// provenance-link lines) to `path`, appending so resumed sweeps
-    /// extend the same stream; a torn or corrupt tail is truncated and
-    /// the frame sequence continues from the valid prefix.
+    /// Directs the framed JSONL event stream (span, checkpoint,
+    /// provenance-link, warning and metrics lines) to `path`, appending
+    /// so resumed sweeps extend the same stream; a torn or corrupt tail
+    /// is truncated and the frame sequence continues from the valid
+    /// prefix.
     pub fn set_event_sink(&self, path: &Path) -> io::Result<()> {
         self.set_event_sinks(
             &[path.to_path_buf()],
@@ -748,6 +749,22 @@ impl Telemetry {
         }
         pairs.push(("t_us".to_string(), inner.now_us().to_json()));
         inner.write_event(&serde::Value::Object(pairs).to_compact_string());
+    }
+
+    /// Emits a metrics snapshot (`{"type":"metrics","virtual_us":…,
+    /// "snapshot":…}`) — the full registry stamped with the virtual
+    /// clock — to the live event stream, where `dcltrace top` reads it.
+    /// Like warnings, snapshots are live-only detail: the finalized
+    /// canonical stream drops them.
+    pub fn emit_metrics(&self, virtual_us: u64) {
+        let Some(inner) = &self.inner else { return };
+        let line = serde::Value::Object(vec![
+            ("type".to_string(), serde::Value::Str("metrics".to_string())),
+            ("virtual_us".to_string(), virtual_us.to_json()),
+            ("snapshot".to_string(), inner.registry.snapshot().to_json()),
+        ])
+        .to_compact_string();
+        inner.write_event(&line);
     }
 
     /// Loads span events from a previous session's JSONL stream so a

@@ -2,21 +2,34 @@
 //! span-derived self-time profile must be byte-identical whether it is
 //! aggregated live from in-memory spans or replayed offline from the
 //! persisted event streams — including after a `kill -9` mid-sweep and
-//! across a resume — the durable metrics-snapshot stream must survive
-//! crashes and torn tails like every other §5f stream, and the
-//! straggler watchdog must actually flag under an aggressive threshold.
+//! across a resume — metrics snapshot lines must survive crashes and
+//! torn tails in the live event stream, a resumed sweep must gauge the
+//! whole corpus, and the straggler watchdog must flag exactly the
+//! planted stragglers at its fixed threshold.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
 
+use dydroid::config::{STRAGGLER_TOP, WATCHDOG_K};
 use dydroid::durable::{
     encode_frames, read_stream, scan_stream, FramedWriter, SinkOptions, StreamKind,
 };
 use dydroid::obs::{MetricsSnapshot, SpanRecord};
-use dydroid::{IoHarness, Journal, Pipeline, PipelineConfig, SpanProfile, Telemetry};
+use dydroid::profile::WATCHDOG_WARMUP;
+use dydroid::{
+    DynamicStatus, IoHarness, Journal, Pipeline, PipelineConfig, SpanProfile, Telemetry,
+};
+use dydroid_workload::faults::{self, FaultKind};
 use dydroid_workload::{generate, CorpusSpec, SyntheticApp};
 use proptest::prelude::*;
 use serde::Deserialize as _;
+
+/// Corpus size and write ops at which the crash tests kill their two
+/// sessions: late enough that each session's window holds a metrics
+/// snapshot line at the fixed snapshot interval.
+const CRASH_CORPUS: usize = 120;
+const FIRST_CRASH_OP: u64 = 300;
+const SECOND_CRASH_OP: u64 = 500;
 
 fn small_corpus(n: usize) -> Vec<SyntheticApp> {
     let mut corpus = generate(&CorpusSpec {
@@ -159,65 +172,66 @@ fn killed_sweep_replay_matches_stitched_spans() {
     journal.reset().expect("cleanup");
 }
 
-/// The metrics-snapshot stream survives a mid-sweep crash: the resumed
-/// run truncates any torn tail, continues the sequence, and the final
-/// stream scans clean with monotone virtual clocks and deserializable
-/// snapshots.
-#[test]
-fn metrics_stream_survives_crash_and_resume() {
-    let corpus = small_corpus(60);
-    let journal = temp_journal("metrics");
-
-    let config = PipelineConfig {
+/// A one-worker journaled sweep over `corpus` whose I/O dies at write op
+/// `crash_at`, leaving the streams as a `kill -9` would. Returns the
+/// pipeline, for its in-memory telemetry.
+fn crashed_session(corpus: &[SyntheticApp], journal: &Journal, crash_at: u64) -> Pipeline {
+    let mut pipeline = Pipeline::new(PipelineConfig {
         environment_reruns: false,
         workers: 1,
-        // Snapshot roughly every app (~44 virtual µs each) so even the
-        // truncated pre-crash window captures several frames.
-        metrics_interval_us: 50,
         ..PipelineConfig::default()
-    };
-    let mut first = Pipeline::new(config.clone());
-    first.set_io_harness(IoHarness::new(Some(150), None));
-    let _ = first
-        .run_resumable(&corpus, &journal)
+    });
+    pipeline.set_io_harness(IoHarness::new(Some(crash_at), None));
+    let _ = pipeline
+        .run_resumable(corpus, journal)
         .expect("interrupted sweep still returns");
-    let mid_bytes = read_stream(&journal.metrics_path())
-        .expect("read metrics")
-        .expect("metrics stream exists");
-    let mid = scan_stream(&mid_bytes);
-    assert!(!mid.bodies.is_empty(), "no snapshots before the crash");
+    pipeline
+}
 
-    let second = Pipeline::new(config);
-    let _ = second
-        .run_resumable(&corpus, &journal)
-        .expect("resumed sweep");
-    let bytes = read_stream(&journal.metrics_path())
-        .expect("read metrics")
-        .expect("metrics stream exists");
-    let scan = scan_stream(&bytes);
+/// The `{"type":"metrics"}` lines in the intact prefix of a journal's
+/// base event stream, parsed.
+fn metrics_lines(journal: &Journal) -> Vec<serde::Value> {
+    let bytes = read_stream(&journal.events_path())
+        .expect("read events")
+        .expect("event stream exists");
+    scan_stream(&bytes)
+        .bodies
+        .iter()
+        .map(|body| serde_json::from_str::<serde::Value>(body).expect("event body parses"))
+        .filter(|value| value.get("type").and_then(|t| t.as_str()) == Some("metrics"))
+        .collect()
+}
+
+/// Metrics snapshot lines ride the live event stream through crashes:
+/// a resumed session truncates the torn tail and appends after the
+/// previous session's snapshots; every snapshot deserializes with
+/// per-session monotone virtual clocks; finalize drops them all.
+#[test]
+fn metrics_stream_survives_crash_and_resume() {
+    let corpus = small_corpus(CRASH_CORPUS);
+    let journal = temp_journal("metrics");
+
+    let _ = crashed_session(&corpus, &journal, FIRST_CRASH_OP);
+    let mid = metrics_lines(&journal);
+    assert!(!mid.is_empty(), "no snapshots before the crash");
+
+    // A second crash keeps the stream live; a resumed writer that failed
+    // to heal the first tear would leave its snapshots unreachable.
+    let _ = crashed_session(&corpus, &journal, SECOND_CRASH_OP);
+    let lines = metrics_lines(&journal);
     assert!(
-        scan.is_clean(),
-        "resumed stream has defect {:?}",
-        scan.defect
-    );
-    assert_eq!(scan.dropped, 0);
-    assert!(
-        scan.bodies.len() >= mid.bodies.len(),
-        "resume lost snapshots"
+        lines.len() > mid.len(),
+        "resumed session appended no readable snapshot ({} before, {} after)",
+        mid.len(),
+        lines.len()
     );
 
     // The virtual clock is per session: monotone within a session,
-    // resetting to zero when the resumed pipeline starts its own clock.
-    // One crash + one resume ⇒ at most one reset in the whole stream.
+    // resetting when the resumed pipeline starts its own clock. One
+    // resume ⇒ at most one reset in the whole stream.
     let mut last_virtual = 0u64;
     let mut resets = 0usize;
-    for body in &scan.bodies {
-        let value: serde::Value = serde_json::from_str(body).expect("snapshot body parses");
-        assert_eq!(
-            value.get("type").and_then(|t| t.as_str()),
-            Some("metrics"),
-            "foreign body in the metrics stream: {body}"
-        );
+    for value in &lines {
         let virtual_us = value
             .get("virtual_us")
             .and_then(|v| v.as_u64())
@@ -238,38 +252,87 @@ fn metrics_stream_survives_crash_and_resume() {
         "virtual clock reset {resets} times across one resume"
     );
 
-    // `Journal::reset` removes the sidecar with the other streams.
+    // Finishing the sweep finalizes the event stream to its canonical
+    // checkpoint/provenance lines: no snapshot survives.
+    let done = Pipeline::new(PipelineConfig {
+        environment_reruns: false,
+        workers: 1,
+        ..PipelineConfig::default()
+    })
+    .run_resumable(&corpus, &journal)
+    .expect("resumed sweep");
+    assert_eq!(done.records().len(), corpus.len());
+    assert!(metrics_lines(&journal).is_empty());
     journal.reset().expect("cleanup");
-    assert!(!journal.metrics_path().exists());
 }
 
-/// An aggressive watchdog threshold flags stragglers on the real
-/// (deterministic) virtual-time distribution, surfaces them in
-/// `SweepStats` and `render_perf`, and caps the appendix at the
-/// configured top-N.
+/// A resumed sweep gauges the whole corpus, not just the apps left to
+/// analyse: `dcltrace top` counts every app any session checkpointed
+/// against `sweep.total_apps`, so a pending-only total read over 100%
+/// and called the sweep complete before it was.
+#[test]
+fn resumed_sweep_gauges_the_whole_corpus() {
+    let corpus = small_corpus(CRASH_CORPUS);
+    let journal = temp_journal("total");
+
+    let _ = crashed_session(&corpus, &journal, FIRST_CRASH_OP);
+    let recovered = journal.load().expect("load journal").len();
+    assert!(recovered > 0, "first session journaled nothing");
+    let resumed = crashed_session(&corpus, &journal, SECOND_CRASH_OP);
+    assert_eq!(
+        resumed.telemetry().gauge_value("sweep.total_apps"),
+        corpus.len() as u64
+    );
+    let last = metrics_lines(&journal)
+        .pop()
+        .expect("resumed session wrote a snapshot");
+    let snap = MetricsSnapshot::from_json(last.get("snapshot").expect("snapshot payload"))
+        .expect("snapshot deserializes");
+    let total = snap
+        .gauges
+        .iter()
+        .find(|(name, _)| name == "sweep.total_apps")
+        .map(|(_, v)| *v);
+    assert_eq!(total, Some(corpus.len() as u64));
+    journal.reset().expect("cleanup");
+}
+
+/// The watchdog at its fixed threshold flags exactly the planted
+/// spin-loop apps, surfaces them in `SweepStats` and `render_perf`, and
+/// caps the appendix at [`STRAGGLER_TOP`]. One worker makes completion
+/// order corpus order, so all six are judged after the warm-up.
 #[test]
 fn watchdog_flags_and_renders_stragglers() {
-    let corpus = small_corpus(60);
+    let mut corpus = small_corpus(60);
+    let first_planted = corpus.len() - 6;
+    let planted: Vec<String> = corpus[first_planted..]
+        .iter_mut()
+        .map(|app| {
+            faults::apply(app, FaultKind::SpinLoop);
+            app.package().to_string()
+        })
+        .collect();
     let pipeline = Pipeline::new(PipelineConfig {
         environment_reruns: false,
-        // Any app 1% over the running median is a "straggler": the
-        // deterministic virtual-time spread guarantees flags.
-        watchdog_k: 1.01,
-        straggler_top: 3,
+        workers: 1,
         ..PipelineConfig::default()
     });
     let report = pipeline.run(&corpus);
+    // Exercised apps charge virtual time, so each is a watchdog
+    // observation: enough of them precede the first planted app.
+    let exercised_before = report.records()[..first_planted]
+        .iter()
+        .filter(|r| r.dynamic.as_ref().map(|d| &d.status) == Some(&DynamicStatus::Exercised))
+        .count();
+    assert!(exercised_before >= WATCHDOG_WARMUP, "{exercised_before}");
+
     let stats = report.stats();
-    assert!(
-        stats.straggler_warnings > 0,
-        "no stragglers flagged at k=1.01 over {} apps",
-        corpus.len()
-    );
-    assert!(!stats.stragglers.is_empty());
-    assert!(stats.stragglers.len() <= 3, "top-N cap ignored");
+    assert_eq!(stats.straggler_warnings, 6);
+    assert_eq!(stats.stragglers.len(), STRAGGLER_TOP);
     for s in &stats.stragglers {
+        assert!(planted.contains(&s.package), "{} flagged", s.package);
         assert!(
-            s.virtual_us as f64 > 1.01 * s.median_virtual_us as f64,
+            s.virtual_us as f64 > WATCHDOG_K * s.median_virtual_us as f64,
             "{} flagged below threshold ({} vs median {})",
             s.package,
             s.virtual_us,
@@ -305,15 +368,18 @@ fn default_watchdog_threshold_is_quiet() {
     assert!(report.stats().stragglers.is_empty());
 }
 
-/// Synthetic metrics-snapshot bodies, the payload shape the metrics
-/// stream writes (a miniature of the real §5f snapshot frame).
-fn metrics_bodies(clocks: &[u32]) -> Vec<String> {
+/// Synthetic live event bodies: per clock value a checkpoint line then
+/// a metrics snapshot line (a miniature of the real snapshot payload).
+fn event_bodies(clocks: &[u32]) -> Vec<String> {
     clocks
         .iter()
-        .map(|c| {
-            format!(
-                "{{\"type\":\"metrics\",\"virtual_us\":{c},\"snapshot\":{{\"counters\":[[\"monkey.virtual_us\",{c}]],\"gauges\":[],\"histograms\":[]}}}}"
-            )
+        .flat_map(|c| {
+            [
+                format!("{{\"type\":\"checkpoint\",\"app\":\"app{c}\",\"span\":{c},\"t_us\":{c}}}"),
+                format!(
+                    "{{\"type\":\"metrics\",\"virtual_us\":{c},\"snapshot\":{{\"counters\":[[\"monkey.virtual_us\",{c}]],\"gauges\":[],\"histograms\":[]}}}}"
+                ),
+            ]
         })
         .collect()
 }
@@ -321,46 +387,46 @@ fn metrics_bodies(clocks: &[u32]) -> Vec<String> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Truncating a metrics-snapshot stream at any byte offset recovers
-    /// exactly the intact prefix — every recovered body still parses as
-    /// a snapshot — and a reopened writer truncates the tear, continues
-    /// the sequence, and leaves a clean stream.
+    /// Truncating an event stream of checkpoint and metrics lines at any
+    /// byte offset recovers exactly the intact prefix — every recovered
+    /// metrics line still parses as a snapshot — and a reopened event
+    /// writer truncates the tear, continues the sequence, and leaves a
+    /// clean stream.
     #[test]
     fn torn_metrics_stream_recovers_and_heals(
         clocks in prop::collection::vec(any::<u32>(), 1..8),
         at in any::<prop::sample::Index>(),
     ) {
-        let bodies = metrics_bodies(&clocks);
+        let bodies = event_bodies(&clocks);
         let encoded = encode_frames(0, &bodies);
         let cut = at.index(encoded.len() + 1);
         let scan = scan_stream(&encoded.as_bytes()[..cut]);
         prop_assert!(scan.bodies.len() <= bodies.len());
+        prop_assert_eq!(&scan.bodies[..], &bodies[..scan.bodies.len()]);
         for body in &scan.bodies {
             let value: serde::Value =
-                serde_json::from_str(body).expect("recovered snapshot parses");
-            prop_assert_eq!(
-                value.get("type").and_then(|t| t.as_str()),
-                Some("metrics")
-            );
-            prop_assert!(MetricsSnapshot::from_json(
-                value.get("snapshot").expect("snapshot payload")
-            )
-            .is_ok());
+                serde_json::from_str(body).expect("recovered event parses");
+            if value.get("type").and_then(|t| t.as_str()) == Some("metrics") {
+                prop_assert!(MetricsSnapshot::from_json(
+                    value.get("snapshot").expect("snapshot payload")
+                )
+                .is_ok());
+            }
         }
 
-        // Healing: reopening the torn file as a metrics sink truncates
+        // Healing: reopening the torn file as an event sink truncates
         // the tear and the next snapshot lands at the torn seq slot.
         let path = std::env::temp_dir().join(format!(
-            "dydroid_observatory_torn_{}_{:?}.metrics.jsonl",
+            "dydroid_observatory_torn_{}_{:?}.events.jsonl",
             std::process::id(),
             std::thread::current().id()
         ));
         std::fs::write(&path, &encoded.as_bytes()[..cut]).expect("write torn stream");
-        let mut writer = FramedWriter::open(&path, SinkOptions::direct(StreamKind::Metrics))
+        let mut writer = FramedWriter::open(&path, SinkOptions::direct(StreamKind::Events))
             .expect("reopen torn stream");
         prop_assert_eq!(writer.seq(), scan.bodies.len() as u64);
         writer
-            .append_body(&metrics_bodies(&[7])[0])
+            .append_body(&event_bodies(&[7])[1])
             .expect("append after heal");
         writer.sync_now().expect("sync");
         drop(writer);
