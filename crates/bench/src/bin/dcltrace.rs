@@ -1,5 +1,5 @@
 //! Queries the DCL provenance ledger written beside a sweep journal
-//! (`<journal>.provenance.jsonl`, or an explicit `--provenance-out` path).
+//! (`<journal>.provenance.jsonl`).
 //!
 //! ```text
 //! dcltrace --ledger PATH summary

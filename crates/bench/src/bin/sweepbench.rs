@@ -1,14 +1,12 @@
-//! rebar-style sweep benchmark: runs a fixed-seed corpus sweep through
-//! two variants — the **uncached baseline** (analysis cache off) and the
-//! **cached** path (content-addressed cache on) — verifies both produce
-//! identical measurement JSON, then sweeps the worker count 1→N through
-//! the sharded multi-writer path and emits the apps/sec-per-core scaling
-//! curve.
+//! rebar-style sweep benchmark: times a fixed-seed in-memory corpus
+//! sweep (the content-addressed analysis cache is always on), then
+//! sweeps the worker count 1→N through the sharded multi-writer path and
+//! emits the apps/sec-per-core scaling curve.
 //!
-//! Each variant is sampled over several rounds (rebar warmup/sample
-//! discipline) and the cached-vs-baseline speedup is judged with the
-//! shared noise-aware comparator: a wall-clock difference inside the
-//! run-to-run noise band reads "within noise", not "0.99x".
+//! The in-memory sweep is sampled over several rounds (rebar
+//! warmup/sample discipline). Its record keeps the workload name
+//! `cached-vs-baseline`, the name of the committed baseline record that
+//! `benchcmp` gates it against.
 //!
 //! Scaling is judged on the **virtual makespan** — the longest summed
 //! deterministic per-app virtual cost any one worker was charged (see
@@ -27,13 +25,11 @@ use std::time::Instant;
 use dydroid::scheduler::virtual_makespan_us;
 use dydroid::{Journal, MeasurementReport, Pipeline, PipelineConfig};
 use dydroid_bench::measure::sample_rounds;
-use dydroid_bench::{
-    significant, ArgParser, CommonArgs, CompareConfig, Direction, Measurement, EXIT_FINDING,
-};
+use dydroid_bench::{ArgParser, CommonArgs, Direction, Measurement, EXIT_FINDING};
 use dydroid_workload::{generate, SyntheticApp};
 
 const USAGE: &str = "sweepbench [--scale F] [--seed N] [--out PATH] [--samples N] [--warmup N] \
-[--history PATH | --no-history] [--skip-baseline] [--max-workers N] [--min-scaling F]";
+[--history PATH | --no-history] [--max-workers N] [--min-scaling F]";
 
 /// One timed sweep; returns the report and total wall-clock ms.
 fn timed_sweep(config: PipelineConfig, corpus: &[SyntheticApp]) -> (MeasurementReport, f64) {
@@ -71,9 +67,10 @@ fn scaling_point(
     (report, wall_ms, bytes)
 }
 
-/// The perf facts of one variant as a JSON object (the legacy payload
-/// shape, median wall-clock over the sampled rounds).
-fn variant_json(report: &MeasurementReport, wall_ms: f64, apps: usize) -> serde_json::Value {
+/// The perf facts of the in-memory sweep as a JSON object (median
+/// wall-clock over the sampled rounds). `hit_rate` is omitted when the
+/// sweep made no cache lookup.
+fn sweep_json(report: &MeasurementReport, wall_ms: f64, apps: usize) -> serde_json::Value {
     let stats = report.stats();
     let cache = &stats.cache;
     let apps_per_sec = if wall_ms == 0.0 {
@@ -85,14 +82,16 @@ fn variant_json(report: &MeasurementReport, wall_ms: f64, apps: usize) -> serde_
         "sweep_ms": stats.sweep_ms,
         "env_ms": stats.env_ms,
     });
-    let cache_json = serde_json::json!({
+    let mut cache_json = serde_json::json!({
         "hits": cache.hits,
         "misses": cache.misses,
         "unique_binaries": cache.entries,
-        "hit_rate": cache.hit_rate(),
         "sig_builds": cache.sig_builds,
         "taint_runs": cache.taint_runs,
     });
+    if let (serde_json::Value::Object(map), Some(rate)) = (&mut cache_json, cache.hit_rate()) {
+        map.push(("hit_rate".to_string(), serde_json::json!(rate)));
+    }
     serde_json::json!({
         "wall_ms": wall_ms,
         "apps_per_sec": apps_per_sec,
@@ -105,14 +104,12 @@ fn main() {
     let mut parser = ArgParser::new(USAGE);
     let mut common = CommonArgs::for_bench("BENCH_sweep.json", 3, 1);
     common.scale = 0.01;
-    let mut skip_baseline = false;
     let mut max_workers = 4usize;
     while let Some(arg) = parser.next() {
         if common.accept(&arg, &mut parser) {
             continue;
         }
         match arg.as_str() {
-            "--skip-baseline" => skip_baseline = true,
             "--max-workers" => {
                 max_workers = parser.value("--max-workers", "an integer >= 1");
                 if max_workers == 0 {
@@ -138,15 +135,10 @@ fn main() {
     record.samples = common.samples;
     record.warmup = common.warmup;
 
-    // Telemetry off in both variants: this benchmark is the PR-over-PR
-    // perf trajectory, so it measures the disabled-telemetry fast path
-    // (tracebench owns the enabled-vs-disabled comparison).
+    // Telemetry off: this benchmark is the PR-over-PR perf trajectory,
+    // so it measures the disabled-telemetry fast path (tracebench owns
+    // the enabled-vs-disabled comparison).
     let cached_config = PipelineConfig {
-        telemetry: false,
-        ..PipelineConfig::default()
-    };
-    let baseline_config = PipelineConfig {
-        analysis_cache: false,
         telemetry: false,
         ..PipelineConfig::default()
     };
@@ -192,78 +184,8 @@ fn main() {
     let mut payload = serde_json::json!({
         "apps": apps,
         "workers": PipelineConfig::default().effective_workers(),
-        "cached": variant_json(&cached_report, cached_median, apps),
+        "cached": sweep_json(&cached_report, cached_median, apps),
     });
-
-    if !skip_baseline {
-        eprintln!(
-            "sweepbench: uncached baseline ({} warmup + {} sample rounds) ...",
-            common.warmup, common.samples
-        );
-        let mut baseline_report: Option<MeasurementReport> = None;
-        let baseline_ms = sample_rounds(common.samples, common.warmup, || {
-            let (report, ms) = timed_sweep(baseline_config.clone(), &corpus);
-            baseline_report = Some(report);
-            ms
-        });
-        let baseline_report = baseline_report.expect("at least one baseline round");
-        eprint!("{}", baseline_report.render_perf());
-
-        // The optimization must not change a single measured byte.
-        let a = serde_json::to_string(&cached_report).expect("serialise cached");
-        let b = serde_json::to_string(&baseline_report).expect("serialise baseline");
-        if a != b {
-            eprintln!("sweepbench: FAIL — cached and baseline reports differ");
-            std::process::exit(EXIT_FINDING);
-        }
-        eprintln!("sweepbench: reports identical ({} bytes of JSON)", a.len());
-
-        let baseline_median = dydroid_bench::Stats::from_samples(&baseline_ms).median;
-        let speedup = if cached_median == 0.0 {
-            0.0
-        } else {
-            baseline_median / cached_median
-        };
-        // Noise-aware judgement of the cache effect: the same floor/k
-        // thresholds benchcmp applies. A sub-noise difference is
-        // reported as such instead of a meaningless 0.99x.
-        let cfg = CompareConfig::default();
-        let (beyond_noise, threshold) = significant(&baseline_ms, &cached_ms, cfg.floor, cfg.k);
-        let verdict = if beyond_noise {
-            "beyond noise"
-        } else {
-            "WITHIN NOISE — treat as 1.00x"
-        };
-        eprintln!(
-            "sweepbench: baseline median {baseline_median:.1} ms -> cached median \
-             {cached_median:.1} ms ({speedup:.2}x, {verdict}; threshold ±{threshold:.1} ms)"
-        );
-        record.push_metric(
-            "baseline_wall_ms",
-            "ms",
-            Direction::Lower,
-            false,
-            baseline_ms,
-        );
-        record.push_metric(
-            "cache_speedup",
-            "ratio",
-            Direction::Higher,
-            false,
-            vec![speedup],
-        );
-        if let serde_json::Value::Object(map) = &mut payload {
-            map.push((
-                "baseline".to_string(),
-                variant_json(&baseline_report, baseline_median, apps),
-            ));
-            map.push(("speedup".to_string(), serde_json::json!(speedup)));
-            map.push((
-                "speedup_beyond_noise".to_string(),
-                serde_json::json!(beyond_noise),
-            ));
-        }
-    }
 
     // Worker-count scaling sweep 1→N through the sharded multi-writer
     // journaled path. Each count runs the same corpus; the finalized

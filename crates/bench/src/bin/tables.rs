@@ -3,8 +3,7 @@
 //! ```text
 //! tables [--scale F] [--seed N] [--workers N] [--table N]... [--figure 3] [--all]
 //!        [--json PATH] [--journal PATH] [--resume] [--perf-json PATH] [--trace-out PATH]
-//!        [--profile-out PATH] [--progress] [--provenance-out PATH]
-//!        [--sync-policy always|checkpoint|never]
+//!        [--profile-out PATH] [--progress] [--sync-policy always|checkpoint|never]
 //! ```
 //!
 //! With no selection flags, prints everything. Table numbers follow the
@@ -14,7 +13,10 @@
 //! `--journal PATH` streams every completed app record to a JSON-lines
 //! checkpoint file; with `--resume` a previous journal's apps are skipped
 //! instead of re-analysed (without it the journal is reset first), so a
-//! killed sweep picks up where it left off.
+//! killed sweep picks up where it left off. Every journaled run also
+//! writes the per-app provenance ledger (one causal graph per JSON line,
+//! queryable with `dcltrace`) beside the journal as
+//! `<journal>.provenance.jsonl`; a run without `--journal` keeps none.
 //!
 //! Observability: `--perf-json PATH` writes the perf stats and the full
 //! metrics snapshot (counters, gauges, per-phase histograms) as JSON;
@@ -23,10 +25,7 @@
 //! span-derived self-time profile as flamegraph-collapsed stack lines
 //! (feed to `inferno` / `flamegraph.pl`, or read directly — hottest
 //! self-time first via `dcltrace profile`); `--progress` prints a
-//! periodic one-line sweep progress report to stderr; `--provenance-out PATH` writes the
-//! per-app provenance ledger (one causal graph per JSON line, queryable
-//! with `dcltrace`) to an explicit path — with `--journal` the ledger is
-//! always written beside the journal as `<journal>.provenance.jsonl`.
+//! periodic one-line sweep progress report to stderr.
 //! `--sync-policy` picks when the persistent streams fsync: `always`
 //! (per record), `checkpoint` (default, batched), or `never`.
 
@@ -50,7 +49,6 @@ struct Args {
     trace_out: Option<String>,
     profile_out: Option<String>,
     progress: bool,
-    provenance_out: Option<String>,
     sync_policy: SyncPolicy,
 }
 
@@ -69,7 +67,6 @@ fn parse_args() -> Args {
         trace_out: None,
         profile_out: None,
         progress: false,
-        provenance_out: None,
         sync_policy: SyncPolicy::default(),
     };
     let mut it = std::env::args().skip(1);
@@ -127,9 +124,6 @@ fn parse_args() -> Args {
                 args.profile_out = it.next().or_else(|| usage("--profile-out needs a path"));
             }
             "--progress" => args.progress = true,
-            "--provenance-out" => {
-                args.provenance_out = it.next().or_else(|| usage("--provenance-out needs a path"));
-            }
             "--sync-policy" => {
                 args.sync_policy = match it.next().as_deref() {
                     Some("always") => SyncPolicy::Always,
@@ -156,8 +150,7 @@ fn parse_args() -> Args {
 
 const USAGE: &str = "tables [--scale F] [--seed N] [--workers N] [--table N]... [--figure 3] \
 [--all] [--json PATH] [--journal PATH] [--resume] [--perf-json PATH] [--trace-out PATH] \
-[--profile-out PATH] [--progress] [--provenance-out PATH] \
-[--sync-policy always|checkpoint|never]";
+[--profile-out PATH] [--progress] [--sync-policy always|checkpoint|never]";
 
 fn usage(msg: &str) -> ! {
     eprintln!("error: {msg}");
@@ -185,7 +178,6 @@ fn main() {
         progress: args.progress,
         trace_out: args.trace_out.clone(),
         profile_out: args.profile_out.clone(),
-        provenance_out: args.provenance_out.clone(),
         sync_policy: args.sync_policy,
         ..Default::default()
     });
@@ -275,9 +267,7 @@ fn main() {
     if let Some(path) = &args.profile_out {
         eprintln!("profile written to {path} (flamegraph-collapsed stacks; feed to inferno)");
     }
-    if let Some(path) = &args.provenance_out {
-        eprintln!("provenance ledger written to {path} (query with dcltrace --ledger {path})");
-    } else if let Some(path) = &args.journal {
+    if let Some(path) = &args.journal {
         let ledger = Journal::new(path).provenance_path();
         eprintln!(
             "provenance ledger written to {} (query with dcltrace)",

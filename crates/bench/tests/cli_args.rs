@@ -25,6 +25,17 @@ fn tables_rejects_bad_scale_and_table_numbers() {
     for table in ["1", "11"] {
         assert_usage_error(tables, &["--table", table, "--scale", "0.001"]);
     }
+    // The provenance ledger sits beside the journal and nowhere else.
+    let ledger: PathBuf = std::env::temp_dir().join(format!(
+        "dydroid_provenance_out_{}.jsonl",
+        std::process::id()
+    ));
+    let ledger_arg = ledger.to_str().expect("utf-8 temp path");
+    assert_usage_error(
+        tables,
+        &["--provenance-out", ledger_arg, "--scale", "0.001"],
+    );
+    assert!(!ledger.exists(), "a rejected command line wrote {ledger:?}");
 }
 
 #[test]

@@ -30,7 +30,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::telemetry::Telemetry;
 
-/// Default shard count (power of two) when the config leaves sizing to us.
+/// Shard count (a power of two) of every sweep's cache.
 pub const DEFAULT_SHARDS: usize = 64;
 
 /// 64-bit FNV-1a over the binary content, with a final avalanche mix so
@@ -69,8 +69,7 @@ pub enum BinaryVerdict {
 pub struct CacheStats {
     /// Lookups answered from the cache.
     pub hits: u64,
-    /// Lookups that had to compute (one per unique binary when enabled;
-    /// one per lookup when disabled).
+    /// Lookups that had to compute (one per unique binary).
     pub misses: u64,
     /// Unique binaries currently cached (absolute, not a delta).
     pub entries: u64,
@@ -81,14 +80,11 @@ pub struct CacheStats {
 }
 
 impl CacheStats {
-    /// Fraction of lookups served from the cache, in `[0, 1]`.
-    pub fn hit_rate(&self) -> f64 {
+    /// Fraction of lookups served from the cache, in `[0, 1]`; `None`
+    /// when there were no lookups, so nothing was measured.
+    pub fn hit_rate(&self) -> Option<f64> {
         let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
+        (total > 0).then(|| self.hits as f64 / total as f64)
     }
 
     /// The counter deltas accumulated since `earlier` (entries stays
@@ -109,8 +105,7 @@ type Shard = Mutex<HashMap<u64, Arc<OnceLock<Arc<BinaryVerdict>>>>>;
 /// The corpus-wide, content-addressed cache (see module docs).
 #[derive(Debug)]
 pub struct AnalysisCache {
-    /// `None` when caching is disabled — every lookup computes fresh.
-    shards: Option<Box<[Shard]>>,
+    shards: Box<[Shard]>,
     hits: AtomicU64,
     misses: AtomicU64,
     sig_builds: AtomicU64,
@@ -118,30 +113,25 @@ pub struct AnalysisCache {
     telemetry: Telemetry,
 }
 
+impl Default for AnalysisCache {
+    fn default() -> Self {
+        AnalysisCache::new()
+    }
+}
+
 impl AnalysisCache {
-    /// Creates a cache. `shards` is rounded up to a power of two;
-    /// `0` selects [`DEFAULT_SHARDS`].
-    pub fn new(shards: usize) -> Self {
-        let n = if shards == 0 {
-            DEFAULT_SHARDS
-        } else {
-            shards.next_power_of_two()
-        };
-        AnalysisCache {
-            shards: Some((0..n).map(|_| Mutex::new(HashMap::new())).collect()),
-            hits: AtomicU64::new(0),
-            misses: AtomicU64::new(0),
-            sig_builds: AtomicU64::new(0),
-            taint_runs: AtomicU64::new(0),
-            telemetry: Telemetry::disabled(),
-        }
+    /// Creates an empty cache of [`DEFAULT_SHARDS`] shards. A fresh
+    /// cache is cold: its first lookup of any content computes it.
+    pub fn new() -> Self {
+        AnalysisCache::with_shards(DEFAULT_SHARDS)
     }
 
-    /// A pass-through cache: every lookup computes, nothing is stored.
-    /// The counters still run, so baselines report total analysis work.
-    pub fn disabled() -> Self {
+    /// A cache of `shards` shards, rounded up to a power of two.
+    fn with_shards(shards: usize) -> Self {
         AnalysisCache {
-            shards: None,
+            shards: (0..shards.next_power_of_two())
+                .map(|_| Mutex::new(HashMap::new()))
+                .collect(),
             hits: AtomicU64::new(0),
             misses: AtomicU64::new(0),
             sig_builds: AtomicU64::new(0),
@@ -158,28 +148,19 @@ impl AnalysisCache {
         self
     }
 
-    /// Whether lookups are memoized.
-    pub fn is_enabled(&self) -> bool {
-        self.shards.is_some()
-    }
-
     /// Analyses one intercepted binary through the cache: parse, build
     /// the ACFG signature, match malware families, and (for DEX) run the
-    /// taint analysis — at most once per unique content when enabled.
+    /// taint analysis — at most once per unique content.
     pub fn analyze(
         &self,
         data: &[u8],
         detector: &MalwareDetector,
         taint: &TaintAnalysis,
     ) -> Arc<BinaryVerdict> {
-        let Some(shards) = &self.shards else {
-            self.misses.fetch_add(1, Ordering::Relaxed);
-            return Arc::new(self.compute(data, detector, taint));
-        };
         let key = content_hash(data);
         let cell = {
-            let shard = &shards[(key as usize) & (shards.len() - 1)];
-            let mut map = shard
+            let mut map = self
+                .shard(key)
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             Arc::clone(map.entry(key).or_default())
@@ -255,14 +236,14 @@ impl AnalysisCache {
         }
     }
 
+    /// The shard holding `key`.
+    fn shard(&self, key: u64) -> &Shard {
+        &self.shards[(key as usize) & (self.shards.len() - 1)]
+    }
+
     /// How many distinct contents of `items` have no completed cache
-    /// entry yet (0 when caching is disabled — the batch path then has
-    /// no dedup to exploit, and nested sweep parallelism already covers
-    /// the baseline).
+    /// entry yet.
     fn uncached_distinct(&self, items: &[&[u8]]) -> usize {
-        let Some(shards) = &self.shards else {
-            return 0;
-        };
         let mut seen = std::collections::HashSet::new();
         let mut missing = 0;
         for data in items {
@@ -270,8 +251,8 @@ impl AnalysisCache {
             if !seen.insert(key) {
                 continue;
             }
-            let shard = &shards[(key as usize) & (shards.len() - 1)];
-            let map = shard
+            let map = self
+                .shard(key)
                 .lock()
                 .unwrap_or_else(std::sync::PoisonError::into_inner);
             if map.get(&key).and_then(|cell| cell.get()).is_none() {
@@ -323,18 +304,13 @@ impl AnalysisCache {
     pub fn stats(&self) -> CacheStats {
         let entries = self
             .shards
-            .as_ref()
-            .map(|shards| {
-                shards
-                    .iter()
-                    .map(|s| {
-                        s.lock()
-                            .unwrap_or_else(std::sync::PoisonError::into_inner)
-                            .len() as u64
-                    })
-                    .sum()
+            .iter()
+            .map(|s| {
+                s.lock()
+                    .unwrap_or_else(std::sync::PoisonError::into_inner)
+                    .len() as u64
             })
-            .unwrap_or(0);
+            .sum();
         CacheStats {
             hits: self.hits.load(Ordering::Relaxed),
             misses: self.misses.load(Ordering::Relaxed),
@@ -364,7 +340,7 @@ mod tests {
 
     #[test]
     fn memoizes_by_content() {
-        let cache = AnalysisCache::new(4);
+        let cache = AnalysisCache::with_shards(4);
         let (detector, taint) = fixtures();
         let dex = DexFile::new().to_bytes();
         let a = cache.analyze(&dex, &detector, &taint);
@@ -380,7 +356,7 @@ mod tests {
 
     #[test]
     fn native_binaries_skip_taint() {
-        let cache = AnalysisCache::new(1);
+        let cache = AnalysisCache::with_shards(1);
         let (detector, taint) = fixtures();
         let lib = NativeLibrary::new("l.so", Arch::Arm).to_bytes();
         let v = cache.analyze(&lib, &detector, &taint);
@@ -391,7 +367,7 @@ mod tests {
 
     #[test]
     fn unparsable_is_cached_too() {
-        let cache = AnalysisCache::new(2);
+        let cache = AnalysisCache::with_shards(2);
         let (detector, taint) = fixtures();
         assert_eq!(
             *cache.analyze(b"junk", &detector, &taint),
@@ -406,24 +382,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_recomputes_every_time() {
-        let cache = AnalysisCache::disabled();
-        assert!(!cache.is_enabled());
-        let (detector, taint) = fixtures();
-        let dex = DexFile::new().to_bytes();
-        let a = cache.analyze(&dex, &detector, &taint);
-        let b = cache.analyze(&dex, &detector, &taint);
-        assert_eq!(a, b);
-        let stats = cache.stats();
-        assert_eq!(stats.misses, 2);
-        assert_eq!(stats.hits, 0);
-        assert_eq!(stats.entries, 0);
-        assert_eq!(stats.sig_builds, 2);
-    }
-
-    #[test]
     fn exactly_once_under_contention() {
-        let cache = std::sync::Arc::new(AnalysisCache::new(8));
+        let cache = std::sync::Arc::new(AnalysisCache::with_shards(8));
         let (detector, taint) = fixtures();
         let dex = DexFile::new().to_bytes();
         crossbeam::thread::scope(|scope| {
@@ -448,7 +408,7 @@ mod tests {
 
     #[test]
     fn batch_preserves_order_and_counters() {
-        let cache = AnalysisCache::new(4);
+        let cache = AnalysisCache::with_shards(4);
         let (detector, taint) = fixtures();
         let dex = DexFile::new().to_bytes();
         let lib = NativeLibrary::new("l.so", Arch::Arm).to_bytes();
@@ -473,7 +433,7 @@ mod tests {
 
     #[test]
     fn warm_batch_serves_inline() {
-        let cache = AnalysisCache::new(4);
+        let cache = AnalysisCache::with_shards(4);
         let (detector, taint) = fixtures();
         let dex = DexFile::new().to_bytes();
         cache.analyze(&dex, &detector, &taint);
@@ -486,20 +446,8 @@ mod tests {
     }
 
     #[test]
-    fn disabled_cache_batch_computes_inline() {
-        let cache = AnalysisCache::disabled();
-        let (detector, taint) = fixtures();
-        let dex = DexFile::new().to_bytes();
-        let items: Vec<&[u8]> = vec![&dex, &dex];
-        assert_eq!(cache.uncached_distinct(&items), 0);
-        let verdicts = cache.analyze_batch(&items, &detector, &taint, 8);
-        assert_eq!(verdicts[0], verdicts[1]);
-        assert_eq!(cache.stats().misses, 2);
-    }
-
-    #[test]
     fn stats_since_subtracts_counters() {
-        let cache = AnalysisCache::new(1);
+        let cache = AnalysisCache::with_shards(1);
         let (detector, taint) = fixtures();
         let dex = DexFile::new().to_bytes();
         cache.analyze(&dex, &detector, &taint);
@@ -508,14 +456,17 @@ mod tests {
         let delta = cache.stats().since(&mark);
         assert_eq!((delta.hits, delta.misses), (1, 0));
         assert_eq!(delta.entries, 1, "entries stays absolute");
-        assert!(delta.hit_rate() > 0.99);
+        assert_eq!(delta.hit_rate(), Some(1.0));
+        assert_eq!(
+            CacheStats::default().hit_rate(),
+            None,
+            "no lookups, no rate"
+        );
     }
 
     #[test]
     fn shard_count_rounds_to_power_of_two() {
-        let cache = AnalysisCache::new(3);
-        assert_eq!(cache.shards.as_ref().unwrap().len(), 4);
-        let cache = AnalysisCache::new(0);
-        assert_eq!(cache.shards.as_ref().unwrap().len(), DEFAULT_SHARDS);
+        assert_eq!(AnalysisCache::with_shards(3).shards.len(), 4);
+        assert_eq!(AnalysisCache::new().shards.len(), DEFAULT_SHARDS);
     }
 }

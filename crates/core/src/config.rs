@@ -57,11 +57,6 @@ pub struct PipelineConfig {
     /// the watchdog. Charged as the max of real elapsed time and a
     /// deterministic virtual clock (1k interpreter instructions per ms).
     pub app_deadline_ms: u64,
-    /// Whether intercepted-binary analysis (ACFG signature + malware
-    /// match + taint) is memoized by content hash across the sweep, so
-    /// each unique payload is analysed exactly once however many apps
-    /// load it. Disable for differential testing and baselines.
-    pub analysis_cache: bool,
     /// Collect span traces and metrics during the run (see
     /// `crate::telemetry`). Disabled, every telemetry call site is a
     /// single branch — the no-op fast path measured by `tracebench`.
@@ -80,20 +75,6 @@ pub struct PipelineConfig {
     /// `root;child;leaf self_µs` line per distinct span path, ready for
     /// `flamegraph.pl` (requires `telemetry`; see `crate::profile`).
     pub profile_out: Option<String>,
-    /// Record per-app provenance graphs (URL → file → load → verdict)
-    /// and persist them as a JSONL ledger beside the journal when one is
-    /// in use, or at `provenance_out` (see `crate::provenance`). A sweep
-    /// builds graphs only when such a ledger receives them; no table
-    /// reads them.
-    pub provenance: bool,
-    /// Explicit path for the provenance ledger. `None` places it beside
-    /// the sweep journal (`<journal>.provenance.jsonl`); without a
-    /// journal no ledger is kept and no graph is built. A plain [`Pipeline::run`]
-    /// streams it through the same shard append as a journaled sweep (one
-    /// ledger-only shard) and finalizes it in corpus order.
-    ///
-    /// [`Pipeline::run`]: crate::Pipeline::run
-    pub provenance_out: Option<String>,
     /// When the persistent streams fsync: after every record, at
     /// checkpoint intervals (default), or never (see
     /// [`crate::durable::SyncPolicy`]). Syncs issued on the journal are
@@ -114,13 +95,10 @@ impl Default for PipelineConfig {
             suppress_file_ops: true,
             environment_reruns: true,
             app_deadline_ms: 30_000,
-            analysis_cache: true,
             telemetry: true,
             progress: false,
             trace_out: None,
             profile_out: None,
-            provenance: true,
-            provenance_out: None,
             sync_policy: SyncPolicy::default(),
             io_retry_budget: DEFAULT_RETRY_BUDGET,
         }
@@ -165,13 +143,10 @@ mod tests {
         assert!(c.environment_reruns);
         assert!(c.effective_workers() >= 1);
         assert_eq!(c.deadline_ms(), Some(30_000));
-        assert!(c.analysis_cache);
         assert!(c.telemetry);
         assert!(!c.progress);
         assert_eq!(c.trace_out, None);
         assert_eq!(c.profile_out, None);
-        assert!(c.provenance);
-        assert_eq!(c.provenance_out, None);
         assert_eq!(c.sync_policy, SyncPolicy::Checkpoint);
         assert_eq!(c.io_retry_budget, DEFAULT_RETRY_BUDGET);
     }

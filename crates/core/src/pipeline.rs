@@ -197,12 +197,7 @@ impl Pipeline {
             dydroid_analysis::acfg::DEFAULT_THRESHOLD,
             &telemetry,
         );
-        let cache = if config.analysis_cache {
-            AnalysisCache::new(0)
-        } else {
-            AnalysisCache::disabled()
-        }
-        .with_telemetry(telemetry.clone());
+        let cache = AnalysisCache::new().with_telemetry(telemetry.clone());
         Pipeline {
             config,
             detector,
@@ -269,17 +264,13 @@ impl Pipeline {
         let cache_mark = self.cache.stats();
         let detector_mark = self.detector.stats();
         let avm_marks = self.avm_counter_marks();
-        // Without a journal the ledger only materializes on disk when an
-        // explicit path was configured.
-        let ledger = self.ledger_for(None);
         let io_state = IoState::new(self.config.io_retry_budget);
-        let (slots, perf, observatory) = self.plain_sweep(corpus, ledger.as_ref(), &io_state);
+        let (slots, perf, observatory) = self.plain_sweep(corpus);
         self.assemble(
             corpus,
             slots,
             HashMap::new(),
             Vec::new(),
-            ledger.as_ref(),
             None,
             &io_state,
             None,
@@ -291,34 +282,12 @@ impl Pipeline {
         )
     }
 
-    /// The sweep of a plain [`Pipeline::run`]: every corpus app, with the
-    /// ledger (when `provenance_out` configures one) started clean and
-    /// appended through one ledger-only shard. Graphs are kept only for
-    /// that ledger.
+    /// The sweep of a plain [`Pipeline::run`]: every corpus app, in
+    /// memory. It opens no stream and keeps no provenance graph.
     fn plain_sweep(
         &self,
         corpus: &[SyntheticApp],
-        ledger: Option<&ProvenanceLedger>,
-        io_state: &Arc<IoState>,
     ) -> (Vec<SweepSlot>, SweepPerf, Option<Observatory>) {
-        if let Some(ledger) = ledger {
-            if let Err(e) = ledger.reset() {
-                eprintln!(
-                    "dydroid: failed to reset ledger {}: {e}",
-                    ledger.path().display()
-                );
-            }
-        }
-        let shards = ledger.and_then(|ledger| {
-            StreamShards::open(self, None, Some((ledger, None)), 1, io_state)
-                .map_err(|e| {
-                    eprintln!(
-                        "dydroid: failed to open ledger {}: {e}",
-                        ledger.path().display()
-                    )
-                })
-                .ok()
-        });
         let observatory = Observatory::open(self, false);
         let sweep_start = Instant::now();
         let indices: Vec<usize> = (0..corpus.len()).collect();
@@ -327,38 +296,22 @@ impl Pipeline {
         let (slots, worker_stats) = self.sweep(
             corpus,
             &indices,
-            shards.as_ref(),
-            ledger.is_some(),
+            None,
             &HashSet::new(),
             observatory.as_ref(),
             sweep_span.id(),
         );
         drop(sweep_span);
-        let shard_contention = shards.as_ref().map_or(0, StreamShards::contention);
-        drop(shards);
         if let Some(obs) = &observatory {
             obs.finish(self);
         }
         let perf = SweepPerf {
             worker_stats,
             stream_shards: 1,
-            shard_contention,
+            shard_contention: 0,
             sweep_ms: sweep_start.elapsed().as_millis() as u64,
         };
         (slots, perf, observatory)
-    }
-
-    /// The ledger backing this run's provenance records, if any: the
-    /// configured `provenance_out` path wins, else the ledger sits
-    /// beside the journal when one is in use.
-    fn ledger_for(&self, journal: Option<&crate::sweep::Journal>) -> Option<ProvenanceLedger> {
-        if !self.config.provenance {
-            return None;
-        }
-        if let Some(path) = &self.config.provenance_out {
-            return Some(ProvenanceLedger::new(path));
-        }
-        journal.map(|j| ProvenanceLedger::new(j.provenance_path()))
     }
 
     /// Marks of the monotonic avm counters (truncation + inline caches),
@@ -419,7 +372,7 @@ impl Pipeline {
         }
         let mut outcome = self.recover_all(journal)?;
         let recovered = outcome.records.len();
-        let ledger = self.ledger_for(Some(journal));
+        let ledger = ProvenanceLedger::new(journal.provenance_path());
         let io_state = IoState::new(self.config.io_retry_budget);
         if self.telemetry.is_enabled() {
             self.telemetry
@@ -465,22 +418,21 @@ impl Pipeline {
         let shard_count = self.config.effective_workers().min(pending.len()).max(1);
         let shards = StreamShards::open(
             self,
-            Some((journal, Some(outcome.journal_end))),
-            ledger.as_ref().map(|l| (l, outcome.ledger_end)),
+            (journal, Some(outcome.journal_end)),
+            (&ledger, outcome.ledger_end),
             shard_count,
             &io_state,
         )?;
         // Quarantine records are persisted through the same append as
         // every analysed app, so the journal and the ledger stay
         // mutually consistent.
-        let keep_graphs = ledger.is_some();
         for app in quarantined {
             let record = &done[app.package()];
-            let provenance = keep_graphs.then(|| AppProvenance::from_record(record));
+            let provenance = AppProvenance::from_record(record);
             shards.append(
                 shards.shard_of(app),
                 record,
-                provenance.as_ref(),
+                Some(&provenance),
                 0,
                 &self.telemetry,
             );
@@ -500,7 +452,6 @@ impl Pipeline {
             corpus,
             &pending,
             Some(&shards),
-            keep_graphs,
             &retry,
             observatory.as_ref(),
             sweep_span.id(),
@@ -531,7 +482,6 @@ impl Pipeline {
             slots,
             done,
             prior_provenance,
-            ledger.as_ref(),
             Some(journal),
             &io_state,
             Some(summary),
@@ -550,7 +500,7 @@ impl Pipeline {
     /// Per stream, corrupt or torn frames are dropped (with a uniform
     /// stderr warning) and the file is rewritten to its valid prefix.
     /// An app then counts as recovered when the journal holds its record
-    /// and, with provenance on, the ledger holds its graph. The telemetry
+    /// and the ledger beside it holds its graph. The telemetry
     /// event stream is observability only: it is never read here, so a
     /// shed, cut or missing event stream loses no measured app. Apps
     /// present in one stream but not the other are re-analysed; each such
@@ -569,17 +519,13 @@ impl Pipeline {
         // left behind are reconciled with the same per-segment rule:
         // longest mutually consistent prefix of that segment's journal
         // and ledger.
-        let base_ledger = self.ledger_for(Some(journal));
-        let base = self.recover_segment(journal, base_ledger.as_ref())?;
+        let base_ledger = ProvenanceLedger::new(journal.provenance_path());
+        let base = self.recover_segment(journal, &base_ledger)?;
         let shard_ids = journal.discover_shards()?;
         let mut shard_segments = Vec::with_capacity(shard_ids.len());
         for &k in &shard_ids {
-            let shard_journal = journal.shard(k);
-            let shard_ledger = self
-                .config
-                .provenance
-                .then(|| ProvenanceLedger::new(journal.shard_provenance_path(k)));
-            shard_segments.push(self.recover_segment(&shard_journal, shard_ledger.as_ref())?);
+            let shard_ledger = ProvenanceLedger::new(journal.shard_provenance_path(k));
+            shard_segments.push(self.recover_segment(&journal.shard(k), &shard_ledger)?);
         }
 
         // Merge: base records first, then shards in ascending shard
@@ -628,19 +574,17 @@ impl Pipeline {
         if consistent.len() != base_journal_count || shards_contributed {
             journal_end = journal.rewrite(&consistent)?;
         }
-        if let Some(ledger) = &base_ledger {
-            if !inconsistent.is_empty() || shards_contributed {
-                match ledger.rewrite(&provenance) {
-                    Ok(end) => ledger_end = Some(end),
-                    Err(e) => {
-                        // The file is in an unknown state: the writer
-                        // scans it afresh.
-                        ledger_end = None;
-                        eprintln!(
-                            "dydroid: failed to rewrite ledger {}: {e}",
-                            ledger.path().display()
-                        );
-                    }
+        if !inconsistent.is_empty() || shards_contributed {
+            match base_ledger.rewrite(&provenance) {
+                Ok(end) => ledger_end = Some(end),
+                Err(e) => {
+                    // The file is in an unknown state: the writer scans
+                    // it afresh.
+                    ledger_end = None;
+                    eprintln!(
+                        "dydroid: failed to rewrite ledger {}: {e}",
+                        base_ledger.path().display()
+                    );
                 }
             }
         }
@@ -691,15 +635,14 @@ impl Pipeline {
     fn recover_segment(
         &self,
         journal: &crate::sweep::Journal,
-        ledger: Option<&ProvenanceLedger>,
+        ledger: &ProvenanceLedger,
     ) -> std::io::Result<SegmentRecovery> {
         let (recovery, ledger_recovery) = std::thread::scope(|scope| {
-            let ledger_job = ledger.map(|l| scope.spawn(|| l.recover_counted()));
+            let ledger_job = scope.spawn(|| ledger.recover_counted());
             let recovery = journal.recover_counted();
-            let ledger_recovery = ledger_job.map(|job| {
-                job.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            });
+            let ledger_recovery = ledger_job
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
             (recovery, ledger_recovery)
         });
         let recovery = recovery?;
@@ -715,19 +658,17 @@ impl Pipeline {
         let mut ledger_records: Vec<AppProvenance> = Vec::new();
         let mut ledger_dropped = 0usize;
         let mut ledger_end = None;
-        if let (Some(ledger), Some(result)) = (ledger, ledger_recovery) {
-            match result {
-                Ok(r) => {
-                    warn_recovered("ledger", ledger.path(), r.records.len(), r.dropped_lines);
-                    ledger_dropped = r.dropped_lines;
-                    ledger_records = r.records;
-                    ledger_end = Some(r.end);
-                }
-                Err(e) => eprintln!(
-                    "dydroid: failed to recover ledger {}: {e}",
-                    ledger.path().display()
-                ),
+        match ledger_recovery {
+            Ok(r) => {
+                warn_recovered("ledger", ledger.path(), r.records.len(), r.dropped_lines);
+                ledger_dropped = r.dropped_lines;
+                ledger_records = r.records;
+                ledger_end = Some(r.end);
             }
+            Err(e) => eprintln!(
+                "dydroid: failed to recover ledger {}: {e}",
+                ledger.path().display()
+            ),
         }
         let ledger_active = ledger_end.is_some();
 
@@ -776,19 +717,18 @@ impl Pipeline {
     /// corpus in memory; the collector files each one at its corpus
     /// index, so the returned slots are `corpus.len()` long and empty
     /// wherever no result arrived. Provenance graphs are built only when
-    /// `keep_graphs` says a ledger will receive them.
-    #[allow(clippy::too_many_arguments)]
+    /// `shards` are attached, whose ledgers receive them.
     fn sweep(
         &self,
         corpus: &[SyntheticApp],
         indices: &[usize],
         shards: Option<&StreamShards>,
-        keep_graphs: bool,
         retry: &HashSet<String>,
         observatory: Option<&Observatory>,
         parent_span: u64,
     ) -> (Vec<SweepSlot>, Vec<WorkerStats>) {
         let workers = self.config.effective_workers().min(indices.len().max(1));
+        let keep_graphs = shards.is_some();
         let scheduler = Scheduler::new(workers);
         for (pos, &i) in indices.iter().enumerate() {
             let lane = if retry.contains(corpus[i].package()) {
@@ -892,11 +832,9 @@ impl Pipeline {
 
     /// Merges sweep results (and any journaled records) into a complete,
     /// corpus-ordered report; apps lost to a non-isolated thread death
-    /// are recorded as harness failures rather than dropped. When a
-    /// ledger is in play it is finalized here: rewritten in corpus order
-    /// with environment outcomes attached, so a completed run's ledger
-    /// is byte-identical however the sweep interleaved (and across
-    /// resume-from-checkpoint runs).
+    /// are recorded as harness failures rather than dropped. A journaled
+    /// run's streams are finalized here (see
+    /// [`Pipeline::finalize_streams`]).
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         &self,
@@ -904,7 +842,6 @@ impl Pipeline {
         slots: Vec<SweepSlot>,
         mut done: HashMap<String, AppRecord>,
         prior_provenance: Vec<AppProvenance>,
-        ledger: Option<&ProvenanceLedger>,
         journal: Option<&crate::sweep::Journal>,
         io_state: &Arc<IoState>,
         recovery: Option<RecoverySummary>,
@@ -915,11 +852,11 @@ impl Pipeline {
         avm_marks: AvmMarks,
     ) -> MeasurementReport {
         // Live results win; recovered journal records fill only the
-        // slots this session never re-ran. Graphs are gathered only for
-        // a ledger.
+        // slots this session never re-ran. Graphs are gathered only on a
+        // journaled run, whose ledger keeps them.
         let mut records: Vec<AppRecord> = Vec::with_capacity(corpus.len());
-        let mut graphs: Option<Vec<Option<AppProvenance>>> =
-            ledger.map(|_| Vec::with_capacity(corpus.len()));
+        let mut graphs: Vec<Option<AppProvenance>> =
+            Vec::with_capacity(if journal.is_some() { corpus.len() } else { 0 });
         for (app, slot) in corpus.iter().zip(slots) {
             let (record, graph) = slot.unwrap_or_else(|| {
                 let record = done.remove(app.package()).unwrap_or_else(|| {
@@ -927,7 +864,7 @@ impl Pipeline {
                 });
                 (record, None)
             });
-            if let Some(graphs) = &mut graphs {
+            if journal.is_some() {
                 graphs.push(graph);
             }
             records.push(record);
@@ -941,122 +878,8 @@ impl Pipeline {
         } else {
             crate::environment::EnvOutcome::default()
         };
-        // The finalized ledger: one record per corpus app, corpus order,
-        // env outcomes attached. Recovered ledger lines cover the resumed
-        // apps this session never re-ran; apps whose graph is gone
-        // (resumed with a torn ledger line) get a degraded
-        // reconstruction.
-        let final_provenance: Option<Vec<AppProvenance>> = graphs.map(|graphs| {
-            let mut prior: HashMap<String, AppProvenance> = prior_provenance
-                .into_iter()
-                .map(|p| (p.package.clone(), p))
-                .collect();
-            let mut env_loads: HashMap<&str, Vec<&crate::environment::EnvLoad>> = HashMap::new();
-            for load in &env.loads {
-                env_loads
-                    .entry(load.package.as_str())
-                    .or_default()
-                    .push(load);
-            }
-            graphs
-                .into_iter()
-                .zip(&records)
-                .map(|(graph, record)| {
-                    let mut p = graph
-                        .or_else(|| prior.remove(record.package.as_str()))
-                        .unwrap_or_else(|| AppProvenance::from_record(record));
-                    p.env_loads = env_loads
-                        .get(record.package.as_str())
-                        .into_iter()
-                        .flatten()
-                        .map(|l| crate::provenance::EnvLoadOutcome {
-                            path: l.path.clone(),
-                            configs: l.configs.clone(),
-                        })
-                        .collect();
-                    p
-                })
-                .collect()
-        });
-        // The journal and the event stream are finalized the same way as
-        // the ledger: atomically rewritten in corpus order, so a
-        // completed run's three streams are byte-identical however the
-        // sweep interleaved and however many resumes it took. The
-        // canonical event stream keeps only the per-app checkpoint and
-        // provenance-link facts; live span timings are interleave-
-        // dependent and are dropped. The ledger and the journal are
-        // encoded on two threads; the writes then go out one at a time in
-        // a fixed order (ledger, journal, events), so a fault harness
-        // sees the same ops in the same order.
-        let (ledger_frames, journal_frames) = std::thread::scope(|scope| {
-            let ledger_job = final_provenance
-                .as_deref()
-                .map(|graphs| scope.spawn(|| encode_records(graphs)));
-            let journal_frames = journal.map(|_| encode_records(&records));
-            let ledger_frames = ledger_job.map(|job| {
-                job.join()
-                    .unwrap_or_else(|panic| std::panic::resume_unwind(panic))
-            });
-            (ledger_frames, journal_frames)
-        });
-        drop(final_provenance);
-        let mut finalized = true;
-        if let (Some(ledger), Some(frames)) = (ledger, ledger_frames) {
-            if let Err(e) = ledger.replace(frames, self.io_harness.as_ref()) {
-                finalized = false;
-                eprintln!(
-                    "dydroid: failed to finalize ledger {}: {e}",
-                    ledger.path().display()
-                );
-            }
-        }
-        if let (Some(journal), Some(frames)) = (journal, journal_frames) {
-            if let Err(e) = journal.replace(frames, self.io_harness.as_ref()) {
-                finalized = false;
-                eprintln!(
-                    "dydroid: failed to finalize journal {}: {e}",
-                    journal.path().display()
-                );
-            }
-            if self.telemetry.is_enabled() {
-                let mut bodies = Vec::with_capacity(records.len() * 2);
-                for record in &records {
-                    bodies.push(canonical_event(&record.package, "checkpoint"));
-                    if self.config.provenance {
-                        bodies.push(canonical_event(&record.package, "provenance"));
-                    }
-                }
-                let events_path = journal.events_path();
-                if let Err(e) = self.telemetry.finalize_event_sink(
-                    &events_path,
-                    &bodies,
-                    self.io_harness.as_ref(),
-                ) {
-                    finalized = false;
-                    eprintln!(
-                        "dydroid: failed to finalize events {}: {e}",
-                        events_path.display()
-                    );
-                }
-            }
-            // A sharded sweep's per-shard files are fully folded into
-            // the canonical streams above; drop them so the layout a
-            // completed run leaves behind is identical to a serial one.
-            // Only once every stream actually finalized: a failed
-            // finalize — or a crash-frozen harness, whose post-crash
-            // writes report success without touching disk — must leave
-            // the shard files for the next session's recovery to merge.
-            if self.io_harness.as_ref().is_some_and(|h| h.crashed()) {
-                finalized = false;
-            }
-            if finalized {
-                if let Err(e) = journal.remove_shards() {
-                    eprintln!(
-                        "dydroid: failed to remove shard files beside {}: {e}",
-                        journal.path().display()
-                    );
-                }
-            }
+        if let Some(journal) = journal {
+            self.finalize_streams(journal, &records, graphs, prior_provenance, &env.loads);
         }
         // Observatory wrap-up: idle-worker warnings, then the straggler
         // appendix — per-phase breakdowns filled from the flagged apps'
@@ -1199,6 +1022,122 @@ impl Pipeline {
             }
         }
         report
+    }
+
+    /// Finalizes a journaled run's three streams, each atomically
+    /// rewritten in corpus order, so a completed run's streams are
+    /// byte-identical however the sweep interleaved and however many
+    /// resumes it took. The ledger holds one graph per corpus app with
+    /// its environment outcomes attached: `graphs` are this session's
+    /// live graphs by corpus index, `prior_provenance` the recovered ones
+    /// for resumed apps, and an app whose graph is gone (resumed with a
+    /// torn ledger line) gets a degraded reconstruction. The canonical
+    /// event stream keeps only the per-app checkpoint and
+    /// provenance-link facts; live span timings are interleave-dependent
+    /// and are dropped. The ledger and the journal are encoded on two
+    /// threads; the writes then go out one at a time in a fixed order
+    /// (ledger, journal, events), so a fault harness sees the same ops in
+    /// the same order.
+    fn finalize_streams(
+        &self,
+        journal: &crate::sweep::Journal,
+        records: &[AppRecord],
+        graphs: Vec<Option<AppProvenance>>,
+        prior_provenance: Vec<AppProvenance>,
+        env_loads: &[crate::environment::EnvLoad],
+    ) {
+        let mut prior: HashMap<String, AppProvenance> = prior_provenance
+            .into_iter()
+            .map(|p| (p.package.clone(), p))
+            .collect();
+        let mut loads_by_app: HashMap<&str, Vec<&crate::environment::EnvLoad>> = HashMap::new();
+        for load in env_loads {
+            loads_by_app
+                .entry(load.package.as_str())
+                .or_default()
+                .push(load);
+        }
+        let final_provenance: Vec<AppProvenance> = graphs
+            .into_iter()
+            .zip(records)
+            .map(|(graph, record)| {
+                let mut p = graph
+                    .or_else(|| prior.remove(record.package.as_str()))
+                    .unwrap_or_else(|| AppProvenance::from_record(record));
+                p.env_loads = loads_by_app
+                    .get(record.package.as_str())
+                    .into_iter()
+                    .flatten()
+                    .map(|l| crate::provenance::EnvLoadOutcome {
+                        path: l.path.clone(),
+                        configs: l.configs.clone(),
+                    })
+                    .collect();
+                p
+            })
+            .collect();
+        drop(prior);
+        let (ledger_frames, journal_frames) = std::thread::scope(|scope| {
+            let ledger_job = scope.spawn(|| encode_records(&final_provenance));
+            let journal_frames = encode_records(records);
+            let ledger_frames = ledger_job
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (ledger_frames, journal_frames)
+        });
+        drop(final_provenance);
+        let mut finalized = true;
+        let ledger = ProvenanceLedger::new(journal.provenance_path());
+        if let Err(e) = ledger.replace(ledger_frames, self.io_harness.as_ref()) {
+            finalized = false;
+            eprintln!(
+                "dydroid: failed to finalize ledger {}: {e}",
+                ledger.path().display()
+            );
+        }
+        if let Err(e) = journal.replace(journal_frames, self.io_harness.as_ref()) {
+            finalized = false;
+            eprintln!(
+                "dydroid: failed to finalize journal {}: {e}",
+                journal.path().display()
+            );
+        }
+        if self.telemetry.is_enabled() {
+            let mut bodies = Vec::with_capacity(records.len() * 2);
+            for record in records {
+                bodies.push(canonical_event(&record.package, "checkpoint"));
+                bodies.push(canonical_event(&record.package, "provenance"));
+            }
+            let events_path = journal.events_path();
+            if let Err(e) =
+                self.telemetry
+                    .finalize_event_sink(&events_path, &bodies, self.io_harness.as_ref())
+            {
+                finalized = false;
+                eprintln!(
+                    "dydroid: failed to finalize events {}: {e}",
+                    events_path.display()
+                );
+            }
+        }
+        // A sharded sweep's per-shard files are fully folded into the
+        // canonical streams above; drop them so the layout a completed
+        // run leaves behind is identical to a serial one. Only once every
+        // stream actually finalized: a failed finalize — or a
+        // crash-frozen harness, whose post-crash writes report success
+        // without touching disk — must leave the shard files for the next
+        // session's recovery to merge.
+        if self.io_harness.as_ref().is_some_and(|h| h.crashed()) {
+            finalized = false;
+        }
+        if finalized {
+            if let Err(e) = journal.remove_shards() {
+                eprintln!(
+                    "dydroid: failed to remove shard files beside {}: {e}",
+                    journal.path().display()
+                );
+            }
+        }
     }
 
     /// Analyses one app inside the fault-isolation boundary: panics are
@@ -1835,16 +1774,16 @@ impl Pipeline {
     }
 }
 
-/// The one append path of every sweep: per-shard writers of the
-/// journal and provenance ledger, with the telemetry event sinks
+/// The one append path of a journaled sweep: per-shard writers of the
+/// journal and its provenance ledger, with the telemetry event sinks
 /// registered at the same indices. Shard 0 writes the base streams
 /// (`<journal>`, `.provenance.jsonl`, `.events.jsonl`) and shard `k >= 1`
 /// the `shard-K` files beside them. Apps are routed by APK content hash
 /// (the same key the analysis cache stripes on), so each worker appends
 /// to the shard owning its current app with no collector bottleneck; the
-/// shard files are merged back into the base streams by `finalize` and by
-/// [`Pipeline::recover_all`] after a crash. A plain [`Pipeline::run`]
-/// with `provenance_out` set appends through one ledger-only shard.
+/// shard files are merged back into the base streams by
+/// [`Pipeline::finalize_streams`] and by [`Pipeline::recover_all`] after
+/// a crash. A plain [`Pipeline::run`] opens none.
 struct StreamShards {
     shards: Vec<Mutex<ShardStreams>>,
     /// Appends that found their shard mutex held by another worker
@@ -1853,47 +1792,39 @@ struct StreamShards {
 }
 
 struct ShardStreams {
-    journal: Option<crate::sweep::JournalWriter>,
-    ledger: Option<crate::provenance::LedgerWriter>,
+    journal: crate::sweep::JournalWriter,
+    ledger: crate::provenance::LedgerWriter,
 }
 
 impl StreamShards {
-    /// Opens `count` shards: a journal writer per shard when `journal` is
-    /// attached, a ledger writer per shard when `ledger` is, and — on a
-    /// journaled telemetry run — one event sink per shard. Per-shard frame
-    /// sequences continue from each file's valid prefix: shard 0 resumes
-    /// at the base stream's end when this session's recovery found it,
-    /// and every other file is scanned.
+    /// Opens `count` shards of `journal` and its `ledger`: a journal and
+    /// a ledger writer per shard and, on a telemetry run, one event sink
+    /// per shard. Per-shard frame sequences continue from each file's
+    /// valid prefix: shard 0 resumes at the base streams' ends when this
+    /// session's recovery found them, and every other file is scanned.
     fn open(
         pipeline: &Pipeline,
-        journal: Option<(&crate::sweep::Journal, Option<StreamEnd>)>,
-        ledger: Option<(&ProvenanceLedger, Option<StreamEnd>)>,
+        (journal, journal_end): (&crate::sweep::Journal, Option<StreamEnd>),
+        (ledger, ledger_end): (&ProvenanceLedger, Option<StreamEnd>),
         count: usize,
         io_state: &Arc<IoState>,
     ) -> std::io::Result<StreamShards> {
         let sink = |stream| pipeline.sink_options(stream, io_state);
         let mut shards = Vec::with_capacity(count);
-        for k in 0..count {
-            let (journal_k, ledger_k) = match journal {
-                Some((j, _)) if k > 0 => (
-                    Some((j.shard(k), None)),
-                    ledger.map(|_| (ProvenanceLedger::new(j.shard_provenance_path(k)), None)),
-                ),
-                _ => (
-                    journal.map(|(j, end)| (j.clone(), end)),
-                    ledger.map(|(l, end)| (l.clone(), end)),
-                ),
-            };
+        shards.push(Mutex::new(ShardStreams {
+            journal: journal.open_writer(sink(StreamKind::Journal), journal_end)?,
+            ledger: ledger.open_writer(sink(StreamKind::Ledger), ledger_end)?,
+        }));
+        for k in 1..count {
+            let ledger_k = ProvenanceLedger::new(journal.shard_provenance_path(k));
             shards.push(Mutex::new(ShardStreams {
-                journal: journal_k
-                    .map(|(j, end)| j.open_writer(sink(StreamKind::Journal), end))
-                    .transpose()?,
-                ledger: ledger_k
-                    .map(|(l, end)| l.open_writer(sink(StreamKind::Ledger), end))
-                    .transpose()?,
+                journal: journal
+                    .shard(k)
+                    .open_writer(sink(StreamKind::Journal), None)?,
+                ledger: ledger_k.open_writer(sink(StreamKind::Ledger), None)?,
             }));
         }
-        if let Some((journal, _)) = journal.filter(|_| pipeline.telemetry.is_enabled()) {
+        if pipeline.telemetry.is_enabled() {
             let mut paths = vec![journal.events_path()];
             paths.extend((1..count).map(|k| journal.shard_events_path(k)));
             if let Err(e) = pipeline
@@ -1947,17 +1878,15 @@ impl StreamShards {
             Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
         };
         let _scope = telemetry.event_shard_scope(k);
-        if let Some(writer) = shard.journal.as_mut() {
-            match writer.append(record) {
-                Ok(()) => telemetry.emit_checkpoint(&record.package, span_id),
-                Err(e) => eprintln!(
-                    "dydroid: shard {k} journal append failed for {}: {e}",
-                    record.package
-                ),
-            }
+        match shard.journal.append(record) {
+            Ok(()) => telemetry.emit_checkpoint(&record.package, span_id),
+            Err(e) => eprintln!(
+                "dydroid: shard {k} journal append failed for {}: {e}",
+                record.package
+            ),
         }
-        if let (Some(writer), Some(provenance)) = (shard.ledger.as_mut(), provenance) {
-            match writer.append(provenance) {
+        if let Some(provenance) = provenance {
+            match shard.ledger.append(provenance) {
                 Ok(()) => telemetry.emit_provenance_link(&record.package, span_id),
                 Err(e) => eprintln!(
                     "dydroid: shard {k} ledger append failed for {}: {e}",
@@ -2099,8 +2028,7 @@ type SweepSlot = Option<(AppRecord, Option<AppProvenance>)>;
 #[derive(Debug, Default)]
 pub struct RecoveryOutcome {
     /// Journal records of the longest mutually consistent prefix, in
-    /// journal order: the journal, and the ledger when provenance is on,
-    /// hold each of these apps.
+    /// journal order: the journal and its ledger hold each of these apps.
     pub records: Vec<AppRecord>,
     /// Recovered provenance graphs for exactly the consistent apps.
     pub provenance: Vec<AppProvenance>,
@@ -2275,35 +2203,45 @@ mod tests {
     fn a_plain_sweep_keeps_graphs_only_for_a_ledger() {
         let corpus = tiny_corpus();
         let corpus = &corpus[..60];
-        let path = std::env::temp_dir().join(format!(
-            "dydroid_graph_gate_{}.provenance.jsonl",
-            std::process::id()
-        ));
-        for provenance_out in [None, Some(path.to_string_lossy().into_owned())] {
-            let ledgered = provenance_out.is_some();
-            let pipeline = Pipeline::new(PipelineConfig {
-                workers: 2,
-                environment_reruns: false,
-                provenance_out,
-                ..Default::default()
-            });
-            let ledger = pipeline.ledger_for(None);
-            assert_eq!(ledger.is_some(), ledgered);
-            let io_state = IoState::new(pipeline.config.io_retry_budget);
-            let (slots, _, _) = pipeline.plain_sweep(corpus, ledger.as_ref(), &io_state);
-            assert_eq!(slots.len(), corpus.len());
-            for (app, slot) in corpus.iter().zip(&slots) {
-                let (record, graph) = slot.as_ref().expect("every app is swept");
-                assert_eq!(record.package, app.package());
-                assert_eq!(
-                    graph.as_ref().map(|g| g.package.as_str()),
-                    ledgered.then(|| app.package()),
-                    "graph of `{}` with provenance_out {ledgered}",
-                    app.package()
-                );
-            }
+        let pipeline = Pipeline::new(PipelineConfig {
+            workers: 2,
+            environment_reruns: false,
+            ..Default::default()
+        });
+        let (slots, _, _) = pipeline.plain_sweep(corpus);
+        assert_eq!(slots.len(), corpus.len());
+        for (app, slot) in corpus.iter().zip(&slots) {
+            let (record, graph) = slot.as_ref().expect("every app is swept");
+            assert_eq!(record.package, app.package());
+            assert!(
+                graph.is_none(),
+                "plain sweep kept a graph of `{}`",
+                app.package()
+            );
         }
-        let _ = std::fs::remove_file(&path);
+
+        // A journaled sweep appends to the ledger beside its journal and
+        // keeps one graph per app for its finalize.
+        let dir = std::env::temp_dir().join(format!("dydroid_graph_gate_{}", std::process::id()));
+        let journal = crate::sweep::Journal::new(dir.join("sweep.jsonl"));
+        journal.reset().expect("reset journal");
+        let ledger = ProvenanceLedger::new(journal.provenance_path());
+        let io_state = IoState::new(pipeline.config.io_retry_budget);
+        let shards = StreamShards::open(&pipeline, (&journal, None), (&ledger, None), 2, &io_state)
+            .expect("open stream shards");
+        let indices: Vec<usize> = (0..corpus.len()).collect();
+        let (slots, _) = pipeline.sweep(corpus, &indices, Some(&shards), &HashSet::new(), None, 0);
+        for (app, slot) in corpus.iter().zip(&slots) {
+            let (_, graph) = slot.as_ref().expect("every app is swept");
+            assert_eq!(
+                graph.as_ref().map(|g| g.package.as_str()),
+                Some(app.package()),
+                "journaled sweep lost the graph of `{}`",
+                app.package()
+            );
+        }
+        drop(shards);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

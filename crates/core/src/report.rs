@@ -19,9 +19,9 @@ use crate::telemetry::HistogramSummary;
 /// Per-phase wall-times and cache counters of one measurement run.
 ///
 /// Perf telemetry, not a measurement result: it is *excluded* from the
-/// report's serialized form so a cached and an uncached sweep over the
-/// same corpus produce byte-identical JSON (the differential-test
-/// invariant), and so journaled reports stay replayable. Read it via
+/// report's serialized form so sweeps over the same corpus produce
+/// byte-identical JSON however warm their analysis cache was, and so
+/// journaled reports stay replayable. Read it via
 /// [`MeasurementReport::stats`] / render it via
 /// [`MeasurementReport::render_perf`].
 #[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
@@ -504,13 +504,14 @@ impl MeasurementReport {
         let _ = writeln!(s, "{:<26}{:>8} ms", "  corpus sweep", st.sweep_ms);
         let _ = writeln!(s, "{:<26}{:>8} ms", "  environment re-runs", st.env_ms);
         let c = &st.cache;
+        let hit_rate = c.hit_rate().map_or_else(
+            || "hit rate not measured".to_string(),
+            |r| format!("{:.2}% hit rate", r * 100.0),
+        );
         let _ = writeln!(
             s,
-            "  cache: {} hits / {} misses ({:.2}% hit rate), {} unique binaries",
-            c.hits,
-            c.misses,
-            c.hit_rate() * 100.0,
-            c.entries
+            "  cache: {} hits / {} misses ({hit_rate}), {} unique binaries",
+            c.hits, c.misses, c.entries
         );
         let _ = writeln!(
             s,
@@ -1346,6 +1347,18 @@ mod tests {
         assert_eq!(map.get("ic.call_hits"), Some(&7));
         assert_eq!(map.get("watchdog.stragglers"), Some(&2));
         assert_eq!(map.get("flow.deduped"), Some(&0));
+    }
+
+    #[test]
+    fn render_perf_says_when_the_cache_hit_rate_was_not_measured() {
+        // A resume that analysed nothing made no cache lookup.
+        let report = MeasurementReport::new(Vec::new(), Default::default());
+        let perf = report.render_perf();
+        assert!(
+            perf.contains("0 hits / 0 misses (hit rate not measured)"),
+            "{perf}"
+        );
+        assert!(!perf.contains("0.00% hit rate"), "{perf}");
     }
 
     fn metadata(category: usize, downloads: u64) -> AppMetadata {

@@ -1,15 +1,17 @@
 //! Differential tests for the content-addressed analysis cache and the
 //! indexed signature matcher, plus the pinned Table VIII re-run outcome:
-//! the optimizations must not change a single measured byte, and the
-//! cache must analyse each unique intercepted binary exactly once.
+//! the optimizations must not change a single verdict, and the cache
+//! must analyse each unique intercepted binary exactly once.
 
 use dydroid::environment::{config_names, rerun_all, EnvCounts, EnvLoad, EnvOutcome};
 use dydroid::training::reference_detector;
-use dydroid::{Pipeline, PipelineConfig};
+use dydroid::{AnalysisCache, Pipeline, PipelineConfig};
+use dydroid_analysis::acfg::DEFAULT_THRESHOLD;
 use dydroid_analysis::mail::CodeBinary;
+use dydroid_analysis::taint::TaintAnalysis;
 use dydroid_analysis::BinarySig;
 use dydroid_dex::Apk;
-use dydroid_workload::{generate, CorpusSpec};
+use dydroid_workload::{generate, CorpusSpec, SyntheticApp};
 
 /// ~235 apps with every archetype represented, including malware, so the
 /// Table VIII environment re-runs actually trigger.
@@ -20,36 +22,52 @@ fn tiny_corpus() -> Vec<dydroid_workload::SyntheticApp> {
     })
 }
 
-fn cached_config() -> PipelineConfig {
-    PipelineConfig::default()
-}
-
-fn uncached_config() -> PipelineConfig {
-    PipelineConfig {
-        analysis_cache: false,
-        ..PipelineConfig::default()
+/// Calls `f(package, bytes)` for every payload an app of `corpus` could
+/// load: its APK entries, hosted remote resources and planted device
+/// files.
+fn for_each_payload(corpus: &[SyntheticApp], mut f: impl FnMut(&str, &[u8])) {
+    for app in corpus {
+        let apk = Apk::parse(&app.apk).ok();
+        let payloads = apk
+            .iter()
+            .flat_map(Apk::entries)
+            .map(|e| &e.data)
+            .chain(app.remote_resources.iter().map(|(_, _, bytes)| bytes))
+            .chain(app.device_files.iter().map(|(_, _, bytes)| bytes));
+        for bytes in payloads {
+            f(app.package(), bytes);
+        }
     }
 }
 
-/// The tentpole invariant: with the cache on the report JSON is
-/// byte-identical to the uncached sweep.
+/// The cache invariant: for every payload of the scale-0.01 corpus, the
+/// verdict served by one shared cache, warm with every payload walked
+/// before it, equals the verdict of a fresh cold cache, which computes
+/// the lookup.
 #[test]
-fn cached_sweep_report_is_byte_identical_to_uncached() {
-    let corpus = tiny_corpus();
-
-    let cached = Pipeline::new(cached_config()).run(&corpus);
-    let uncached = Pipeline::new(uncached_config()).run(&corpus);
-
-    let cached_json = serde_json::to_string(&cached).expect("serialise cached report");
-    let uncached_json = serde_json::to_string(&uncached).expect("serialise uncached report");
-    assert!(
-        !cached_json.is_empty(),
-        "report serialisation must not be empty"
-    );
-    assert_eq!(
-        cached_json, uncached_json,
-        "the analysis cache changed the measured results"
-    );
+fn warm_cache_verdicts_match_cold_computes_per_payload() {
+    let corpus = generate(&CorpusSpec {
+        scale: 0.01,
+        seed: CorpusSpec::default().seed,
+    });
+    let detector = reference_detector(DEFAULT_THRESHOLD);
+    let taint = TaintAnalysis::new();
+    let shared = AnalysisCache::new();
+    let mut payloads = 0u64;
+    for_each_payload(&corpus, |package, bytes| {
+        let cold = AnalysisCache::new();
+        assert_eq!(
+            shared.analyze(bytes, &detector, &taint),
+            cold.analyze(bytes, &detector, &taint),
+            "{package}: warm and cold verdicts diverge"
+        );
+        assert_eq!(cold.stats().misses, 1, "a cold cache computes its lookup");
+        payloads += 1;
+    });
+    let stats = shared.stats();
+    assert_eq!(stats.hits + stats.misses, payloads);
+    assert!(stats.hits > 0, "no payload was served warm");
+    assert!(stats.sig_builds > 0, "no payload parsed as code");
 }
 
 /// The indexed matcher invariant: for every payload of the scale-0.01
@@ -67,29 +85,19 @@ fn indexed_detector_matches_naive_on_corpus_payloads() {
     let naive = reference_detector(0.9);
 
     let mut matched = 0;
-    for app in &corpus {
-        let apk = Apk::parse(&app.apk).ok();
-        let payloads = apk
-            .iter()
-            .flat_map(Apk::entries)
-            .map(|e| &e.data)
-            .chain(app.remote_resources.iter().map(|(_, _, bytes)| bytes))
-            .chain(app.device_files.iter().map(|(_, _, bytes)| bytes));
-        for bytes in payloads {
-            let Ok(binary) = CodeBinary::from_bytes(bytes) else {
-                continue;
-            };
-            let sig = BinarySig::build(&binary);
-            let verdict = indexed.detect_sig(&sig);
-            assert_eq!(
-                verdict,
-                naive.detect_sig_naive(&sig),
-                "{}: indexed and naive verdicts diverge",
-                app.package()
-            );
-            matched += usize::from(verdict.is_some());
-        }
-    }
+    for_each_payload(&corpus, |package, bytes| {
+        let Ok(binary) = CodeBinary::from_bytes(bytes) else {
+            return;
+        };
+        let sig = BinarySig::build(&binary);
+        let verdict = indexed.detect_sig(&sig);
+        assert_eq!(
+            verdict,
+            naive.detect_sig_naive(&sig),
+            "{package}: indexed and naive verdicts diverge"
+        );
+        matched += usize::from(verdict.is_some());
+    });
     assert!(matched > 0, "no corpus payload matched a trained family");
 
     // The index actually ran (and pruned), while the naive scan
@@ -114,7 +122,7 @@ fn indexed_detector_matches_naive_on_corpus_payloads() {
 #[test]
 fn cache_analyzes_each_unique_binary_exactly_once() {
     let corpus = tiny_corpus();
-    let pipeline = Pipeline::new(cached_config());
+    let pipeline = Pipeline::new(PipelineConfig::default());
 
     let _ = pipeline.run(&corpus);
     let first = pipeline.cache_stats();
@@ -147,22 +155,6 @@ fn cache_analyzes_each_unique_binary_exactly_once() {
     assert_eq!(second.misses, first.misses, "re-sweep must not miss");
     assert!(second.hits > first.hits, "re-sweep lookups must all hit");
     assert_eq!(second.entries, first.entries);
-}
-
-/// The disabled cache recomputes every lookup and stores nothing.
-#[test]
-fn disabled_cache_recomputes_every_lookup() {
-    let corpus = tiny_corpus();
-    let pipeline = Pipeline::new(uncached_config());
-
-    let _ = pipeline.run(&corpus);
-    let stats = pipeline.cache_stats();
-    assert_eq!(stats.hits, 0, "disabled cache must never hit");
-    assert_eq!(stats.entries, 0, "disabled cache must store nothing");
-    assert_eq!(
-        stats.sig_builds, stats.misses,
-        "disabled cache still builds one signature per lookup"
-    );
 }
 
 /// The Table VIII re-runs of the fixed-seed corpus reproduce a pinned

@@ -1,5 +1,5 @@
 //! Golden byte-identity of the durable streams. A scale-0.01 journaled
-//! sweep with provenance and telemetry on must finalize its journal,
+//! sweep with telemetry on must finalize its journal,
 //! provenance ledger and event stream to exactly the committed lengths
 //! and FNV-1a digests, so any change to the JSON codec, the frame
 //! envelope or the CRC that moves a single on-disk byte fails here.
@@ -57,7 +57,6 @@ fn finalized_streams_match_committed_goldens() {
     let config = PipelineConfig {
         workers: 2,
         telemetry: true,
-        provenance: true,
         ..PipelineConfig::default()
     };
     let path: PathBuf =

@@ -452,35 +452,31 @@ fn ledger_is_byte_identical_across_reruns_and_resume() {
 }
 
 /// Provenance graphs feed only the ledger: every table comes from the
-/// app records, so the report is byte-identical whether graphs are off,
-/// on without a ledger (none built), or on with a `provenance_out` ledger.
+/// app records, so the report of a plain run (no ledger, no graph built)
+/// is byte-identical to a journaled run's, whose ledger holds one graph
+/// per app.
 #[test]
 fn report_is_identical_with_and_without_a_ledger() {
     let corpus = generate(&CorpusSpec {
         scale: 0.01,
         ..Default::default()
     });
-    let ledger_path = std::env::temp_dir().join(format!(
-        "dydroid_prov_report_{}.provenance.jsonl",
-        std::process::id()
-    ));
-    let report_json = |provenance: bool, provenance_out: Option<&PathBuf>| {
-        let report = Pipeline::new(PipelineConfig {
-            provenance,
-            provenance_out: provenance_out.map(|p| p.to_string_lossy().into_owned()),
-            ..Default::default()
-        })
-        .run(&corpus);
-        serde_json::to_string(&report).expect("serialise report")
-    };
-    let on = report_json(true, None);
-    let off = report_json(false, None);
-    let ledgered = report_json(true, Some(&ledger_path));
-    let graphs = ProvenanceLedger::new(&ledger_path)
+    let pipeline = || Pipeline::new(PipelineConfig::default());
+    let json = |report| serde_json::to_string(&report).expect("serialise report");
+    let plain = json(pipeline().run(&corpus));
+    let journal = Journal::new(
+        std::env::temp_dir().join(format!("dydroid_prov_report_{}.jsonl", std::process::id())),
+    );
+    journal.reset().expect("reset journal");
+    let journaled = json(
+        pipeline()
+            .run_resumable(&corpus, &journal)
+            .expect("journaled sweep"),
+    );
+    let graphs = ProvenanceLedger::new(journal.provenance_path())
         .load()
         .expect("ledger loads");
-    let _ = std::fs::remove_file(&ledger_path);
+    journal.reset().expect("cleanup");
     assert_eq!(graphs.len(), corpus.len(), "one ledger graph per app");
-    assert_eq!(on, off, "provenance on vs off");
-    assert_eq!(on, ledgered, "no ledger vs provenance_out");
+    assert_eq!(plain, journaled, "plain run vs journaled run");
 }

@@ -10,7 +10,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 
 use dydroid::durable::{read_stream, scan_stream};
 use dydroid::pipeline::{DynamicOutcome, DynamicStatus};
-use dydroid::{AppRecord, IoHarness, Journal, Pipeline, PipelineConfig};
+use dydroid::{
+    AppProvenance, AppRecord, IoHarness, Journal, Pipeline, PipelineConfig, ProvenanceLedger,
+};
 use dydroid_workload::{generate, CorpusSpec, SyntheticApp};
 use proptest::prelude::*;
 
@@ -203,23 +205,24 @@ proptest! {
         let journal = Journal::new(dir.join("sweep.jsonl"));
         journal.reset().unwrap();
 
+        // Every journal segment gets the ledger segment beside it, one
+        // graph per record, as a sweep's shard append writes them.
         let mut expected: Vec<String> = Vec::new();
         let mut seen: HashSet<String> = HashSet::new();
-        {
-            let mut w = journal.writer().unwrap();
-            for id in &base {
-                let pkg = format!("com.app{id}");
-                w.append(&prop_record(&pkg)).unwrap();
-                if seen.insert(pkg.clone()) {
-                    expected.push(pkg);
-                }
-            }
-        }
-        for (k, ids) in shards.iter().enumerate() {
-            let mut w = journal.shard(k).writer().unwrap();
+        let segments = std::iter::once((journal.clone(), journal.provenance_path(), &base)).chain(
+            shards
+                .iter()
+                .enumerate()
+                .map(|(k, ids)| (journal.shard(k), journal.shard_provenance_path(k), ids)),
+        );
+        for (segment, ledger_path, ids) in segments {
+            let mut w = segment.writer().unwrap();
+            let mut lw = ProvenanceLedger::new(ledger_path).writer().unwrap();
             for id in ids {
                 let pkg = format!("com.app{id}");
-                w.append(&prop_record(&pkg)).unwrap();
+                let record = prop_record(&pkg);
+                w.append(&record).unwrap();
+                lw.append(&AppProvenance::from_record(&record)).unwrap();
                 if seen.insert(pkg.clone()) {
                     expected.push(pkg);
                 }
@@ -238,10 +241,8 @@ proptest! {
             prop_assert_eq!(scan.next_seq, ids.len() as u64);
         }
 
-        // Merge through recovery (journal-only segments: no ledger or
-        // event streams in play).
+        // Merge through recovery (no event streams in play).
         let pipeline = Pipeline::new(PipelineConfig {
-            provenance: false,
             telemetry: false,
             environment_reruns: false,
             ..PipelineConfig::default()
