@@ -22,7 +22,7 @@
 //! division, and an exact-1.0 match ends the candidate scan early (no
 //! later sample can *strictly* beat it, which is what best-match
 //! selection requires). The quadratic reference scan survives as
-//! [`MalwareDetector::detect_sig_naive`] for baselines and differential
+//! [`MalwareDetector::detect_sig_naive`], the oracle of the differential
 //! tests; both paths return identical [`FamilyMatch`] verdicts.
 
 use std::collections::hash_map::DefaultHasher;
@@ -485,7 +485,8 @@ impl MalwareDetector {
 
     /// The quadratic reference scan: every trained sample scored with
     /// [`match_fraction`], rebuilding the test pool per sample. Kept as
-    /// the baseline for `detectbench` and the differential tests.
+    /// the oracle of the differential tests (public because the
+    /// workspace-level proptest and cache differential call it).
     pub fn detect_sig_naive(&self, test: &BinarySig) -> Option<FamilyMatch> {
         let mut best: Option<FamilyMatch> = None;
         let mut considered = 0u64;

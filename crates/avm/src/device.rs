@@ -49,7 +49,7 @@ pub struct DeviceConfig {
     pub instrumented: bool,
     /// Run processes on the legacy string-resolving interpreter instead
     /// of the pre-resolved fast path. Outcomes are identical; this knob
-    /// exists as the reference for differential testing and benchmarks.
+    /// exists only as the reference for differential tests.
     pub legacy_interp: bool,
 }
 

@@ -17,9 +17,10 @@
 //! caches for invoke/field/static resolution, pooled register files and
 //! an arena heap — no strings and no hash map on the hot loop. The
 //! **legacy path** (`DeviceConfig::legacy_interp`) is the original
-//! string-resolving interpreter, kept as the reference implementation;
-//! both decrement fuel identically per instruction and produce
-//! bit-identical outcomes, which `tests/avm_differential.rs` enforces.
+//! string-resolving interpreter, kept only as the oracle for
+//! differential tests: no product path or bench runs it. Both decrement
+//! fuel identically per instruction and produce bit-identical outcomes,
+//! which `tests/avm_differential.rs` enforces.
 
 use dydroid_dex::{AccessFlags, Instruction, InvokeKind, Method};
 

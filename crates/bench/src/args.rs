@@ -1,12 +1,12 @@
 //! Shared command-line parsing for the bench binaries.
 //!
-//! Every bench used to hand-roll the same `--scale/--seed/--out` loop
-//! (and its own `--min-*` gate flags) with slightly different error
-//! handling. [`ArgParser`] + [`CommonArgs`] unify that: one flag
-//! vocabulary, one usage/exit-code convention (see [`EXIT_CLEAN`],
-//! [`EXIT_FINDING`], [`EXIT_USAGE`]), one `--help` shape. Bench-specific
-//! flags stay in the binary's own `match` arm, parsed through the same
-//! [`ArgParser::value`] helper.
+//! [`ArgParser`] + [`CommonArgs`] give every bench binary one shared
+//! flag vocabulary (`--scale/--seed/--out`, history and sampling), one
+//! usage/exit-code convention (see [`EXIT_CLEAN`], [`EXIT_FINDING`],
+//! [`EXIT_USAGE`]) and one `--help` shape. Bench-specific flags,
+//! including a bench's own gate (`sweepbench --min-scaling`), stay in
+//! the binary's own `match` arm, parsed through the same
+//! [`ArgParser::value`] helper; an unknown flag is a usage error.
 
 use std::str::FromStr;
 
@@ -95,9 +95,7 @@ impl ArgParser {
     }
 }
 
-/// The flags every bench binary shares. `--min-<gate>` flags are
-/// collected generically into [`CommonArgs::gates`], so each bench only
-/// has to *read* its gate (e.g. `gate("scaling")`), not parse it.
+/// The flags every bench binary shares.
 #[derive(Debug, Clone)]
 pub struct CommonArgs {
     /// Corpus scale (`--scale`).
@@ -114,8 +112,6 @@ pub struct CommonArgs {
     pub samples: usize,
     /// Unrecorded warmup rounds (`--warmup`).
     pub warmup: usize,
-    /// `--min-<name> F` gates, in arrival order.
-    pub gates: Vec<(String, f64)>,
 }
 
 impl CommonArgs {
@@ -128,7 +124,6 @@ impl CommonArgs {
             history: Some(crate::history::DEFAULT_HISTORY.to_string()),
             samples,
             warmup,
-            gates: Vec::new(),
         }
     }
 
@@ -149,26 +144,9 @@ impl CommonArgs {
             }
             "--warmup" => self.warmup = p.value("--warmup", "an integer"),
             "--help" | "-h" => p.help(),
-            min if min.starts_with("--min-") => {
-                let name = min["--min-".len()..].to_string();
-                if name.is_empty() {
-                    p.fail("--min-<gate> needs a gate name");
-                }
-                let value = p.value(min, "a float");
-                self.gates.push((name, value));
-            }
             _ => return false,
         }
         true
-    }
-
-    /// The last value given for gate `name`, if any.
-    pub fn gate(&self, name: &str) -> Option<f64> {
-        self.gates
-            .iter()
-            .rev()
-            .find(|(n, _)| n == name)
-            .map(|(_, v)| *v)
     }
 
     /// Appends the record to the configured history stream (if any),

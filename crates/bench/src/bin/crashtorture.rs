@@ -70,8 +70,11 @@ fn main() {
         common.seed,
         fault_rate
     );
+    // Two workers on every host: the write-op total is a cross-machine
+    // identity, and the worker count shapes the stream shard layout.
     let config = PipelineConfig {
         environment_reruns: false,
+        workers: 2,
         ..Default::default()
     };
     let script = (fault_rate > 0.0).then(|| {

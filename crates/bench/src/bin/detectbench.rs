@@ -1,8 +1,8 @@
 //! rebar-style detection benchmark: trains a synthetic multi-family
-//! detector, then runs the same test set through the **naive quadratic
-//! scan** and the **inverted block index** (sequentially and fanned over
-//! a thread pool), verifies all three produce identical verdicts, and
-//! emits a unified `BENCH_detect.json` measurement record (appended to
+//! detector, then runs the same test set through the inverted block
+//! index the sweep uses, sequentially and fanned over a thread pool (the
+//! way sweep workers share one detector), verifies both produce
+//! identical verdicts, and emits a unified `BENCH_detect.json` measurement record (appended to
 //! `BENCH_history.jsonl`) with the index's pruning counters so future
 //! changes have a regression trajectory. Wall-clock passes are sampled
 //! over several rounds (rebar warmup/sample discipline); the flagged
@@ -20,7 +20,7 @@ use rand_chacha::ChaCha8Rng;
 
 const USAGE: &str = "detectbench [--families N] [--family-samples M] [--tests T] [--blocks B] \
 [--threshold F] [--seed S] [--out PATH] [--samples N] [--warmup N] \
-[--history PATH | --no-history] [--skip-naive]";
+[--history PATH | --no-history]";
 
 /// A family's base signature: variants of one family mutate this shared
 /// block sequence, so intra-family overlap is high and cross-family
@@ -123,7 +123,6 @@ fn main() {
     let mut tests_n = 400usize;
     let mut blocks = 300usize;
     let mut threshold = dydroid_analysis::acfg::DEFAULT_THRESHOLD;
-    let mut skip_naive = false;
     while let Some(arg) = parser.next() {
         if common.accept(&arg, &mut parser) {
             continue;
@@ -134,7 +133,6 @@ fn main() {
             "--tests" => tests_n = parser.value("--tests", "an integer"),
             "--blocks" => blocks = parser.value("--blocks", "an integer"),
             "--threshold" => threshold = parser.value("--threshold", "a float"),
-            "--skip-naive" => skip_naive = true,
             other => parser.fail(&format!("unknown argument {other:?}")),
         }
     }
@@ -247,7 +245,7 @@ fn main() {
         "fully_scored": stats.fully_scored,
         "early_exits": stats.early_exits,
     });
-    let mut payload = serde_json::json!({
+    record.payload = serde_json::json!({
         "families": families,
         "samples_per_family": family_samples,
         "blocks_per_sample": blocks,
@@ -259,57 +257,6 @@ fn main() {
         "parallel_ms": parallel_med,
         "counters": counters,
     });
-
-    if !skip_naive {
-        eprintln!(
-            "detectbench: naive quadratic pass ({} warmup + {} sample rounds) ...",
-            common.warmup, common.samples
-        );
-        let mut naive_verdicts: Option<Vec<Option<FamilyMatch>>> = None;
-        let naive_ms = sample_rounds(common.samples, common.warmup, || {
-            let (verdicts, ms) = timed_pass(&tests, |t| detector.detect_sig_naive(t));
-            naive_verdicts = Some(verdicts);
-            ms
-        });
-        // The index must not change a single verdict bit.
-        if !verdicts_identical(&indexed, &naive_verdicts.expect("naive rounds")) {
-            eprintln!("detectbench: FAIL — indexed and naive verdicts differ");
-            std::process::exit(EXIT_FINDING);
-        }
-        eprintln!("detectbench: verdicts identical across all passes");
-        let naive_med = Stats::from_samples(&naive_ms).median;
-        let speedup = if indexed_med == 0.0 {
-            naive_med
-        } else {
-            naive_med / indexed_med
-        };
-        let parallel_speedup = if parallel_med == 0.0 {
-            naive_med
-        } else {
-            naive_med / parallel_med
-        };
-        eprintln!(
-            "detectbench: naive {naive_med:.1} ms -> indexed {indexed_med:.1} ms ({speedup:.2}x), \
-parallel {parallel_med:.1} ms ({parallel_speedup:.2}x)"
-        );
-        record.push_metric("naive_wall_ms", "ms", Direction::Lower, false, naive_ms);
-        record.push_metric(
-            "index_speedup",
-            "ratio",
-            Direction::Higher,
-            false,
-            vec![speedup],
-        );
-        if let serde_json::Value::Object(map) = &mut payload {
-            map.push(("naive_ms".to_string(), serde_json::json!(naive_med)));
-            map.push(("speedup".to_string(), serde_json::json!(speedup)));
-            map.push((
-                "parallel_speedup".to_string(),
-                serde_json::json!(parallel_speedup),
-            ));
-        }
-    }
-    record.payload = payload;
 
     record
         .write_pretty(&common.out)

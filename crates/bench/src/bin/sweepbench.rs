@@ -105,11 +105,13 @@ fn main() {
     let mut common = CommonArgs::for_bench("BENCH_sweep.json", 3, 1);
     common.scale = 0.01;
     let mut max_workers = 4usize;
+    let mut min_scaling: Option<f64> = None;
     while let Some(arg) = parser.next() {
         if common.accept(&arg, &mut parser) {
             continue;
         }
         match arg.as_str() {
+            "--min-scaling" => min_scaling = Some(parser.value("--min-scaling", "a float")),
             "--max-workers" => {
                 max_workers = parser.value("--max-workers", "an integer >= 1");
                 if max_workers == 0 {
@@ -296,7 +298,7 @@ fn main() {
     eprintln!("sweepbench: wrote {}", common.out);
     common.append_history("sweepbench", &record);
 
-    if let Some(min_scaling) = common.gate("scaling") {
+    if let Some(min_scaling) = min_scaling {
         if final_scaling < min_scaling {
             eprintln!(
                 "sweepbench: FAIL — scaling {final_scaling:.2}x at {max_workers} workers below \

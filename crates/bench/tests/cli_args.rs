@@ -1,5 +1,6 @@
-//! Bad command lines to `tables` and `corpusgen` are usage errors: exit
-//! code 2, nothing on stdout, and no corpus generated or written.
+//! Bad command lines to `tables`, `corpusgen` and the bench binaries are
+//! usage errors: exit code 2, nothing on stdout, and no corpus generated
+//! or written.
 
 use std::path::PathBuf;
 use std::process::Command;
@@ -50,4 +51,12 @@ fn corpusgen_rejects_bad_scale_and_seed() {
     assert_usage_error(corpusgen, &[dir_arg, "--seed", "xyz"]);
     assert_usage_error(corpusgen, &["--scale", "0.01"]);
     assert!(!dir.exists(), "a rejected command line wrote {dir:?}");
+}
+
+/// A bench reads only the gates it names; a `--min-*` flag it does not
+/// know is a typo or a retired gate, never a silent no-op.
+#[test]
+fn benches_reject_gates_they_do_not_read() {
+    assert_usage_error(env!("CARGO_BIN_EXE_detectbench"), &["--min-bogus", "1"]);
+    assert_usage_error(env!("CARGO_BIN_EXE_avmbench"), &["--min-speedup", "3"]);
 }

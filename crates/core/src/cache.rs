@@ -180,86 +180,9 @@ impl AnalysisCache {
         Arc::clone(verdict)
     }
 
-    /// Analyses a batch of intercepted binaries, resolving cache misses
-    /// in parallel: when at least two **distinct uncached** contents are
-    /// present, the per-item lookups fan out over a scoped crossbeam
-    /// pool (bounded by `workers`) so the expensive computes — signature
-    /// build, indexed malware matching, taint — overlap instead of
-    /// queueing. Otherwise the batch is served inline: spawning threads
-    /// to serve cache hits would cost more than the lookups.
-    ///
-    /// Each item still goes through [`AnalysisCache::analyze`] exactly
-    /// once, so hit/miss counters and the exactly-once invariant are
-    /// identical to the sequential path, and results come back in input
-    /// order.
-    pub fn analyze_batch(
-        &self,
-        items: &[&[u8]],
-        detector: &MalwareDetector,
-        taint: &TaintAnalysis,
-        workers: usize,
-    ) -> Vec<Arc<BinaryVerdict>> {
-        let fan_out = workers.min(items.len());
-        if fan_out > 1 && self.uncached_distinct(items) > 1 {
-            let slots: Vec<OnceLock<Arc<BinaryVerdict>>> =
-                (0..items.len()).map(|_| OnceLock::new()).collect();
-            let next = AtomicU64::new(0);
-            let scope_result = crossbeam::thread::scope(|scope| {
-                for _ in 0..fan_out {
-                    scope.spawn(|_| loop {
-                        let i = next.fetch_add(1, Ordering::Relaxed) as usize;
-                        if i >= items.len() {
-                            break;
-                        }
-                        let _ = slots[i].set(self.analyze(items[i], detector, taint));
-                    });
-                }
-            });
-            if scope_result.is_err() {
-                eprintln!("dydroid: a batch-analysis thread panicked; finishing inline");
-            }
-            // A panicked worker leaves empty slots behind; fill them on
-            // the calling thread (the cache dedups any repeat work).
-            slots
-                .into_iter()
-                .enumerate()
-                .map(|(i, slot)| {
-                    slot.into_inner()
-                        .unwrap_or_else(|| self.analyze(items[i], detector, taint))
-                })
-                .collect()
-        } else {
-            items
-                .iter()
-                .map(|data| self.analyze(data, detector, taint))
-                .collect()
-        }
-    }
-
     /// The shard holding `key`.
     fn shard(&self, key: u64) -> &Shard {
         &self.shards[(key as usize) & (self.shards.len() - 1)]
-    }
-
-    /// How many distinct contents of `items` have no completed cache
-    /// entry yet.
-    fn uncached_distinct(&self, items: &[&[u8]]) -> usize {
-        let mut seen = std::collections::HashSet::new();
-        let mut missing = 0;
-        for data in items {
-            let key = content_hash(data);
-            if !seen.insert(key) {
-                continue;
-            }
-            let map = self
-                .shard(key)
-                .lock()
-                .unwrap_or_else(std::sync::PoisonError::into_inner);
-            if map.get(&key).and_then(|cell| cell.get()).is_none() {
-                missing += 1;
-            }
-        }
-        missing
     }
 
     fn compute(
@@ -407,15 +330,16 @@ mod tests {
     }
 
     #[test]
-    fn batch_preserves_order_and_counters() {
+    fn mixed_lookups_count_one_per_item() {
         let cache = AnalysisCache::with_shards(4);
         let (detector, taint) = fixtures();
         let dex = DexFile::new().to_bytes();
         let lib = NativeLibrary::new("l.so", Arch::Arm).to_bytes();
         let junk = b"junk".to_vec();
-        let items: Vec<&[u8]> = vec![&dex, &lib, &junk, &dex];
-        let verdicts = cache.analyze_batch(&items, &detector, &taint, 8);
-        assert_eq!(verdicts.len(), 4);
+        let verdicts: Vec<_> = [&dex, &lib, &junk, &dex]
+            .into_iter()
+            .map(|data| cache.analyze(data, &detector, &taint))
+            .collect();
         assert_eq!(verdicts[0], verdicts[3], "same content, same verdict");
         assert_eq!(*verdicts[2], BinaryVerdict::Unparsable);
         assert!(matches!(
@@ -423,26 +347,11 @@ mod tests {
             BinaryVerdict::Parsed { native: true, .. }
         ));
         let stats = cache.stats();
-        // One analyze per item: 3 unique misses + 1 duplicate hit,
-        // exactly what the sequential path would count.
+        // 3 unique misses + 1 duplicate hit.
         assert_eq!(stats.misses, 3);
         assert_eq!(stats.hits, 1);
         assert_eq!(stats.entries, 3);
         assert_eq!(stats.sig_builds, 2, "junk never builds a signature");
-    }
-
-    #[test]
-    fn warm_batch_serves_inline() {
-        let cache = AnalysisCache::with_shards(4);
-        let (detector, taint) = fixtures();
-        let dex = DexFile::new().to_bytes();
-        cache.analyze(&dex, &detector, &taint);
-        let items: Vec<&[u8]> = vec![&dex, &dex];
-        assert_eq!(cache.uncached_distinct(&items), 0);
-        let verdicts = cache.analyze_batch(&items, &detector, &taint, 8);
-        assert_eq!(verdicts[0], verdicts[1]);
-        let stats = cache.stats();
-        assert_eq!((stats.misses, stats.hits), (1, 2));
     }
 
     #[test]

@@ -25,10 +25,11 @@ pub const MAX_EVENTS_PER_APP: usize = 65_536;
 pub const QUARANTINE_THRESHOLD: u32 = 3;
 
 /// Virtual-clock interval between metrics snapshots on journaled
-/// telemetry runs: every time `monkey.virtual_us` advances this many
-/// microseconds, the full metrics registry goes to the live event
-/// stream as one `{"type":"metrics"}` line (~44 virtual µs per app at
-/// the default corpus mix → a snapshot every few dozen apps).
+/// telemetry runs: every time the summed virtual cost of the apps the
+/// collector has received crosses a multiple of this many microseconds,
+/// the full metrics registry goes to the live event stream as one
+/// `{"type":"metrics"}` line (~44 virtual µs per app at the default
+/// corpus mix → a snapshot every few dozen apps).
 pub const METRICS_INTERVAL_US: u64 = 1_000;
 
 /// Straggler threshold: the watchdog flags a dynamic-phase app whose

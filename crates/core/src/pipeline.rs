@@ -1672,9 +1672,7 @@ impl Pipeline {
         // Static analysis of intercepted binaries: each path analysed
         // once per app however many times it was loaded, and — through
         // the content-addressed cache — each unique byte content
-        // analysed once per *sweep* however many apps load it. The
-        // batch hands cold payloads to a small worker fan-out so their
-        // detections (the indexed matcher) resolve in parallel.
+        // analysed once per *sweep* however many apps load it.
         let mut seen_paths: HashSet<&str> = HashSet::new();
         let unique: Vec<_> = device
             .hooks
@@ -1682,7 +1680,6 @@ impl Pipeline {
             .iter()
             .filter(|binary| seen_paths.insert(binary.path.as_str()))
             .collect();
-        let contents: Vec<&[u8]> = unique.iter().map(|b| b.data.as_slice()).collect();
         let taint = TaintAnalysis::new();
         let mut analysis_span = self
             .telemetry
@@ -1691,12 +1688,10 @@ impl Pipeline {
         let marks = analysis_span
             .is_recording()
             .then(|| (self.cache.stats(), self.detector.stats()));
-        let verdicts = self.cache.analyze_batch(
-            &contents,
-            &self.detector,
-            &taint,
-            self.config.effective_workers().min(BATCH_ANALYSIS_WORKERS),
-        );
+        let verdicts: Vec<_> = unique
+            .iter()
+            .map(|binary| self.cache.analyze(&binary.data, &self.detector, &taint))
+            .collect();
         if let Some((cache_mark, detector_mark)) = marks {
             let cache_delta = self.cache.stats().since(&cache_mark);
             let detector_delta = self.detector.stats().since(&detector_mark);
@@ -1918,9 +1913,10 @@ struct SweepPerf {
 /// path stays a single branch per app.
 #[derive(Debug)]
 struct Observatory {
-    /// `monkey.virtual_us` at the last metrics snapshot; `None` on a
-    /// plain run, which keeps no event stream for snapshots to join.
-    last_snapshot_us: Option<AtomicU64>,
+    /// Summed virtual cost of the apps collected so far, the clock the
+    /// metrics snapshots follow; `None` on a plain run, which keeps no
+    /// event stream for snapshots to join.
+    collected_us: Option<AtomicU64>,
     watchdog: Mutex<Watchdog>,
     /// Flagged stragglers paired with their app span ids, so assemble
     /// can fill per-phase breakdowns from the spans' children.
@@ -1930,10 +1926,8 @@ struct Observatory {
 impl Observatory {
     /// Builds the rig for one run; `None` when telemetry is off.
     fn open(pipeline: &Pipeline, journaled: bool) -> Option<Observatory> {
-        let telemetry = &pipeline.telemetry;
-        telemetry.is_enabled().then(|| Observatory {
-            last_snapshot_us: journaled
-                .then(|| AtomicU64::new(telemetry.counter_value("monkey.virtual_us"))),
+        pipeline.telemetry.is_enabled().then(|| Observatory {
+            collected_us: journaled.then(AtomicU64::default),
             watchdog: Mutex::default(),
             stragglers: Mutex::default(),
         })
@@ -1941,8 +1935,11 @@ impl Observatory {
 
     /// Collector hook, once per completed app: feeds the watchdog the
     /// app's deterministic virtual cost (static-only apps charge none
-    /// and are not observations) and emits a metrics snapshot line when
-    /// the virtual clock has advanced [`METRICS_INTERVAL_US`].
+    /// and are not observations) and emits one metrics snapshot line per
+    /// [`METRICS_INTERVAL_US`] boundary its cost carries the collected
+    /// clock across. The clock sums collected apps only (workers run
+    /// ahead of the collector), so the line count depends on the
+    /// session's apps, not on the order they complete in.
     fn on_app_done(&self, pipeline: &Pipeline, package: &str, span_id: u64, virtual_us: u64) {
         if virtual_us > 0 {
             let flagged = self
@@ -1970,11 +1967,14 @@ impl Observatory {
                 }
             }
         }
-        if let Some(last) = &self.last_snapshot_us {
-            let now = pipeline.telemetry.counter_value("monkey.virtual_us");
-            if now.saturating_sub(last.load(Ordering::Relaxed)) >= METRICS_INTERVAL_US {
-                last.store(now, Ordering::Relaxed);
-                pipeline.telemetry.emit_metrics(now);
+        if let Some(clock) = &self.collected_us {
+            let before = clock.fetch_add(virtual_us, Ordering::Relaxed);
+            let crossed =
+                before / METRICS_INTERVAL_US + 1..=(before + virtual_us) / METRICS_INTERVAL_US;
+            for boundary in crossed {
+                pipeline
+                    .telemetry
+                    .emit_metrics(boundary * METRICS_INTERVAL_US);
             }
         }
     }
@@ -1983,9 +1983,10 @@ impl Observatory {
     /// full registry until finalize rewrites it (or for good, when the
     /// run dies first).
     fn finish(&self, pipeline: &Pipeline) {
-        if self.last_snapshot_us.is_some() {
-            let now = pipeline.telemetry.counter_value("monkey.virtual_us");
-            pipeline.telemetry.emit_metrics(now);
+        if let Some(clock) = &self.collected_us {
+            pipeline
+                .telemetry
+                .emit_metrics(clock.load(Ordering::Relaxed));
         }
     }
 
@@ -2005,12 +2006,6 @@ impl Observatory {
 /// Manifest-entry ceiling of the resource-sanity guard (permissions +
 /// components); real store apps sit orders of magnitude below this.
 pub const MANIFEST_SANITY_LIMIT: usize = 4_096;
-
-/// Per-app ceiling on the batch-analysis fan-out. Each sweep worker may
-/// open its own batch, so this stays small to bound transient
-/// oversubscription; the fan-out only happens when an app produced at
-/// least two distinct cold payloads.
-pub const BATCH_ANALYSIS_WORKERS: usize = 4;
 
 /// Mixed into the Monkey seed on reseeded retry attempts.
 const RETRY_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
@@ -2242,6 +2237,57 @@ mod tests {
         }
         drop(shards);
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Workers charge `monkey.virtual_us` ahead of the collector, so
+    /// the snapshot count must follow the collected costs alone: the
+    /// same apps in two completion orders, one with every cost charged
+    /// before the first app is collected, write the same lines.
+    #[test]
+    fn metrics_snapshot_count_ignores_completion_order() {
+        let costs = [700u64, 700, 700, 2_600, 300];
+        let snapshot_lines = |order: &[u64], charged_ahead: bool| {
+            let pipeline = Pipeline::new(PipelineConfig::default());
+            let path = std::env::temp_dir().join(format!(
+                "dydroid_snapshot_order_{}_{charged_ahead}.events.jsonl",
+                std::process::id()
+            ));
+            let _ = std::fs::remove_file(&path);
+            pipeline
+                .telemetry
+                .set_event_sink(&path)
+                .expect("open event sink");
+            let obs = Observatory::open(&pipeline, true).expect("telemetry is on");
+            if charged_ahead {
+                for &cost in order {
+                    pipeline.telemetry.counter_add("monkey.virtual_us", cost);
+                }
+            }
+            for &cost in order {
+                if !charged_ahead {
+                    pipeline.telemetry.counter_add("monkey.virtual_us", cost);
+                }
+                obs.on_app_done(&pipeline, "app", 0, cost);
+            }
+            drop(pipeline);
+            let bytes = crate::durable::read_stream(&path)
+                .expect("read events")
+                .expect("event stream exists");
+            let _ = std::fs::remove_file(&path);
+            crate::durable::scan_stream(&bytes)
+                .bodies
+                .iter()
+                .filter(|body| body.contains(r#""type":"metrics""#))
+                .count()
+        };
+        let reversed: Vec<u64> = costs.iter().rev().copied().collect();
+        let in_order = snapshot_lines(&costs, false);
+        assert_eq!(
+            in_order as u64,
+            costs.iter().sum::<u64>() / METRICS_INTERVAL_US,
+            "one line per interval boundary crossed"
+        );
+        assert_eq!(snapshot_lines(&reversed, true), in_order);
     }
 
     #[test]
