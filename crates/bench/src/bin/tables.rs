@@ -249,7 +249,7 @@ fn main() {
         // One serialization path for all perf facts: the stats struct
         // (excluded from report JSON) plus the raw metrics snapshot.
         let perf = serde_json::json!({
-            "stats": report.stats(),
+            "stats": report.stats().perf_json(),
             "metrics": pipeline.metrics_snapshot(),
         });
         let mut f = std::fs::File::create(&path).expect("create perf json output");

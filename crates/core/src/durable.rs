@@ -32,7 +32,7 @@
 
 use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
-use std::io::{self, Write};
+use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
@@ -89,6 +89,13 @@ impl fmt::Display for FrameDefect {
 /// The body must be single-line JSON; the envelope embeds it verbatim so
 /// the frame itself stays valid JSON.
 fn push_frame(out: &mut String, seq: u64, body: &str) {
+    push_header(out, seq, body);
+    out.push_str(body);
+    out.push_str(FRAME_END);
+}
+
+/// Appends the envelope of `body`'s frame up to where the body starts.
+fn push_header(out: &mut String, seq: u64, body: &str) {
     debug_assert!(!body.contains('\n'), "frame bodies must be single-line");
     let _ = write!(
         out,
@@ -96,9 +103,10 @@ fn push_frame(out: &mut String, seq: u64, body: &str) {
         len = body.len(),
         crc = crc32(body.as_bytes()),
     );
-    out.push_str(body);
-    out.push_str("}\n");
 }
+
+/// What closes a frame after its body.
+const FRAME_END: &str = "}\n";
 
 /// Encodes one body line into a framed record line (with trailing `\n`).
 pub fn encode_frame(seq: u64, body: &str) -> String {
@@ -112,20 +120,6 @@ pub fn encode_frames(start_seq: u64, bodies: &[String]) -> String {
     let mut out = String::new();
     for (seq, body) in (start_seq..).zip(bodies) {
         push_frame(&mut out, seq, body);
-    }
-    out
-}
-
-/// Encodes `records` as consecutive frames from sequence 0 into one
-/// buffer: each body is written once into a reused scratch string, then
-/// its header and the body are appended.
-pub(crate) fn encode_records<T: Serialize>(records: &[T]) -> String {
-    let mut out = String::new();
-    let mut body = String::new();
-    for (seq, record) in (0..).zip(records) {
-        body.clear();
-        record.write_json(&mut body);
-        push_frame(&mut out, seq, &body);
     }
     out
 }
@@ -844,60 +838,211 @@ impl FramedWriter {
 // Atomic finalize
 // ---------------------------------------------------------------------------
 
-/// Atomically replaces `path` with `text` (its framed records): writes
-/// and syncs a temp file beside the target, renames it into place and
-/// syncs the directory, so a crash, power loss or fault at any boundary
+/// Atomically replaces `path` with the framed records `frames` writes,
+/// numbered from sequence 0: the frames stream into a temp file beside
+/// the target, which is synced, renamed into place and made durable by a
+/// directory sync, so a crash, power loss or fault at any boundary
 /// leaves either the old bytes or the new bytes — never a blend. Routed
-/// through `harness` when present as one op (a crashed harness freezes
-/// the old file; an injected fault aborts the rewrite with the old file
-/// intact).
+/// through `harness` when present as one op, decided before any byte is
+/// written (a crashed harness freezes the old file; an injected error
+/// fault aborts the rewrite with the old file intact and no temp file).
+/// Returns where the new frames end, or `None` when a crashed harness
+/// swallowed the replace.
+///
+/// # Errors
+///
+/// Returns injected faults and write, sync and rename errors.
 pub fn atomic_replace(
     path: &Path,
-    mut text: String,
     harness: Option<&Arc<IoHarness>>,
-) -> io::Result<()> {
-    if let Some(h) = harness {
-        let op = h.next_op();
-        if h.crashed() {
-            return Ok(());
-        }
-        if op == h.crash_at {
-            h.crashed.store(true, Ordering::Relaxed);
-            return Ok(());
-        }
-        match h.fault(op) {
-            None => {}
-            Some(IoFaultKind::BitFlip) => {
+    frames: impl FnOnce(&mut FrameOut) -> io::Result<()>,
+) -> io::Result<Option<StreamEnd>> {
+    let Some(replacement) = Replacement::begin(path, harness)? else {
+        return Ok(None);
+    };
+    let end = replacement.write(frames)?;
+    replacement.commit()?;
+    sync_dir(path)?;
+    Ok(Some(end))
+}
+
+/// The frame producer's end of an [`atomic_replace`]: each body is
+/// encoded into one reused scratch string and its frame goes out through
+/// a buffered writer, so a rewrite holds one frame, never the stream.
+#[derive(Debug)]
+pub struct FrameOut {
+    out: BufWriter<File>,
+    body: String,
+    head: String,
+    end: StreamEnd,
+}
+
+impl FrameOut {
+    /// Frames the single-line JSON body `encode` writes as the next
+    /// record.
+    ///
+    /// # Errors
+    ///
+    /// Returns write errors.
+    pub fn push(&mut self, encode: impl FnOnce(&mut String)) -> io::Result<()> {
+        self.body.clear();
+        encode(&mut self.body);
+        self.head.clear();
+        push_header(&mut self.head, self.end.next_seq, &self.body);
+        self.out.write_all(self.head.as_bytes())?;
+        self.out.write_all(self.body.as_bytes())?;
+        self.out.write_all(FRAME_END.as_bytes())?;
+        self.end.next_seq += 1;
+        self.end.valid_len += (self.head.len() + self.body.len() + FRAME_END.len()) as u64;
+        Ok(())
+    }
+
+    /// Frames `record`'s JSON as the next record.
+    ///
+    /// # Errors
+    ///
+    /// Returns write errors.
+    pub fn push_record<T: Serialize + ?Sized>(&mut self, record: &T) -> io::Result<()> {
+        self.push(|body| record.write_json(body))
+    }
+}
+
+/// One atomic replace under way: [`Replacement::begin`] takes its harness
+/// op, [`Replacement::write`] fills the temp file beside the target and
+/// [`Replacement::commit`] renames it into place. Split so a caller can
+/// write several temp files at once and still commit them in a fixed
+/// order, with one [`sync_dir`] after the renames of a directory.
+#[derive(Debug)]
+pub(crate) struct Replacement {
+    path: PathBuf,
+    tmp: PathBuf,
+    /// Parameter of an injected bit flip: bit `flip % (len * 8)` of the
+    /// written temp file is inverted before it is synced.
+    flip: Option<u64>,
+}
+
+impl Replacement {
+    /// Takes the replace's one harness op and decides its fault before
+    /// any byte is written. `Ok(None)` when the harness has crashed, at
+    /// this op or before: the target keeps its old bytes.
+    ///
+    /// # Errors
+    ///
+    /// Returns the injected transient or disk-full fault.
+    pub(crate) fn begin(
+        path: &Path,
+        harness: Option<&Arc<IoHarness>>,
+    ) -> io::Result<Option<Replacement>> {
+        let mut flip = None;
+        if let Some(h) = harness {
+            let op = h.next_op();
+            if h.crashed() {
+                return Ok(None);
+            }
+            if op == h.crash_at {
+                h.crashed.store(true, Ordering::Relaxed);
+                return Ok(None);
+            }
+            match h.fault(op) {
+                None => {}
                 // The replacement file lands corrupted; recovery on the
                 // next run drops the damaged suffix.
-                let mut bytes = text.into_bytes();
-                if !bytes.is_empty() {
-                    let bit = (h.param(op) as usize) % (bytes.len() * 8);
-                    bytes[bit / 8] ^= 1 << (bit % 8);
+                Some(IoFaultKind::BitFlip) => flip = Some(h.param(op)),
+                Some(IoFaultKind::ShortWrite | IoFaultKind::Transient) => {
+                    return Err(transient_error());
                 }
-                text = String::from_utf8(bytes)
-                    .unwrap_or_else(|e| String::from_utf8_lossy(e.as_bytes()).into_owned());
+                Some(IoFaultKind::DiskFull) => return Err(disk_full_error()),
             }
-            Some(IoFaultKind::ShortWrite | IoFaultKind::Transient) => {
-                return Err(transient_error());
-            }
-            Some(IoFaultKind::DiskFull) => return Err(disk_full_error()),
         }
+        Ok(Some(Replacement {
+            path: path.to_path_buf(),
+            tmp: temp_file_for(path),
+            flip,
+        }))
     }
-    let dir = match path.parent() {
-        Some(parent) if !parent.as_os_str().is_empty() => {
-            std::fs::create_dir_all(parent)?;
-            parent
+
+    /// Streams the frames `frames` writes into the temp file and syncs
+    /// it; returns where they end. A failed write removes the temp file.
+    ///
+    /// # Errors
+    ///
+    /// Returns the producer's and the file's write and sync errors.
+    pub(crate) fn write(
+        &self,
+        frames: impl FnOnce(&mut FrameOut) -> io::Result<()>,
+    ) -> io::Result<StreamEnd> {
+        let written = self.write_tmp(frames);
+        if written.is_err() {
+            let _ = remove_if_exists(&self.tmp);
         }
+        written
+    }
+
+    fn write_tmp(
+        &self,
+        frames: impl FnOnce(&mut FrameOut) -> io::Result<()>,
+    ) -> io::Result<StreamEnd> {
+        std::fs::create_dir_all(dir_of(&self.path))?;
+        let file = OpenOptions::new()
+            .read(true)
+            .write(true)
+            .create(true)
+            .truncate(true)
+            .open(&self.tmp)?;
+        let mut out = FrameOut {
+            out: BufWriter::with_capacity(REPLACE_BUFFER, file),
+            body: String::new(),
+            head: String::new(),
+            end: StreamEnd::default(),
+        };
+        frames(&mut out)?;
+        let end = out.end;
+        let mut file = out.out.into_inner().map_err(|e| e.into_error())?;
+        if let Some(param) = self.flip.filter(|_| end.valid_len > 0) {
+            let bit = param % (end.valid_len * 8);
+            let mut byte = [0u8];
+            file.seek(SeekFrom::Start(bit / 8))?;
+            file.read_exact(&mut byte)?;
+            byte[0] ^= 1 << (bit % 8);
+            file.seek(SeekFrom::Start(bit / 8))?;
+            file.write_all(&byte)?;
+        }
+        file.sync_all()?;
+        Ok(end)
+    }
+
+    /// Renames the written temp file over the target. The rename is
+    /// durable once [`sync_dir`] has run on the target's directory.
+    ///
+    /// # Errors
+    ///
+    /// Returns the rename error (the temp file is removed).
+    pub(crate) fn commit(self) -> io::Result<()> {
+        std::fs::rename(&self.tmp, &self.path).inspect_err(|_| {
+            let _ = remove_if_exists(&self.tmp);
+        })
+    }
+}
+
+/// Bytes a [`FrameOut`] buffers between writes to its temp file.
+const REPLACE_BUFFER: usize = 1 << 16;
+
+/// Syncs the directory holding `path`, so renames into it survive a
+/// power loss.
+///
+/// # Errors
+///
+/// Returns the open or sync error.
+pub(crate) fn sync_dir(path: &Path) -> io::Result<()> {
+    File::open(dir_of(path))?.sync_all()
+}
+
+/// The directory `path` lives in (`.` for a bare file name).
+fn dir_of(path: &Path) -> &Path {
+    match path.parent() {
+        Some(parent) if !parent.as_os_str().is_empty() => parent,
         _ => Path::new("."),
-    };
-    let tmp = temp_file_for(path);
-    let mut file = File::create(&tmp)?;
-    file.write_all(text.as_bytes())?;
-    file.sync_all()?;
-    drop(file);
-    std::fs::rename(&tmp, path)?;
-    File::open(dir)?.sync_all()
+    }
 }
 
 /// The temp file [`atomic_replace`] writes beside `path`: its whole file
@@ -1011,14 +1156,12 @@ impl<T: Record> RecordFile<T> {
     /// # Errors
     ///
     /// Returns write errors.
-    pub fn rewrite(&self, records: &[T]) -> io::Result<StreamEnd> {
-        let text = encode_records(records);
-        let end = StreamEnd {
-            next_seq: records.len() as u64,
-            valid_len: text.len() as u64,
-        };
-        atomic_replace(&self.path, text, None)?;
-        Ok(end)
+    pub fn rewrite<'a>(&self, records: impl IntoIterator<Item = &'a T>) -> io::Result<StreamEnd>
+    where
+        T: 'a,
+    {
+        // Only a crashed harness swallows a replace, and there is none.
+        Ok(self.replace_with(records, None)?.unwrap_or_default())
     }
 
     /// Atomically replaces the file with `records` in the given (corpus)
@@ -1032,22 +1175,22 @@ impl<T: Record> RecordFile<T> {
     ///
     /// Returns write errors.
     pub fn finalize_with(&self, records: &[T], harness: Option<&Arc<IoHarness>>) -> io::Result<()> {
-        self.replace(encode_records(records), harness)
+        self.replace_with(records, harness).map(drop)
     }
 
-    /// Atomically replaces the file with `frames`, the
-    /// [`encode_records`] text of its records, routed through `harness`
-    /// like [`RecordFile::finalize_with`].
-    ///
-    /// # Errors
-    ///
-    /// Returns write errors.
-    pub(crate) fn replace(
+    fn replace_with<'a>(
         &self,
-        frames: String,
+        records: impl IntoIterator<Item = &'a T>,
         harness: Option<&Arc<IoHarness>>,
-    ) -> io::Result<()> {
-        atomic_replace(&self.path, frames, harness)
+    ) -> io::Result<Option<StreamEnd>>
+    where
+        T: 'a,
+    {
+        atomic_replace(&self.path, harness, |out| {
+            records
+                .into_iter()
+                .try_for_each(|record| out.push_record(record))
+        })
     }
 
     /// Valid leading records plus the number of frames/lines dropped
@@ -1174,7 +1317,7 @@ impl<T: Record> RecordWriter<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use dydroid_workload::faults::IoFaultSpec;
+    use dydroid_workload::faults::{IoFaultKind, IoFaultSpec};
 
     fn temp_path(tag: &str) -> std::path::PathBuf {
         std::env::temp_dir().join(format!(
@@ -1470,28 +1613,240 @@ mod tests {
         assert!(!state.take_retry());
     }
 
+    /// Replaces `path` with frames of `bodies` through the streamed path.
+    fn replace_bodies(
+        path: &Path,
+        bodies: &[String],
+        harness: Option<&Arc<IoHarness>>,
+    ) -> io::Result<Option<StreamEnd>> {
+        atomic_replace(path, harness, |out| {
+            bodies
+                .iter()
+                .try_for_each(|b| out.push(|body| body.push_str(b)))
+        })
+    }
+
+    fn bodies(n: usize) -> Vec<String> {
+        (0..n)
+            .map(|i| format!("{{\"package\":\"com.app{i}\",\"n\":{i}}}"))
+            .collect()
+    }
+
+    /// A harness whose op clock stands at `op`, faulting every op from
+    /// an all-faults script (rate 1.0).
+    fn harness_at(op: u64, crash_at: Option<u64>) -> Arc<IoHarness> {
+        let h = IoHarness::new(
+            crash_at,
+            Some(IoFaultScript::new(IoFaultSpec { rate: 1.0, seed: 3 })),
+        );
+        h.ops.store(op, Ordering::Relaxed);
+        h
+    }
+
+    /// The first ops at or after `from` whose scripted fault is `kind`.
+    fn ops_with(kind: IoFaultKind, from: u64, count: usize) -> Vec<u64> {
+        let h = harness_at(0, None);
+        (from..)
+            .filter(|&op| h.fault(op) == Some(kind))
+            .take(count)
+            .collect()
+    }
+
     #[test]
     fn atomic_write_replaces_or_preserves_never_blends() {
         let path = temp_path("atomic");
         let _ = std::fs::remove_file(&path);
         let old = vec!["{\"v\":1}".to_string()];
-        atomic_replace(&path, encode_frames(0, &old), None).unwrap();
+        replace_bodies(&path, &old, None).unwrap();
         let old_bytes = std::fs::read(&path).unwrap();
 
         // A crash scheduled on the rewrite op leaves the old bytes.
         let harness = IoHarness::new(Some(0), None);
         let new = vec!["{\"v\":2}".to_string(), "{\"v\":3}".to_string()];
-        atomic_replace(&path, encode_frames(0, &new), Some(&harness)).unwrap();
+        assert_eq!(replace_bodies(&path, &new, Some(&harness)).unwrap(), None);
         assert!(harness.crashed());
         assert_eq!(std::fs::read(&path).unwrap(), old_bytes);
 
         // Fault-free rewrite replaces the content wholesale.
-        atomic_replace(&path, encode_frames(0, &new), None).unwrap();
+        replace_bodies(&path, &new, None).unwrap();
         let bytes = std::fs::read(&path).expect("file exists");
         let scan = scan_stream(&bytes);
         assert!(scan.is_clean());
         assert_eq!(scan.bodies, new);
         let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn streamed_replace_writes_the_encoded_frames_and_reports_their_end() {
+        let path = temp_path("streamed");
+        let _ = std::fs::remove_file(&path);
+        // Enough frames to cross the write buffer several times.
+        let bodies = bodies(5_000);
+        let text = encode_frames(0, &bodies);
+        assert!(text.len() > 4 * REPLACE_BUFFER);
+        let end = replace_bodies(&path, &bodies, None).unwrap();
+        assert_eq!(std::fs::read_to_string(&path).unwrap(), text);
+        assert_eq!(
+            end,
+            Some(StreamEnd {
+                next_seq: bodies.len() as u64,
+                valid_len: text.len() as u64,
+            })
+        );
+        assert_eq!(
+            replace_bodies(&path, &[], None).unwrap(),
+            Some(StreamEnd::default())
+        );
+        assert_eq!(std::fs::read(&path).unwrap(), b"");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn bit_flip_lands_exactly_on_the_hand_flipped_frames() {
+        let path = temp_path("bitflip");
+        let bodies = bodies(40);
+        let text = encode_frames(0, &bodies).into_bytes();
+        let bit_of = |op: u64| (harness_at(0, None).param(op) % (text.len() as u64 * 8)) as usize;
+        let mut flip_ops = ops_with(IoFaultKind::BitFlip, 0, 12);
+        // A flipped high bit leaves invalid UTF-8, which lands as is.
+        let high_bit_op = ops_with(IoFaultKind::BitFlip, 0, 1_000)
+            .into_iter()
+            .find(|&op| bit_of(op) % 8 == 7)
+            .expect("some flip hits a high bit");
+        flip_ops.push(high_bit_op);
+        for op in flip_ops {
+            let harness = harness_at(op, None);
+            let bit = bit_of(op);
+            let mut want = text.clone();
+            want[bit / 8] ^= 1 << (bit % 8);
+            replace_bodies(&path, &bodies, Some(&harness)).unwrap();
+            assert_eq!(harness.ops(), op + 1, "one op per replace");
+            assert_eq!(std::fs::read(&path).unwrap(), want, "flip at op {op}");
+            assert!(!scan_stream(&want).is_clean(), "flip at op {op} undetected");
+        }
+        let _ = std::fs::remove_file(&path);
+    }
+
+    #[test]
+    fn faults_leave_the_old_bytes_and_no_temp_file() {
+        let path = temp_path("faulted");
+        let _ = std::fs::remove_file(&path);
+        let tmp = temp_file_for(&path);
+        let old = bodies(3);
+        replace_bodies(&path, &old, None).unwrap();
+        let old_bytes = std::fs::read(&path).unwrap();
+        let new = bodies(9);
+        let kept = |what: &str| {
+            assert_eq!(std::fs::read(&path).unwrap(), old_bytes, "{what}");
+            assert!(!tmp.exists(), "{what} left {}", tmp.display());
+        };
+
+        // A crash at the replace's op, and any replace after it.
+        let crash_op = 5;
+        let harness = harness_at(crash_op, Some(crash_op));
+        assert_eq!(replace_bodies(&path, &new, Some(&harness)).unwrap(), None);
+        assert!(harness.crashed());
+        kept("a crash");
+        assert_eq!(replace_bodies(&path, &new, Some(&harness)).unwrap(), None);
+        kept("a replace after the crash");
+
+        for (kind, classified) in [
+            (
+                IoFaultKind::Transient,
+                is_transient as fn(&io::Error) -> bool,
+            ),
+            (IoFaultKind::ShortWrite, is_transient),
+            (IoFaultKind::DiskFull, is_disk_full),
+        ] {
+            let op = ops_with(kind, 0, 1)[0];
+            let harness = harness_at(op, None);
+            let e = replace_bodies(&path, &new, Some(&harness)).unwrap_err();
+            assert!(classified(&e), "{kind:?} surfaced as {e}");
+            kept(&format!("{kind:?}"));
+        }
+
+        // A producer that fails midway removes its half-written temp file.
+        let e = atomic_replace(&path, None, |out| {
+            out.push_record("first")?;
+            Err(io::Error::other("producer failed"))
+        })
+        .unwrap_err();
+        assert_eq!(e.to_string(), "producer failed");
+        kept("a failed producer");
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// The sweep's finalize takes the ledger's op, then the journal's: a
+    /// crash at the journal's op commits the new ledger and leaves the
+    /// journal as the sweep appended it, and a resume finalizes both.
+    #[test]
+    fn finalize_crash_at_the_journal_op_keeps_the_new_ledger_and_the_old_journal() {
+        use crate::provenance::ProvenanceLedger;
+        use crate::sweep::Journal;
+        use crate::{Pipeline, PipelineConfig};
+
+        let corpus = dydroid_workload::generate(&dydroid_workload::CorpusSpec {
+            scale: 0.001,
+            seed: 5,
+        });
+        let pipeline = || {
+            Pipeline::new(PipelineConfig {
+                workers: 2,
+                telemetry: false,
+                ..Default::default()
+            })
+        };
+        let dir = std::env::temp_dir().join(format!(
+            "dydroid-durable-finalize-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ));
+        let read = |journal: &Journal| {
+            (
+                std::fs::read(journal.path()).unwrap(),
+                std::fs::read(journal.provenance_path()).unwrap(),
+            )
+        };
+
+        // A clean run: its op count ends on the finalize's ledger and
+        // journal ops (telemetry is off, so no event op follows).
+        let clean = Journal::new(dir.join("clean.jsonl"));
+        clean.reset().unwrap();
+        let counting = IoHarness::counting();
+        let mut p = pipeline();
+        p.set_io_harness(Arc::clone(&counting));
+        p.run_resumable(&corpus, &clean).unwrap();
+        let (final_journal, final_ledger) = read(&clean);
+        let journal_op = counting.ops() - 1;
+
+        let crashed = Journal::new(dir.join("crashed.jsonl"));
+        crashed.reset().unwrap();
+        let harness = IoHarness::new(Some(journal_op), None);
+        let mut p = pipeline();
+        p.set_io_harness(Arc::clone(&harness));
+        p.run_resumable(&corpus, &crashed).unwrap();
+        assert!(harness.crashed());
+        assert_eq!(harness.ops(), journal_op + 1);
+        let (journal_bytes, ledger_bytes) = read(&crashed);
+        assert!(ledger_bytes == final_ledger, "the ledger committed");
+        assert!(journal_bytes != final_journal, "the journal did not");
+        // The journal is shard 0's appends; shard 1's files wait for the
+        // next recovery to merge them.
+        assert!(scan_stream(&journal_bytes).is_clean());
+        assert_eq!(crashed.discover_shards().unwrap(), [1]);
+        let left = std::fs::read_dir(&dir)
+            .unwrap()
+            .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())
+            .filter(|name| name.ends_with(".tmp"))
+            .collect::<Vec<_>>();
+        assert!(left.is_empty(), "temp files left: {left:?}");
+
+        pipeline().run_resumable(&corpus, &crashed).unwrap();
+        assert!(read(&crashed) == (final_journal, final_ledger));
+        assert!(ProvenanceLedger::new(crashed.provenance_path())
+            .load()
+            .is_ok());
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -1517,8 +1872,8 @@ mod tests {
             ("a.json", "{\"j\":1}"),
         ] {
             let path = dir.join(name);
-            atomic_replace(&path, encode_frame(0, "{}"), None).unwrap();
-            atomic_replace(&path, encode_frame(0, body), None).unwrap();
+            replace_bodies(&path, &["{}".to_string()], None).unwrap();
+            replace_bodies(&path, &[body.to_string()], None).unwrap();
             assert_eq!(
                 std::fs::read_to_string(&path).unwrap(),
                 encode_frame(0, body)

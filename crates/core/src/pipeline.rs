@@ -31,7 +31,7 @@ use crate::config::{
     PipelineConfig, MAX_EVENTS_PER_APP, MAX_RETRIES, METRICS_INTERVAL_US, MONKEY_SEED,
     QUARANTINE_THRESHOLD, STRAGGLER_TOP,
 };
-use crate::durable::{encode_records, IoHarness, IoState, SinkOptions, StreamEnd, StreamKind};
+use crate::durable::{self, IoHarness, IoState, Replacement, SinkOptions, StreamEnd, StreamKind};
 use crate::profile::{SpanProfile, StragglerEntry, Watchdog};
 use crate::provenance::{AppProvenance, ProvenanceLedger};
 use crate::report::{MeasurementReport, SweepStats};
@@ -264,15 +264,11 @@ impl Pipeline {
         let cache_mark = self.cache.stats();
         let detector_mark = self.detector.stats();
         let avm_marks = self.avm_counter_marks();
-        let io_state = IoState::new(self.config.io_retry_budget);
         let (slots, perf, observatory) = self.plain_sweep(corpus);
         self.assemble(
             corpus,
             slots,
-            HashMap::new(),
-            Vec::new(),
             None,
-            &io_state,
             None,
             perf,
             observatory,
@@ -291,11 +287,14 @@ impl Pipeline {
         let observatory = Observatory::open(self, false);
         let sweep_start = Instant::now();
         let indices: Vec<usize> = (0..corpus.len()).collect();
+        let mut slots: Vec<SweepSlot> = Vec::new();
+        slots.resize_with(corpus.len(), || None);
         let mut sweep_span = self.telemetry.span("sweep");
         sweep_span.field("apps", indices.len());
-        let (slots, worker_stats) = self.sweep(
+        let worker_stats = self.sweep(
             corpus,
             &indices,
+            &mut slots,
             None,
             &HashSet::new(),
             observatory.as_ref(),
@@ -307,7 +306,7 @@ impl Pipeline {
         }
         let perf = SweepPerf {
             worker_stats,
-            stream_shards: 1,
+            stream_shards: 0,
             shard_contention: 0,
             sweep_ms: sweep_start.elapsed().as_millis() as u64,
         };
@@ -370,8 +369,8 @@ impl Pipeline {
                     .counter_add("telemetry.spans_stitched", stitched as u64);
             }
         }
-        let mut outcome = self.recover_all(journal)?;
-        let recovered = outcome.records.len();
+        let (outcome, recovered_apps) = self.recover_streams(journal)?;
+        let recovered = recovered_apps.len();
         let ledger = ProvenanceLedger::new(journal.provenance_path());
         let io_state = IoState::new(self.config.io_retry_budget);
         if self.telemetry.is_enabled() {
@@ -386,32 +385,45 @@ impl Pipeline {
             self.telemetry
                 .counter_add("sweep.quarantined_apps", outcome.quarantined.len() as u64);
         }
-        let mut done: HashMap<String, AppRecord> = std::mem::take(&mut outcome.records)
-            .into_iter()
-            .map(|r| (r.package.clone(), r))
+        // Recovered apps (with their graphs) go straight into the slots of
+        // their corpus indices; the sweep fills the rest. Apps of a larger
+        // corpus than this one are dropped here.
+        let index: HashMap<&str, usize> = corpus
+            .iter()
+            .enumerate()
+            .rev()
+            .map(|(i, app)| (app.package(), i))
             .collect();
-        let prior_provenance = std::mem::take(&mut outcome.provenance);
+        let mut slots: Vec<SweepSlot> = Vec::new();
+        slots.resize_with(corpus.len(), || None);
+        for (record, graph) in recovered_apps {
+            if let Some(&i) = index.get(record.package.as_str()) {
+                slots[i] = Some((record, graph));
+            }
+        }
         // Apps that exhausted their interrupted-attempt budget are not
         // re-analysed: a deterministic failure record stands in for them
         // and is excluded from the pending set.
         let mut quarantined = Vec::new();
         for entry in &outcome.quarantine {
-            if entry.attempts < QUARANTINE_THRESHOLD || done.contains_key(entry.package.as_str()) {
+            if entry.attempts < QUARANTINE_THRESHOLD {
                 continue;
             }
-            let Some(app) = corpus.iter().find(|a| a.package() == entry.package) else {
+            let Some(&i) = index.get(entry.package.as_str()) else {
                 continue;
             };
+            if slots[i].is_some() {
+                continue;
+            }
             let record = self.failure_record(
-                app,
+                &corpus[i],
                 format!("quarantined after {} interrupted attempts", entry.attempts),
             );
-            done.insert(record.package.clone(), record);
-            quarantined.push(app);
+            slots[i] = Some((record, None));
+            quarantined.push(i);
         }
-        let pending: Vec<usize> = (0..corpus.len())
-            .filter(|&i| !done.contains_key(corpus[i].package()))
-            .collect();
+        drop(index);
+        let pending: Vec<usize> = (0..corpus.len()).filter(|&i| slots[i].is_none()).collect();
         // One stream shard per sweep worker: shard 0 is the base triplet,
         // so a one-worker (or nothing-pending) run keeps the single-writer
         // layout.
@@ -426,16 +438,17 @@ impl Pipeline {
         // Quarantine records are persisted through the same append as
         // every analysed app, so the journal and the ledger stay
         // mutually consistent.
-        for app in quarantined {
-            let record = &done[app.package()];
-            let provenance = AppProvenance::from_record(record);
-            shards.append(
-                shards.shard_of(app),
-                record,
-                Some(&provenance),
-                0,
-                &self.telemetry,
-            );
+        for i in quarantined {
+            if let Some((record, _)) = &slots[i] {
+                let provenance = AppProvenance::from_record(record);
+                shards.append(
+                    shards.shard_of(&corpus[i]),
+                    record,
+                    Some(&provenance),
+                    0,
+                    &self.telemetry,
+                );
+            }
         }
         // Apps invalidated by recovery re-run in the low-priority retry
         // lane so a crash loop cannot starve first-pass coverage.
@@ -448,9 +461,10 @@ impl Pipeline {
         let mut sweep_span = self.telemetry.span("sweep");
         sweep_span.field("apps", pending.len());
         sweep_span.field("resumed", recovered);
-        let (slots, worker_stats) = self.sweep(
+        let worker_stats = self.sweep(
             corpus,
             &pending,
+            &mut slots,
             Some(&shards),
             &retry,
             observatory.as_ref(),
@@ -480,10 +494,7 @@ impl Pipeline {
         Ok(self.assemble(
             corpus,
             slots,
-            done,
-            prior_provenance,
-            Some(journal),
-            &io_state,
+            Some((journal, &io_state)),
             Some(summary),
             perf,
             observatory,
@@ -515,6 +526,23 @@ impl Pipeline {
     /// quarantine sidecar; ledger read failures degrade to warnings (its
     /// records are simply not recovered).
     pub fn recover_all(&self, journal: &crate::sweep::Journal) -> std::io::Result<RecoveryOutcome> {
+        let (mut outcome, apps) = self.recover_streams(journal)?;
+        outcome.records.reserve_exact(apps.len());
+        for (record, graph) in apps {
+            outcome.records.push(record);
+            outcome.provenance.extend(graph);
+        }
+        Ok(outcome)
+    }
+
+    /// [`Pipeline::recover_all`], with the recovered apps returned beside
+    /// an outcome whose `records` and `provenance` stay empty: each
+    /// journal record paired with its graph, in journal order, so no
+    /// caller re-keys them by package.
+    fn recover_streams(
+        &self,
+        journal: &crate::sweep::Journal,
+    ) -> std::io::Result<(RecoveryOutcome, Vec<AppResult>)> {
         // The base pair and every shard pair a killed multi-writer sweep
         // left behind are reconciled with the same per-segment rule:
         // longest mutually consistent prefix of that segment's journal
@@ -532,50 +560,50 @@ impl Pipeline {
         // order, first record per package wins. Duplicates only arise
         // from a crash between the base finalize and shard removal,
         // where both copies are identical.
-        let base_record_count = base.records.len();
+        let base_journal_count = base.journal_count;
+        let base_app_count = base.apps.len();
         let mut journal_end = base.journal_end;
         let mut ledger_end = base.ledger_end;
-        let mut seen: HashSet<String> = HashSet::new();
-        let mut consistent: Vec<AppRecord> = Vec::new();
-        let mut provenance: Vec<AppProvenance> = Vec::new();
+        let mut apps: Vec<AppResult> = Vec::new();
         let mut inconsistent: BTreeSet<String> = BTreeSet::new();
         let mut journal_dropped = 0usize;
         let mut ledger_dropped = 0usize;
-        let mut base_journal_count = 0usize;
-        let mut prov_by_pkg: HashMap<String, AppProvenance> = HashMap::new();
-        for (idx, segment) in std::iter::once(base).chain(shard_segments).enumerate() {
-            if idx == 0 {
-                base_journal_count = segment.journal_count;
-            }
+        for segment in std::iter::once(base).chain(shard_segments) {
             journal_dropped += segment.journal_dropped;
             ledger_dropped += segment.ledger_dropped;
             inconsistent.extend(segment.inconsistent);
-            for p in segment.provenance {
-                prov_by_pkg.entry(p.package.clone()).or_insert(p);
-            }
-            for record in segment.records {
-                if seen.insert(record.package.clone()) {
-                    if let Some(p) = prov_by_pkg.remove(record.package.as_str()) {
-                        provenance.push(p);
-                    }
-                    consistent.push(record);
-                }
+            if apps.is_empty() {
+                apps = segment.apps;
+            } else {
+                apps.extend(segment.apps);
             }
         }
-        drop(prov_by_pkg);
-        // A package consistent in any segment is recovered; it is not
-        // re-analysed even if another segment holds a torn copy of it.
-        inconsistent.retain(|p| !seen.contains(p.as_str()));
-        let shards_contributed = consistent.len() > base_record_count;
+        let mut quarantine = journal.load_quarantine()?;
+        let first: Vec<bool> = {
+            let mut seen: HashSet<&str> = HashSet::with_capacity(apps.len());
+            let first = apps
+                .iter()
+                .map(|(record, _)| seen.insert(record.package.as_str()))
+                .collect();
+            // A package consistent in any segment is recovered: it is not
+            // re-analysed even if another segment holds a torn copy of
+            // it, and it sheds its quarantine entry.
+            inconsistent.retain(|p| !seen.contains(p.as_str()));
+            quarantine.retain(|e| !seen.contains(e.package.as_str()));
+            first
+        };
+        let mut first = first.into_iter();
+        apps.retain(|_| first.next().unwrap_or(false));
+        let shards_contributed = apps.len() > base_app_count;
 
         // Rewrite the base journal and ledger to the merged consistent
         // set so this session's appends extend files that agree with
         // each other (and hold everything the shards contributed).
-        if consistent.len() != base_journal_count || shards_contributed {
-            journal_end = journal.rewrite(&consistent)?;
+        if apps.len() != base_journal_count || shards_contributed {
+            journal_end = journal.rewrite(apps.iter().map(|(record, _)| record))?;
         }
         if !inconsistent.is_empty() || shards_contributed {
-            match base_ledger.rewrite(&provenance) {
+            match base_ledger.rewrite(apps.iter().filter_map(|(_, graph)| graph.as_ref())) {
                 Ok(end) => ledger_end = Some(end),
                 Err(e) => {
                     // The file is in an unknown state: the writer scans
@@ -594,8 +622,7 @@ impl Pipeline {
 
         // Quarantine bookkeeping: every cross-stream-inconsistent app
         // burned one interrupted attempt; apps that completed since then
-        // shed their entries.
-        let mut quarantine = journal.load_quarantine()?;
+        // shed their entries (above).
         for package in &inconsistent {
             match quarantine.iter_mut().find(|e| &e.package == package) {
                 Some(entry) => entry.attempts = entry.attempts.saturating_add(1),
@@ -605,8 +632,6 @@ impl Pipeline {
                 }),
             }
         }
-        quarantine.retain(|e| !seen.contains(e.package.as_str()));
-        drop(seen);
         journal.write_quarantine(&quarantine)?;
         let quarantined: Vec<String> = quarantine
             .iter()
@@ -614,9 +639,9 @@ impl Pipeline {
             .map(|e| e.package.clone())
             .collect();
 
-        Ok(RecoveryOutcome {
-            records: consistent,
-            provenance,
+        let outcome = RecoveryOutcome {
+            records: Vec::new(),
+            provenance: Vec::new(),
             journal_dropped,
             ledger_dropped,
             inconsistent: inconsistent.into_iter().collect(),
@@ -624,7 +649,8 @@ impl Pipeline {
             quarantined,
             journal_end,
             ledger_end,
-        })
+        };
+        Ok((outcome, apps))
     }
 
     /// Reconciles one segment — a (journal, ledger) pair, either the base
@@ -672,32 +698,52 @@ impl Pipeline {
         }
         let ledger_active = ledger_end.is_some();
 
-        let ledgered: HashSet<&str> = ledger_records.iter().map(|p| p.package.as_str()).collect();
+        // Each journal record takes the first ledger graph of its
+        // package; without one (and with the ledger recovered) the app is
+        // inconsistent, as is a graph no journal record takes. An
+        // unrecovered ledger keeps every journal record, graph-less.
         let mut inconsistent: BTreeSet<String> = BTreeSet::new();
-        let mut records: Vec<AppRecord> = Vec::new();
-        for record in recovery.records {
-            if !ledger_active || ledgered.contains(record.package.as_str()) {
-                records.push(record);
-            } else {
-                inconsistent.insert(record.package.clone());
+        let takes: Vec<Option<Option<usize>>> = {
+            let mut first_graph: HashMap<&str, usize> =
+                HashMap::with_capacity(ledger_records.len());
+            for (i, p) in ledger_records.iter().enumerate() {
+                first_graph.entry(p.package.as_str()).or_insert(i);
             }
-        }
-        drop(ledgered);
-        let consistent_set: HashSet<&str> = records.iter().map(|r| r.package.as_str()).collect();
-        for p in ledger_records.iter().map(|p| p.package.as_str()) {
-            if !consistent_set.contains(p) {
-                inconsistent.insert(p.to_string());
+            let mut taken = vec![false; ledger_records.len()];
+            let takes = recovery
+                .records
+                .iter()
+                .map(|record| match first_graph.get(record.package.as_str()) {
+                    Some(&i) => {
+                        taken[i] = true;
+                        Some(Some(i))
+                    }
+                    None if !ledger_active => Some(None),
+                    None => {
+                        inconsistent.insert(record.package.clone());
+                        None
+                    }
+                })
+                .collect();
+            for p in &ledger_records {
+                if !taken[first_graph[p.package.as_str()]] {
+                    inconsistent.insert(p.package.clone());
+                }
             }
-        }
-        let provenance: Vec<AppProvenance> = ledger_records
+            takes
+        };
+        let mut graphs: Vec<Option<AppProvenance>> = ledger_records.into_iter().map(Some).collect();
+        let apps: Vec<AppResult> = recovery
+            .records
             .into_iter()
-            .filter(|p| consistent_set.contains(p.package.as_str()))
+            .zip(takes)
+            .filter_map(|(record, take)| {
+                take.map(|graph| (record, graph.and_then(|i| graphs[i].take())))
+            })
             .collect();
-        drop(consistent_set);
 
         Ok(SegmentRecovery {
-            records,
-            provenance,
+            apps,
             journal_dropped,
             ledger_dropped,
             inconsistent,
@@ -714,19 +760,21 @@ impl Pipeline {
     /// finished record to its app's stream shard — the sweep's only
     /// append path. Results flow through a bounded channel so a slow
     /// collector backpressures workers instead of buffering the whole
-    /// corpus in memory; the collector files each one at its corpus
-    /// index, so the returned slots are `corpus.len()` long and empty
+    /// corpus in memory; the collector files each one in `slots` (one per
+    /// corpus app) at its corpus index, and a slot stays as it was
     /// wherever no result arrived. Provenance graphs are built only when
     /// `shards` are attached, whose ledgers receive them.
+    #[allow(clippy::too_many_arguments)]
     fn sweep(
         &self,
         corpus: &[SyntheticApp],
         indices: &[usize],
+        slots: &mut [SweepSlot],
         shards: Option<&StreamShards>,
         retry: &HashSet<String>,
         observatory: Option<&Observatory>,
         parent_span: u64,
-    ) -> (Vec<SweepSlot>, Vec<WorkerStats>) {
+    ) -> Vec<WorkerStats> {
         let workers = self.config.effective_workers().min(indices.len().max(1));
         let keep_graphs = shards.is_some();
         let scheduler = Scheduler::new(workers);
@@ -753,10 +801,9 @@ impl Pipeline {
         let progress =
             (self.config.progress && !indices.is_empty()).then(|| Progress::new(indices.len()));
 
-        // Collected outside the scope so partial results survive even a
-        // worker-thread panic that escapes the per-app isolation.
-        let mut slots: Vec<SweepSlot> = Vec::new();
-        slots.resize_with(corpus.len(), || None);
+        // Collected into slots outside the scope so partial results
+        // survive even a worker-thread panic that escapes the per-app
+        // isolation.
         let scope_result = crossbeam::thread::scope(|scope| {
             for worker in 0..workers {
                 let result_tx = result_tx.clone();
@@ -827,23 +874,21 @@ impl Pipeline {
         if scope_result.is_err() {
             eprintln!("dydroid: a sweep thread panicked outside per-app isolation; continuing with partial results");
         }
-        (slots, scheduler.worker_stats())
+        scheduler.worker_stats()
     }
 
-    /// Merges sweep results (and any journaled records) into a complete,
+    /// Merges sweep results (and any recovered records) into a complete,
     /// corpus-ordered report; apps lost to a non-isolated thread death
     /// are recorded as harness failures rather than dropped. A journaled
     /// run's streams are finalized here (see
-    /// [`Pipeline::finalize_streams`]).
+    /// [`Pipeline::finalize_streams`]); `streams` is its journal and the
+    /// I/O state its sinks counted into, `None` on a plain run.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         &self,
         corpus: &[SyntheticApp],
         slots: Vec<SweepSlot>,
-        mut done: HashMap<String, AppRecord>,
-        prior_provenance: Vec<AppProvenance>,
-        journal: Option<&crate::sweep::Journal>,
-        io_state: &Arc<IoState>,
+        streams: Option<(&crate::sweep::Journal, &Arc<IoState>)>,
         recovery: Option<RecoverySummary>,
         perf: SweepPerf,
         observatory: Option<Observatory>,
@@ -851,18 +896,18 @@ impl Pipeline {
         detector_mark: dydroid_analysis::DetectorStats,
         avm_marks: AvmMarks,
     ) -> MeasurementReport {
-        // Live results win; recovered journal records fill only the
-        // slots this session never re-ran. Graphs are gathered only on a
-        // journaled run, whose ledger keeps them.
+        // Graphs are gathered only on a journaled run, whose ledger keeps
+        // them: this session's live graphs and the recovered ones alike.
+        let journal = streams.map(|(journal, _)| journal);
         let mut records: Vec<AppRecord> = Vec::with_capacity(corpus.len());
         let mut graphs: Vec<Option<AppProvenance>> =
             Vec::with_capacity(if journal.is_some() { corpus.len() } else { 0 });
         for (app, slot) in corpus.iter().zip(slots) {
             let (record, graph) = slot.unwrap_or_else(|| {
-                let record = done.remove(app.package()).unwrap_or_else(|| {
-                    self.failure_record(app, "record lost: sweep worker died".to_string())
-                });
-                (record, None)
+                (
+                    self.failure_record(app, "record lost: sweep worker died".to_string()),
+                    None,
+                )
             });
             if journal.is_some() {
                 graphs.push(graph);
@@ -879,7 +924,7 @@ impl Pipeline {
             crate::environment::EnvOutcome::default()
         };
         if let Some(journal) = journal {
-            self.finalize_streams(journal, &records, graphs, prior_provenance, &env.loads);
+            self.finalize_streams(journal, &records, graphs, &env.loads);
         }
         // Observatory wrap-up: idle-worker warnings, then the straggler
         // appendix — per-phase breakdowns filled from the flagged apps'
@@ -936,13 +981,16 @@ impl Pipeline {
             .filter(|(name, _)| name != "span.app.us")
             .cloned()
             .collect();
-        let io = io_state.snapshot();
+        let io = streams
+            .map(|(_, io_state)| io_state.snapshot())
+            .unwrap_or_default();
         let recovery = recovery.unwrap_or_default();
         let stats = SweepStats {
             sweep_ms: perf.sweep_ms,
             env_ms: env_start.elapsed().as_millis() as u64,
             analyzed_apps: records.len(),
             telemetry: self.telemetry.is_enabled(),
+            journaled: journal.is_some(),
             cache: self.cache.stats().since(&cache_mark),
             detector: self.detector.stats().since(&detector_mark),
             workers: self.config.effective_workers(),
@@ -1028,28 +1076,28 @@ impl Pipeline {
     /// rewritten in corpus order, so a completed run's streams are
     /// byte-identical however the sweep interleaved and however many
     /// resumes it took. The ledger holds one graph per corpus app with
-    /// its environment outcomes attached: `graphs` are this session's
-    /// live graphs by corpus index, `prior_provenance` the recovered ones
-    /// for resumed apps, and an app whose graph is gone (resumed with a
-    /// torn ledger line) gets a degraded reconstruction. The canonical
-    /// event stream keeps only the per-app checkpoint and
+    /// its environment outcomes attached: `graphs` are the live or
+    /// recovered graphs by corpus index, and an app whose graph is gone
+    /// (resumed with a torn ledger line) gets a degraded reconstruction.
+    /// The canonical event stream keeps only the per-app checkpoint and
     /// provenance-link facts; live span timings are interleave-dependent
-    /// and are dropped. The ledger and the journal are encoded on two
-    /// threads; the writes then go out one at a time in a fixed order
-    /// (ledger, journal, events), so a fault harness sees the same ops in
-    /// the same order.
+    /// and are dropped.
+    ///
+    /// Every stream is encoded frame by frame as it is written, so no
+    /// stream is ever held whole. The ledger's and the journal's harness
+    /// ops are taken in that order, their temp files are written on two
+    /// threads (the ledger's bodies built on the fly, each graph dropped
+    /// once written), and then they commit in a fixed order: ledger
+    /// rename, journal rename, one directory sync, then the events. A
+    /// fault harness therefore sees the same ops in the same order, and a
+    /// crash leaves the same on-disk states, as one replace after another.
     fn finalize_streams(
         &self,
         journal: &crate::sweep::Journal,
         records: &[AppRecord],
         graphs: Vec<Option<AppProvenance>>,
-        prior_provenance: Vec<AppProvenance>,
         env_loads: &[crate::environment::EnvLoad],
     ) {
-        let mut prior: HashMap<String, AppProvenance> = prior_provenance
-            .into_iter()
-            .map(|p| (p.package.clone(), p))
-            .collect();
         let mut loads_by_app: HashMap<&str, Vec<&crate::environment::EnvLoad>> = HashMap::new();
         for load in env_loads {
             loads_by_app
@@ -1057,68 +1105,83 @@ impl Pipeline {
                 .or_default()
                 .push(load);
         }
-        let final_provenance: Vec<AppProvenance> = graphs
-            .into_iter()
-            .zip(records)
-            .map(|(graph, record)| {
-                let mut p = graph
-                    .or_else(|| prior.remove(record.package.as_str()))
-                    .unwrap_or_else(|| AppProvenance::from_record(record));
-                p.env_loads = loads_by_app
-                    .get(record.package.as_str())
-                    .into_iter()
-                    .flatten()
-                    .map(|l| crate::provenance::EnvLoadOutcome {
-                        path: l.path.clone(),
-                        configs: l.configs.clone(),
-                    })
-                    .collect();
-                p
-            })
-            .collect();
-        drop(prior);
-        let (ledger_frames, journal_frames) = std::thread::scope(|scope| {
-            let ledger_job = scope.spawn(|| encode_records(&final_provenance));
-            let journal_frames = encode_records(records);
-            let ledger_frames = ledger_job
+        let ledger = ProvenanceLedger::new(journal.provenance_path());
+        let harness = self.io_harness.as_ref();
+        let mut finalized = true;
+        let mut fail = |stream: &str, path: &Path, e: std::io::Error| {
+            finalized = false;
+            eprintln!(
+                "dydroid: failed to finalize {stream} {}: {e}",
+                path.display()
+            );
+        };
+        // A replace whose op swallowed it (crash) or failed (fault) has
+        // no temp file to write.
+        fn write_begun(
+            replace: &std::io::Result<Option<Replacement>>,
+            frames: impl FnOnce(&mut durable::FrameOut) -> std::io::Result<()>,
+        ) -> Option<std::io::Result<StreamEnd>> {
+            match replace {
+                Ok(Some(replace)) => Some(replace.write(frames)),
+                _ => None,
+            }
+        }
+        let ledger_replace = Replacement::begin(ledger.path(), harness);
+        let journal_replace = Replacement::begin(journal.path(), harness);
+        let (ledger_written, journal_written) = std::thread::scope(|scope| {
+            let ledger_job = scope.spawn(|| {
+                write_begun(&ledger_replace, |out| {
+                    for (graph, record) in graphs.into_iter().zip(records) {
+                        let mut p = graph.unwrap_or_else(|| AppProvenance::from_record(record));
+                        p.env_loads = loads_by_app
+                            .get(record.package.as_str())
+                            .into_iter()
+                            .flatten()
+                            .map(|l| crate::provenance::EnvLoadOutcome {
+                                path: l.path.clone(),
+                                configs: l.configs.clone(),
+                            })
+                            .collect();
+                        out.push_record(&p)?;
+                    }
+                    Ok(())
+                })
+            });
+            let journal_written = write_begun(&journal_replace, |out| {
+                records.iter().try_for_each(|r| out.push_record(r))
+            });
+            let ledger_written = ledger_job
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            (ledger_frames, journal_frames)
+            (ledger_written, journal_written)
         });
-        drop(final_provenance);
-        let mut finalized = true;
-        let ledger = ProvenanceLedger::new(journal.provenance_path());
-        if let Err(e) = ledger.replace(ledger_frames, self.io_harness.as_ref()) {
-            finalized = false;
-            eprintln!(
-                "dydroid: failed to finalize ledger {}: {e}",
-                ledger.path().display()
-            );
-        }
-        if let Err(e) = journal.replace(journal_frames, self.io_harness.as_ref()) {
-            finalized = false;
-            eprintln!(
-                "dydroid: failed to finalize journal {}: {e}",
-                journal.path().display()
-            );
-        }
-        if self.telemetry.is_enabled() {
-            let mut bodies = Vec::with_capacity(records.len() * 2);
-            for record in records {
-                bodies.push(canonical_event(&record.package, "checkpoint"));
-                bodies.push(canonical_event(&record.package, "provenance"));
+        let mut renamed = false;
+        for (stream, path, replace, written) in [
+            ("ledger", ledger.path(), ledger_replace, ledger_written),
+            ("journal", journal.path(), journal_replace, journal_written),
+        ] {
+            let committed = match (replace, written) {
+                (Ok(Some(replace)), Some(Ok(_))) => replace.commit().map(|()| renamed = true),
+                (Err(e), _) | (_, Some(Err(e))) => Err(e),
+                // A crashed harness swallowed the replace.
+                _ => Ok(()),
+            };
+            if let Err(e) = committed {
+                fail(stream, path, e);
             }
-            let events_path = journal.events_path();
-            if let Err(e) =
-                self.telemetry
-                    .finalize_event_sink(&events_path, &bodies, self.io_harness.as_ref())
-            {
-                finalized = false;
-                eprintln!(
-                    "dydroid: failed to finalize events {}: {e}",
-                    events_path.display()
-                );
+        }
+        if renamed {
+            if let Err(e) = durable::sync_dir(journal.path()) {
+                fail("journal", journal.path(), e);
             }
+        }
+        let events_path = journal.events_path();
+        if let Err(e) = self.telemetry.finalize_event_sink(
+            &events_path,
+            records.iter().map(|r| r.package.as_str()),
+            harness,
+        ) {
+            fail("events", &events_path, e);
         }
         // A sharded sweep's per-shard files are fully folded into the
         // canonical streams above; drop them so the layout a completed
@@ -1127,7 +1190,7 @@ impl Pipeline {
         // crash-frozen harness, whose post-crash writes report success
         // without touching disk — must leave the shard files for the next
         // session's recovery to merge.
-        if self.io_harness.as_ref().is_some_and(|h| h.crashed()) {
+        if harness.is_some_and(|h| h.crashed()) {
             finalized = false;
         }
         if finalized {
@@ -2013,9 +2076,12 @@ const RETRY_SEED_SALT: u64 = 0x9E37_79B9_7F4A_7C15;
 /// `(decompiled, filter, obfuscation)` from the cheap static phases.
 type StaticPhases = (bool, DclFilter, ObfuscationReport);
 
-/// One corpus index's sweep result: the record and, when a ledger keeps
-/// them, its provenance graph; `None` when no result arrived.
-type SweepSlot = Option<(AppRecord, Option<AppProvenance>)>;
+/// An app's record and, when a ledger keeps them, its provenance graph.
+type AppResult = (AppRecord, Option<AppProvenance>);
+
+/// One corpus index's result, analysed this session or recovered;
+/// `None` when no result arrived.
+type SweepSlot = Option<AppResult>;
 
 /// What [`Pipeline::recover_all`] reconciled out of the two record
 /// streams (journal and provenance ledger) of an interrupted journaled
@@ -2054,8 +2120,9 @@ pub struct RecoveryOutcome {
 /// before the per-segment results are merged.
 #[derive(Debug, Default)]
 struct SegmentRecovery {
-    records: Vec<AppRecord>,
-    provenance: Vec<AppProvenance>,
+    /// The consistent apps in journal order, each with its graph (none
+    /// when the ledger was not recovered).
+    apps: Vec<AppResult>,
     journal_dropped: usize,
     ledger_dropped: usize,
     inconsistent: BTreeSet<String>,
@@ -2096,17 +2163,6 @@ fn warn_recovered(stream: &str, path: &Path, recovered: usize, dropped: usize) {
             path.display()
         );
     }
-}
-
-/// One line of the canonical (finalized) event stream: a bare per-app
-/// fact, free of span ids and timestamps so the finalized stream is
-/// byte-identical however the sweep interleaved.
-fn canonical_event(package: &str, kind: &str) -> String {
-    serde::Value::Object(vec![
-        ("type".to_string(), serde::Value::Str(kind.to_string())),
-        ("app".to_string(), serde::Value::Str(package.to_string())),
-    ])
-    .to_compact_string()
 }
 
 /// Installs `install_bytes` on `device` as [`Device::install`] does — the
@@ -2225,7 +2281,17 @@ mod tests {
         let shards = StreamShards::open(&pipeline, (&journal, None), (&ledger, None), 2, &io_state)
             .expect("open stream shards");
         let indices: Vec<usize> = (0..corpus.len()).collect();
-        let (slots, _) = pipeline.sweep(corpus, &indices, Some(&shards), &HashSet::new(), None, 0);
+        let mut slots: Vec<SweepSlot> = Vec::new();
+        slots.resize_with(corpus.len(), || None);
+        pipeline.sweep(
+            corpus,
+            &indices,
+            &mut slots,
+            Some(&shards),
+            &HashSet::new(),
+            None,
+            0,
+        );
         for (app, slot) in corpus.iter().zip(&slots) {
             let (_, graph) = slot.as_ref().expect("every app is swept");
             assert_eq!(

@@ -34,8 +34,7 @@ use std::sync::{Arc, Mutex, RwLock};
 use std::time::Instant;
 
 use crate::durable::{
-    atomic_replace, encode_frames, read_stream, scan_stream, FramedWriter, IoHarness, SinkOptions,
-    StreamKind,
+    atomic_replace, read_stream, scan_stream, FramedWriter, IoHarness, SinkOptions, StreamKind,
 };
 
 use serde::{Deserialize, Serialize};
@@ -673,27 +672,37 @@ impl Telemetry {
         EventShardGuard { prev }
     }
 
-    /// Atomically replaces the event stream at `path` with the given
-    /// canonical body lines (reframed from sequence 0), closing every
-    /// live sink first. Called when a journaled run completes: the canonical
-    /// stream holds only interleave-independent lines, which is what
-    /// makes the finalized file byte-identical across same-seed and
-    /// resumed runs. No-op when telemetry is disabled.
+    /// Atomically replaces the event stream at `path` with its canonical
+    /// lines (reframed from sequence 0), closing every live sink first.
+    /// Called when a journaled run completes: the canonical stream holds
+    /// only interleave-independent lines — a checkpoint and a
+    /// provenance-link line per app of `apps`, in order, with no span id
+    /// or time — which is what makes the finalized file byte-identical
+    /// across same-seed and resumed runs. The lines are encoded one at a
+    /// time as they are written. No-op when telemetry is disabled.
     ///
     /// # Errors
     ///
     /// Returns write errors from the atomic rewrite.
-    pub fn finalize_event_sink(
+    pub fn finalize_event_sink<'a>(
         &self,
         path: &Path,
-        bodies: &[String],
+        apps: impl IntoIterator<Item = &'a str>,
         harness: Option<&Arc<IoHarness>>,
     ) -> io::Result<()> {
         let Some(inner) = &self.inner else {
             return Ok(());
         };
         inner.sinks.write().expect("event sinks poisoned").clear();
-        atomic_replace(path, encode_frames(0, bodies), harness)
+        atomic_replace(path, harness, |out| {
+            for app in apps {
+                for kind in ["checkpoint", "provenance"] {
+                    out.push(|body| push_canonical_event(body, kind, app))?;
+                }
+            }
+            Ok(())
+        })
+        .map(drop)
     }
 
     /// Emits a checkpoint event tying a journaled app record to the span
@@ -1001,9 +1010,39 @@ impl Progress {
     }
 }
 
+/// Appends the canonical (finalized) event line `{"type":<kind>,"app":<app>}`
+/// to `body`; `kind` is a plain identifier.
+fn push_canonical_event(body: &mut String, kind: &str, app: &str) {
+    body.push_str("{\"type\":\"");
+    body.push_str(kind);
+    body.push_str("\",\"app\":");
+    app.write_json(body);
+    body.push('}');
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn canonical_events_encode_like_the_value_tree() {
+        for app in [
+            "com.a",
+            "com.\"quoted\"\\x",
+            "com.\u{1}ctl",
+            "com.ünï\u{1F600}",
+        ] {
+            for kind in ["checkpoint", "provenance"] {
+                let mut body = String::new();
+                push_canonical_event(&mut body, kind, app);
+                let tree = serde::Value::Object(vec![
+                    ("type".to_string(), serde::Value::Str(kind.to_string())),
+                    ("app".to_string(), serde::Value::Str(app.to_string())),
+                ]);
+                assert_eq!(body, tree.to_compact_string());
+            }
+        }
+    }
 
     #[test]
     fn bucket_math_is_exact_below_subs_and_bounded_above() {
