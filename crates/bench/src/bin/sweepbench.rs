@@ -233,7 +233,6 @@ fn main() {
                 }
             }
         }
-        let steals: u64 = stats.worker_stats.iter().map(|w| w.steals).sum();
         let virtual_total: u64 = stats.worker_stats.iter().map(|w| w.virtual_us).sum();
         let apps_per_virtual_sec_per_core = if makespan_us == 0 {
             0.0
@@ -241,7 +240,7 @@ fn main() {
             apps as f64 * 1_000_000.0 / (makespan_us as f64 * workers as f64)
         };
         eprintln!(
-            "sweepbench:   wall {wall_ms} ms, virtual makespan {makespan_us} µs, scaling {scaling:.2}x, {steals} steals"
+            "sweepbench:   wall {wall_ms} ms, virtual makespan {makespan_us} µs, scaling {scaling:.2}x"
         );
         points.push(serde_json::json!({
             "workers": workers,
@@ -251,7 +250,6 @@ fn main() {
             "virtual_total_us": virtual_total,
             "scaling": scaling,
             "apps_per_virtual_sec_per_core": apps_per_virtual_sec_per_core,
-            "steals": steals,
             "shard_contention": stats.shard_contention,
         }));
     }

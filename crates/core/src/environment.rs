@@ -216,11 +216,12 @@ fn loaded_flags(
     span.field("app", &app.plan.package);
     span.field("config", config_name);
     let mut device = pipeline.prepare_device(app, config.clone());
-    let outcome = pipeline.exercise_and_analyze_traced(
+    let (outcome, _, _) = pipeline.exercise_and_analyze_salted(
         app,
         &mut device,
         install_bytes,
         decompiled,
+        0,
         span.id(),
     );
     // A crash after loading does not un-load the file: count events

@@ -76,6 +76,6 @@ pub use pipeline::{AppRecord, DynamicStatus, Pipeline, RecoveryOutcome};
 pub use profile::{SpanProfile, StragglerEntry, Watchdog};
 pub use provenance::{AppProvenance, ProvenanceIndex, ProvenanceLedger};
 pub use report::{MeasurementReport, SweepStats};
-pub use scheduler::{Lane, Scheduler, WorkerStats};
+pub use scheduler::WorkerStats;
 pub use sweep::Journal;
 pub use telemetry::Telemetry;

@@ -35,7 +35,7 @@ use crate::durable::{self, IoHarness, IoState, Replacement, SinkOptions, StreamE
 use crate::profile::{SpanProfile, StragglerEntry, Watchdog};
 use crate::provenance::{AppProvenance, ProvenanceLedger};
 use crate::report::{MeasurementReport, SweepStats};
-use crate::scheduler::{idle_workers, virtual_makespan_us, Lane, Scheduler, WorkerStats};
+use crate::scheduler::{idle_workers, virtual_makespan_us, DispatchCursor, WorkerStats};
 use crate::sweep::QuarantineEntry;
 use crate::telemetry::{HistogramSummary, MetricsSnapshot, Progress, Telemetry};
 use crate::training;
@@ -280,23 +280,18 @@ impl Pipeline {
 
     /// The sweep of a plain [`Pipeline::run`]: every corpus app, in
     /// memory. It opens no stream and keeps no provenance graph.
-    fn plain_sweep(
-        &self,
-        corpus: &[SyntheticApp],
-    ) -> (Vec<SweepSlot>, SweepPerf, Option<Observatory>) {
+    fn plain_sweep(&self, corpus: &[SyntheticApp]) -> (SweepSlots, SweepPerf, Option<Observatory>) {
         let observatory = Observatory::open(self, false);
         let sweep_start = Instant::now();
-        let indices: Vec<usize> = (0..corpus.len()).collect();
-        let mut slots: Vec<SweepSlot> = Vec::new();
-        slots.resize_with(corpus.len(), || None);
+        let order: Vec<usize> = (0..corpus.len()).collect();
+        let mut slots = SweepSlots::new(corpus.len(), false);
         let mut sweep_span = self.telemetry.span("sweep");
-        sweep_span.field("apps", indices.len());
+        sweep_span.field("apps", order.len());
         let worker_stats = self.sweep(
             corpus,
-            &indices,
+            &order,
             &mut slots,
             None,
-            &HashSet::new(),
             observatory.as_ref(),
             sweep_span.id(),
         );
@@ -394,11 +389,10 @@ impl Pipeline {
             .rev()
             .map(|(i, app)| (app.package(), i))
             .collect();
-        let mut slots: Vec<SweepSlot> = Vec::new();
-        slots.resize_with(corpus.len(), || None);
+        let mut slots = SweepSlots::new(corpus.len(), true);
         for (record, graph) in recovered_apps {
             if let Some(&i) = index.get(record.package.as_str()) {
-                slots[i] = Some((record, graph));
+                slots.file(i, record, graph);
             }
         }
         // Apps that exhausted their interrupted-attempt budget are not
@@ -412,18 +406,20 @@ impl Pipeline {
             let Some(&i) = index.get(entry.package.as_str()) else {
                 continue;
             };
-            if slots[i].is_some() {
+            if slots.records[i].is_some() {
                 continue;
             }
             let record = self.failure_record(
                 &corpus[i],
                 format!("quarantined after {} interrupted attempts", entry.attempts),
             );
-            slots[i] = Some((record, None));
+            slots.file(i, record, None);
             quarantined.push(i);
         }
         drop(index);
-        let pending: Vec<usize> = (0..corpus.len()).filter(|&i| slots[i].is_none()).collect();
+        let pending: Vec<usize> = (0..corpus.len())
+            .filter(|&i| slots.records[i].is_none())
+            .collect();
         // One stream shard per sweep worker: shard 0 is the base triplet,
         // so a one-worker (or nothing-pending) run keeps the single-writer
         // layout.
@@ -439,7 +435,7 @@ impl Pipeline {
         // every analysed app, so the journal and the ledger stay
         // mutually consistent.
         for i in quarantined {
-            if let Some((record, _)) = &slots[i] {
+            if let Some(record) = &slots.records[i] {
                 let provenance = AppProvenance::from_record(record);
                 shards.append(
                     shards.shard_of(&corpus[i]),
@@ -450,9 +446,14 @@ impl Pipeline {
                 );
             }
         }
-        // Apps invalidated by recovery re-run in the low-priority retry
-        // lane so a crash loop cannot starve first-pass coverage.
-        let retry: HashSet<String> = outcome.inconsistent.iter().cloned().collect();
+        // The dispatch order: new pending apps first, then the apps
+        // recovery found inconsistent, each group in corpus order, so a
+        // crash loop among re-scans cannot starve first-pass coverage.
+        let retry: HashSet<&str> = outcome.inconsistent.iter().map(String::as_str).collect();
+        let (mut order, retries): (Vec<usize>, Vec<usize>) = pending
+            .iter()
+            .partition(|&&i| !retry.contains(corpus[i].package()));
+        order.extend(retries);
         let cache_mark = self.cache.stats();
         let detector_mark = self.detector.stats();
         let avm_marks = self.avm_counter_marks();
@@ -463,10 +464,9 @@ impl Pipeline {
         sweep_span.field("resumed", recovered);
         let worker_stats = self.sweep(
             corpus,
-            &pending,
+            &order,
             &mut slots,
             Some(&shards),
-            &retry,
             observatory.as_ref(),
             sweep_span.id(),
         );
@@ -753,39 +753,30 @@ impl Pipeline {
         })
     }
 
-    /// The parallel worker loop. Every worker owns a two-lane deque in
-    /// the work-stealing [`Scheduler`] (new work ahead of recovery
-    /// re-scans) and analyses each app inside a panic-isolation
+    /// The parallel worker loop. Workers take the corpus indices of
+    /// `order` through one shared atomic cursor — every app is known up
+    /// front and none spawns another, so the next position is all a
+    /// worker needs — and analyse each app inside a panic-isolation
     /// boundary. With `shards` attached, the worker itself appends the
     /// finished record to its app's stream shard — the sweep's only
     /// append path. Results flow through a bounded channel so a slow
     /// collector backpressures workers instead of buffering the whole
-    /// corpus in memory; the collector files each one in `slots` (one per
-    /// corpus app) at its corpus index, and a slot stays as it was
-    /// wherever no result arrived. Provenance graphs are built only when
-    /// `shards` are attached, whose ledgers receive them.
-    #[allow(clippy::too_many_arguments)]
+    /// corpus in memory; the collector files each one in `slots` at its
+    /// corpus index and charges it to the worker that ran it, and a slot
+    /// stays as it was wherever no result arrived. Provenance graphs are
+    /// built only when `shards` are attached, whose ledgers receive them.
     fn sweep(
         &self,
         corpus: &[SyntheticApp],
-        indices: &[usize],
-        slots: &mut [SweepSlot],
+        order: &[usize],
+        slots: &mut SweepSlots,
         shards: Option<&StreamShards>,
-        retry: &HashSet<String>,
         observatory: Option<&Observatory>,
         parent_span: u64,
     ) -> Vec<WorkerStats> {
-        let workers = self.config.effective_workers().min(indices.len().max(1));
+        let workers = self.config.effective_workers().min(order.len().max(1));
         let keep_graphs = shards.is_some();
-        let scheduler = Scheduler::new(workers);
-        for (pos, &i) in indices.iter().enumerate() {
-            let lane = if retry.contains(corpus[i].package()) {
-                Lane::Retry
-            } else {
-                Lane::New
-            };
-            scheduler.seed(pos % workers, i, lane);
-        }
+        let cursor = DispatchCursor::new(order);
         if self.telemetry.is_enabled() {
             // Baseline gauges for the --progress line, the metrics
             // snapshots, and `dcltrace top`. The total is the corpus, not
@@ -796,47 +787,41 @@ impl Pipeline {
                 .gauge_set("sweep.total_apps", corpus.len() as u64);
             self.telemetry.gauge_set("sweep.done", 0);
         }
-        let (result_tx, result_rx) =
-            channel::bounded::<(usize, AppRecord, Option<AppProvenance>, u64, u64)>(4 * workers);
+        let (result_tx, result_rx) = channel::bounded::<Finished>(4 * workers);
         let progress =
-            (self.config.progress && !indices.is_empty()).then(|| Progress::new(indices.len()));
-
-        // Collected into slots outside the scope so partial results
-        // survive even a worker-thread panic that escapes the per-app
-        // isolation.
+            (self.config.progress && !order.is_empty()).then(|| Progress::new(order.len()));
+        // Filled by the collector outside the scope, so partial results
+        // and their accounting survive even a worker-thread panic that
+        // escapes the per-app isolation.
+        let mut worker_stats = vec![WorkerStats::default(); workers];
         let scope_result = crossbeam::thread::scope(|scope| {
             for worker in 0..workers {
                 let result_tx = result_tx.clone();
-                let scheduler = &scheduler;
+                let cursor = &cursor;
                 scope.spawn(move |_| {
-                    while let Some(i) = scheduler.next_task(worker) {
-                        let app = &corpus[i];
+                    while let Some(index) = cursor.next() {
+                        let app = &corpus[index];
                         // Scope this thread's event lines (spans, then the
                         // checkpoint/provenance links of the shard append)
                         // to the app's shard for the whole task.
                         let shard = shards.map(|s| s.shard_of(app));
                         let _scope = shard.map(|k| self.telemetry.event_shard_scope(k));
                         let started = Instant::now();
-                        let (record, provenance, span_id, virtual_us) =
+                        let (record, graph, span_id, virtual_us) =
                             self.analyze_app_traced(app, parent_span, keep_graphs);
                         if let (Some(shards), Some(k)) = (shards, shard) {
-                            shards.append(
-                                k,
-                                &record,
-                                provenance.as_ref(),
-                                span_id,
-                                &self.telemetry,
-                            );
+                            shards.append(k, &record, graph.as_ref(), span_id, &self.telemetry);
                         }
-                        scheduler.note_executed(
+                        let finished = Finished {
                             worker,
-                            started.elapsed().as_micros() as u64,
+                            index,
+                            record,
+                            graph,
+                            span_id,
+                            busy_us: started.elapsed().as_micros() as u64,
                             virtual_us,
-                        );
-                        if result_tx
-                            .send((i, record, provenance, span_id, virtual_us))
-                            .is_err()
-                        {
+                        };
+                        if result_tx.send(finished).is_err() {
                             // Receiver gone: the sweep is shutting down.
                             break;
                         }
@@ -845,36 +830,43 @@ impl Pipeline {
             }
             drop(result_tx);
             let mut collected_count = 0u64;
-            while let Ok((i, record, provenance, span_id, virtual_us)) = result_rx.recv() {
+            while let Ok(done) = result_rx.recv() {
+                let stats = &mut worker_stats[done.worker];
+                stats.executed += 1;
+                stats.busy_us += done.busy_us;
+                stats.virtual_us += done.virtual_us;
                 if self.telemetry.is_enabled() {
                     // Observatory bookkeeping, all on the collector
-                    // thread: worker/utilization gauges from the live
-                    // scheduler counters, then the watchdog and metrics
-                    // snapshot hooks.
+                    // thread: worker/utilization gauges from the
+                    // collected accounting, then the watchdog and
+                    // metrics snapshot hooks.
                     collected_count += 1;
-                    let stats = scheduler.worker_stats();
-                    self.telemetry
-                        .gauge_set("sweep.busy_us", stats.iter().map(|w| w.busy_us).sum());
-                    self.telemetry
-                        .gauge_set("sweep.virtual_makespan_us", virtual_makespan_us(&stats));
+                    self.telemetry.gauge_set(
+                        "sweep.busy_us",
+                        worker_stats.iter().map(|w| w.busy_us).sum(),
+                    );
+                    self.telemetry.gauge_set(
+                        "sweep.virtual_makespan_us",
+                        virtual_makespan_us(&worker_stats),
+                    );
                     self.telemetry.gauge_set("sweep.done", collected_count);
                     if let Some(obs) = observatory {
-                        obs.on_app_done(self, &record.package, span_id, virtual_us);
+                        obs.on_app_done(self, &done.record.package, done.span_id, done.virtual_us);
                     }
                 }
                 if let Some(progress) = &progress {
-                    let failed = record.harness_failure().is_some();
+                    let failed = done.record.harness_failure().is_some();
                     if let Some(line) = progress.on_app_done(failed, &self.telemetry) {
                         eprintln!("dydroid: {line}");
                     }
                 }
-                slots[i] = Some((record, provenance));
+                slots.file(done.index, done.record, done.graph);
             }
         });
         if scope_result.is_err() {
             eprintln!("dydroid: a sweep thread panicked outside per-app isolation; continuing with partial results");
         }
-        scheduler.worker_stats()
+        worker_stats
     }
 
     /// Merges sweep results (and any recovered records) into a complete,
@@ -887,7 +879,7 @@ impl Pipeline {
     fn assemble(
         &self,
         corpus: &[SyntheticApp],
-        slots: Vec<SweepSlot>,
+        slots: SweepSlots,
         streams: Option<(&crate::sweep::Journal, &Arc<IoState>)>,
         recovery: Option<RecoverySummary>,
         perf: SweepPerf,
@@ -898,22 +890,20 @@ impl Pipeline {
     ) -> MeasurementReport {
         // Graphs are gathered only on a journaled run, whose ledger keeps
         // them: this session's live graphs and the recovered ones alike.
+        // The record slots become the records in place (an empty slot
+        // and a record share one layout), so assembling allocates no
+        // second corpus-length buffer.
         let journal = streams.map(|(journal, _)| journal);
-        let mut records: Vec<AppRecord> = Vec::with_capacity(corpus.len());
-        let mut graphs: Vec<Option<AppProvenance>> =
-            Vec::with_capacity(if journal.is_some() { corpus.len() } else { 0 });
-        for (app, slot) in corpus.iter().zip(slots) {
-            let (record, graph) = slot.unwrap_or_else(|| {
-                (
-                    self.failure_record(app, "record lost: sweep worker died".to_string()),
-                    None,
-                )
-            });
-            if journal.is_some() {
-                graphs.push(graph);
-            }
-            records.push(record);
-        }
+        let SweepSlots { records, graphs } = slots;
+        let records: Vec<AppRecord> = records
+            .into_iter()
+            .enumerate()
+            .map(|(i, slot)| {
+                slot.unwrap_or_else(|| {
+                    self.failure_record(&corpus[i], "record lost: sweep worker died".to_string())
+                })
+            })
+            .collect();
         let env_start = Instant::now();
         let env = if self.config.environment_reruns {
             let mut env_span = self.telemetry.span("environment");
@@ -993,7 +983,6 @@ impl Pipeline {
             journaled: journal.is_some(),
             cache: self.cache.stats().since(&cache_mark),
             detector: self.detector.stats().since(&detector_mark),
-            workers: self.config.effective_workers(),
             dropped_events: self
                 .telemetry
                 .counter_value("avm.events_dropped")
@@ -1216,7 +1205,7 @@ impl Pipeline {
     /// `keep_graphs`, its provenance graph, together with the span id (so
     /// the shard append can checkpoint and ledger them) and the app's
     /// deterministic virtual cost in microseconds, summed across
-    /// attempts, which the scheduler charges to the worker that ran it.
+    /// attempts, which the collector charges to the worker that ran it.
     fn analyze_app_traced(
         &self,
         app: &SyntheticApp,
@@ -1267,7 +1256,12 @@ impl Pipeline {
                         panic_message(payload.as_ref())
                     );
                     let statics = *statics.get_or_insert_with(|| Self::static_phases(app));
-                    last = Some(Self::record_from_statics(app, reason, statics));
+                    last = Some(Self::app_record(
+                        app,
+                        statics,
+                        false,
+                        Some(DynamicOutcome::failure(reason)),
+                    ));
                 }
             }
         }
@@ -1304,13 +1298,21 @@ impl Pipeline {
     /// Builds the record for an app whose dynamic analysis was lost to a
     /// panic or deadline.
     fn failure_record(&self, app: &SyntheticApp, reason: String) -> AppRecord {
-        Self::record_from_statics(app, reason, Self::static_phases(app))
+        Self::app_record(
+            app,
+            Self::static_phases(app),
+            false,
+            Some(DynamicOutcome::failure(reason)),
+        )
     }
 
-    fn record_from_statics(
+    /// The record of `app` from its phase results — the one place an
+    /// [`AppRecord`] is put together.
+    fn app_record(
         app: &SyntheticApp,
-        reason: String,
         (decompiled, filter, obfuscation): StaticPhases,
+        rewritten: bool,
+        dynamic: Option<DynamicOutcome>,
     ) -> AppRecord {
         AppRecord {
             package: app.plan.package.clone(),
@@ -1318,8 +1320,8 @@ impl Pipeline {
             decompiled,
             filter,
             obfuscation,
-            rewritten: false,
-            dynamic: Some(DynamicOutcome::failure(reason)),
+            rewritten,
+            dynamic,
         }
     }
 
@@ -1368,8 +1370,11 @@ impl Pipeline {
         parent_span: u64,
         keep_graphs: bool,
     ) -> (AppRecord, Option<AppProvenance>, u64) {
-        let metadata = app.plan.metadata.clone();
-        let package = app.plan.package.clone();
+        // The early returns of the phases below record no dynamic cost
+        // and keep no graph.
+        let early = |statics: StaticPhases, dynamic: Option<DynamicOutcome>| {
+            (Self::app_record(app, statics, false, dynamic), None, 0)
+        };
 
         // Phase 1+2: decompile, static filter, obfuscation analysis —
         // one "static" span; its early returns drop the guard on exit.
@@ -1377,35 +1382,13 @@ impl Pipeline {
 
         let decompiled = match decompiler::decompile(&app.apk) {
             Ok(d) => d,
-            Err(DecompileError::AntiDecompilation { .. }) => {
-                return (
-                    AppRecord {
-                        package,
-                        metadata,
-                        decompiled: false,
-                        filter: DclFilter::default(),
-                        obfuscation: ObfuscationReport::anti_decompilation_only(),
-                        rewritten: false,
-                        dynamic: None,
-                    },
-                    None,
-                    0,
-                );
-            }
-            Err(_) => {
-                return (
-                    AppRecord {
-                        package,
-                        metadata,
-                        decompiled: false,
-                        filter: DclFilter::default(),
-                        obfuscation: ObfuscationReport::default(),
-                        rewritten: false,
-                        dynamic: None,
-                    },
-                    None,
-                    0,
-                );
+            Err(err) => {
+                let obfuscation = if matches!(err, DecompileError::AntiDecompilation { .. }) {
+                    ObfuscationReport::anti_decompilation_only()
+                } else {
+                    ObfuscationReport::default()
+                };
+                return early((false, DclFilter::default(), obfuscation), None);
             }
         };
 
@@ -1416,20 +1399,11 @@ impl Pipeline {
         let manifest_entries =
             decompiled.manifest.permissions.len() + decompiled.manifest.components.len();
         if manifest_entries > MANIFEST_SANITY_LIMIT {
-            return (
-                AppRecord {
-                    package,
-                    metadata,
-                    decompiled: true,
-                    filter: DclFilter::default(),
-                    obfuscation: ObfuscationReport::default(),
-                    rewritten: false,
-                    dynamic: Some(DynamicOutcome::failure(format!(
-                        "manifest exceeds sanity bounds: {manifest_entries} entries > {MANIFEST_SANITY_LIMIT}"
-                    ))),
-                },
-                None,
-                0,
+            return early(
+                (true, DclFilter::default(), ObfuscationReport::default()),
+                Some(DynamicOutcome::failure(format!(
+                    "manifest exceeds sanity bounds: {manifest_entries} entries > {MANIFEST_SANITY_LIMIT}"
+                ))),
             );
         }
 
@@ -1437,20 +1411,9 @@ impl Pipeline {
         let filter = DclFilter::scan(&decompiled.classes);
         let obfuscation = obfuscation::analyze(&decompiled);
         drop(static_span);
+        let statics = (true, filter, obfuscation);
         if !filter.any() {
-            return (
-                AppRecord {
-                    package,
-                    metadata,
-                    decompiled: true,
-                    filter,
-                    obfuscation,
-                    rewritten: false,
-                    dynamic: None,
-                },
-                None,
-                0,
-            );
+            return early(statics, None);
         }
 
         // Phase 3: rewrite if needed. Apps that already hold the
@@ -1463,19 +1426,8 @@ impl Pipeline {
                 match decompiler::repackage_with_permission(&decompiled) {
                     Ok(bytes) => (Cow::Owned(bytes), true),
                     Err(_) => {
-                        return (
-                            AppRecord {
-                                package,
-                                metadata,
-                                decompiled: true,
-                                filter,
-                                obfuscation,
-                                rewritten: false,
-                                dynamic: Some(DynamicOutcome::empty(DynamicStatus::RewriteFailure)),
-                            },
-                            None,
-                            0,
-                        );
+                        let failure = DynamicOutcome::empty(DynamicStatus::RewriteFailure);
+                        return early(statics, Some(failure));
                     }
                 }
             } else {
@@ -1510,7 +1462,7 @@ impl Pipeline {
         // to drop (flow graph, raw event log) with the outcome.
         let provenance = keep_graphs.then(|| {
             AppProvenance::build(
-                &package,
+                &app.plan.package,
                 status_label(&dynamic.status),
                 &device.log,
                 &device.hooks.flow,
@@ -1522,15 +1474,7 @@ impl Pipeline {
         });
 
         (
-            AppRecord {
-                package,
-                metadata,
-                decompiled: true,
-                filter,
-                obfuscation,
-                rewritten,
-                dynamic: Some(dynamic),
-            },
+            Self::app_record(app, statics, rewritten, Some(dynamic)),
             provenance,
             virtual_us,
         )
@@ -1555,7 +1499,7 @@ impl Pipeline {
     }
 
     /// Installs, exercises and post-processes one app on a prepared
-    /// device. Also used by the environment re-runs.
+    /// device.
     pub fn exercise_and_analyze(
         &self,
         app: &SyntheticApp,
@@ -1567,28 +1511,15 @@ impl Pipeline {
             .0
     }
 
-    /// [`Pipeline::exercise_and_analyze`] under a caller-supplied parent
-    /// span (the environment re-runs parent their per-configuration
-    /// spans here).
-    pub(crate) fn exercise_and_analyze_traced(
-        &self,
-        app: &SyntheticApp,
-        device: &mut Device,
-        install_bytes: &[u8],
-        decompiled: &decompiler::DecompiledApp,
-        parent_span: u64,
-    ) -> DynamicOutcome {
-        self.exercise_and_analyze_salted(app, device, install_bytes, decompiled, 0, parent_span)
-            .0
-    }
-
     /// [`Pipeline::exercise_and_analyze`] with a Monkey seed salt. Also
     /// returns per-path privacy-leak attribution `(loaded path, privacy
     /// type label)` — the verdict edges of the provenance graph, which
     /// the aggregate [`DynamicOutcome`] no longer resolves to paths —
     /// and the app's deterministic virtual cost in microseconds (from
-    /// instructions retired), which the scheduler charges to its worker.
-    fn exercise_and_analyze_salted(
+    /// instructions retired), which the collector charges to its worker.
+    /// The environment re-runs call it unsalted, under their own
+    /// per-configuration `parent_span`.
+    pub(crate) fn exercise_and_analyze_salted(
         &self,
         app: &SyntheticApp,
         device: &mut Device,
@@ -1960,7 +1891,7 @@ impl StreamShards {
     }
 }
 
-/// Scheduler/shard accounting of one sweep, carried into [`SweepStats`].
+/// Worker/shard accounting of one sweep, carried into [`SweepStats`].
 #[derive(Debug, Default)]
 struct SweepPerf {
     worker_stats: Vec<WorkerStats>,
@@ -2079,9 +2010,47 @@ type StaticPhases = (bool, DclFilter, ObfuscationReport);
 /// An app's record and, when a ledger keeps them, its provenance graph.
 type AppResult = (AppRecord, Option<AppProvenance>);
 
-/// One corpus index's result, analysed this session or recovered;
-/// `None` when no result arrived.
-type SweepSlot = Option<AppResult>;
+/// A sweep's results by corpus index, analysed this session or
+/// recovered: each app's record and, on a journaled run, its provenance
+/// graph for the ledger's finalize. A slot is `None` where no result
+/// arrived; `graphs` is empty on a plain run, which keeps none.
+#[derive(Debug, Default)]
+struct SweepSlots {
+    records: Vec<Option<AppRecord>>,
+    graphs: Vec<Option<AppProvenance>>,
+}
+
+impl SweepSlots {
+    /// Empty slots for `apps` corpus apps, with graph slots only when
+    /// `keep_graphs`.
+    fn new(apps: usize, keep_graphs: bool) -> Self {
+        let mut slots = SweepSlots::default();
+        slots.records.resize_with(apps, || None);
+        if keep_graphs {
+            slots.graphs.resize_with(apps, || None);
+        }
+        slots
+    }
+
+    /// Files the result of corpus app `i`.
+    fn file(&mut self, i: usize, record: AppRecord, graph: Option<AppProvenance>) {
+        self.records[i] = Some(record);
+        if let Some(slot) = self.graphs.get_mut(i) {
+            *slot = graph;
+        }
+    }
+}
+
+/// One analysed app on its way from a sweep worker to the collector.
+struct Finished {
+    worker: usize,
+    index: usize,
+    record: AppRecord,
+    graph: Option<AppProvenance>,
+    span_id: u64,
+    busy_us: u64,
+    virtual_us: u64,
+}
 
 /// What [`Pipeline::recover_all`] reconciled out of the two record
 /// streams (journal and provenance ledger) of an interrupted journaled
@@ -2260,16 +2229,12 @@ mod tests {
             ..Default::default()
         });
         let (slots, _, _) = pipeline.plain_sweep(corpus);
-        assert_eq!(slots.len(), corpus.len());
-        for (app, slot) in corpus.iter().zip(&slots) {
-            let (record, graph) = slot.as_ref().expect("every app is swept");
+        assert_eq!(slots.records.len(), corpus.len());
+        for (app, record) in corpus.iter().zip(&slots.records) {
+            let record = record.as_ref().expect("every app is swept");
             assert_eq!(record.package, app.package());
-            assert!(
-                graph.is_none(),
-                "plain sweep kept a graph of `{}`",
-                app.package()
-            );
         }
+        assert!(slots.graphs.is_empty(), "plain sweep kept graphs");
 
         // A journaled sweep appends to the ledger beside its journal and
         // keeps one graph per app for its finalize.
@@ -2280,20 +2245,10 @@ mod tests {
         let io_state = IoState::new(pipeline.config.io_retry_budget);
         let shards = StreamShards::open(&pipeline, (&journal, None), (&ledger, None), 2, &io_state)
             .expect("open stream shards");
-        let indices: Vec<usize> = (0..corpus.len()).collect();
-        let mut slots: Vec<SweepSlot> = Vec::new();
-        slots.resize_with(corpus.len(), || None);
-        pipeline.sweep(
-            corpus,
-            &indices,
-            &mut slots,
-            Some(&shards),
-            &HashSet::new(),
-            None,
-            0,
-        );
-        for (app, slot) in corpus.iter().zip(&slots) {
-            let (_, graph) = slot.as_ref().expect("every app is swept");
+        let order: Vec<usize> = (0..corpus.len()).collect();
+        let mut slots = SweepSlots::new(corpus.len(), true);
+        pipeline.sweep(corpus, &order, &mut slots, Some(&shards), None, 0);
+        for (app, graph) in corpus.iter().zip(&slots.graphs) {
             assert_eq!(
                 graph.as_ref().map(|g| g.package.as_str()),
                 Some(app.package()),
@@ -2302,6 +2257,115 @@ mod tests {
             );
         }
         drop(shards);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn the_cursor_hands_out_each_app_of_the_order_once() {
+        let corpus = tiny_corpus();
+        let corpus = &corpus[..60];
+        let pipeline = Pipeline::new(PipelineConfig {
+            workers: 4,
+            environment_reruns: false,
+            ..Default::default()
+        });
+        // Every other app, in reverse: only these are swept, each once.
+        let order: Vec<usize> = (0..corpus.len()).rev().step_by(2).collect();
+        let mut slots = SweepSlots::new(corpus.len(), false);
+        let stats = pipeline.sweep(corpus, &order, &mut slots, None, None, 0);
+        assert_eq!(stats.len(), 4);
+        let executed: u64 = stats.iter().map(|w| w.executed).sum();
+        assert_eq!(
+            executed,
+            order.len() as u64,
+            "an app ran twice or not at all"
+        );
+        for (i, (app, record)) in corpus.iter().zip(&slots.records).enumerate() {
+            assert_eq!(
+                record.as_ref().map(|r| r.package.as_str()),
+                order.contains(&i).then(|| app.package()),
+                "slot {i}"
+            );
+        }
+    }
+
+    #[test]
+    fn perf_divides_by_the_worker_threads_that_ran() {
+        // Three apps on a four-worker config run on three threads, and
+        // the utilization line must say so.
+        let corpus = tiny_corpus();
+        let pipeline = Pipeline::new(PipelineConfig {
+            workers: 4,
+            telemetry: true,
+            environment_reruns: false,
+            ..Default::default()
+        });
+        let mut report = pipeline.run(&corpus[..3]);
+        let mut stats = report.stats().clone();
+        assert_eq!(stats.worker_stats.len(), 3);
+        // A sub-millisecond sweep prints no utilization line at all.
+        stats.sweep_ms = stats.sweep_ms.max(1);
+        report.set_stats(stats);
+        let perf = report.render_perf();
+        assert!(perf.contains("% of 3 workers × "), "{perf}");
+    }
+
+    #[test]
+    fn inconsistent_apps_run_after_every_new_app() {
+        let corpus = tiny_corpus();
+        let corpus = &corpus[..12];
+        let dir = std::env::temp_dir().join(format!("dydroid_retry_order_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = crate::sweep::Journal::new(dir.join("sweep.jsonl"));
+        journal.reset().expect("reset journal");
+        let config = PipelineConfig {
+            workers: 1,
+            environment_reruns: false,
+            ..Default::default()
+        };
+        Pipeline::new(config.clone())
+            .run_resumable(corpus, &journal)
+            .expect("first session");
+        // Both finalized streams hold one frame per app in corpus order.
+        // Cut the journal after 8 apps and the ledger after 7: apps 8..12
+        // are new work, and app 7, journaled without its graph, is one
+        // recovery finds inconsistent.
+        let keep_lines = |path: &Path, n: usize| {
+            let text = std::fs::read_to_string(path).expect("read stream");
+            let kept: String = text.split_inclusive('\n').take(n).collect();
+            std::fs::write(path, kept).expect("cut stream");
+        };
+        keep_lines(journal.path(), 8);
+        keep_lines(&journal.provenance_path(), 7);
+
+        let pipeline = Pipeline::new(PipelineConfig {
+            telemetry: true,
+            ..config
+        });
+        let report = pipeline
+            .run_resumable(corpus, &journal)
+            .expect("resumed session");
+        assert_eq!(report.stats().inconsistent_apps, 1);
+        let start_of = |i: usize| {
+            let package = corpus[i].package();
+            pipeline
+                .telemetry()
+                .spans()
+                .into_iter()
+                .find(|span| {
+                    span.name == "app"
+                        && span.fields.iter().any(|(k, v)| k == "app" && v == package)
+                })
+                .map(|span| span.start_us)
+                .unwrap_or_else(|| panic!("no app span for `{package}`"))
+        };
+        let retry_start = start_of(7);
+        for i in 8..corpus.len() {
+            assert!(
+                start_of(i) < retry_start,
+                "new app {i} started after the inconsistent app"
+            );
+        }
         let _ = std::fs::remove_dir_all(&dir);
     }
 

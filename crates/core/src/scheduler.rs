@@ -1,81 +1,50 @@
-//! Work-stealing task scheduler for the corpus sweep.
+//! Per-worker accounting of the corpus sweep.
 //!
-//! The sweep used to feed every worker from one shared unbounded
-//! channel: a single contended queue, no task priorities, and no
-//! per-worker accounting. This module replaces it with the classic
-//! work-stealing shape: every worker owns a two-lane deque (new work
-//! ahead of retry/re-scan work), pops locally while its own deque holds
-//! tasks, and steals half of a victim's backlog when it runs dry.
+//! The sweep hands out its apps through one [`DispatchCursor`] over a
+//! dispatch order (`Pipeline::sweep`): every app is known before the
+//! workers start and no task spawns another, so a worker takes the next
+//! position until the order runs out. There is no queue to balance and
+//! nothing to steal.
 //!
-//! All tasks are seeded before the workers start and completed tasks
-//! never spawn new ones, so "every deque is empty" is a stable
-//! termination condition — a worker that finds nothing anywhere can
-//! exit without a rendezvous.
-//!
-//! The scheduler also owns the sweep's per-worker accounting: tasks
-//! executed, steal operations and tasks obtained by stealing, wall
-//! *busy* time, and the deterministic virtual cost of the executed apps
-//! (see `dydroid_monkey::virtual_us`). The virtual columns are what
-//! `sweepbench` builds its machine-independent scaling curve from: the
-//! virtual *makespan* — the largest per-worker virtual sum — measures
-//! load balance identically on a laptop and a one-core CI container.
+//! The rest of this module is the accounting: the sweep's collector
+//! charges every result to the worker that produced it — tasks
+//! executed, wall *busy* time, and the deterministic virtual cost of the
+//! executed apps (see `dydroid_monkey::virtual_us`). The virtual columns
+//! are what `sweepbench` builds its machine-independent scaling curve
+//! from: the virtual *makespan* — the largest per-worker virtual sum —
+//! measures load balance on a laptop and on a one-core CI container
+//! alike, where wall-clock cannot speed up.
 
-use std::collections::VecDeque;
-use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::atomic::{AtomicUsize, Ordering};
 
 use serde::{Deserialize, Serialize};
 
-/// Priority lane of one sweep task.
-///
-/// New work (fresh uploads, never-analysed apps) takes priority over
-/// retry/re-scan work (apps invalidated by crash recovery), mirroring
-/// an app-store queue where new submissions must not starve behind a
-/// re-scan backlog.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum Lane {
-    /// Fresh work: analysed before anything in the retry lane.
-    New,
-    /// Retry / re-scan work: runs when no new work is available.
-    Retry,
+/// The sweep's work distribution: one atomic position over a dispatch
+/// order shared by every worker. Each call to [`DispatchCursor::next`]
+/// claims a distinct position, so every entry of the order is handed out
+/// exactly once, whichever worker asks.
+pub(crate) struct DispatchCursor<'a> {
+    order: &'a [usize],
+    position: AtomicUsize,
 }
 
-/// One worker's double-ended task queue, split by priority lane.
-#[derive(Debug, Default)]
-struct Deque {
-    new_lane: VecDeque<usize>,
-    retry_lane: VecDeque<usize>,
-}
-
-impl Deque {
-    fn len(&self) -> usize {
-        self.new_lane.len() + self.retry_lane.len()
-    }
-
-    fn pop(&mut self) -> Option<(usize, Lane)> {
-        if let Some(task) = self.new_lane.pop_front() {
-            return Some((task, Lane::New));
-        }
-        self.retry_lane.pop_front().map(|t| (t, Lane::Retry))
-    }
-
-    fn push_back(&mut self, task: usize, lane: Lane) {
-        match lane {
-            Lane::New => self.new_lane.push_back(task),
-            Lane::Retry => self.retry_lane.push_back(task),
+impl<'a> DispatchCursor<'a> {
+    pub(crate) fn new(order: &'a [usize]) -> Self {
+        Self {
+            order,
+            position: AtomicUsize::new(0),
         }
     }
-}
 
-/// Monotonic per-worker counters, updated by the owning worker and read
-/// once at sweep end.
-#[derive(Debug, Default)]
-struct WorkerCounters {
-    executed: AtomicU64,
-    steals: AtomicU64,
-    stolen_tasks: AtomicU64,
-    busy_us: AtomicU64,
-    virtual_us: AtomicU64,
+    /// The next entry of the order, or `None` once it has run out.
+    pub(crate) fn next(&self) -> Option<usize> {
+        // `Relaxed` suffices: the read-modify-write alone makes each
+        // position unique, `order` was written before the cursor was
+        // shared, and the cursor publishes no other data.
+        self.order
+            .get(self.position.fetch_add(1, Ordering::Relaxed))
+            .copied()
+    }
 }
 
 /// Final per-worker accounting of one sweep, surfaced in
@@ -84,154 +53,16 @@ struct WorkerCounters {
 pub struct WorkerStats {
     /// Tasks this worker executed.
     pub executed: u64,
-    /// Steal operations this worker performed (each may move several
-    /// tasks).
+    /// Always 0: the sweep's workers share one dispatch cursor, so
+    /// nothing is stolen. Kept while corpusbench's `scheduler.steals`
+    /// metric still reads it.
     pub steals: u64,
-    /// Tasks this worker obtained by stealing.
-    pub stolen_tasks: u64,
     /// Wall time this worker spent executing tasks, in microseconds.
     pub busy_us: u64,
     /// Deterministic virtual cost of the tasks this worker executed, in
     /// microseconds. The maximum over workers is the sweep's virtual
     /// makespan.
     pub virtual_us: u64,
-}
-
-/// A work-stealing scheduler over `usize` task ids (corpus indices).
-///
-/// Seed every task with [`Scheduler::seed`] before spawning workers,
-/// then have each worker loop on [`Scheduler::next_task`] until it
-/// returns `None`.
-#[derive(Debug)]
-pub struct Scheduler {
-    deques: Vec<Mutex<Deque>>,
-    counters: Vec<WorkerCounters>,
-}
-
-impl Scheduler {
-    /// A scheduler for `workers` workers (at least one).
-    pub fn new(workers: usize) -> Self {
-        let workers = workers.max(1);
-        Scheduler {
-            deques: (0..workers).map(|_| Mutex::new(Deque::default())).collect(),
-            counters: (0..workers).map(|_| WorkerCounters::default()).collect(),
-        }
-    }
-
-    /// Number of worker deques.
-    pub fn workers(&self) -> usize {
-        self.deques.len()
-    }
-
-    /// Seeds `task` onto `worker`'s deque in the given lane. Call before
-    /// the workers start; seeding after a worker has observed every
-    /// deque empty would be lost.
-    pub fn seed(&self, worker: usize, task: usize, lane: Lane) {
-        self.deques[worker % self.deques.len()]
-            .lock()
-            .expect("scheduler deque poisoned")
-            .push_back(task, lane);
-    }
-
-    /// Pops the next task for `worker`: its own new lane first, then its
-    /// own retry lane, then — when its deque is dry — steals half of the
-    /// fullest backlog among the other workers. Returns `None` only when
-    /// every deque is empty, which (with up-front seeding) means the
-    /// sweep is out of work.
-    pub fn next_task(&self, worker: usize) -> Option<usize> {
-        let own = &self.deques[worker];
-        if let Some((task, _)) = own.lock().expect("scheduler deque poisoned").pop() {
-            return Some(task);
-        }
-        self.steal_into(worker)
-    }
-
-    /// Steal-half from a victim deque into `worker`'s own, returning the
-    /// first stolen task. Victims are scanned round-robin from
-    /// `worker + 1`; the transfer preserves lane priority (new-lane
-    /// tasks move first and stay in the new lane).
-    fn steal_into(&self, worker: usize) -> Option<usize> {
-        let n = self.deques.len();
-        loop {
-            let mut skipped_busy = false;
-            for offset in 1..n {
-                let victim = (worker + offset) % n;
-                let mut moved: VecDeque<(usize, Lane)> = VecDeque::new();
-                {
-                    let mut victim_deque = match self.deques[victim].try_lock() {
-                        Ok(guard) => guard,
-                        // A busy victim is skipped this pass rather than
-                        // waited on; the scan comes back around to it.
-                        Err(std::sync::TryLockError::WouldBlock) => {
-                            skipped_busy = true;
-                            continue;
-                        }
-                        Err(std::sync::TryLockError::Poisoned(p)) => p.into_inner(),
-                    };
-                    let take = victim_deque.len().div_ceil(2);
-                    for _ in 0..take {
-                        let Some((task, lane)) = victim_deque.pop() else {
-                            break;
-                        };
-                        moved.push_back((task, lane));
-                    }
-                }
-                if moved.is_empty() {
-                    continue;
-                }
-                let counters = &self.counters[worker];
-                counters.steals.fetch_add(1, Ordering::Relaxed);
-                counters
-                    .stolen_tasks
-                    .fetch_add(moved.len() as u64, Ordering::Relaxed);
-                let (first, _) = moved.pop_front().expect("non-empty steal");
-                let mut own = self.deques[worker]
-                    .lock()
-                    .expect("scheduler deque poisoned");
-                for (task, lane) in moved {
-                    own.push_back(task, lane);
-                }
-                return Some(first);
-            }
-            if !skipped_busy {
-                // Every deque was observed empty (and none skipped), and
-                // tasks are only seeded up front: the sweep is drained.
-                return None;
-            }
-            // A victim was mid-operation; yield and rescan rather than
-            // declaring the sweep done with work possibly outstanding.
-            std::thread::yield_now();
-            if let Some((task, _)) = self.deques[worker]
-                .lock()
-                .expect("scheduler deque poisoned")
-                .pop()
-            {
-                return Some(task);
-            }
-        }
-    }
-
-    /// Charges one executed task to `worker`'s counters.
-    pub fn note_executed(&self, worker: usize, busy_us: u64, virtual_us: u64) {
-        let counters = &self.counters[worker];
-        counters.executed.fetch_add(1, Ordering::Relaxed);
-        counters.busy_us.fetch_add(busy_us, Ordering::Relaxed);
-        counters.virtual_us.fetch_add(virtual_us, Ordering::Relaxed);
-    }
-
-    /// Final per-worker statistics, one entry per worker.
-    pub fn worker_stats(&self) -> Vec<WorkerStats> {
-        self.counters
-            .iter()
-            .map(|c| WorkerStats {
-                executed: c.executed.load(Ordering::Relaxed),
-                steals: c.steals.load(Ordering::Relaxed),
-                stolen_tasks: c.stolen_tasks.load(Ordering::Relaxed),
-                busy_us: c.busy_us.load(Ordering::Relaxed),
-                virtual_us: c.virtual_us.load(Ordering::Relaxed),
-            })
-            .collect()
-    }
 }
 
 /// Virtual makespan of a sweep: the largest per-worker virtual-cost sum.
@@ -256,8 +87,8 @@ pub fn idle_workers(stats: &[WorkerStats]) -> usize {
 
 /// Parallel balance of a sweep on the virtual clock: total virtual time
 /// over `workers × makespan`. `1.0` is perfect balance; it approaches
-/// `1/workers` when one worker carried the whole sweep (steal-
-/// imbalance, a straggler pinning a worker, or a contended queue).
+/// `1/workers` when one worker carried the whole sweep (a straggler
+/// pinning a worker).
 pub fn parallel_balance(stats: &[WorkerStats]) -> f64 {
     let makespan = virtual_makespan_us(stats);
     if stats.is_empty() || makespan == 0 {
@@ -271,111 +102,58 @@ pub fn parallel_balance(stats: &[WorkerStats]) -> f64 {
 mod tests {
     use super::*;
     use std::collections::HashSet;
+    use std::sync::Mutex;
 
     #[test]
     fn drains_all_seeded_tasks_exactly_once() {
-        let scheduler = Scheduler::new(3);
-        for task in 0..100 {
-            scheduler.seed(task % 3, task, Lane::New);
-        }
+        let order: Vec<usize> = (0..100).rev().collect();
+        let cursor = DispatchCursor::new(&order);
         let mut seen = HashSet::new();
-        for worker in [0usize, 0, 1, 2, 0, 1] {
-            while let Some(task) = scheduler.next_task(worker) {
+        // Callers take turns mid-drain; the position is shared, so none
+        // of them sees a task another already took.
+        for _caller in 0..6 {
+            while let Some(task) = cursor.next() {
                 assert!(seen.insert(task), "task {task} dispatched twice");
                 if seen.len() % 10 == 0 {
-                    break; // rotate workers mid-drain
+                    break;
                 }
             }
         }
-        // Finish whatever is left from any worker.
-        while let Some(task) = scheduler.next_task(1) {
+        while let Some(task) = cursor.next() {
             assert!(seen.insert(task), "task {task} dispatched twice");
         }
         assert_eq!(seen.len(), 100);
-        assert!(scheduler.next_task(0).is_none());
-    }
-
-    #[test]
-    fn new_lane_preempts_retry_lane() {
-        let scheduler = Scheduler::new(1);
-        scheduler.seed(0, 7, Lane::Retry);
-        scheduler.seed(0, 1, Lane::New);
-        scheduler.seed(0, 8, Lane::Retry);
-        scheduler.seed(0, 2, Lane::New);
-        assert_eq!(scheduler.next_task(0), Some(1));
-        assert_eq!(scheduler.next_task(0), Some(2));
-        assert_eq!(scheduler.next_task(0), Some(7));
-        assert_eq!(scheduler.next_task(0), Some(8));
-        assert_eq!(scheduler.next_task(0), None);
-    }
-
-    #[test]
-    fn idle_worker_steals_half_of_a_backlog() {
-        let scheduler = Scheduler::new(2);
-        for task in 0..10 {
-            scheduler.seed(0, task, Lane::New);
-        }
-        // Worker 1 has nothing of its own: it must steal from worker 0.
-        let got = scheduler.next_task(1).expect("steal succeeds");
-        let stats = scheduler.worker_stats();
-        assert_eq!(stats[1].steals, 1);
-        assert_eq!(stats[1].stolen_tasks, 5, "steal-half moves ceil(10/2)");
-        // The stolen batch now sits on worker 1's own deque.
-        let mut worker1 = vec![got];
-        for _ in 0..4 {
-            worker1.push(scheduler.next_task(1).expect("own deque"));
-        }
-        assert_eq!(scheduler.worker_stats()[1].steals, 1, "no further steals");
-        let mut worker0 = Vec::new();
-        while let Some(t) = scheduler.next_task(0) {
-            worker0.push(t);
-        }
-        let all: HashSet<usize> = worker1.iter().chain(&worker0).copied().collect();
-        assert_eq!(all.len(), 10);
-    }
-
-    #[test]
-    fn stealing_preserves_lane_priority() {
-        let scheduler = Scheduler::new(2);
-        scheduler.seed(0, 10, Lane::Retry);
-        scheduler.seed(0, 11, Lane::Retry);
-        scheduler.seed(0, 1, Lane::New);
-        scheduler.seed(0, 2, Lane::New);
-        // Steal-half takes 2 of 4: both new-lane tasks move first.
-        assert_eq!(scheduler.next_task(1), Some(1));
-        assert_eq!(scheduler.next_task(1), Some(2));
-        // Worker 0 keeps its retry backlog.
-        assert_eq!(scheduler.next_task(0), Some(10));
-        assert_eq!(scheduler.next_task(0), Some(11));
+        assert!(cursor.next().is_none());
     }
 
     #[test]
     fn concurrent_workers_partition_the_tasks() {
-        let scheduler = Scheduler::new(4);
         let total = 1000usize;
-        for task in 0..total {
-            // Skewed seeding: everything lands on worker 0, so progress
-            // requires stealing.
-            scheduler.seed(0, task, Lane::New);
-        }
+        let order: Vec<usize> = (0..total).collect();
+        let cursor = DispatchCursor::new(&order);
         let executed: Mutex<Vec<usize>> = Mutex::new(Vec::new());
-        std::thread::scope(|scope| {
-            for worker in 0..4 {
-                let scheduler = &scheduler;
-                let executed = &executed;
-                scope.spawn(move || {
-                    while let Some(task) = scheduler.next_task(worker) {
-                        scheduler.note_executed(worker, 1, 10);
-                        executed.lock().unwrap().push(task);
-                    }
-                });
-            }
+        let stats: Vec<WorkerStats> = std::thread::scope(|scope| {
+            let handles: Vec<_> = (0..4)
+                .map(|_| {
+                    let cursor = &cursor;
+                    let executed = &executed;
+                    scope.spawn(move || {
+                        let mut stats = WorkerStats::default();
+                        while let Some(task) = cursor.next() {
+                            stats.executed += 1;
+                            stats.virtual_us += 10;
+                            executed.lock().unwrap().push(task);
+                        }
+                        stats
+                    })
+                })
+                .collect();
+            handles.into_iter().map(|h| h.join().unwrap()).collect()
         });
         let mut done = executed.into_inner().unwrap();
         done.sort_unstable();
         done.dedup();
         assert_eq!(done.len(), total, "every task ran exactly once");
-        let stats = scheduler.worker_stats();
         assert_eq!(stats.iter().map(|s| s.executed).sum::<u64>(), total as u64);
         assert_eq!(
             stats.iter().map(|s| s.virtual_us).sum::<u64>(),
