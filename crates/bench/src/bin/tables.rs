@@ -25,14 +25,20 @@
 //! span-derived self-time profile as flamegraph-collapsed stack lines
 //! (feed to `inferno` / `flamegraph.pl`, or read directly — hottest
 //! self-time first via `dcltrace profile`); `--progress` prints a
-//! periodic one-line sweep progress report to stderr.
+//! periodic one-line sweep progress report to stderr from a thread
+//! polling the live sweep gauges (`dydroid_bench::progress`). The trace
+//! and profile come from the pipeline's telemetry after the run. An
+//! output that cannot be written fails the run (exit 1).
 //! `--sync-policy` picks when the persistent streams fsync: `always`
 //! (per record), `checkpoint` (default, batched), or `never`.
 
-use std::io::Write as _;
+use std::io;
+use std::path::Path;
 
+use dydroid::obs::SpanProfile;
 use dydroid::{Journal, Pipeline, PipelineConfig, SyncPolicy};
-use dydroid_bench::args::parse_scale;
+use dydroid_bench::args::{ArgParser, EXIT_FINDING};
+use dydroid_bench::progress;
 use dydroid_workload::{generate, CorpusSpec};
 
 struct Args {
@@ -69,81 +75,50 @@ fn parse_args() -> Args {
         progress: false,
         sync_policy: SyncPolicy::default(),
     };
-    let mut it = std::env::args().skip(1);
-    while let Some(arg) = it.next() {
+    let mut p = ArgParser::new(USAGE);
+    while let Some(arg) = p.next() {
         match arg.as_str() {
-            "--scale" => {
-                args.scale = it
-                    .next()
-                    .as_deref()
-                    .and_then(parse_scale)
-                    .unwrap_or_else(|| usage("--scale needs a positive float"));
-            }
-            "--seed" => {
-                args.seed = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--seed needs an integer"));
-            }
-            "--workers" => {
-                args.workers = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--workers needs an integer (0 = all cores)"));
-            }
+            "--scale" => args.scale = p.scale("--scale"),
+            "--seed" => args.seed = p.value("--seed", "an integer"),
+            "--workers" => args.workers = p.value("--workers", "an integer (0 = all cores)"),
             "--table" => {
-                let n = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .filter(|n| (2..=10).contains(n))
-                    .unwrap_or_else(|| usage("--table needs a number 2..=10"));
+                let n = p.value("--table", "a number 2..=10");
+                if !(2..=10).contains(&n) {
+                    p.fail("--table needs a number 2..=10");
+                }
                 args.tables.push(n);
             }
             "--figure" => {
-                let n: u32 = it
-                    .next()
-                    .and_then(|v| v.parse().ok())
-                    .unwrap_or_else(|| usage("--figure needs the number 3"));
-                if n == 3 {
-                    args.figure3 = true;
-                } else {
-                    usage("only figure 3 exists");
+                if p.value::<u32>("--figure", "the number 3") != 3 {
+                    p.fail("only figure 3 exists");
                 }
+                args.figure3 = true;
             }
             "--all" => args.all = true,
-            "--json" => args.json = it.next().or_else(|| usage("--json needs a path")),
-            "--journal" => args.journal = it.next().or_else(|| usage("--journal needs a path")),
+            "--json" => args.json = Some(p.raw("--json")),
+            "--journal" => args.journal = Some(p.raw("--journal")),
             "--resume" => args.resume = true,
-            "--perf-json" => {
-                args.perf_json = it.next().or_else(|| usage("--perf-json needs a path"));
-            }
-            "--trace-out" => {
-                args.trace_out = it.next().or_else(|| usage("--trace-out needs a path"));
-            }
-            "--profile-out" => {
-                args.profile_out = it.next().or_else(|| usage("--profile-out needs a path"));
-            }
+            "--perf-json" => args.perf_json = Some(p.raw("--perf-json")),
+            "--trace-out" => args.trace_out = Some(p.raw("--trace-out")),
+            "--profile-out" => args.profile_out = Some(p.raw("--profile-out")),
             "--progress" => args.progress = true,
             "--sync-policy" => {
-                args.sync_policy = match it.next().as_deref() {
+                args.sync_policy = match p.next().as_deref() {
                     Some("always") => SyncPolicy::Always,
                     Some("checkpoint") => SyncPolicy::Checkpoint,
                     Some("never") => SyncPolicy::Never,
-                    _ => usage("--sync-policy needs always|checkpoint|never"),
+                    _ => p.fail("--sync-policy needs always|checkpoint|never"),
                 };
             }
-            "--help" | "-h" => {
-                println!("usage: {USAGE}");
-                std::process::exit(0);
-            }
-            other => usage(&format!("unknown argument {other:?}")),
+            "--help" | "-h" => p.help(),
+            other => p.fail(&format!("unknown argument {other:?}")),
         }
     }
     if args.tables.is_empty() && !args.figure3 {
         args.all = true;
     }
     if args.resume && args.journal.is_none() {
-        usage("--resume needs --journal PATH");
+        p.fail("--resume needs --journal PATH");
     }
     args
 }
@@ -151,12 +126,6 @@ fn parse_args() -> Args {
 const USAGE: &str = "tables [--scale F] [--seed N] [--workers N] [--table N]... [--figure 3] \
 [--all] [--json PATH] [--journal PATH] [--resume] [--perf-json PATH] [--trace-out PATH] \
 [--profile-out PATH] [--progress] [--sync-policy always|checkpoint|never]";
-
-fn usage(msg: &str) -> ! {
-    eprintln!("error: {msg}");
-    eprintln!("usage: {USAGE}");
-    std::process::exit(2);
-}
 
 fn main() {
     let args = parse_args();
@@ -175,14 +144,11 @@ fn main() {
     let pipeline = Pipeline::new(PipelineConfig {
         environment_reruns: needs_env,
         workers: args.workers,
-        progress: args.progress,
-        trace_out: args.trace_out.clone(),
-        profile_out: args.profile_out.clone(),
         sync_policy: args.sync_policy,
         ..Default::default()
     });
     let t1 = std::time::Instant::now();
-    let report = match &args.journal {
+    let run = || match &args.journal {
         Some(path) => {
             let journal = Journal::new(path);
             if !args.resume {
@@ -193,6 +159,15 @@ fn main() {
                 .expect("journalled sweep")
         }
         None => pipeline.run(&corpus),
+    };
+    let report = if args.progress {
+        progress::watch(
+            pipeline.telemetry(),
+            |line| eprintln!("dydroid: {line}"),
+            run,
+        )
+    } else {
+        run()
     };
     eprintln!("pipeline: analysed in {:.1?}", t1.elapsed());
 
@@ -235,14 +210,8 @@ fn main() {
             "table9": report.table9(),
             "table10": report.table10(),
         });
-        let mut f = std::fs::File::create(&path).expect("create json output");
-        f.write_all(
-            serde_json::to_string_pretty(&json)
-                .expect("serialise")
-                .as_bytes(),
-        )
-        .expect("write json output");
-        eprintln!("wrote {path}");
+        let text = serde_json::to_string_pretty(&json).expect("serialise");
+        write_output(&path, |p| std::fs::write(p, text));
     }
 
     if let Some(path) = args.perf_json {
@@ -252,20 +221,15 @@ fn main() {
             "stats": report.stats().perf_json(),
             "metrics": pipeline.metrics_snapshot(),
         });
-        let mut f = std::fs::File::create(&path).expect("create perf json output");
-        f.write_all(
-            serde_json::to_string_pretty(&perf)
-                .expect("serialise perf")
-                .as_bytes(),
-        )
-        .expect("write perf json output");
-        eprintln!("wrote {path}");
+        let text = serde_json::to_string_pretty(&perf).expect("serialise perf");
+        write_output(&path, |p| std::fs::write(p, text));
     }
     if let Some(path) = &args.trace_out {
-        eprintln!("trace written to {path} (load in chrome://tracing or https://ui.perfetto.dev)");
+        write_output(path, |p| pipeline.telemetry().write_chrome_trace(p));
     }
     if let Some(path) = &args.profile_out {
-        eprintln!("profile written to {path} (flamegraph-collapsed stacks; feed to inferno)");
+        let folded = SpanProfile::from_spans(&pipeline.telemetry().spans()).folded();
+        write_output(path, |p| std::fs::write(p, folded));
     }
     if let Some(path) = &args.journal {
         let ledger = Journal::new(path).provenance_path();
@@ -274,4 +238,14 @@ fn main() {
             ledger.display()
         );
     }
+}
+
+/// Writes one output file through `write` and says so on stderr; a
+/// failed write fails the run.
+fn write_output(path: &str, write: impl FnOnce(&Path) -> io::Result<()>) {
+    if let Err(e) = write(Path::new(path)) {
+        eprintln!("error: cannot write {path}: {e}");
+        std::process::exit(EXIT_FINDING);
+    }
+    eprintln!("wrote {path}");
 }

@@ -12,7 +12,9 @@
 //!   comparator (`benchcmp`), one framed history stream
 //!   (`BENCH_history.jsonl`);
 //! - the [`trend`] module renders per-metric median trajectories over
-//!   that history (`benchcmp --trend`).
+//!   that history (`benchcmp --trend`);
+//! - the [`progress`] module is `tables --progress`: a poller over a
+//!   running sweep's live gauges.
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
@@ -21,6 +23,7 @@ pub mod args;
 pub mod compare;
 pub mod history;
 pub mod measure;
+pub mod progress;
 pub mod trend;
 
 pub use args::{ArgParser, CommonArgs, EXIT_CLEAN, EXIT_CODE_HELP, EXIT_FINDING, EXIT_USAGE};

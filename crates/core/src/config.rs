@@ -62,20 +62,9 @@ pub struct PipelineConfig {
     /// `crate::telemetry`). Disabled, every telemetry call site is a
     /// single branch — the no-op fast path measured by `tracebench`.
     /// Never affects report JSON: telemetry rides on `SweepStats`,
-    /// which is excluded from serialization.
+    /// which is excluded from serialization. A caller exports the spans
+    /// and gauges itself, through `Pipeline::telemetry()`.
     pub telemetry: bool,
-    /// Emit a single-line live progress report to stderr roughly every
-    /// tenth of the corpus during sweeps (requires `telemetry`).
-    pub progress: bool,
-    /// Write a Chrome `trace_event` JSON file (loadable in
-    /// `chrome://tracing` / Perfetto) to this path after the run
-    /// (requires `telemetry`).
-    pub trace_out: Option<String>,
-    /// Write the run's span profile as Brendan-Gregg collapsed-stack
-    /// ("folded") lines to this path after the run — one
-    /// `root;child;leaf self_µs` line per distinct span path, ready for
-    /// `flamegraph.pl` (requires `telemetry`; see `crate::profile`).
-    pub profile_out: Option<String>,
     /// When the persistent streams fsync: after every record, at
     /// checkpoint intervals (default), or never (see
     /// [`crate::durable::SyncPolicy`]). Syncs issued on the journal are
@@ -97,9 +86,6 @@ impl Default for PipelineConfig {
             environment_reruns: true,
             app_deadline_ms: 30_000,
             telemetry: true,
-            progress: false,
-            trace_out: None,
-            profile_out: None,
             sync_policy: SyncPolicy::default(),
             io_retry_budget: DEFAULT_RETRY_BUDGET,
         }
@@ -145,9 +131,6 @@ mod tests {
         assert!(c.effective_workers() >= 1);
         assert_eq!(c.deadline_ms(), Some(30_000));
         assert!(c.telemetry);
-        assert!(!c.progress);
-        assert_eq!(c.trace_out, None);
-        assert_eq!(c.profile_out, None);
         assert_eq!(c.sync_policy, SyncPolicy::Checkpoint);
         assert_eq!(c.io_retry_budget, DEFAULT_RETRY_BUDGET);
     }

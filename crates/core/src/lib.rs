@@ -65,7 +65,7 @@ pub mod obs {
     pub use crate::profile::{ProfileEntry, SpanProfile, StragglerEntry, Watchdog};
     pub use crate::telemetry::{
         chrome_trace, EventShardGuard, Histogram, HistogramSummary, MetricsRegistry,
-        MetricsSnapshot, Progress, SpanGuard, SpanRecord, Telemetry,
+        MetricsSnapshot, SpanGuard, SpanRecord, Telemetry,
     };
 }
 

@@ -37,7 +37,7 @@ use crate::provenance::{AppProvenance, ProvenanceLedger};
 use crate::report::{MeasurementReport, SweepStats};
 use crate::scheduler::{idle_workers, virtual_makespan_us, DispatchCursor, WorkerStats};
 use crate::sweep::QuarantineEntry;
-use crate::telemetry::{HistogramSummary, MetricsSnapshot, Progress, Telemetry};
+use crate::telemetry::{HistogramSummary, MetricsSnapshot, Telemetry};
 use crate::training;
 
 /// Outcome category of the dynamic phase (Table II rows).
@@ -778,18 +778,21 @@ impl Pipeline {
         let keep_graphs = shards.is_some();
         let cursor = DispatchCursor::new(order);
         if self.telemetry.is_enabled() {
-            // Baseline gauges for the --progress line, the metrics
-            // snapshots, and `dcltrace top`. The total is the corpus, not
-            // this session's pending apps: `top` counts an app done once
-            // any session checkpointed it.
+            // Baseline gauges for the metrics snapshots, `dcltrace top`
+            // and a caller's live poller. The total is the corpus:
+            // `top` counts an app done once any session checkpointed it.
+            // `sweep.done` and `sweep.failed` count this session's
+            // collected apps and harness failures, out of its
+            // `sweep.pending` apps.
             self.telemetry.gauge_set("sweep.workers", workers as u64);
             self.telemetry
                 .gauge_set("sweep.total_apps", corpus.len() as u64);
             self.telemetry.gauge_set("sweep.done", 0);
+            self.telemetry.gauge_set("sweep.failed", 0);
+            self.telemetry
+                .gauge_set("sweep.pending", order.len() as u64);
         }
         let (result_tx, result_rx) = channel::bounded::<Finished>(4 * workers);
-        let progress =
-            (self.config.progress && !order.is_empty()).then(|| Progress::new(order.len()));
         // Filled by the collector outside the scope, so partial results
         // and their accounting survive even a worker-thread panic that
         // escapes the per-app isolation.
@@ -830,6 +833,7 @@ impl Pipeline {
             }
             drop(result_tx);
             let mut collected_count = 0u64;
+            let mut failed_count = 0u64;
             while let Ok(done) = result_rx.recv() {
                 let stats = &mut worker_stats[done.worker];
                 stats.executed += 1;
@@ -849,15 +853,13 @@ impl Pipeline {
                         "sweep.virtual_makespan_us",
                         virtual_makespan_us(&worker_stats),
                     );
+                    if done.record.harness_failure().is_some() {
+                        failed_count += 1;
+                        self.telemetry.gauge_set("sweep.failed", failed_count);
+                    }
                     self.telemetry.gauge_set("sweep.done", collected_count);
                     if let Some(obs) = observatory {
                         obs.on_app_done(self, &done.record.package, done.span_id, done.virtual_us);
-                    }
-                }
-                if let Some(progress) = &progress {
-                    let failed = done.record.harness_failure().is_some();
-                    if let Some(line) = progress.on_app_done(failed, &self.telemetry) {
-                        eprintln!("dydroid: {line}");
                     }
                 }
                 slots.file(done.index, done.record, done.graph);
@@ -1031,31 +1033,18 @@ impl Pipeline {
         let mut report = MeasurementReport::new(records, env.counts);
         report.set_env_loads(env.loads);
         report.set_stats(stats);
-        if let Some(path) = &self.config.trace_out {
-            if let Err(e) = self.telemetry.write_chrome_trace(Path::new(path)) {
-                eprintln!("dydroid: failed to write chrome trace to {path}: {e}");
-            }
-        }
-        // Span profile exports: the configured `profile_out`, plus a
-        // `<journal>.profile.folded` artifact beside every journaled
-        // telemetry run — the canonical event stream drops span lines at
+        // A `<journal>.profile.folded` artifact beside every journaled
+        // telemetry run: the canonical event stream drops span lines at
         // finalize, so this artifact is what `dcltrace profile` falls
         // back to once a run completes.
-        if self.telemetry.is_enabled() && (self.config.profile_out.is_some() || journal.is_some()) {
+        if let Some(journal) = journal.filter(|_| self.telemetry.is_enabled()) {
             let folded = SpanProfile::from_spans(&self.telemetry.spans()).folded();
-            if let Some(path) = &self.config.profile_out {
-                if let Err(e) = std::fs::write(path, &folded) {
-                    eprintln!("dydroid: failed to write span profile to {path}: {e}");
-                }
-            }
-            if let Some(journal) = journal {
-                let path = journal.profile_path();
-                if let Err(e) = std::fs::write(&path, &folded) {
-                    eprintln!(
-                        "dydroid: failed to write span profile to {}: {e}",
-                        path.display()
-                    );
-                }
+            let path = journal.profile_path();
+            if let Err(e) = std::fs::write(&path, folded) {
+                eprintln!(
+                    "dydroid: failed to write span profile to {}: {e}",
+                    path.display()
+                );
             }
         }
         report
@@ -2310,11 +2299,17 @@ mod tests {
         assert!(perf.contains("% of 3 workers × "), "{perf}");
     }
 
-    #[test]
-    fn inconsistent_apps_run_after_every_new_app() {
-        let corpus = tiny_corpus();
-        let corpus = &corpus[..12];
-        let dir = std::env::temp_dir().join(format!("dydroid_retry_order_{}", std::process::id()));
+    /// A finished one-worker journal over `corpus` (12 apps) cut as a
+    /// kill would leave it, in a fresh directory named for `tag`, and a
+    /// telemetry pipeline to resume it with. Both finalized streams hold
+    /// one frame per app in corpus order. The journal is cut after 8
+    /// apps and the ledger after 7: apps 8..12 are new work, and app 7,
+    /// journaled without its graph, is one recovery finds inconsistent.
+    fn cut_session(
+        corpus: &[SyntheticApp],
+        tag: &str,
+    ) -> (std::path::PathBuf, crate::sweep::Journal, Pipeline) {
+        let dir = std::env::temp_dir().join(format!("dydroid_{tag}_{}", std::process::id()));
         let _ = std::fs::remove_dir_all(&dir);
         let journal = crate::sweep::Journal::new(dir.join("sweep.jsonl"));
         journal.reset().expect("reset journal");
@@ -2326,10 +2321,6 @@ mod tests {
         Pipeline::new(config.clone())
             .run_resumable(corpus, &journal)
             .expect("first session");
-        // Both finalized streams hold one frame per app in corpus order.
-        // Cut the journal after 8 apps and the ledger after 7: apps 8..12
-        // are new work, and app 7, journaled without its graph, is one
-        // recovery finds inconsistent.
         let keep_lines = |path: &Path, n: usize| {
             let text = std::fs::read_to_string(path).expect("read stream");
             let kept: String = text.split_inclusive('\n').take(n).collect();
@@ -2337,11 +2328,18 @@ mod tests {
         };
         keep_lines(journal.path(), 8);
         keep_lines(&journal.provenance_path(), 7);
-
         let pipeline = Pipeline::new(PipelineConfig {
             telemetry: true,
             ..config
         });
+        (dir, journal, pipeline)
+    }
+
+    #[test]
+    fn inconsistent_apps_run_after_every_new_app() {
+        let corpus = tiny_corpus();
+        let corpus = &corpus[..12];
+        let (dir, journal, pipeline) = cut_session(corpus, "retry_order");
         let report = pipeline
             .run_resumable(corpus, &journal)
             .expect("resumed session");
@@ -2367,6 +2365,28 @@ mod tests {
             );
         }
         let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// The live sweep gauges count this session: on a resume, the done
+    /// gauge reaches the pending gauge (new apps plus the inconsistent
+    /// one) by the time the run returns, while the total stays the
+    /// corpus — so a poller of the pair always sees its final `N/N`.
+    #[test]
+    fn done_gauge_reaches_pending_gauge_on_a_resume() {
+        let corpus = tiny_corpus();
+        let corpus = &corpus[..12];
+        let (dir, journal, pipeline) = cut_session(corpus, "resume_gauges");
+        let report = pipeline
+            .run_resumable(corpus, &journal)
+            .expect("resumed session");
+        let _ = std::fs::remove_dir_all(&dir);
+        let gauge = |name: &str| pipeline.telemetry().gauge_value(name);
+        assert_eq!(report.stats().recovered_records, 7);
+        assert_eq!(gauge("sweep.pending"), 5);
+        assert_eq!(gauge("sweep.done"), gauge("sweep.pending"));
+        assert_eq!(gauge("sweep.total_apps"), corpus.len() as u64);
+        // The clean corpus fails no app in either session.
+        assert_eq!(gauge("sweep.failed"), 0);
     }
 
     /// Workers charge `monkey.virtual_us` ahead of the collector, so

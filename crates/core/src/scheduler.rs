@@ -1,6 +1,6 @@
 //! Per-worker accounting of the corpus sweep.
 //!
-//! The sweep hands out its apps through one [`DispatchCursor`] over a
+//! The sweep hands out its apps through one `DispatchCursor` over a
 //! dispatch order (`Pipeline::sweep`): every app is known before the
 //! workers start and no task spawns another, so a worker takes the next
 //! position until the order runs out. There is no queue to balance and

@@ -4,7 +4,7 @@
 //! Every record finished by [`crate::Pipeline::run_resumable`] is
 //! appended as one framed line (see [`crate::durable`]): a CRC32-checked,
 //! sequence-numbered envelope around the record's JSON. A sweep killed
-//! mid-flight loses at most the apps that were in progress; on restart
+//! mid-flight loses at most the apps that were still running; on restart
 //! the journal is scanned for its longest valid prefix, already-analysed
 //! packages are skipped, and the sweep continues. Torn tails, bit rot,
 //! and lost records are all detected by the frame scan rather than

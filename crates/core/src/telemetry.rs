@@ -17,9 +17,10 @@
 //!   feeding p50/p95/p99 per-phase latency into an extended
 //!   `render_perf()`.
 //! - **Exporters** — (1) a JSONL event stream written alongside the
-//!   journal, (2) Chrome `trace_event` JSON loadable in
-//!   `chrome://tracing` / Perfetto ([`chrome_trace`]), and (3) a
-//!   periodic single-line live progress report ([`Progress`]).
+//!   journal, and (2) Chrome `trace_event` JSON loadable in
+//!   `chrome://tracing` / Perfetto ([`chrome_trace`]). A caller writes
+//!   the trace after a run, and may poll the live `sweep.*` gauges
+//!   while it goes, through `Pipeline::telemetry()`.
 //!
 //! Everything is gated by `PipelineConfig::telemetry`: a disabled
 //! [`Telemetry`] is a single `Option` check per call site — no
@@ -916,100 +917,6 @@ pub fn chrome_trace(spans: &[SpanRecord]) -> serde::Value {
     ])
 }
 
-// ---------------------------------------------------------------------------
-// Live progress
-// ---------------------------------------------------------------------------
-
-/// Live sweep progress: counts completions and renders a single-line
-/// report roughly every tenth of the corpus (and always on the last
-/// app). The ETA projects the remaining apps' virtual-clock charge
-/// (`monkey.virtual_us`, accumulated in microseconds so per-app deltas
-/// never truncate to zero) through the observed virtual-time-per-wall-
-/// second throughput — scaled by the run's parallel balance
-/// (`sweep.virtual_makespan_us ÷ monkey.virtual_us`, published by the
-/// sweep collector) so multi-worker ETAs reflect the *makespan* still
-/// ahead rather than the serial virtual time, which would be k× too
-/// pessimistic on k workers. Falls back to the serial projection when
-/// no makespan gauge is set, and to plain completion rate when no
-/// virtual time has been charged yet. The line also carries worker
-/// utilization (`sweep.busy_us` against workers × wall time) and the
-/// watchdog's running straggler count.
-#[derive(Debug)]
-pub struct Progress {
-    total: usize,
-    done: AtomicUsize,
-    failed: AtomicUsize,
-    every: usize,
-    started: Instant,
-}
-
-impl Progress {
-    /// Tracker for a sweep over `total` apps.
-    pub fn new(total: usize) -> Self {
-        Progress {
-            total,
-            done: AtomicUsize::new(0),
-            failed: AtomicUsize::new(0),
-            every: (total / 10).max(1),
-            started: Instant::now(),
-        }
-    }
-
-    /// Notes one completed app; returns a progress line when one is due.
-    pub fn on_app_done(&self, harness_failure: bool, telemetry: &Telemetry) -> Option<String> {
-        if harness_failure {
-            self.failed.fetch_add(1, Ordering::Relaxed);
-        }
-        let done = self.done.fetch_add(1, Ordering::Relaxed) + 1;
-        if !done.is_multiple_of(self.every) && done != self.total {
-            return None;
-        }
-        let failed = self.failed.load(Ordering::Relaxed);
-        let retried = telemetry.counter_value("sweep.retries");
-        let virtual_us = telemetry.counter_value("monkey.virtual_us");
-        let makespan_us = telemetry.gauge_value("sweep.virtual_makespan_us");
-        let stalls = telemetry.counter_value("watchdog.stragglers");
-        let elapsed = self.started.elapsed().as_secs_f64();
-        let rate = if elapsed > 0.0 {
-            done as f64 / elapsed
-        } else {
-            0.0
-        };
-        let workers = telemetry.gauge_value("sweep.workers");
-        let busy_us = telemetry.gauge_value("sweep.busy_us");
-        let util = if workers > 0 && elapsed > 0.0 {
-            let capacity_us = workers as f64 * elapsed * 1e6;
-            (busy_us as f64 / capacity_us * 100.0).min(100.0)
-        } else {
-            0.0
-        };
-        let remaining = self.total.saturating_sub(done) as f64;
-        let eta = if virtual_us > 0 && elapsed > 0.0 {
-            // remaining × (virtual time per app) ÷ (virtual time per
-            // second), deflated to the makespan the workers actually
-            // realize when the collector publishes one.
-            let per_app = virtual_us as f64 / done as f64;
-            let balance = if makespan_us > 0 {
-                (makespan_us as f64 / virtual_us as f64).min(1.0)
-            } else {
-                1.0
-            };
-            remaining * per_app * balance / (virtual_us as f64 / elapsed).max(f64::MIN_POSITIVE)
-        } else if rate > 0.0 {
-            remaining / rate
-        } else {
-            0.0
-        };
-        Some(format!(
-            "sweep {done}/{total} · {failed} failed · {retried} retried · \
-             {rate:.1} apps/s · {util:.0}% util · {stalls} stalled · \
-             {virtual_ms:.1} virtual ms charged · ETA {eta:.1}s",
-            total = self.total,
-            virtual_ms = virtual_us as f64 / 1_000.0,
-        ))
-    }
-}
-
 /// Appends the canonical (finalized) event line `{"type":<kind>,"app":<app>}`
 /// to `body`; `kind` is a plain identifier.
 fn push_canonical_event(body: &mut String, kind: &str, app: &str) {
@@ -1325,63 +1232,5 @@ mod tests {
         assert_eq!(two.len(), 1);
         assert!(two[0].contains("com.two"));
         let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn progress_reports_on_schedule() {
-        let t = Telemetry::new(true);
-        t.counter_add("monkey.virtual_us", 500_500);
-        t.counter_add("watchdog.stragglers", 3);
-        t.gauge_set("sweep.workers", 4);
-        t.gauge_set("sweep.busy_us", 1);
-        // A 4-worker run that parallelizes perfectly: the makespan is a
-        // quarter of the serial virtual time, so the ETA must shrink by
-        // the same balance factor instead of staying k× pessimistic.
-        t.gauge_set("sweep.virtual_makespan_us", 500_500 / 4);
-        let progress = Progress::new(20);
-        let mut lines = Vec::new();
-        for i in 0..20 {
-            if let Some(line) = progress.on_app_done(i % 5 == 0, &t) {
-                lines.push(line);
-            }
-        }
-        // Every 2 apps out of 20 → 10 reports, last one at 20/20.
-        assert_eq!(lines.len(), 10);
-        let last = lines.last().expect("final line");
-        assert!(last.contains("sweep 20/20"), "got: {last}");
-        assert!(last.contains("4 failed"), "got: {last}");
-        assert!(last.contains("3 stalled"), "got: {last}");
-        assert!(last.contains("% util"), "got: {last}");
-        assert!(last.contains("500.5 virtual ms"), "got: {last}");
-        // At 20/20 nothing remains, so the balance-scaled ETA is zero.
-        assert!(last.contains("ETA 0.0s"), "got: {last}");
-    }
-
-    #[test]
-    fn progress_eta_scales_with_parallel_balance() {
-        let serial = Telemetry::new(true);
-        serial.counter_add("monkey.virtual_us", 1_000_000);
-        let balanced = Telemetry::new(true);
-        balanced.counter_add("monkey.virtual_us", 1_000_000);
-        balanced.gauge_set("sweep.virtual_makespan_us", 250_000);
-        let parse_eta = |line: &str| -> f64 {
-            let tail = line.rsplit("ETA ").next().expect("eta field");
-            tail.trim_end_matches('s').parse().expect("eta number")
-        };
-        // Same wall progress, same virtual charge: the run publishing a
-        // 4× parallel makespan must project ~¼ the ETA. Sleep long
-        // enough that the one-decimal rendering can tell them apart
-        // (ETA here is proportional to elapsed wall time).
-        let p1 = Progress::new(10);
-        std::thread::sleep(std::time::Duration::from_millis(250));
-        let eta_serial = parse_eta(&p1.on_app_done(false, &serial).expect("line at 1/10"));
-        let p2 = Progress::new(10);
-        std::thread::sleep(std::time::Duration::from_millis(250));
-        let eta_balanced = parse_eta(&p2.on_app_done(false, &balanced).expect("line at 1/10"));
-        assert!(eta_serial >= 1.0, "serial ETA too small: {eta_serial}");
-        assert!(
-            eta_balanced < eta_serial * 0.5,
-            "makespan balance not applied: serial {eta_serial} vs balanced {eta_balanced}"
-        );
     }
 }

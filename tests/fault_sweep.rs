@@ -199,13 +199,27 @@ fn faulty_sweep_trace_is_loadable_and_events_match_journal() {
         workers: 4,
         environment_reruns: false,
         app_deadline_ms: 400,
-        trace_out: Some(trace_path.to_string_lossy().into_owned()),
         ..Default::default()
     });
     let report = traced
         .run_resumable(&corpus, &journal)
         .expect("sweep completes despite faults");
     assert_eq!(report.records().len(), CORPUS_APPS);
+    // The live failed gauge counted every harness failure it collected.
+    let failed = report
+        .records()
+        .iter()
+        .filter(|r| r.harness_failure().is_some())
+        .count();
+    assert!(failed > 0, "a 20% fault rate failed no app");
+    assert_eq!(
+        traced.telemetry().gauge_value("sweep.failed"),
+        failed as u64
+    );
+    traced
+        .telemetry()
+        .write_chrome_trace(&trace_path)
+        .expect("write trace");
 
     // The Chrome trace parses back with one complete event per span.
     let text = std::fs::read_to_string(&trace_path).expect("trace file written");

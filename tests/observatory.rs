@@ -133,33 +133,21 @@ fn killed_sweep_replay_matches_stitched_spans() {
         "replay diverged from stitched aggregation after a crash"
     );
 
-    // Resuming to completion writes the profile artifact, and it is
-    // byte-identical to aggregating the resumed pipeline's full
-    // (stitched + fresh) timeline.
-    let profile_out = std::env::temp_dir().join(format!(
-        "dydroid_observatory_killed_{}.profile.folded",
-        std::process::id()
-    ));
-    let _ = std::fs::remove_file(&profile_out);
-    let second = Pipeline::new(PipelineConfig {
-        profile_out: Some(profile_out.to_string_lossy().into_owned()),
-        ..config
-    });
+    // Resuming to completion writes the profile artifact beside the
+    // journal for `dcltrace profile`, and it is byte-identical to
+    // aggregating the resumed pipeline's full (stitched + fresh)
+    // timeline, as read through its telemetry once the run returns.
+    let second = Pipeline::new(config);
     let resumed = second
         .run_resumable(&corpus, &journal)
         .expect("resumed sweep");
     assert_eq!(resumed.records().len(), corpus.len());
-    let artifact = std::fs::read_to_string(&profile_out).expect("profile artifact");
+    let artifact = std::fs::read_to_string(journal.profile_path()).expect("journal-side artifact");
     let full = SpanProfile::from_spans(&second.telemetry().spans());
     assert_eq!(
         artifact,
         full.folded(),
         "profile artifact diverged from the resumed live timeline"
-    );
-    // The same artifact lands beside the journal for `dcltrace profile`.
-    assert_eq!(
-        std::fs::read_to_string(journal.profile_path()).expect("journal-side artifact"),
-        artifact
     );
     // Folded lines parse: "path;path;... <self_us>".
     for line in artifact.lines() {
@@ -168,7 +156,6 @@ fn killed_sweep_replay_matches_stitched_spans() {
         self_us.parse::<u64>().expect("self-time is integral µs");
     }
 
-    let _ = std::fs::remove_file(&profile_out);
     journal.reset().expect("cleanup");
 }
 

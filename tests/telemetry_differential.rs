@@ -292,10 +292,10 @@ fn interrupted_event_stream_stitches_into_the_resumed_timeline() {
     journal.reset().expect("cleanup");
 }
 
-/// A trace file requested through the config lands on disk and is valid
-/// JSON even for a plain (non-journaled) run.
+/// A plain (non-journaled) run's telemetry, read back once the run
+/// returns, writes a trace file that is valid JSON.
 #[test]
-fn trace_out_config_writes_a_loadable_file() {
+fn plain_run_telemetry_writes_a_loadable_trace() {
     let corpus = small_corpus(20);
     let trace_path = std::env::temp_dir().join(format!(
         "dydroid_telemetry_trace_{}.trace.json",
@@ -303,10 +303,13 @@ fn trace_out_config_writes_a_loadable_file() {
     ));
     let pipeline = Pipeline::new(PipelineConfig {
         environment_reruns: false,
-        trace_out: Some(trace_path.to_string_lossy().into_owned()),
         ..PipelineConfig::default()
     });
     let _ = pipeline.run(&corpus);
+    pipeline
+        .telemetry()
+        .write_chrome_trace(&trace_path)
+        .expect("write trace");
     let text = std::fs::read_to_string(&trace_path).expect("trace file written");
     let parsed: serde_json::Value = serde_json::from_str(&text).expect("trace parses");
     assert!(
