@@ -71,7 +71,7 @@ fn main() {
         fault_rate
     );
     // Two workers on every host: the write-op total is a cross-machine
-    // identity, and the worker count shapes the stream shard layout.
+    // identity.
     let config = PipelineConfig {
         environment_reruns: false,
         workers: 2,

@@ -18,20 +18,18 @@
 //! logic-bomb signal; `export --dot` emits Graphviz DOT (one app, or the
 //! whole corpus as clustered subgraphs); `check` verifies frame
 //! integrity (CRC32 checksums and contiguous sequence numbers) across
-//! the journal, ledger and event streams — including any unmerged
-//! per-shard triplets (`<journal>.shard-K…`) a killed multi-writer
-//! sweep left behind, each with its own sequence space — plus
-//! ledger↔journal agreement on the analysed app set, printing
+//! the journal, ledger and event streams, plus ledger↔journal agreement
+//! on the analysed app set, printing
 //! per-stream intact/dropped counts and exiting non-zero on any
 //! corruption or disagreement (the CI smoke gate).
 //!
 //! Two observatory commands work straight off a journal, no ledger
-//! needed: `profile` replays the (sharded) event streams into the
+//! needed: `profile` replays the event stream into the
 //! span-derived self-time profile and prints it as flamegraph-collapsed
 //! stack lines, falling back to the `<journal>.profile.folded` artifact
 //! a completed sweep leaves behind (finalize drops span lines from the
 //! canonical stream); `top` is a live plain-terminal monitor that tails
-//! the event streams — span, warning and metrics-snapshot lines, torn
+//! the event stream — span, warning and metrics-snapshot lines, torn
 //! tails and all, a running sweep's tail is torn by definition — and
 //! repaints apps/sec, worker utilization, per-phase latency quantiles,
 //! straggler alerts and the virtual-clock ETA until the sweep completes
@@ -219,37 +217,6 @@ fn cmd_check(records: &[AppProvenance], ledger_path: &str, journal_path: &str) {
     dropped += check_stream("journal", std::path::Path::new(journal_path), true);
     dropped += check_stream("ledger", std::path::Path::new(ledger_path), true);
     dropped += check_stream("events", &journal.events_path(), false);
-    // Shard triplets of an interrupted multi-writer sweep (a completed
-    // run merges and removes them): frame-verify each pre-merge, with
-    // per-shard intact/dropped counts. Sequence numbers are per shard.
-    match journal.discover_shards() {
-        Ok(shards) => {
-            if !shards.is_empty() {
-                println!(
-                    "{} unmerged shard triplet(s) from an interrupted multi-writer sweep:",
-                    shards.len()
-                );
-            }
-            for k in shards {
-                dropped +=
-                    check_stream(&format!("shard-{k} journal"), &journal.shard_path(k), true);
-                dropped += check_stream(
-                    &format!("shard-{k} ledger"),
-                    &journal.shard_provenance_path(k),
-                    false,
-                );
-                dropped += check_stream(
-                    &format!("shard-{k} events"),
-                    &journal.shard_events_path(k),
-                    false,
-                );
-            }
-        }
-        Err(e) => {
-            eprintln!("check failed: cannot scan for shard files: {e}");
-            dropped += 1;
-        }
-    }
     // Layer 2: cross-stream agreement on the analysed app set.
     let agree = check_against_journal(records, &loaded);
     match &agree {
@@ -337,55 +304,47 @@ fn scan_bodies(path: &std::path::Path) -> Vec<String> {
 
 fn read_top_frame(journal: &Journal) -> TopFrame {
     let mut frame = TopFrame::default();
-    let mut event_paths = vec![journal.events_path()];
-    if let Ok(shards) = journal.discover_shards() {
-        for k in shards {
-            event_paths.push(journal.shard_events_path(k));
-        }
-    }
     let mut done: HashSet<String> = HashSet::new();
     let mut newest: Option<serde::Value> = None;
-    // Finalize rewrites the base stream to canonical lines only — bare
-    // checkpoint/provenance facts without span ids — and removes the
-    // shard streams; any other line means a session is (or was) live.
-    let (mut canonical, mut live) = (false, event_paths.len() > 1);
-    for path in &event_paths {
-        for body in scan_bodies(path) {
-            let Ok(value) = serde_json::from_str::<serde::Value>(&body) else {
-                continue;
-            };
-            let kind = value.get("type").and_then(|t| t.as_str());
-            if matches!(kind, Some("checkpoint" | "provenance")) && value.get("span").is_none() {
-                canonical = true;
-            } else {
-                live = true;
+    // Finalize rewrites the stream to canonical lines only — bare
+    // checkpoint/provenance facts without span ids; any other line means
+    // a session is (or was) live.
+    let (mut canonical, mut live) = (false, false);
+    for body in scan_bodies(&journal.events_path()) {
+        let Ok(value) = serde_json::from_str::<serde::Value>(&body) else {
+            continue;
+        };
+        let kind = value.get("type").and_then(|t| t.as_str());
+        if matches!(kind, Some("checkpoint" | "provenance")) && value.get("span").is_none() {
+            canonical = true;
+        } else {
+            live = true;
+        }
+        match kind {
+            Some("checkpoint") => {
+                if let Some(app) = value.get("app").and_then(|a| a.as_str()) {
+                    done.insert(app.to_string());
+                }
             }
-            match kind {
-                Some("checkpoint") => {
-                    if let Some(app) = value.get("app").and_then(|a| a.as_str()) {
-                        done.insert(app.to_string());
-                    }
-                }
-                Some("metrics") => {
-                    frame.snapshots += 1;
-                    newest = Some(value);
-                }
-                Some("span") => {
-                    if let Ok(span) = SpanRecord::from_json(&value) {
-                        frame
-                            .phase_us
-                            .entry(span.name)
-                            .or_default()
-                            .push(span.dur_us);
-                    }
-                }
-                Some("warn") if value.get("kind").and_then(|k| k.as_str()) == Some("straggler") => {
-                    if let Some(app) = value.get("app").and_then(|a| a.as_str()) {
-                        frame.straggler_apps.push(app.to_string());
-                    }
-                }
-                _ => {}
+            Some("metrics") => {
+                frame.snapshots += 1;
+                newest = Some(value);
             }
+            Some("span") => {
+                if let Ok(span) = SpanRecord::from_json(&value) {
+                    frame
+                        .phase_us
+                        .entry(span.name)
+                        .or_default()
+                        .push(span.dur_us);
+                }
+            }
+            Some("warn") if value.get("kind").and_then(|k| k.as_str()) == Some("straggler") => {
+                if let Some(app) = value.get("app").and_then(|a| a.as_str()) {
+                    frame.straggler_apps.push(app.to_string());
+                }
+            }
+            _ => {}
         }
     }
     frame.done = done.len();
@@ -631,8 +590,8 @@ fn main() {
         return;
     }
     let ledger_path = ledger_path.unwrap_or_else(|| usage("--ledger PATH is required"));
-    // `check` must still verify an interrupted first run, where every
-    // record is in shard files and the base ledger is legitimately empty.
+    // `check` must still verify a first run interrupted before its first
+    // ledger frame, whose ledger is legitimately empty.
     let records = load_ledger(ledger_path, command == Some("check"));
     match command {
         Some("summary") => cmd_summary(&records),

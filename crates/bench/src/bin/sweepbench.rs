@@ -1,7 +1,7 @@
 //! rebar-style sweep benchmark: times a fixed-seed in-memory corpus
 //! sweep (the content-addressed analysis cache is always on), then
-//! sweeps the worker count 1→N through the sharded multi-writer path and
-//! emits the apps/sec-per-core scaling curve.
+//! sweeps the worker count 1→N through the journaled path and emits the
+//! apps/sec-per-core scaling curve.
 //!
 //! The in-memory sweep is sampled over several rounds (rebar
 //! warmup/sample discipline). Its record keeps the workload name
@@ -39,8 +39,7 @@ fn timed_sweep(config: PipelineConfig, corpus: &[SyntheticApp]) -> (MeasurementR
     (report, t0.elapsed().as_secs_f64() * 1e3)
 }
 
-/// One scaling point: a journaled sweep at a fixed worker count through
-/// the sharded multi-writer path. Returns the report, the wall-clock
+/// One scaling point: a journaled sweep at a fixed worker count. Returns the report, the wall-clock
 /// ms, and the finalized journal bytes (the cross-count byte-identity
 /// evidence).
 fn scaling_point(
@@ -189,9 +188,9 @@ fn main() {
         "cached": sweep_json(&cached_report, cached_median, apps),
     });
 
-    // Worker-count scaling sweep 1→N through the sharded multi-writer
-    // journaled path. Each count runs the same corpus; the finalized
-    // journal and the report JSON must be byte-identical across counts.
+    // Worker-count scaling sweep 1→N through the journaled path. Each
+    // count runs the same corpus; the finalized journal and the report
+    // JSON must be byte-identical across counts.
     let scaling_dir =
         std::env::temp_dir().join(format!("sweepbench-scaling-{}", std::process::id()));
     std::fs::create_dir_all(&scaling_dir).expect("create scaling dir");
@@ -244,13 +243,11 @@ fn main() {
         );
         points.push(serde_json::json!({
             "workers": workers,
-            "stream_shards": stats.stream_shards,
             "wall_ms": wall_ms,
             "virtual_makespan_us": makespan_us,
             "virtual_total_us": virtual_total,
             "scaling": scaling,
             "apps_per_virtual_sec_per_core": apps_per_virtual_sec_per_core,
-            "shard_contention": stats.shard_contention,
         }));
     }
     let _ = std::fs::remove_dir_all(&scaling_dir);

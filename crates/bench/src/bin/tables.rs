@@ -151,12 +151,10 @@ fn main() {
     let run = || match &args.journal {
         Some(path) => {
             let journal = Journal::new(path);
-            if !args.resume {
-                journal.reset().expect("reset journal");
-            }
-            pipeline
-                .run_resumable(&corpus, &journal)
-                .expect("journalled sweep")
+            let reset = if args.resume { Ok(()) } else { journal.reset() };
+            reset
+                .and_then(|()| pipeline.run_resumable(&corpus, &journal))
+                .unwrap_or_else(|e| cannot_write(path, e))
         }
         None => pipeline.run(&corpus),
     };
@@ -244,8 +242,13 @@ fn main() {
 /// failed write fails the run.
 fn write_output(path: &str, write: impl FnOnce(&Path) -> io::Result<()>) {
     if let Err(e) = write(Path::new(path)) {
-        eprintln!("error: cannot write {path}: {e}");
-        std::process::exit(EXIT_FINDING);
+        cannot_write(path, e);
     }
     eprintln!("wrote {path}");
+}
+
+/// Fails the run on an output it cannot write.
+fn cannot_write(path: &str, e: io::Error) -> ! {
+    eprintln!("error: cannot write {path}: {e}");
+    std::process::exit(EXIT_FINDING);
 }

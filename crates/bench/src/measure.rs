@@ -168,8 +168,8 @@ pub struct Measurement {
     /// Recorded sample rounds.
     pub samples: usize,
     /// Counters fed from the telemetry metrics registry / `SweepStats`
-    /// (cache hits, inline-cache hits, worker accounting, shard contention,
-    /// recovery counters), keyed by metric name.
+    /// (cache hits, inline-cache hits, worker accounting, recovery
+    /// counters), keyed by metric name.
     pub counters: BTreeMap<String, u64>,
     /// The named measurements.
     pub metrics: Vec<Metric>,
@@ -229,8 +229,8 @@ impl Measurement {
     }
 
     /// Merges the sweep-level counters of a finished run (cache and
-    /// inline-cache hit counters, worker virtual time, shard contention,
-    /// recovery and durability counters) into the record.
+    /// inline-cache hit counters, worker virtual time, recovery and
+    /// durability counters) into the record.
     pub fn counters_from_stats(&mut self, stats: &dydroid::SweepStats) {
         for (name, value) in stats.counter_map() {
             self.counters.insert(name, value);

@@ -88,12 +88,18 @@ fn tables_fails_when_an_output_cannot_be_written() {
         missing.join("x.trace.json"),
         missing.join("p.folded"),
     );
-    let cases: [&[(&str, &std::path::Path)]; 5] = [
+    // A journal whose parent is a regular file can be neither reset nor
+    // created.
+    let file = dir.join("a_file");
+    std::fs::write(&file, b"").expect("write a regular file");
+    let journal = file.join("j.jsonl");
+    let cases: [&[(&str, &std::path::Path)]; 6] = [
         &[("--json", &json)],
         &[("--perf-json", &perf)],
         &[("--trace-out", &trace)],
         &[("--profile-out", &profile)],
         &[("--trace-out", &trace), ("--profile-out", &profile)],
+        &[("--journal", &journal)],
     ];
     for case in cases {
         let mut args = vec!["--scale", "0.01", "--seed", "1", "--table", "2"];

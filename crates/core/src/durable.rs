@@ -353,7 +353,10 @@ impl StreamKind {
     }
 }
 
-/// When the writer forces appended frames to stable storage.
+/// When the writer forces appended frames to stable storage. It governs
+/// the journal and the ledger, the streams recovery reads. The live event
+/// stream is never fsynced: recovery never reads it, finalize replaces it
+/// atomically, and its readers already tolerate a torn tail.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
 pub enum SyncPolicy {
     /// Fsync after every appended record (safest, slowest).
@@ -811,6 +814,9 @@ impl FramedWriter {
     }
 
     fn maybe_sync(&mut self) -> io::Result<()> {
+        if self.opts.stream == StreamKind::Events {
+            return Ok(());
+        }
         self.since_sync += 1;
         let due = match self.opts.policy {
             SyncPolicy::Always => true,
@@ -1308,6 +1314,16 @@ impl<T: Record> RecordWriter<T> {
         self.inner.append_body(&self.body).map(|_| ())
     }
 
+    /// Appends one record already encoded as its JSON `body`, as
+    /// [`RecordWriter::append`] would encode it (or sheds it).
+    ///
+    /// # Errors
+    ///
+    /// As [`RecordWriter::append`].
+    pub fn append_body(&mut self, body: &str) -> io::Result<()> {
+        self.inner.append_body(body).map(|_| ())
+    }
+
     /// Sequence number the next appended record will carry.
     pub fn seq(&self) -> u64 {
         self.inner.seq()
@@ -1605,6 +1621,30 @@ mod tests {
     }
 
     #[test]
+    fn the_event_stream_is_never_synced() {
+        let state = IoState::new(0);
+        for stream in [StreamKind::Events, StreamKind::Journal] {
+            let path = temp_path(&format!("nosync-{}", stream.name()));
+            let _ = std::fs::remove_file(&path);
+            let opts = SinkOptions {
+                stream,
+                policy: SyncPolicy::Always,
+                state: Arc::clone(&state),
+                harness: None,
+            };
+            let mut w = FramedWriter::open(&path, opts).expect("open");
+            for i in 0..3 {
+                w.append_body(&format!("{{\"i\":{i}}}")).unwrap();
+            }
+            drop(w);
+            let _ = std::fs::remove_file(&path);
+        }
+        let syncs = state.snapshot().syncs;
+        assert_eq!(syncs[StreamKind::Events.index()], 0);
+        assert_eq!(syncs[StreamKind::Journal.index()], 3);
+    }
+
+    #[test]
     fn retry_budget_is_shared_and_exhaustible() {
         let state = IoState::new(2);
         assert!(state.take_retry());
@@ -1830,10 +1870,10 @@ mod tests {
         let (journal_bytes, ledger_bytes) = read(&crashed);
         assert!(ledger_bytes == final_ledger, "the ledger committed");
         assert!(journal_bytes != final_journal, "the journal did not");
-        // The journal is shard 0's appends; shard 1's files wait for the
-        // next recovery to merge them.
-        assert!(scan_stream(&journal_bytes).is_clean());
-        assert_eq!(crashed.discover_shards().unwrap(), [1]);
+        // The journal is the sweep's appends, every app in the one file.
+        let scan = scan_stream(&journal_bytes);
+        assert!(scan.is_clean());
+        assert_eq!(scan.bodies.len(), corpus.len());
         let left = std::fs::read_dir(&dir)
             .unwrap()
             .map(|e| e.unwrap().file_name().to_string_lossy().into_owned())

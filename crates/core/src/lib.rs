@@ -64,8 +64,8 @@ pub mod training;
 pub mod obs {
     pub use crate::profile::{ProfileEntry, SpanProfile, StragglerEntry, Watchdog};
     pub use crate::telemetry::{
-        chrome_trace, EventShardGuard, Histogram, HistogramSummary, MetricsRegistry,
-        MetricsSnapshot, SpanGuard, SpanRecord, Telemetry,
+        chrome_trace, Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot, SpanGuard,
+        SpanRecord, Telemetry,
     };
 }
 

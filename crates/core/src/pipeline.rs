@@ -10,7 +10,7 @@ use std::collections::{BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, TryLockError};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crossbeam::channel;
@@ -26,7 +26,7 @@ use dydroid_monkey::{ExerciseOutcome, Monkey, MonkeyConfig};
 use dydroid_workload::{AppMetadata, SyntheticApp};
 use serde::{Deserialize, Serialize};
 
-use crate::cache::{content_hash, AnalysisCache, BinaryVerdict, CacheStats};
+use crate::cache::{AnalysisCache, BinaryVerdict, CacheStats};
 use crate::config::{
     PipelineConfig, MAX_EVENTS_PER_APP, MAX_RETRIES, METRICS_INTERVAL_US, MONKEY_SEED,
     QUARANTINE_THRESHOLD, STRAGGLER_TOP,
@@ -301,8 +301,6 @@ impl Pipeline {
         }
         let perf = SweepPerf {
             worker_stats,
-            stream_shards: 0,
-            shard_contention: 0,
             sweep_ms: sweep_start.elapsed().as_millis() as u64,
         };
         (slots, perf, observatory)
@@ -335,33 +333,18 @@ impl Pipeline {
         corpus: &[SyntheticApp],
         journal: &crate::sweep::Journal,
     ) -> std::io::Result<MeasurementReport> {
-        // Stitch spans from the previous session — base stream plus any
-        // shard streams a killed multi-writer sweep left behind — before
-        // recovery merges the shards away.
+        // Stitch spans from the previous session into this timeline.
         if self.telemetry.is_enabled() {
-            let mut event_paths = vec![journal.events_path()];
-            event_paths.extend(
-                journal
-                    .discover_shards()
-                    .unwrap_or_default()
-                    .into_iter()
-                    .map(|k| journal.shard_events_path(k)),
-            );
-            let mut stitched = 0usize;
-            for path in &event_paths {
-                match self.telemetry.stitch_from(path) {
-                    Ok(n) => stitched += n,
-                    Err(e) => {
-                        eprintln!(
-                            "dydroid: failed to stitch events from {}: {e}",
-                            path.display()
-                        )
-                    }
-                }
-            }
-            if stitched > 0 {
-                self.telemetry
-                    .counter_add("telemetry.spans_stitched", stitched as u64);
+            let path = journal.events_path();
+            match self.telemetry.stitch_from(&path) {
+                Ok(0) => {}
+                Ok(stitched) => self
+                    .telemetry
+                    .counter_add("telemetry.spans_stitched", stitched as u64),
+                Err(e) => eprintln!(
+                    "dydroid: failed to stitch events from {}: {e}",
+                    path.display()
+                ),
             }
         }
         let (outcome, recovered_apps) = self.recover_streams(journal)?;
@@ -420,15 +403,10 @@ impl Pipeline {
         let pending: Vec<usize> = (0..corpus.len())
             .filter(|&i| slots.records[i].is_none())
             .collect();
-        // One stream shard per sweep worker: shard 0 is the base triplet,
-        // so a one-worker (or nothing-pending) run keeps the single-writer
-        // layout.
-        let shard_count = self.config.effective_workers().min(pending.len()).max(1);
-        let shards = StreamShards::open(
+        let mut writers = StreamWriters::open(
             self,
-            (journal, Some(outcome.journal_end)),
+            (journal, outcome.journal_end),
             (&ledger, outcome.ledger_end),
-            shard_count,
             &io_state,
         )?;
         // Quarantine records are persisted through the same append as
@@ -436,14 +414,8 @@ impl Pipeline {
         // mutually consistent.
         for i in quarantined {
             if let Some(record) = &slots.records[i] {
-                let provenance = AppProvenance::from_record(record);
-                shards.append(
-                    shards.shard_of(&corpus[i]),
-                    record,
-                    Some(&provenance),
-                    0,
-                    &self.telemetry,
-                );
+                let bodies = AppBodies::encode(record, &AppProvenance::from_record(record));
+                writers.append(&record.package, &bodies, 0, &self.telemetry);
             }
         }
         // The dispatch order: new pending apps first, then the apps
@@ -466,7 +438,7 @@ impl Pipeline {
             corpus,
             &order,
             &mut slots,
-            Some(&shards),
+            Some(&mut writers),
             observatory.as_ref(),
             sweep_span.id(),
         );
@@ -474,15 +446,11 @@ impl Pipeline {
         if let Some(obs) = &observatory {
             obs.finish(self);
         }
-        let shard_contention = shards.contention();
-        // Close the shard writers before finalize merges and removes the
-        // shard files (the telemetry event sinks close inside
-        // `finalize_event_sink`).
-        drop(shards);
+        // Close the writers before finalize replaces their files (the
+        // telemetry event sink closes inside `finalize_event_sink`).
+        drop(writers);
         let perf = SweepPerf {
             worker_stats,
-            stream_shards: shard_count,
-            shard_contention,
             sweep_ms: sweep_start.elapsed().as_millis() as u64,
         };
         let summary = RecoverySummary {
@@ -538,131 +506,13 @@ impl Pipeline {
     /// [`Pipeline::recover_all`], with the recovered apps returned beside
     /// an outcome whose `records` and `provenance` stay empty: each
     /// journal record paired with its graph, in journal order, so no
-    /// caller re-keys them by package.
+    /// caller re-keys them by package. The journal and the ledger are
+    /// read on two threads.
     fn recover_streams(
         &self,
         journal: &crate::sweep::Journal,
     ) -> std::io::Result<(RecoveryOutcome, Vec<AppResult>)> {
-        // The base pair and every shard pair a killed multi-writer sweep
-        // left behind are reconciled with the same per-segment rule:
-        // longest mutually consistent prefix of that segment's journal
-        // and ledger.
-        let base_ledger = ProvenanceLedger::new(journal.provenance_path());
-        let base = self.recover_segment(journal, &base_ledger)?;
-        let shard_ids = journal.discover_shards()?;
-        let mut shard_segments = Vec::with_capacity(shard_ids.len());
-        for &k in &shard_ids {
-            let shard_ledger = ProvenanceLedger::new(journal.shard_provenance_path(k));
-            shard_segments.push(self.recover_segment(&journal.shard(k), &shard_ledger)?);
-        }
-
-        // Merge: base records first, then shards in ascending shard
-        // order, first record per package wins. Duplicates only arise
-        // from a crash between the base finalize and shard removal,
-        // where both copies are identical.
-        let base_journal_count = base.journal_count;
-        let base_app_count = base.apps.len();
-        let mut journal_end = base.journal_end;
-        let mut ledger_end = base.ledger_end;
-        let mut apps: Vec<AppResult> = Vec::new();
-        let mut inconsistent: BTreeSet<String> = BTreeSet::new();
-        let mut journal_dropped = 0usize;
-        let mut ledger_dropped = 0usize;
-        for segment in std::iter::once(base).chain(shard_segments) {
-            journal_dropped += segment.journal_dropped;
-            ledger_dropped += segment.ledger_dropped;
-            inconsistent.extend(segment.inconsistent);
-            if apps.is_empty() {
-                apps = segment.apps;
-            } else {
-                apps.extend(segment.apps);
-            }
-        }
-        let mut quarantine = journal.load_quarantine()?;
-        let first: Vec<bool> = {
-            let mut seen: HashSet<&str> = HashSet::with_capacity(apps.len());
-            let first = apps
-                .iter()
-                .map(|(record, _)| seen.insert(record.package.as_str()))
-                .collect();
-            // A package consistent in any segment is recovered: it is not
-            // re-analysed even if another segment holds a torn copy of
-            // it, and it sheds its quarantine entry.
-            inconsistent.retain(|p| !seen.contains(p.as_str()));
-            quarantine.retain(|e| !seen.contains(e.package.as_str()));
-            first
-        };
-        let mut first = first.into_iter();
-        apps.retain(|_| first.next().unwrap_or(false));
-        let shards_contributed = apps.len() > base_app_count;
-
-        // Rewrite the base journal and ledger to the merged consistent
-        // set so this session's appends extend files that agree with
-        // each other (and hold everything the shards contributed).
-        if apps.len() != base_journal_count || shards_contributed {
-            journal_end = journal.rewrite(apps.iter().map(|(record, _)| record))?;
-        }
-        if !inconsistent.is_empty() || shards_contributed {
-            match base_ledger.rewrite(apps.iter().filter_map(|(_, graph)| graph.as_ref())) {
-                Ok(end) => ledger_end = Some(end),
-                Err(e) => {
-                    // The file is in an unknown state: the writer scans
-                    // it afresh.
-                    ledger_end = None;
-                    eprintln!(
-                        "dydroid: failed to rewrite ledger {}: {e}",
-                        base_ledger.path().display()
-                    );
-                }
-            }
-        }
-        if !shard_ids.is_empty() {
-            journal.remove_shards()?;
-        }
-
-        // Quarantine bookkeeping: every cross-stream-inconsistent app
-        // burned one interrupted attempt; apps that completed since then
-        // shed their entries (above).
-        for package in &inconsistent {
-            match quarantine.iter_mut().find(|e| &e.package == package) {
-                Some(entry) => entry.attempts = entry.attempts.saturating_add(1),
-                None => quarantine.push(QuarantineEntry {
-                    package: package.clone(),
-                    attempts: 1,
-                }),
-            }
-        }
-        journal.write_quarantine(&quarantine)?;
-        let quarantined: Vec<String> = quarantine
-            .iter()
-            .filter(|e| e.attempts >= QUARANTINE_THRESHOLD)
-            .map(|e| e.package.clone())
-            .collect();
-
-        let outcome = RecoveryOutcome {
-            records: Vec::new(),
-            provenance: Vec::new(),
-            journal_dropped,
-            ledger_dropped,
-            inconsistent: inconsistent.into_iter().collect(),
-            quarantine,
-            quarantined,
-            journal_end,
-            ledger_end,
-        };
-        Ok((outcome, apps))
-    }
-
-    /// Reconciles one segment — a (journal, ledger) pair, either the base
-    /// streams or one shard's — to its longest mutually consistent
-    /// prefix. Each stream is cut back to its own valid prefix;
-    /// cross-stream rewrites happen at the merge layer. The journal and
-    /// the ledger are recovered on two threads.
-    fn recover_segment(
-        &self,
-        journal: &crate::sweep::Journal,
-        ledger: &ProvenanceLedger,
-    ) -> std::io::Result<SegmentRecovery> {
+        let ledger = ProvenanceLedger::new(journal.provenance_path());
         let (recovery, ledger_recovery) = std::thread::scope(|scope| {
             let ledger_job = scope.spawn(|| ledger.recover_counted());
             let recovery = journal.recover_counted();
@@ -680,6 +530,7 @@ impl Pipeline {
         );
         let journal_dropped = recovery.dropped_lines;
         let journal_count = recovery.records.len();
+        let mut journal_end = recovery.end;
 
         let mut ledger_records: Vec<AppProvenance> = Vec::new();
         let mut ledger_dropped = 0usize;
@@ -733,7 +584,7 @@ impl Pipeline {
             takes
         };
         let mut graphs: Vec<Option<AppProvenance>> = ledger_records.into_iter().map(Some).collect();
-        let apps: Vec<AppResult> = recovery
+        let mut apps: Vec<AppResult> = recovery
             .records
             .into_iter()
             .zip(takes)
@@ -741,41 +592,102 @@ impl Pipeline {
                 take.map(|graph| (record, graph.and_then(|i| graphs[i].take())))
             })
             .collect();
+        drop(graphs);
 
-        Ok(SegmentRecovery {
-            apps,
+        // The first record per package wins.
+        let mut quarantine = journal.load_quarantine()?;
+        let first: Vec<bool> = {
+            let mut seen: HashSet<&str> = HashSet::with_capacity(apps.len());
+            let first = apps
+                .iter()
+                .map(|(record, _)| seen.insert(record.package.as_str()))
+                .collect();
+            // A recovered package is not re-analysed even if the streams
+            // also hold a torn copy of it, and it sheds its quarantine
+            // entry.
+            inconsistent.retain(|p| !seen.contains(p.as_str()));
+            quarantine.retain(|e| !seen.contains(e.package.as_str()));
+            first
+        };
+        let mut first = first.into_iter();
+        apps.retain(|_| first.next().unwrap_or(false));
+
+        // Rewrite the journal and ledger to the consistent set so this
+        // session's appends extend files that agree with each other.
+        if apps.len() != journal_count {
+            journal_end = journal.rewrite(apps.iter().map(|(record, _)| record))?;
+        }
+        if !inconsistent.is_empty() {
+            match ledger.rewrite(apps.iter().filter_map(|(_, graph)| graph.as_ref())) {
+                Ok(end) => ledger_end = Some(end),
+                Err(e) => {
+                    // The file is in an unknown state: the writer scans
+                    // it afresh.
+                    ledger_end = None;
+                    eprintln!(
+                        "dydroid: failed to rewrite ledger {}: {e}",
+                        ledger.path().display()
+                    );
+                }
+            }
+        }
+
+        // Quarantine bookkeeping: every cross-stream-inconsistent app
+        // burned one interrupted attempt; apps that completed since then
+        // shed their entries (above).
+        for package in &inconsistent {
+            match quarantine.iter_mut().find(|e| &e.package == package) {
+                Some(entry) => entry.attempts = entry.attempts.saturating_add(1),
+                None => quarantine.push(QuarantineEntry {
+                    package: package.clone(),
+                    attempts: 1,
+                }),
+            }
+        }
+        journal.write_quarantine(&quarantine)?;
+        let quarantined: Vec<String> = quarantine
+            .iter()
+            .filter(|e| e.attempts >= QUARANTINE_THRESHOLD)
+            .map(|e| e.package.clone())
+            .collect();
+
+        let outcome = RecoveryOutcome {
+            records: Vec::new(),
+            provenance: Vec::new(),
             journal_dropped,
             ledger_dropped,
-            inconsistent,
-            journal_count,
-            journal_end: recovery.end,
+            inconsistent: inconsistent.into_iter().collect(),
+            quarantine,
+            quarantined,
+            journal_end,
             ledger_end,
-        })
+        };
+        Ok((outcome, apps))
     }
 
     /// The parallel worker loop. Workers take the corpus indices of
     /// `order` through one shared atomic cursor — every app is known up
     /// front and none spawns another, so the next position is all a
     /// worker needs — and analyse each app inside a panic-isolation
-    /// boundary. With `shards` attached, the worker itself appends the
-    /// finished record to its app's stream shard — the sweep's only
-    /// append path. Results flow through a bounded channel so a slow
+    /// boundary. Results flow through a bounded channel so a slow
     /// collector backpressures workers instead of buffering the whole
     /// corpus in memory; the collector files each one in `slots` at its
     /// corpus index and charges it to the worker that ran it, and a slot
-    /// stays as it was wherever no result arrived. Provenance graphs are
-    /// built only when `shards` are attached, whose ledgers receive them.
+    /// stays as it was wherever no result arrived. With `writers`
+    /// attached, workers also build each app's provenance graph and
+    /// encode its journal and ledger bodies, and the collector appends
+    /// them — the sweep's only append path, with one writer per stream.
     fn sweep(
         &self,
         corpus: &[SyntheticApp],
         order: &[usize],
         slots: &mut SweepSlots,
-        shards: Option<&StreamShards>,
+        mut writers: Option<&mut StreamWriters>,
         observatory: Option<&Observatory>,
         parent_span: u64,
     ) -> Vec<WorkerStats> {
         let workers = self.config.effective_workers().min(order.len().max(1));
-        let keep_graphs = shards.is_some();
+        let keep_graphs = writers.is_some();
         let cursor = DispatchCursor::new(order);
         if self.telemetry.is_enabled() {
             // Baseline gauges for the metrics snapshots, `dcltrace top`
@@ -803,23 +715,16 @@ impl Pipeline {
                 let cursor = &cursor;
                 scope.spawn(move |_| {
                     while let Some(index) = cursor.next() {
-                        let app = &corpus[index];
-                        // Scope this thread's event lines (spans, then the
-                        // checkpoint/provenance links of the shard append)
-                        // to the app's shard for the whole task.
-                        let shard = shards.map(|s| s.shard_of(app));
-                        let _scope = shard.map(|k| self.telemetry.event_shard_scope(k));
                         let started = Instant::now();
                         let (record, graph, span_id, virtual_us) =
-                            self.analyze_app_traced(app, parent_span, keep_graphs);
-                        if let (Some(shards), Some(k)) = (shards, shard) {
-                            shards.append(k, &record, graph.as_ref(), span_id, &self.telemetry);
-                        }
+                            self.analyze_app_traced(&corpus[index], parent_span, keep_graphs);
+                        let bodies = graph.as_ref().map(|g| AppBodies::encode(&record, g));
                         let finished = Finished {
                             worker,
                             index,
                             record,
                             graph,
+                            bodies,
                             span_id,
                             busy_us: started.elapsed().as_micros() as u64,
                             virtual_us,
@@ -835,6 +740,9 @@ impl Pipeline {
             let mut collected_count = 0u64;
             let mut failed_count = 0u64;
             while let Ok(done) = result_rx.recv() {
+                if let (Some(writers), Some(bodies)) = (writers.as_deref_mut(), &done.bodies) {
+                    writers.append(&done.record.package, bodies, done.span_id, &self.telemetry);
+                }
                 let stats = &mut worker_stats[done.worker];
                 stats.executed += 1;
                 stats.busy_us += done.busy_us;
@@ -1022,8 +930,7 @@ impl Pipeline {
             recovery_dropped: recovery.dropped,
             inconsistent_apps: recovery.inconsistent,
             quarantined: recovery.quarantined,
-            stream_shards: perf.stream_shards,
-            shard_contention: perf.shard_contention,
+            shard_contention: 0,
             worker_stats: perf.worker_stats,
             straggler_warnings,
             stragglers,
@@ -1085,9 +992,7 @@ impl Pipeline {
         }
         let ledger = ProvenanceLedger::new(journal.provenance_path());
         let harness = self.io_harness.as_ref();
-        let mut finalized = true;
-        let mut fail = |stream: &str, path: &Path, e: std::io::Error| {
-            finalized = false;
+        let fail = |stream: &str, path: &Path, e: std::io::Error| {
             eprintln!(
                 "dydroid: failed to finalize {stream} {}: {e}",
                 path.display()
@@ -1161,24 +1066,6 @@ impl Pipeline {
         ) {
             fail("events", &events_path, e);
         }
-        // A sharded sweep's per-shard files are fully folded into the
-        // canonical streams above; drop them so the layout a completed
-        // run leaves behind is identical to a serial one. Only once every
-        // stream actually finalized: a failed finalize — or a
-        // crash-frozen harness, whose post-crash writes report success
-        // without touching disk — must leave the shard files for the next
-        // session's recovery to merge.
-        if harness.is_some_and(|h| h.crashed()) {
-            finalized = false;
-        }
-        if finalized {
-            if let Err(e) = journal.remove_shards() {
-                eprintln!(
-                    "dydroid: failed to remove shard files beside {}: {e}",
-                    journal.path().display()
-                );
-            }
-        }
     }
 
     /// Analyses one app inside the fault-isolation boundary: panics are
@@ -1192,7 +1079,7 @@ impl Pipeline {
     /// [`Pipeline::analyze_app_resilient`] under a per-app telemetry span
     /// (parented to the sweep span); returns the record and, with
     /// `keep_graphs`, its provenance graph, together with the span id (so
-    /// the shard append can checkpoint and ledger them) and the app's
+    /// the collector can checkpoint and ledger them) and the app's
     /// deterministic virtual cost in microseconds, summed across
     /// attempts, which the collector charges to the worker that ran it.
     fn analyze_app_traced(
@@ -1667,7 +1554,8 @@ impl Pipeline {
         let mut analysis_span = self
             .telemetry
             .span_with_parent("binary_analysis", parent_span);
-        // Delta marks cost shard locks, so take them only when recording.
+        // Delta marks lock every cache stripe, so take them only when
+        // recording.
         let marks = analysis_span
             .is_recording()
             .then(|| (self.cache.stats(), self.detector.stats()));
@@ -1752,140 +1640,89 @@ impl Pipeline {
     }
 }
 
-/// The one append path of a journaled sweep: per-shard writers of the
-/// journal and its provenance ledger, with the telemetry event sinks
-/// registered at the same indices. Shard 0 writes the base streams
-/// (`<journal>`, `.provenance.jsonl`, `.events.jsonl`) and shard `k >= 1`
-/// the `shard-K` files beside them. Apps are routed by APK content hash
-/// (the same key the analysis cache stripes on), so each worker appends
-/// to the shard owning its current app with no collector bottleneck; the
-/// shard files are merged back into the base streams by
-/// [`Pipeline::finalize_streams`] and by [`Pipeline::recover_all`] after
-/// a crash. A plain [`Pipeline::run`] opens none.
-struct StreamShards {
-    shards: Vec<Mutex<ShardStreams>>,
-    /// Appends that found their shard mutex held by another worker
-    /// (they block and proceed; the count sizes the contention report).
-    contention: AtomicU64,
-}
-
-struct ShardStreams {
+/// The one writer of a journaled sweep: the append handles of the journal
+/// and its provenance ledger, owned by the sweep's collector, which also
+/// opens the telemetry event sink beside them. Workers hand it each
+/// finished app's encoded bodies, so every frame of a stream is appended
+/// by one thread and no lock guards it. A plain [`Pipeline::run`] opens
+/// none.
+struct StreamWriters {
     journal: crate::sweep::JournalWriter,
     ledger: crate::provenance::LedgerWriter,
 }
 
-impl StreamShards {
-    /// Opens `count` shards of `journal` and its `ledger`: a journal and
-    /// a ledger writer per shard and, on a telemetry run, one event sink
-    /// per shard. Per-shard frame sequences continue from each file's
-    /// valid prefix: shard 0 resumes at the base streams' ends when this
-    /// session's recovery found them, and every other file is scanned.
+impl StreamWriters {
+    /// Opens the writers of `journal` and its `ledger` to append after
+    /// the ends this session's recovery found (a ledger without one is
+    /// scanned), and, on a telemetry run, the event sink.
     fn open(
         pipeline: &Pipeline,
-        (journal, journal_end): (&crate::sweep::Journal, Option<StreamEnd>),
+        (journal, journal_end): (&crate::sweep::Journal, StreamEnd),
         (ledger, ledger_end): (&ProvenanceLedger, Option<StreamEnd>),
-        count: usize,
         io_state: &Arc<IoState>,
-    ) -> std::io::Result<StreamShards> {
+    ) -> std::io::Result<StreamWriters> {
         let sink = |stream| pipeline.sink_options(stream, io_state);
-        let mut shards = Vec::with_capacity(count);
-        shards.push(Mutex::new(ShardStreams {
-            journal: journal.open_writer(sink(StreamKind::Journal), journal_end)?,
+        let writers = StreamWriters {
+            journal: journal.open_writer(sink(StreamKind::Journal), Some(journal_end))?,
             ledger: ledger.open_writer(sink(StreamKind::Ledger), ledger_end)?,
-        }));
-        for k in 1..count {
-            let ledger_k = ProvenanceLedger::new(journal.shard_provenance_path(k));
-            shards.push(Mutex::new(ShardStreams {
-                journal: journal
-                    .shard(k)
-                    .open_writer(sink(StreamKind::Journal), None)?,
-                ledger: ledger_k.open_writer(sink(StreamKind::Ledger), None)?,
-            }));
-        }
-        if pipeline.telemetry.is_enabled() {
-            let mut paths = vec![journal.events_path()];
-            paths.extend((1..count).map(|k| journal.shard_events_path(k)));
-            if let Err(e) = pipeline
-                .telemetry
-                .set_event_sinks(&paths, &sink(StreamKind::Events))
-            {
-                eprintln!(
-                    "dydroid: failed to open event sinks beside {}: {e}",
-                    journal.path().display()
-                );
-            }
-        }
-        Ok(StreamShards {
-            shards,
-            contention: AtomicU64::new(0),
-        })
-    }
-
-    /// The shard owning `app`, by APK content hash.
-    fn shard_of(&self, app: &SyntheticApp) -> usize {
-        (content_hash(&app.apk) % self.shards.len() as u64) as usize
-    }
-
-    /// Appends one completed app to shard `k`, holding the shard lock
-    /// through the journal append → checkpoint → ledger append →
-    /// provenance-link quad so the virtual op clock orders the four
-    /// writes as a unit. Recovery's journal ∩ ledger intersection
-    /// depends on the journal frame landing before the ledger frame: a
-    /// crash between them leaves a journal record without its graph,
-    /// never the reverse. The two event lines go to shard `k`'s sink as
-    /// observability only (recovery never reads them): a checkpoint
-    /// mirrors every successful journal append, and the provenance link
-    /// is the durable span cross-reference the ledger itself omits.
-    fn append(
-        &self,
-        k: usize,
-        record: &AppRecord,
-        provenance: Option<&AppProvenance>,
-        span_id: u64,
-        telemetry: &Telemetry,
-    ) {
-        let mut shard = match self.shards[k].try_lock() {
-            Ok(guard) => guard,
-            Err(TryLockError::WouldBlock) => {
-                self.contention.fetch_add(1, Ordering::Relaxed);
-                match self.shards[k].lock() {
-                    Ok(guard) => guard,
-                    Err(poisoned) => poisoned.into_inner(),
-                }
-            }
-            Err(TryLockError::Poisoned(poisoned)) => poisoned.into_inner(),
         };
-        let _scope = telemetry.event_shard_scope(k);
-        match shard.journal.append(record) {
-            Ok(()) => telemetry.emit_checkpoint(&record.package, span_id),
-            Err(e) => eprintln!(
-                "dydroid: shard {k} journal append failed for {}: {e}",
-                record.package
-            ),
+        let events = journal.events_path();
+        if let Err(e) = pipeline
+            .telemetry
+            .set_event_sink_with(&events, sink(StreamKind::Events))
+        {
+            eprintln!(
+                "dydroid: failed to open event sink {}: {e}",
+                events.display()
+            );
         }
-        if let Some(provenance) = provenance {
-            match shard.ledger.append(provenance) {
-                Ok(()) => telemetry.emit_provenance_link(&record.package, span_id),
-                Err(e) => eprintln!(
-                    "dydroid: shard {k} ledger append failed for {}: {e}",
-                    record.package
-                ),
-            }
-        }
+        Ok(writers)
     }
 
-    /// Total contended shard appends so far.
-    fn contention(&self) -> u64 {
-        self.contention.load(Ordering::Relaxed)
+    /// Appends one completed app as the quad journal frame → checkpoint
+    /// → ledger frame → provenance link, in that order on the virtual op
+    /// clock. Recovery's journal ∩ ledger intersection depends on the
+    /// journal frame landing before the ledger frame: a crash between
+    /// them leaves a journal record without its graph, never the
+    /// reverse. The two event lines are observability only (recovery
+    /// never reads them): a checkpoint mirrors every successful journal
+    /// append, and the provenance link is the durable span
+    /// cross-reference the ledger itself omits.
+    fn append(&mut self, package: &str, bodies: &AppBodies, span_id: u64, telemetry: &Telemetry) {
+        match self.journal.append_body(&bodies.journal) {
+            Ok(()) => telemetry.emit_checkpoint(package, span_id),
+            Err(e) => eprintln!("dydroid: journal append failed for {package}: {e}"),
+        }
+        match self.ledger.append_body(&bodies.ledger) {
+            Ok(()) => telemetry.emit_provenance_link(package, span_id),
+            Err(e) => eprintln!("dydroid: ledger append failed for {package}: {e}"),
+        }
     }
 }
 
-/// Worker/shard accounting of one sweep, carried into [`SweepStats`].
+/// One app's journal and ledger bodies, encoded by the worker that
+/// analysed it so the collector only appends.
+struct AppBodies {
+    journal: String,
+    ledger: String,
+}
+
+impl AppBodies {
+    fn encode(record: &AppRecord, graph: &AppProvenance) -> AppBodies {
+        let mut bodies = AppBodies {
+            journal: String::new(),
+            ledger: String::new(),
+        };
+        record.write_json(&mut bodies.journal);
+        graph.write_json(&mut bodies.ledger);
+        bodies
+    }
+}
+
+/// Worker accounting of one sweep, carried into [`SweepStats`].
 #[derive(Debug, Default)]
 struct SweepPerf {
     worker_stats: Vec<WorkerStats>,
-    stream_shards: usize,
-    shard_contention: u64,
     sweep_ms: u64,
 }
 
@@ -2036,6 +1873,8 @@ struct Finished {
     index: usize,
     record: AppRecord,
     graph: Option<AppProvenance>,
+    /// The encoded bodies to append, on a journaled sweep.
+    bodies: Option<AppBodies>,
     span_id: u64,
     busy_us: u64,
     virtual_us: u64,
@@ -2065,30 +1904,12 @@ pub struct RecoveryOutcome {
     /// (sorted); [`Pipeline::run_resumable`] records these as analysis
     /// failures instead of re-analysing them.
     pub quarantined: Vec<String>,
-    /// Where the base journal's frames end after this reconciliation,
-    /// so the session's writer resumes there without a second scan.
+    /// Where the journal's frames end after this reconciliation, so the
+    /// session's writer resumes there without a second scan.
     pub(crate) journal_end: StreamEnd,
-    /// The same for the base ledger; `None` when it was not recovered
+    /// The same for the ledger; `None` when it was not recovered
     /// or its rewrite failed (the writer then scans it).
     pub(crate) ledger_end: Option<StreamEnd>,
-}
-
-/// One segment's reconciliation: the longest mutually consistent prefix
-/// of a (journal, ledger) pair — the base streams or one shard's —
-/// before the per-segment results are merged.
-#[derive(Debug, Default)]
-struct SegmentRecovery {
-    /// The consistent apps in journal order, each with its graph (none
-    /// when the ledger was not recovered).
-    apps: Vec<AppResult>,
-    journal_dropped: usize,
-    ledger_dropped: usize,
-    inconsistent: BTreeSet<String>,
-    journal_count: usize,
-    /// Where the segment's journal frames end after its recovery.
-    journal_end: StreamEnd,
-    /// Where its ledger frames end, when the ledger was recovered.
-    ledger_end: Option<StreamEnd>,
 }
 
 /// Marks of the monotonic avm telemetry counters taken at sweep start,
@@ -2232,11 +2053,16 @@ mod tests {
         journal.reset().expect("reset journal");
         let ledger = ProvenanceLedger::new(journal.provenance_path());
         let io_state = IoState::new(pipeline.config.io_retry_budget);
-        let shards = StreamShards::open(&pipeline, (&journal, None), (&ledger, None), 2, &io_state)
-            .expect("open stream shards");
+        let mut writers = StreamWriters::open(
+            &pipeline,
+            (&journal, StreamEnd::default()),
+            (&ledger, None),
+            &io_state,
+        )
+        .expect("open stream writers");
         let order: Vec<usize> = (0..corpus.len()).collect();
         let mut slots = SweepSlots::new(corpus.len(), true);
-        pipeline.sweep(corpus, &order, &mut slots, Some(&shards), None, 0);
+        pipeline.sweep(corpus, &order, &mut slots, Some(&mut writers), None, 0);
         for (app, graph) in corpus.iter().zip(&slots.graphs) {
             assert_eq!(
                 graph.as_ref().map(|g| g.package.as_str()),
@@ -2245,7 +2071,8 @@ mod tests {
                 app.package()
             );
         }
-        drop(shards);
+        drop(writers);
+        assert_eq!(journal.load().expect("journal").len(), corpus.len());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

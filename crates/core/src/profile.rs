@@ -15,8 +15,8 @@
 //!
 //! - **live**, from the in-memory span store fed by `SpanGuard` drops
 //!   ([`SpanProfile::from_spans`] over `Telemetry::spans()`), and
-//! - **offline**, by replaying the durable (possibly sharded) event
-//!   streams of a journaled run ([`SpanProfile::replay_journal`]).
+//! - **offline**, by replaying the durable event stream of a journaled
+//!   run ([`SpanProfile::replay_journal`]).
 //!
 //! The [`Watchdog`] rides the same data on the *deterministic virtual
 //! clock*: it keeps a running median of per-app virtual cost and flags
@@ -27,7 +27,7 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io;
-use std::path::PathBuf;
+use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
@@ -115,28 +115,24 @@ impl SpanProfile {
         SpanProfile { nodes }
     }
 
-    /// Builds the profile offline by replaying framed event streams:
-    /// every `{"type":"span"}` body in each stream's valid prefix is a
-    /// span. Torn or corrupt tails end that stream's replay (same
-    /// tolerance as `Telemetry::stitch_from`); missing files are empty.
+    /// Builds the profile offline by replaying a framed event stream:
+    /// every `{"type":"span"}` body in its valid prefix is a span. A torn
+    /// or corrupt tail ends the replay (same tolerance as
+    /// `Telemetry::stitch_from`); a missing file is empty.
     ///
     /// # Errors
     ///
-    /// Returns I/O errors other than a stream file not existing.
-    pub fn from_event_streams(paths: &[PathBuf]) -> io::Result<SpanProfile> {
+    /// Returns I/O errors other than the stream file not existing.
+    pub fn from_event_stream(path: &Path) -> io::Result<SpanProfile> {
         let mut spans = Vec::new();
-        for path in paths {
-            let Some(bytes) = read_stream(path)? else {
-                continue;
+        let bytes = read_stream(path)?.unwrap_or_default();
+        for body in scan_stream(&bytes).bodies {
+            let Ok(value) = serde_json::from_str::<serde::Value>(body) else {
+                break;
             };
-            for body in scan_stream(&bytes).bodies {
-                let Ok(value) = serde_json::from_str::<serde::Value>(body) else {
-                    break;
-                };
-                if value.get("type").and_then(|t| t.as_str()) == Some("span") {
-                    if let Ok(record) = SpanRecord::from_json(&value) {
-                        spans.push(record);
-                    }
+            if value.get("type").and_then(|t| t.as_str()) == Some("span") {
+                if let Ok(record) = SpanRecord::from_json(&value) {
+                    spans.push(record);
                 }
             }
         }
@@ -144,18 +140,13 @@ impl SpanProfile {
         Ok(SpanProfile::from_spans(&spans))
     }
 
-    /// [`SpanProfile::from_event_streams`] over a journal's full stream
-    /// layout: the base event stream plus every discovered shard's.
+    /// [`SpanProfile::from_event_stream`] over a journal's event stream.
     ///
     /// # Errors
     ///
-    /// Returns I/O errors from shard discovery or stream reads.
+    /// Returns I/O errors from the stream read.
     pub fn replay_journal(journal: &Journal) -> io::Result<SpanProfile> {
-        let mut paths = vec![journal.events_path()];
-        for k in journal.discover_shards()? {
-            paths.push(journal.shard_events_path(k));
-        }
-        SpanProfile::from_event_streams(&paths)
+        SpanProfile::from_event_stream(&journal.events_path())
     }
 
     /// Number of distinct span paths in the profile.

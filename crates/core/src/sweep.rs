@@ -86,98 +86,6 @@ impl Journal {
         self.sidecar(".profile.folded")
     }
 
-    /// Path of shard `k`'s journal (`<journal>.shard-K.jsonl`). During a
-    /// multi-worker sweep, shard 0 is the base journal itself and each
-    /// shard `k >= 1` appends here; `finalize` merges every shard back
-    /// into the base journal and removes the shard files, so a completed
-    /// run leaves the same single-file layout as a serial one.
-    pub fn shard_path(&self, k: usize) -> PathBuf {
-        self.sidecar(&format!(".shard-{k}.jsonl"))
-    }
-
-    /// Path of shard `k`'s provenance ledger
-    /// (`<journal>.shard-K.provenance.jsonl`).
-    pub fn shard_provenance_path(&self, k: usize) -> PathBuf {
-        self.sidecar(&format!(".shard-{k}.provenance.jsonl"))
-    }
-
-    /// Path of shard `k`'s telemetry event stream
-    /// (`<journal>.shard-K.events.jsonl`).
-    pub fn shard_events_path(&self, k: usize) -> PathBuf {
-        self.sidecar(&format!(".shard-{k}.events.jsonl"))
-    }
-
-    /// A [`Journal`] view of shard `k`'s journal file, for recovery and
-    /// frame verification of a pre-merge sharded layout.
-    pub fn shard(&self, k: usize) -> Journal {
-        Journal::new(self.shard_path(k))
-    }
-
-    /// Shard indices with a journal file on disk, ascending. Discovery
-    /// is by directory scan, not configuration: a resumed run must
-    /// recover whatever shard layout the killed session left, whatever
-    /// worker count either run was configured with.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from reading the journal's directory (a
-    /// missing directory is an empty layout).
-    pub fn discover_shards(&self) -> io::Result<Vec<usize>> {
-        let parent = match self.path().parent() {
-            Some(p) if !p.as_os_str().is_empty() => p.to_path_buf(),
-            _ => PathBuf::from("."),
-        };
-        let Some(file_name) = self.path().file_name().and_then(|n| n.to_str()) else {
-            return Ok(Vec::new());
-        };
-        let prefix = format!("{file_name}.shard-");
-        let mut shards = Vec::new();
-        let entries = match std::fs::read_dir(&parent) {
-            Ok(entries) => entries,
-            Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(Vec::new()),
-            Err(e) => return Err(e),
-        };
-        for entry in entries {
-            let entry = entry?;
-            let name = entry.file_name();
-            let Some(name) = name.to_str() else { continue };
-            let Some(rest) = name.strip_prefix(&prefix) else {
-                continue;
-            };
-            // `<prefix>K.jsonl` is a shard journal; `K.provenance.jsonl`
-            // and `K.events.jsonl` are its sidecars, not journals.
-            let Some(index) = rest.strip_suffix(".jsonl") else {
-                continue;
-            };
-            if !index.is_empty() && index.bytes().all(|b| b.is_ascii_digit()) {
-                if let Ok(k) = index.parse::<usize>() {
-                    shards.push(k);
-                }
-            }
-        }
-        shards.sort_unstable();
-        shards.dedup();
-        Ok(shards)
-    }
-
-    /// Removes every shard file triplet (journal, provenance, events)
-    /// discovered on disk; called after `finalize` has merged the shards
-    /// into the base streams. Returns the number of shards removed.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from discovery or removal (files already gone
-    /// are fine).
-    pub fn remove_shards(&self) -> io::Result<usize> {
-        let shards = self.discover_shards()?;
-        for &k in &shards {
-            remove_if_exists(&self.shard_path(k))?;
-            remove_if_exists(&self.shard_provenance_path(k))?;
-            remove_if_exists(&self.shard_events_path(k))?;
-        }
-        Ok(shards.len())
-    }
-
     /// The quarantine file as a [`RecordFile`].
     fn quarantine(&self) -> RecordFile<QuarantineEntry> {
         RecordFile::new(self.quarantine_path())
@@ -213,10 +121,9 @@ impl Journal {
     ///
     /// Returns I/O errors other than the file not existing.
     pub fn reset(&self) -> io::Result<()> {
-        // The event stream, provenance ledger, quarantine file, profile
-        // artifact, and any shard files all describe the journal's
-        // records; a reset journal must not resume against stale ones.
-        self.remove_shards()?;
+        // The event stream, provenance ledger, quarantine file and profile
+        // artifact all describe the journal's records; a reset journal
+        // must not resume against stale ones.
         for side in [
             self.events_path(),
             self.provenance_path(),
@@ -446,16 +353,11 @@ mod tests {
             journal.profile_path(),
             PathBuf::from("/tmp/sweep.jsonl.profile.folded")
         );
-        // The profile artifact must never register as a shard journal.
-        let dir = std::env::temp_dir().join(format!("dydroid_profile_disc_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let j = Journal::new(dir.join("sweep.jsonl"));
+        let j = Journal::new(temp_path("profile_reset"));
         j.reset().unwrap();
         std::fs::write(j.profile_path(), b"").unwrap();
-        assert!(j.discover_shards().unwrap().is_empty());
         j.reset().unwrap();
         assert!(!j.profile_path().exists(), "reset removes the artifact");
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
@@ -506,94 +408,6 @@ mod tests {
             .unwrap();
         journal.reset().unwrap();
         assert!(!journal.quarantine_path().exists());
-    }
-
-    #[test]
-    fn shard_paths_sit_beside_the_journal() {
-        let journal = Journal::new("/tmp/sweep.jsonl");
-        assert_eq!(
-            journal.shard_path(3),
-            PathBuf::from("/tmp/sweep.jsonl.shard-3.jsonl")
-        );
-        assert_eq!(
-            journal.shard_provenance_path(3),
-            PathBuf::from("/tmp/sweep.jsonl.shard-3.provenance.jsonl")
-        );
-        assert_eq!(
-            journal.shard_events_path(3),
-            PathBuf::from("/tmp/sweep.jsonl.shard-3.events.jsonl")
-        );
-    }
-
-    #[test]
-    fn shard_discovery_finds_journals_not_sidecars() {
-        let dir = std::env::temp_dir().join(format!("dydroid_shard_disc_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let journal = Journal::new(dir.join("sweep.jsonl"));
-        journal.reset().unwrap();
-        assert!(journal.discover_shards().unwrap().is_empty());
-        // Two shard journals, one with sidecars, plus decoys that must
-        // not register as shards.
-        for path in [
-            journal.shard_path(0),
-            journal.shard_path(2),
-            journal.shard_provenance_path(2),
-            journal.shard_events_path(2),
-            dir.join("sweep.jsonl.shard-x.jsonl"),
-            dir.join("other.jsonl.shard-1.jsonl"),
-        ] {
-            std::fs::write(path, b"").unwrap();
-        }
-        assert_eq!(journal.discover_shards().unwrap(), vec![0, 2]);
-        // Removal clears the full triplet of every discovered shard.
-        assert_eq!(journal.remove_shards().unwrap(), 2);
-        assert!(journal.discover_shards().unwrap().is_empty());
-        assert!(!journal.shard_provenance_path(2).exists());
-        assert!(!journal.shard_events_path(2).exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn reset_removes_shard_files() {
-        let dir = std::env::temp_dir().join(format!("dydroid_shard_reset_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let journal = Journal::new(dir.join("sweep.jsonl"));
-        journal.reset().unwrap();
-        std::fs::write(journal.shard_path(1), b"").unwrap();
-        std::fs::write(journal.shard_events_path(1), b"").unwrap();
-        journal.reset().unwrap();
-        assert!(!journal.shard_path(1).exists());
-        assert!(!journal.shard_events_path(1).exists());
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
-    #[test]
-    fn shard_journal_round_trips_records() {
-        let dir = std::env::temp_dir().join(format!("dydroid_shard_rt_{}", std::process::id()));
-        std::fs::create_dir_all(&dir).unwrap();
-        let journal = Journal::new(dir.join("sweep.jsonl"));
-        journal.reset().unwrap();
-        {
-            let mut w = journal.shard(0).writer().unwrap();
-            w.append(&record("com.shard0")).unwrap();
-        }
-        {
-            let mut w = journal.shard(1).writer().unwrap();
-            w.append(&record("com.shard1a")).unwrap();
-            w.append(&record("com.shard1b")).unwrap();
-        }
-        assert_eq!(journal.discover_shards().unwrap(), vec![0, 1]);
-        assert_eq!(journal.shard(0).load().unwrap().len(), 1);
-        let shard1 = journal.shard(1).load().unwrap();
-        assert_eq!(shard1.len(), 2);
-        assert_eq!(shard1[0].package, "com.shard1a");
-        // Per-shard sequences each start at 0.
-        let bytes = std::fs::read(journal.shard_path(1)).unwrap();
-        let scan = crate::durable::scan_stream(&bytes);
-        assert_eq!(scan.next_seq, 2);
-        assert_eq!(scan.dropped, 0);
-        journal.reset().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -26,12 +26,11 @@
 //! [`Telemetry`] is a single `Option` check per call site — no
 //! allocation, no clock read, no atomics.
 
-use std::cell::Cell;
 use std::collections::HashMap;
 use std::io;
-use std::path::{Path, PathBuf};
+use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex, RwLock};
+use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::durable::{
@@ -408,30 +407,9 @@ struct Inner {
     registry: MetricsRegistry,
     spans: Box<[Mutex<Vec<SpanRecord>>]>,
     span_count: AtomicUsize,
-    /// Framed event sinks: index 0 is the base event stream, index `k`
-    /// shard `k`'s stream in a multi-writer sweep. Each worker routes its
-    /// events (via the thread-local shard scope) to its app's shard, so
-    /// concurrent appends never contend on one sink mutex.
-    sinks: RwLock<Vec<Mutex<FramedWriter>>>,
-}
-
-thread_local! {
-    /// The event shard the current thread's writes are scoped to. Set by
-    /// [`Telemetry::event_shard_scope`] around each sharded-sweep task;
-    /// 0 (the default) is the base sink.
-    static EVENT_SHARD: Cell<usize> = const { Cell::new(0) };
-}
-
-/// RAII guard scoping the current thread's event writes to one shard;
-/// restores the previous scope on drop (scopes nest).
-pub struct EventShardGuard {
-    prev: usize,
-}
-
-impl Drop for EventShardGuard {
-    fn drop(&mut self) {
-        EVENT_SHARD.with(|s| s.set(self.prev));
-    }
+    /// The framed event stream every thread appends to, when one is
+    /// open.
+    sink: Mutex<Option<FramedWriter>>,
 }
 
 static NEXT_LANE: AtomicU64 = AtomicU64::new(1);
@@ -461,7 +439,7 @@ impl Inner {
             registry: MetricsRegistry::new(),
             spans,
             span_count: AtomicUsize::new(0),
-            sinks: RwLock::new(Vec::new()),
+            sink: Mutex::new(None),
         }
     }
 
@@ -482,25 +460,14 @@ impl Inner {
             .push(record);
     }
 
-    fn write_event(&self, line: &str) {
-        // A thread inside a shard scope appends to its shard's sink so
-        // concurrent workers never contend on one sink mutex; all other
-        // threads (and non-sharded runs) use the base sink at index 0.
-        let sinks = self.sinks.read().expect("event sinks poisoned");
-        if sinks.is_empty() {
-            return;
-        }
-        let shard = EVENT_SHARD.with(Cell::get) % sinks.len();
-        let mut w = sinks[shard].lock().expect("event sink poisoned");
-        self.append_event(&mut w, line);
-    }
-
     /// Mirror the journal's crash discipline: one framed line per
     /// event. The writer sheds events itself under disk pressure;
     /// hard errors are counted and warned once (the finalized
     /// stream is reconstructed from memory at run completion, so
     /// a lost live event never corrupts the durable record).
-    fn append_event(&self, w: &mut FramedWriter, line: &str) {
+    fn write_event(&self, line: &str) {
+        let mut sink = self.sink.lock().expect("event sink poisoned");
+        let Some(w) = sink.as_mut() else { return };
         if let Err(e) = w.append_body(line) {
             self.registry.counter_add("telemetry.event_write_errors", 1);
             if self.registry.counter_value("telemetry.event_write_errors") == 1 {
@@ -640,41 +607,22 @@ impl Telemetry {
     /// is truncated and the frame sequence continues from the valid
     /// prefix.
     pub fn set_event_sink(&self, path: &Path) -> io::Result<()> {
-        self.set_event_sinks(
-            &[path.to_path_buf()],
-            &SinkOptions::direct(StreamKind::Events),
-        )
+        self.set_event_sink_with(path, SinkOptions::direct(StreamKind::Events))
     }
 
-    /// Opens one framed event sink per path — `paths[0]` is the base
-    /// stream, `paths[k]` shard `k`'s — replacing any previous sinks.
-    /// Each sink appends with the same contract as
-    /// [`Telemetry::set_event_sink`]; `opts` threads the run's shared
-    /// I/O state, sync policy, and fault harness through. Worker threads
-    /// opt into a shard with [`Telemetry::event_shard_scope`].
-    pub fn set_event_sinks(&self, paths: &[PathBuf], opts: &SinkOptions) -> io::Result<()> {
+    /// [`Telemetry::set_event_sink`] with explicit sink options: `opts`
+    /// threads the run's shared I/O state and fault harness through.
+    pub fn set_event_sink_with(&self, path: &Path, opts: SinkOptions) -> io::Result<()> {
         let Some(inner) = &self.inner else {
             return Ok(());
         };
-        let sinks = paths
-            .iter()
-            .map(|path| FramedWriter::open(path, opts.clone()).map(Mutex::new))
-            .collect::<io::Result<Vec<_>>>()?;
-        *inner.sinks.write().expect("event sinks poisoned") = sinks;
+        let writer = FramedWriter::open(path, opts)?;
+        *inner.sink.lock().expect("event sink poisoned") = Some(writer);
         Ok(())
     }
 
-    /// Scopes the current thread's event writes to sink `shard` (0 = the
-    /// base stream) until the returned guard drops. Safe to call with
-    /// telemetry disabled — the scope is thread-local and simply never
-    /// consulted.
-    pub fn event_shard_scope(&self, shard: usize) -> EventShardGuard {
-        let prev = EVENT_SHARD.with(|s| s.replace(shard));
-        EventShardGuard { prev }
-    }
-
     /// Atomically replaces the event stream at `path` with its canonical
-    /// lines (reframed from sequence 0), closing every live sink first.
+    /// lines (reframed from sequence 0), closing the live sink first.
     /// Called when a journaled run completes: the canonical stream holds
     /// only interleave-independent lines — a checkpoint and a
     /// provenance-link line per app of `apps`, in order, with no span id
@@ -694,7 +642,7 @@ impl Telemetry {
         let Some(inner) = &self.inner else {
             return Ok(());
         };
-        inner.sinks.write().expect("event sinks poisoned").clear();
+        *inner.sink.lock().expect("event sink poisoned") = None;
         atomic_replace(path, harness, |out| {
             for app in apps {
                 for kind in ["checkpoint", "provenance"] {
@@ -1172,65 +1120,5 @@ mod tests {
         let third = Telemetry::new(true);
         assert_eq!(third.stitch_from(&path).expect("stitch torn"), 3);
         let _ = std::fs::remove_file(&path);
-    }
-
-    #[test]
-    fn sharded_event_sinks_route_by_thread_scope() {
-        let dir = std::env::temp_dir().join(format!(
-            "dydroid-evshard-{}-{:?}",
-            std::process::id(),
-            std::thread::current().id()
-        ));
-        std::fs::create_dir_all(&dir).expect("mkdir");
-        let paths = vec![
-            dir.join("events.jsonl"),
-            dir.join("shard-1.events.jsonl"),
-            dir.join("shard-2.events.jsonl"),
-        ];
-
-        let t = Telemetry::new(true);
-        t.set_event_sinks(&paths, &SinkOptions::direct(StreamKind::Events))
-            .expect("event sinks");
-
-        // No scope → base sink (index 0); scoped → that shard; scopes
-        // nest/restore, and scope 0 is the base sink.
-        t.emit_checkpoint("com.base", 1);
-        {
-            let _guard = t.event_shard_scope(1);
-            t.emit_checkpoint("com.one", 2);
-            {
-                let _inner = t.event_shard_scope(2);
-                t.emit_checkpoint("com.two", 3);
-            }
-            t.emit_checkpoint("com.one.again", 4);
-            let _base = t.event_shard_scope(0);
-            t.emit_checkpoint("com.base.scoped", 5);
-        }
-        t.emit_checkpoint("com.base.again", 6);
-        t.set_event_sink(&paths[0]).expect("base sink");
-        {
-            // With only the base sink left, a scoped write falls back to it.
-            let _guard = t.event_shard_scope(1);
-            t.emit_checkpoint("com.fallback", 7);
-        }
-        drop(t);
-
-        let read = |p: &Path| -> Vec<String> {
-            let bytes = read_stream(p).expect("read").unwrap_or_default();
-            let bodies = scan_stream(&bytes).bodies;
-            bodies.into_iter().map(str::to_owned).collect()
-        };
-        let base_bodies = read(&paths[0]);
-        assert_eq!(base_bodies.len(), 4);
-        assert!(base_bodies[0].contains("com.base"));
-        assert!(base_bodies[1].contains("com.base.scoped"));
-        assert!(base_bodies[3].contains("com.fallback"));
-        let one = read(&paths[1]);
-        assert_eq!(one.len(), 2);
-        assert!(one[0].contains("com.one") && one[1].contains("com.one.again"));
-        let two = read(&paths[2]);
-        assert_eq!(two.len(), 1);
-        assert!(two[0].contains("com.two"));
-        let _ = std::fs::remove_dir_all(&dir);
     }
 }

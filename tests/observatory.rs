@@ -84,7 +84,7 @@ fn offline_replay_matches_live_aggregation() {
         .collect();
     let live = SpanProfile::from_spans(&sunk);
     assert!(!live.is_empty(), "sweep recorded no spans");
-    let offline = SpanProfile::from_event_streams(std::slice::from_ref(&sink)).expect("replay");
+    let offline = SpanProfile::from_event_stream(&sink).expect("replay");
     assert_eq!(
         live.folded(),
         offline.folded(),

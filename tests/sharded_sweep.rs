@@ -1,20 +1,14 @@
-//! Multi-writer sharded stream acceptance: a multi-worker sweep that
-//! appends through per-shard journal/ledger/event files — even one
-//! killed mid-run and resumed — must finalize all three persistent
-//! streams byte-identical to a single-worker serial run, and the shard
-//! merge must preserve per-shard frame-sequence contiguity.
+//! Multi-worker journaled sweep acceptance: a multi-worker sweep — even
+//! one killed mid-run and resumed — appends every frame through one
+//! writer to the base journal, ledger and event stream, and finalizes
+//! all three byte-identical to a single-worker serial run.
 
 use std::collections::HashSet;
-use std::path::PathBuf;
-use std::sync::atomic::{AtomicUsize, Ordering};
+use std::path::{Path, PathBuf};
 
 use dydroid::durable::{read_stream, scan_stream};
-use dydroid::pipeline::{DynamicOutcome, DynamicStatus};
-use dydroid::{
-    AppProvenance, AppRecord, IoHarness, Journal, Pipeline, PipelineConfig, ProvenanceLedger,
-};
+use dydroid::{IoHarness, Journal, Pipeline, PipelineConfig};
 use dydroid_workload::{generate, CorpusSpec, SyntheticApp};
-use proptest::prelude::*;
 
 fn small_corpus(n: usize) -> Vec<SyntheticApp> {
     let mut corpus = generate(&CorpusSpec {
@@ -45,6 +39,41 @@ fn config(workers: usize) -> PipelineConfig {
     }
 }
 
+/// Files beside `journal` named like a stream shard
+/// (`<journal>.shard-*`), which no sweep writes.
+fn shard_files(journal: &Journal) -> Vec<String> {
+    let path = journal.path();
+    let prefix = format!("{}.shard-", path.file_name().unwrap().to_string_lossy());
+    std::fs::read_dir(path.parent().unwrap_or(Path::new(".")))
+        .expect("read journal dir")
+        .map(|e| {
+            e.expect("dir entry")
+                .file_name()
+                .to_string_lossy()
+                .into_owned()
+        })
+        .filter(|name| name.starts_with(&prefix))
+        .collect()
+}
+
+/// The `field` values of the frames of `path` (of its `kind` lines
+/// only, when given) in its valid prefix.
+fn frame_fields(path: &Path, kind: Option<&str>, field: &str) -> Vec<String> {
+    let bytes = read_stream(path).expect("read stream").unwrap_or_default();
+    scan_stream(&bytes)
+        .bodies
+        .iter()
+        .map(|body| serde_json::from_str::<serde::Value>(body).expect("body is JSON"))
+        .filter(|v| kind.is_none() || v.get("type").and_then(|t| t.as_str()) == kind)
+        .map(|v| {
+            v.get(field)
+                .and_then(|f| f.as_str())
+                .expect(field)
+                .to_string()
+        })
+        .collect()
+}
+
 /// All three finalized streams of one journaled run, concatenated.
 fn stream_bytes(journal: &Journal) -> Vec<u8> {
     let mut bytes = std::fs::read(journal.path()).expect("journal bytes");
@@ -53,8 +82,8 @@ fn stream_bytes(journal: &Journal) -> Vec<u8> {
     bytes
 }
 
-/// The tentpole invariant: a sharded 4-worker sweep finalizes streams
-/// byte-identical to the single-worker single-writer run.
+/// A 4-worker sweep finalizes streams byte-identical to the
+/// single-worker run.
 #[test]
 fn sharded_multiworker_streams_finalize_byte_identical_to_serial() {
     let corpus = small_corpus(60);
@@ -63,22 +92,12 @@ fn sharded_multiworker_streams_finalize_byte_identical_to_serial() {
     let serial_report = Pipeline::new(config(1))
         .run_resumable(&corpus, &serial_journal)
         .expect("serial sweep");
-    assert_eq!(
-        serial_report.stats().stream_shards,
-        1,
-        "one worker must append through shard 0, the base streams, alone"
-    );
     let serial_bytes = stream_bytes(&serial_journal);
 
     let sharded_journal = temp_journal("sharded");
     let sharded_report = Pipeline::new(config(4))
         .run_resumable(&corpus, &sharded_journal)
         .expect("sharded sweep");
-    assert_eq!(
-        sharded_report.stats().stream_shards,
-        4,
-        "four workers must open four stream shards"
-    );
     assert_eq!(sharded_report.stats().worker_stats.len(), 4);
     let executed: u64 = sharded_report
         .stats()
@@ -88,12 +107,7 @@ fn sharded_multiworker_streams_finalize_byte_identical_to_serial() {
         .sum();
     assert_eq!(executed, corpus.len() as u64, "scheduler lost tasks");
 
-    // Finalize removed the per-shard files and left the canonical
-    // single-file layout.
-    assert!(
-        sharded_journal.discover_shards().expect("scan").is_empty(),
-        "finalize must merge and remove shard files"
-    );
+    assert!(shard_files(&sharded_journal).is_empty());
     assert_eq!(stream_bytes(&sharded_journal), serial_bytes);
 
     // And the measured results are identical too.
@@ -105,11 +119,11 @@ fn sharded_multiworker_streams_finalize_byte_identical_to_serial() {
     sharded_journal.reset().expect("cleanup");
 }
 
-/// The crash-consistency half: kill the sharded multi-worker sweep
-/// mid-run (streams frozen at a write boundary), resume it with a fresh
+/// The crash-consistency half: kill the multi-worker sweep mid-run
+/// (streams frozen at a write boundary), resume it with a fresh
 /// pipeline, and require the finalized streams to be byte-identical to
-/// the serial run — shard recovery takes each shard's longest
-/// consistent prefix and re-analyses only the torn apps.
+/// the serial run — recovery takes the longest consistent prefix and
+/// re-analyses only the torn apps.
 #[test]
 fn killed_sharded_sweep_resumes_byte_identical_to_serial() {
     let corpus = small_corpus(60);
@@ -123,148 +137,42 @@ fn killed_sharded_sweep_resumes_byte_identical_to_serial() {
     let journal = temp_journal("kill_sharded");
     let mut first = Pipeline::new(config(4));
     // Freeze every persistent stream at write op 150 — mid-sweep, after
-    // some apps have checkpointed into their shards.
+    // some apps have checkpointed.
     first.set_io_harness(IoHarness::new(Some(150), None));
     let _ = first
         .run_resumable(&corpus, &journal)
         .expect("interrupted sweep still returns");
 
-    // The kill left unmerged per-shard files behind. Shard 0 is the base
-    // triplet itself: it has no shard file, and its apps' frames sit in
-    // the base journal.
+    // The kill left the base triplet and nothing else, and every app the
+    // event stream checkpointed has its frame in the base journal.
+    assert_eq!(shard_files(&journal), Vec::<String>::new());
+    let journaled: HashSet<String> = frame_fields(journal.path(), None, "package")
+        .into_iter()
+        .collect();
+    let checkpointed = frame_fields(&journal.events_path(), Some("checkpoint"), "app");
     assert!(
-        !journal.discover_shards().expect("scan").is_empty(),
-        "interrupted sharded sweep should leave shard files"
+        !checkpointed.is_empty(),
+        "the kill came before any checkpoint"
     );
-    assert!(
-        !journal.shard_path(0).exists(),
-        "shard 0 must append to the base journal, not a shard file"
-    );
-    let base_frames = read_stream(journal.path())
-        .expect("read base journal")
-        .map_or(0, |bytes| scan_stream(&bytes).bodies.len());
-    assert!(
-        base_frames > 0,
-        "shard 0's appends must land in the base journal"
-    );
+    for app in &checkpointed {
+        assert!(
+            journaled.contains(app),
+            "{app} checkpointed but not journaled"
+        );
+    }
 
     let resumed = Pipeline::new(config(4))
         .run_resumable(&corpus, &journal)
         .expect("resumed sweep");
     assert_eq!(resumed.records().len(), corpus.len());
 
-    // No app analysed twice, shards merged away, streams byte-identical.
+    // No app analysed twice, streams byte-identical.
     let records = journal.load().expect("load resumed journal");
     let unique: HashSet<&str> = records.iter().map(|r| r.package.as_str()).collect();
     assert_eq!(unique.len(), corpus.len(), "package analysed twice");
-    assert!(journal.discover_shards().expect("scan").is_empty());
+    assert!(shard_files(&journal).is_empty());
     assert_eq!(stream_bytes(&journal), serial_bytes);
 
     serial_journal.reset().expect("cleanup");
     journal.reset().expect("cleanup");
-}
-
-static PROP_CASE: AtomicUsize = AtomicUsize::new(0);
-
-fn prop_record(pkg: &str) -> AppRecord {
-    AppRecord {
-        package: pkg.to_string(),
-        metadata: dydroid_workload::AppMetadata {
-            category: 1,
-            downloads: 10,
-            rating_count: 2,
-            avg_rating: 4.5,
-        },
-        decompiled: true,
-        filter: Default::default(),
-        obfuscation: Default::default(),
-        rewritten: false,
-        dynamic: Some(DynamicOutcome::empty(DynamicStatus::Exercised)),
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    /// Shard merge preserves frame-sequence contiguity: every shard file
-    /// scans clean (seq 0..n, nothing dropped) before the merge, and the
-    /// merged base journal scans clean with exactly the union of the
-    /// shard packages (base first, shards in ascending order, duplicates
-    /// folded).
-    #[test]
-    fn shard_merge_preserves_per_shard_sequence_contiguity(
-        base in prop::collection::vec(0usize..24, 0..4),
-        shards in prop::collection::vec(prop::collection::vec(0usize..24, 0..6), 1..4),
-    ) {
-        let case = PROP_CASE.fetch_add(1, Ordering::Relaxed);
-        let dir = std::env::temp_dir().join(format!(
-            "dydroid_shard_merge_{}_{case}",
-            std::process::id()
-        ));
-        std::fs::create_dir_all(&dir).unwrap();
-        let journal = Journal::new(dir.join("sweep.jsonl"));
-        journal.reset().unwrap();
-
-        // Every journal segment gets the ledger segment beside it, one
-        // graph per record, as a sweep's shard append writes them.
-        let mut expected: Vec<String> = Vec::new();
-        let mut seen: HashSet<String> = HashSet::new();
-        let segments = std::iter::once((journal.clone(), journal.provenance_path(), &base)).chain(
-            shards
-                .iter()
-                .enumerate()
-                .map(|(k, ids)| (journal.shard(k), journal.shard_provenance_path(k), ids)),
-        );
-        for (segment, ledger_path, ids) in segments {
-            let mut w = segment.writer().unwrap();
-            let mut lw = ProvenanceLedger::new(ledger_path).writer().unwrap();
-            for id in ids {
-                let pkg = format!("com.app{id}");
-                let record = prop_record(&pkg);
-                w.append(&record).unwrap();
-                lw.append(&AppProvenance::from_record(&record)).unwrap();
-                if seen.insert(pkg.clone()) {
-                    expected.push(pkg);
-                }
-            }
-        }
-
-        // Pre-merge: every shard file is a contiguous frame sequence of
-        // its own (seq restarts at 0 per shard).
-        for (k, ids) in shards.iter().enumerate() {
-            if ids.is_empty() {
-                continue; // opening wrote no frames; file may be empty
-            }
-            let bytes = read_stream(&journal.shard_path(k)).unwrap().unwrap();
-            let scan = scan_stream(&bytes);
-            prop_assert_eq!(scan.dropped, 0usize);
-            prop_assert_eq!(scan.next_seq, ids.len() as u64);
-        }
-
-        // Merge through recovery (no event streams in play).
-        let pipeline = Pipeline::new(PipelineConfig {
-            telemetry: false,
-            environment_reruns: false,
-            ..PipelineConfig::default()
-        });
-        let outcome = pipeline.recover_all(&journal).unwrap();
-        let merged: Vec<String> = outcome.records.iter().map(|r| r.package.clone()).collect();
-        prop_assert_eq!(&merged, &expected);
-        prop_assert!(outcome.inconsistent.is_empty());
-
-        // Post-merge: shard files are gone and the base journal scans
-        // clean as one contiguous sequence holding the union.
-        prop_assert!(journal.discover_shards().unwrap().is_empty());
-        if expected.is_empty() {
-            // Nothing to rewrite; the base journal may not even exist.
-        } else {
-            let bytes = read_stream(journal.path()).unwrap().unwrap();
-            let scan = scan_stream(&bytes);
-            prop_assert_eq!(scan.dropped, 0usize);
-            prop_assert_eq!(scan.next_seq, expected.len() as u64);
-        }
-
-        journal.reset().unwrap();
-        let _ = std::fs::remove_dir_all(&dir);
-    }
 }

@@ -213,10 +213,6 @@ fn interrupted_event_stream_stitches_into_the_resumed_timeline() {
 
     let config = PipelineConfig {
         environment_reruns: false,
-        // This test inspects the *mid-run* base event stream, so pin the
-        // single-writer layout: with auto workers a multi-core machine
-        // would shard the checkpoints into per-shard files until merge.
-        workers: 1,
         ..PipelineConfig::default()
     };
     let mut first = Pipeline::new(config.clone());
