@@ -37,8 +37,9 @@
 
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
+use std::ops::ControlFlow;
 
-use dydroid::durable::{read_stream, scan_stream};
+use dydroid::durable::read_frames;
 use dydroid::obs::{MetricsSnapshot, SpanRecord};
 use dydroid::provenance::{check_against_journal, corpus_dot};
 use dydroid::{AppProvenance, Journal, ProvenanceLedger, SpanProfile};
@@ -176,16 +177,15 @@ fn cmd_export(records: &[AppProvenance], app: Option<&str>, out: Option<&str>) {
 /// Returns the number of corrupt/dropped frames (0 for a missing file,
 /// which only `required` streams report as a defect).
 fn check_stream(name: &str, path: &std::path::Path, required: bool) -> usize {
-    match read_stream(path) {
-        Ok(Some(bytes)) => {
-            let scan = scan_stream(&bytes);
+    match read_frames(path, |_, _| ControlFlow::Continue(())) {
+        Ok(Some(scan)) => {
+            let intact = scan.end.next_seq;
             match &scan.defect {
                 Some(defect) => println!(
-                    "{name}: {} intact frame(s), {} dropped ({defect})",
-                    scan.bodies.len(),
+                    "{name}: {intact} intact frame(s), {} dropped ({defect})",
                     scan.dropped
                 ),
-                None => println!("{name}: {} intact frame(s), 0 dropped", scan.bodies.len()),
+                None => println!("{name}: {intact} intact frame(s), 0 dropped"),
             }
             scan.dropped
         }
@@ -266,7 +266,7 @@ fn cmd_profile(journal_path: &str, out: Option<&str>) {
 
 /// One repaint's worth of observatory state, read fresh from the
 /// streams each frame. Torn tails are expected (the sweep is mid-write)
-/// and tolerated: `scan_stream` yields the intact prefix.
+/// and tolerated: `read_frames` yields the intact prefix.
 #[derive(Default)]
 struct TopFrame {
     /// Distinct apps with a checkpoint event (survives resume stitching,
@@ -291,17 +291,6 @@ struct TopFrame {
     straggler_apps: Vec<String>,
 }
 
-fn scan_bodies(path: &std::path::Path) -> Vec<String> {
-    match read_stream(path) {
-        Ok(Some(bytes)) => scan_stream(&bytes)
-            .bodies
-            .into_iter()
-            .map(str::to_owned)
-            .collect(),
-        _ => Vec::new(),
-    }
-}
-
 fn read_top_frame(journal: &Journal) -> TopFrame {
     let mut frame = TopFrame::default();
     let mut done: HashSet<String> = HashSet::new();
@@ -310,9 +299,11 @@ fn read_top_frame(journal: &Journal) -> TopFrame {
     // checkpoint/provenance facts without span ids; any other line means
     // a session is (or was) live.
     let (mut canonical, mut live) = (false, false);
-    for body in scan_bodies(&journal.events_path()) {
-        let Ok(value) = serde_json::from_str::<serde::Value>(&body) else {
-            continue;
+    // A missing stream leaves the frame empty; a read error keeps what
+    // was read before it.
+    let _ = read_frames(&journal.events_path(), |_, body| {
+        let Ok(value) = serde_json::from_str::<serde::Value>(body) else {
+            return ControlFlow::Continue(());
         };
         let kind = value.get("type").and_then(|t| t.as_str());
         if matches!(kind, Some("checkpoint" | "provenance")) && value.get("span").is_none() {
@@ -346,7 +337,8 @@ fn read_top_frame(journal: &Journal) -> TopFrame {
             }
             _ => {}
         }
-    }
+        ControlFlow::Continue(())
+    });
     frame.done = done.len();
     frame.finalized = canonical && !live;
     let newest = newest.and_then(|value| {

@@ -10,9 +10,10 @@
 //! committed entry for the same bench.
 
 use std::io;
+use std::ops::ControlFlow;
 use std::path::Path;
 
-use dydroid::durable::{read_stream, scan_stream, FramedWriter, SinkOptions, StreamKind};
+use dydroid::durable::{read_frames, FramedWriter, SinkOptions, StreamKind};
 
 use crate::Measurement;
 
@@ -46,20 +47,19 @@ pub fn append(path: &Path, record: &Measurement) -> io::Result<u64> {
 ///
 /// Propagates read errors.
 pub fn load(path: &Path) -> io::Result<Vec<Measurement>> {
-    let Some(bytes) = read_stream(path)? else {
-        return Ok(Vec::new());
-    };
-    let scan = scan_stream(&bytes);
-    let mut records = Vec::with_capacity(scan.bodies.len());
-    for (i, body) in scan.bodies.iter().enumerate() {
+    let mut records = Vec::new();
+    let mut line = 0usize;
+    read_frames(path, |_, body| {
         match Measurement::parse(body) {
             Ok(record) => records.push(record),
             Err(e) => eprintln!(
-                "warning: {}: skipping history line {i}: {e}",
+                "warning: {}: skipping history line {line}: {e}",
                 path.display()
             ),
         }
-    }
+        line += 1;
+        ControlFlow::Continue(())
+    })?;
     Ok(records)
 }
 

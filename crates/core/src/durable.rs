@@ -32,8 +32,9 @@
 
 use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
-use std::io::{self, BufWriter, Read, Seek, SeekFrom, Write};
+use std::io::{self, BufRead, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::marker::PhantomData;
+use std::ops::ControlFlow;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicU8, Ordering};
 use std::sync::Arc;
@@ -173,7 +174,126 @@ pub struct StreamEnd {
     pub valid_len: u64,
 }
 
-/// Result of scanning a framed stream for its longest valid prefix.
+/// How a [`scan_frames`] pass ended: where the valid prefix ends and
+/// what was rejected from the first defect on.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct FrameScan {
+    /// Where the valid prefix ends; truncating the stream at
+    /// `end.valid_len` removes every rejected byte.
+    pub end: StreamEnd,
+    /// Non-empty lines rejected at or after the first defect.
+    pub dropped: usize,
+    /// The defect that terminated the scan, if any (`None` when the
+    /// visitor rejected a body).
+    pub defect: Option<FrameDefect>,
+}
+
+impl FrameScan {
+    /// True when the scan rejected nothing.
+    pub fn is_clean(&self) -> bool {
+        self.dropped == 0 && self.defect.is_none()
+    }
+}
+
+/// Reads a framed stream line by line, through one reused line buffer,
+/// and hands each body of its longest valid prefix to `visit` together
+/// with the body's byte offset in the stream.
+///
+/// Validation stops at the first defect — a line that is not UTF-8, a
+/// final line without its newline, a bad header, length or CRC, or a
+/// sequence number other than the next one (a valid stream always
+/// carries `0..n` with no gaps) — and every non-empty line from that
+/// point on is counted as dropped. A visitor that answers
+/// [`ControlFlow::Break`] rejects its body the same way, without a
+/// [`FrameDefect`]. Empty lines inside the valid prefix are skipped but
+/// kept (they cannot corrupt a reader).
+///
+/// # Errors
+///
+/// Returns read errors.
+pub fn scan_frames(
+    mut input: impl BufRead,
+    mut visit: impl FnMut(u64, &str) -> ControlFlow<()>,
+) -> io::Result<FrameScan> {
+    let mut scan = FrameScan::default();
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        if input.read_until(b'\n', &mut line)? == 0 {
+            return Ok(scan);
+        }
+        let (raw, has_newline) = match line.strip_suffix(b"\n") {
+            Some(raw) => (raw, true),
+            None => (&line[..], false),
+        };
+        if raw.is_empty() {
+            scan.end.valid_len += line.len() as u64;
+            continue;
+        }
+        let verdict = match std::str::from_utf8(raw) {
+            Err(_) => Err(Some(FrameDefect::BadUtf8)),
+            Ok(_) if !has_newline => Err(Some(FrameDefect::TornTail)),
+            Ok(text) => match decode_frame(text) {
+                Ok((seq, body)) if seq == scan.end.next_seq => {
+                    // The body closes the line but for the frame's `}`.
+                    let offset = scan.end.valid_len + (text.len() - 1 - body.len()) as u64;
+                    match visit(offset, body) {
+                        ControlFlow::Continue(()) => Ok(()),
+                        ControlFlow::Break(()) => Err(None),
+                    }
+                }
+                Ok((found, _)) => Err(Some(FrameDefect::SeqGap {
+                    expected: scan.end.next_seq,
+                    found,
+                })),
+                Err(defect) => Err(Some(defect)),
+            },
+        };
+        match verdict {
+            Ok(()) => {
+                scan.end.next_seq += 1;
+                scan.end.valid_len += line.len() as u64;
+            }
+            Err(defect) => {
+                scan.defect = defect;
+                scan.dropped = 1;
+                loop {
+                    line.clear();
+                    if input.read_until(b'\n', &mut line)? == 0 {
+                        return Ok(scan);
+                    }
+                    if line != b"\n" {
+                        scan.dropped += 1;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// [`scan_frames`] over the stream file at `path`; `Ok(None)` when the
+/// file is absent.
+///
+/// # Errors
+///
+/// Returns open and read errors other than the file not existing.
+pub fn read_frames(
+    path: &Path,
+    visit: impl FnMut(u64, &str) -> ControlFlow<()>,
+) -> io::Result<Option<FrameScan>> {
+    let file = match File::open(path) {
+        Ok(file) => file,
+        Err(e) if e.kind() == io::ErrorKind::NotFound => return Ok(None),
+        Err(e) => return Err(e),
+    };
+    scan_frames(BufReader::with_capacity(READ_BUFFER, file), visit).map(Some)
+}
+
+/// Bytes a [`read_frames`] pass buffers between reads of its file.
+const READ_BUFFER: usize = 1 << 16;
+
+/// Result of scanning in-memory stream bytes for their longest valid
+/// framed prefix.
 #[derive(Debug, Clone, Default)]
 pub struct StreamScan<'a> {
     /// Body payloads of the valid prefix, in sequence order, borrowed
@@ -205,74 +325,24 @@ impl StreamScan<'_> {
     }
 }
 
-/// Scans raw stream bytes for the longest valid framed prefix.
-///
-/// Validation stops at the first defect — a valid stream always carries
-/// sequence numbers `0..n` with no gaps — and everything from that point
-/// on is counted as dropped. Empty lines inside the valid prefix are
-/// skipped but kept (they cannot corrupt a reader).
+/// [`scan_frames`] over stream bytes already in memory, collecting the
+/// valid prefix's bodies as slices of `bytes`.
 pub fn scan_stream(bytes: &[u8]) -> StreamScan<'_> {
-    let mut scan = StreamScan::default();
-    let mut pos = 0usize;
-    let mut defect = None;
-    let mut tail_start = bytes.len();
-    while pos < bytes.len() {
-        let nl = bytes[pos..].iter().position(|&b| b == b'\n');
-        let (line_end, next_pos, has_newline) = match nl {
-            Some(off) => (pos + off, pos + off + 1, true),
-            None => (bytes.len(), bytes.len(), false),
-        };
-        let raw = &bytes[pos..line_end];
-        if raw.is_empty() {
-            scan.valid_len = next_pos as u64;
-            pos = next_pos;
-            continue;
-        }
-        let verdict = match std::str::from_utf8(raw) {
-            Err(_) => Err(FrameDefect::BadUtf8),
-            Ok(_) if !has_newline => Err(FrameDefect::TornTail),
-            Ok(line) => decode_frame(line).and_then(|(seq, body)| {
-                if seq == scan.next_seq {
-                    Ok(body)
-                } else {
-                    Err(FrameDefect::SeqGap {
-                        expected: scan.next_seq,
-                        found: seq,
-                    })
-                }
-            }),
-        };
-        match verdict {
-            Ok(body) => {
-                scan.bodies.push(body);
-                scan.next_seq += 1;
-                scan.valid_len = next_pos as u64;
-                pos = next_pos;
-            }
-            Err(d) => {
-                defect = Some(d);
-                tail_start = pos;
-                break;
-            }
-        }
-    }
-    if let Some(d) = defect {
-        scan.defect = Some(d);
-        scan.dropped = bytes[tail_start..]
-            .split(|&b| b == b'\n')
-            .filter(|line| !line.is_empty())
-            .count();
-    }
-    scan
-}
-
-/// Reads the framed stream at `path` for [`scan_stream`]; `Ok(None)`
-/// when the file is absent.
-pub fn read_stream(path: &Path) -> io::Result<Option<Vec<u8>>> {
-    match std::fs::read(path) {
-        Ok(bytes) => Ok(Some(bytes)),
-        Err(e) if e.kind() == io::ErrorKind::NotFound => Ok(None),
-        Err(e) => Err(e),
+    let mut bodies = Vec::new();
+    let scan = scan_frames(bytes, |offset, body| {
+        let start = offset as usize;
+        let body = std::str::from_utf8(&bytes[start..start + body.len()])
+            .expect("a frame body lies on the UTF-8 line it was read from");
+        bodies.push(body);
+        ControlFlow::Continue(())
+    })
+    .expect("reading a byte slice cannot fail");
+    StreamScan {
+        bodies,
+        dropped: scan.dropped,
+        defect: scan.defect,
+        next_seq: scan.end.next_seq,
+        valid_len: scan.end.valid_len,
     }
 }
 
@@ -737,11 +807,10 @@ impl FramedWriter {
     /// writer resumes at the next sequence number; a torn or corrupt
     /// tail is truncated away first.
     pub fn open(path: &Path, opts: SinkOptions) -> io::Result<Self> {
-        let bytes = read_stream(path)?.unwrap_or_default();
-        let scan = scan_stream(&bytes);
-        let mut writer = FramedWriter::resume(path, opts, scan.end())?;
+        let scan = read_frames(path, |_, _| ControlFlow::Continue(()))?.unwrap_or_default();
+        let mut writer = FramedWriter::resume(path, opts, scan.end)?;
         if !scan.is_clean() {
-            writer.io.truncate(scan.valid_len)?;
+            writer.io.truncate(scan.end.valid_len)?;
         }
         Ok(writer)
     }
@@ -1102,6 +1171,20 @@ pub struct Recovery<T> {
     pub end: StreamEnd,
 }
 
+/// Outcome of [`RecordFile::load_each`] and [`RecordFile::recover_each`]:
+/// a [`Recovery`] whose records went to the caller one by one.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Loaded {
+    /// Records handed over, in file order.
+    pub(crate) records: usize,
+    /// Frames/lines discarded from the first defect onward.
+    pub(crate) dropped_lines: usize,
+    /// Where the frames of the handed-over records end: after
+    /// [`RecordFile::recover_each`] the file holds exactly those frames,
+    /// and a writer resumes here.
+    pub(crate) end: StreamEnd,
+}
+
 impl<T: Record> RecordFile<T> {
     /// A record file at `path`; the file need not exist yet.
     pub fn new(path: impl Into<PathBuf>) -> Self {
@@ -1124,7 +1207,9 @@ impl<T: Record> RecordFile<T> {
     ///
     /// Returns I/O errors other than the file not existing.
     pub fn load(&self) -> io::Result<Vec<T>> {
-        Ok(self.load_split()?.records)
+        let mut records = Vec::new();
+        self.load_each(|record| records.push(record))?;
+        Ok(records)
     }
 
     /// Like [`RecordFile::load`], but when the file holds anything past
@@ -1148,11 +1233,83 @@ impl<T: Record> RecordFile<T> {
     ///
     /// Returns I/O errors from reading or rewriting the file.
     pub fn recover_counted(&self) -> io::Result<Recovery<T>> {
-        let mut recovery = self.load_split()?;
-        if recovery.dropped_lines > 0 {
-            recovery.end = self.rewrite(&recovery.records)?;
+        let mut records = Vec::new();
+        let loaded = self.recover_each(|record| records.push(record))?;
+        Ok(Recovery {
+            records,
+            dropped_lines: loaded.dropped_lines,
+            end: loaded.end,
+        })
+    }
+
+    /// Reads the file frame by frame and hands each record of the valid
+    /// framed prefix to `take` as soon as it is decoded, so the load
+    /// holds one frame at a time. A missing file is empty. The first
+    /// torn, corrupt or out-of-sequence frame ends the load, and so does
+    /// the first frame whose body does not decode as a `T`: it and every
+    /// line after it count as dropped.
+    ///
+    /// # Errors
+    ///
+    /// Returns I/O errors other than the file not existing.
+    pub(crate) fn load_each(&self, mut take: impl FnMut(T)) -> io::Result<Loaded> {
+        let mut records = 0;
+        let scan = read_frames(&self.path, |_, body| {
+            match serde_json::from_str::<T>(body) {
+                Ok(record) => {
+                    take(record);
+                    records += 1;
+                    ControlFlow::Continue(())
+                }
+                Err(_) => ControlFlow::Break(()),
+            }
+        })?
+        .unwrap_or_default();
+        Ok(Loaded {
+            records,
+            dropped_lines: scan.dropped,
+            end: scan.end,
+        })
+    }
+
+    /// [`RecordFile::load_each`], then, when the file holds anything past
+    /// the handed-over records, an atomic rewrite to exactly them.
+    ///
+    /// # Errors
+    ///
+    /// Returns I/O errors from reading or rewriting the file.
+    pub(crate) fn recover_each(&self, take: impl FnMut(T)) -> io::Result<Loaded> {
+        let mut loaded = self.load_each(take)?;
+        if loaded.dropped_lines > 0 {
+            loaded.end = self.rewrite_prefix(loaded.records)?;
         }
-        Ok(recovery)
+        Ok(loaded)
+    }
+
+    /// Atomically replaces the file with its own first `count` records,
+    /// read back frame by frame and reframed from sequence 0 as
+    /// [`RecordFile::rewrite`] frames them.
+    fn rewrite_prefix(&self, count: usize) -> io::Result<StreamEnd> {
+        let end = atomic_replace(&self.path, None, |out| {
+            let mut left = count;
+            let mut pushed = Ok(());
+            read_frames(&self.path, |_, body| {
+                if left == 0 {
+                    return ControlFlow::Break(());
+                }
+                left -= 1;
+                pushed = serde_json::from_str::<T>(body)
+                    .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e.to_string()))
+                    .and_then(|record| out.push_record(&record));
+                match pushed {
+                    Ok(()) => ControlFlow::Continue(()),
+                    Err(_) => ControlFlow::Break(()),
+                }
+            })?;
+            pushed
+        })?;
+        // Only a crashed harness swallows a replace, and there is none.
+        Ok(end.unwrap_or_default())
     }
 
     /// Atomically replaces the file with exactly `records`, reframed from
@@ -1196,36 +1353,6 @@ impl<T: Record> RecordFile<T> {
             records
                 .into_iter()
                 .try_for_each(|record| out.push_record(record))
-        })
-    }
-
-    /// Valid leading records plus the number of frames/lines dropped
-    /// from the first defect onward (0 = the whole file scanned clean).
-    /// A frame whose body fails to decode as a `T` also ends the load.
-    /// Bodies are decoded straight from the file buffer.
-    fn load_split(&self) -> io::Result<Recovery<T>> {
-        let bytes = read_stream(&self.path)?.unwrap_or_default();
-        let scan = scan_stream(&bytes);
-        let mut records = Vec::with_capacity(scan.bodies.len());
-        for (i, body) in scan.bodies.iter().enumerate() {
-            match serde_json::from_str::<T>(body) {
-                Ok(record) => records.push(record),
-                Err(_) => {
-                    return Ok(Recovery {
-                        records,
-                        dropped_lines: scan.bodies.len() - i + scan.dropped,
-                        // Not a resume point: the file still holds the
-                        // undecodable frames, so `recover_counted`
-                        // rewrites it and takes the rewrite's end.
-                        end: StreamEnd::default(),
-                    });
-                }
-            }
-        }
-        Ok(Recovery {
-            records,
-            dropped_lines: scan.dropped,
-            end: scan.end(),
         })
     }
 
@@ -1366,6 +1493,135 @@ mod tests {
                 .and_then(|p| p.as_str()),
             Some("com.a")
         );
+    }
+
+    /// `n` quarantine entries — a small [`Record`] type — and their
+    /// bodies as `rewrite` encodes them.
+    fn entries(n: u32) -> (Vec<crate::sweep::QuarantineEntry>, Vec<String>) {
+        let entries: Vec<_> = (0..n)
+            .map(|i| crate::sweep::QuarantineEntry {
+                package: format!("com.app{i}"),
+                attempts: i + 1,
+            })
+            .collect();
+        let bodies = entries
+            .iter()
+            .map(|e| serde_json::to_string(e).expect("encode"))
+            .collect();
+        (entries, bodies)
+    }
+
+    /// A record file `tag` holding exactly `bytes`.
+    fn record_file(tag: &str, bytes: &[u8]) -> RecordFile<crate::sweep::QuarantineEntry> {
+        let path = temp_path(tag);
+        std::fs::write(&path, bytes).expect("write record file");
+        RecordFile::new(path)
+    }
+
+    /// The end of `count` frames of `bodies`, framed from sequence 0.
+    fn frames_end(bodies: &[String], count: usize) -> StreamEnd {
+        StreamEnd {
+            next_seq: count as u64,
+            valid_len: encode_frames(0, &bodies[..count]).len() as u64,
+        }
+    }
+
+    #[test]
+    fn a_body_that_does_not_decode_ends_the_load_and_is_rewritten_away() {
+        let (entries, mut bodies) = entries(4);
+        bodies[2] = r#"{"not":"an entry"}"#.to_string();
+        let text = encode_frames(0, &bodies);
+        let file = record_file("undecodable", text.as_bytes());
+        assert_eq!(file.load().expect("load"), entries[..2]);
+        assert_eq!(
+            file.load_each(|_| {}).expect("load"),
+            Loaded {
+                records: 2,
+                dropped_lines: 2,
+                end: frames_end(&bodies, 2),
+            }
+        );
+        let recovery = file.recover_counted().expect("recover");
+        assert_eq!(recovery.records, entries[..2]);
+        assert_eq!(recovery.dropped_lines, 2);
+        assert_eq!(recovery.end, frames_end(&bodies, 2));
+        let rewritten = std::fs::read_to_string(file.path()).expect("read");
+        assert_eq!(rewritten, encode_frames(0, &bodies[..2]));
+        file.reset().expect("cleanup");
+    }
+
+    #[test]
+    fn a_torn_tail_without_a_newline_is_dropped() {
+        let (entries, bodies) = entries(3);
+        let text = encode_frames(0, &bodies);
+        let file = record_file("torn", &text.as_bytes()[..text.len() - 1]);
+        let recovery = file.recover_counted().expect("recover");
+        assert_eq!(recovery.records, entries[..2]);
+        assert_eq!(recovery.dropped_lines, 1);
+        assert_eq!(recovery.end, frames_end(&bodies, 2));
+        assert_eq!(
+            std::fs::read_to_string(file.path()).expect("read"),
+            encode_frames(0, &bodies[..2])
+        );
+        file.reset().expect("cleanup");
+    }
+
+    #[test]
+    fn a_line_that_is_not_utf8_ends_the_load() {
+        let (entries, bodies) = entries(3);
+        let mut bytes = encode_frames(0, &bodies[..2]).into_bytes();
+        bytes.extend_from_slice(b"{\"seq\":2,\xff\xfe}\n");
+        bytes.extend_from_slice(encode_frame(2, &bodies[2]).as_bytes());
+        let file = record_file("not_utf8", &bytes);
+        let recovery = file.recover_counted().expect("recover");
+        assert_eq!(recovery.records, entries[..2]);
+        assert_eq!(recovery.dropped_lines, 2);
+        assert_eq!(recovery.end, frames_end(&bodies, 2));
+        file.reset().expect("cleanup");
+    }
+
+    #[test]
+    fn empty_lines_inside_the_valid_prefix_are_kept() {
+        let (entries, bodies) = entries(2);
+        let text = format!(
+            "\n{}\n\n{}\n",
+            encode_frame(0, &bodies[0]),
+            encode_frame(1, &bodies[1])
+        );
+        let file = record_file("empty_lines", text.as_bytes());
+        let recovery = file.recover_counted().expect("recover");
+        assert_eq!(recovery.records, entries);
+        assert_eq!(recovery.dropped_lines, 0);
+        assert_eq!(
+            recovery.end,
+            StreamEnd {
+                next_seq: 2,
+                valid_len: text.len() as u64,
+            }
+        );
+        // Nothing was dropped, so nothing was rewritten.
+        assert_eq!(std::fs::read_to_string(file.path()).expect("read"), text);
+
+        // Behind a torn tail, the rewrite keeps the frames, not the
+        // empty lines.
+        let torn = format!("{text}{}", &encode_frame(2, &bodies[0])[..9]);
+        let file = record_file("empty_lines_torn", torn.as_bytes());
+        let recovery = file.recover_counted().expect("recover");
+        assert_eq!(recovery.records, entries);
+        assert_eq!(recovery.dropped_lines, 1);
+        assert_eq!(recovery.end, frames_end(&bodies, 2));
+        file.reset().expect("cleanup");
+    }
+
+    #[test]
+    fn a_missing_record_file_is_empty_and_stays_missing() {
+        let file: RecordFile<crate::sweep::QuarantineEntry> = RecordFile::new(temp_path("missing"));
+        file.reset().expect("no file");
+        let recovery = file.recover_counted().expect("recover");
+        assert!(recovery.records.is_empty());
+        assert_eq!(recovery.dropped_lines, 0);
+        assert_eq!(recovery.end, StreamEnd::default());
+        assert!(!file.path().exists());
     }
 
     #[test]

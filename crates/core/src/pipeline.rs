@@ -6,7 +6,7 @@
 //! corpus. See `DESIGN.md`, "Failure taxonomy & fault tolerance".
 
 use std::borrow::Cow;
-use std::collections::{BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -347,8 +347,20 @@ impl Pipeline {
                 ),
             }
         }
-        let (outcome, recovered_apps) = self.recover_streams(journal)?;
-        let recovered = recovered_apps.len();
+        // Recovered apps (with their graphs) are filed straight into the
+        // slots of their corpus indices; the sweep fills the rest. Apps of
+        // a larger corpus than this one count as recovered but take no
+        // slot.
+        let index: HashMap<&str, usize> = corpus
+            .iter()
+            .enumerate()
+            .rev()
+            .map(|(i, app)| (app.package(), i))
+            .collect();
+        let mut slots = SweepSlots::new(corpus.len(), true);
+        let (outcome, outside) = self.recover_streams(journal, &index, &mut slots)?;
+        let recovered = slots.records.iter().flatten().count() + outside.len();
+        drop(outside);
         let ledger = ProvenanceLedger::new(journal.provenance_path());
         let io_state = IoState::new(self.config.io_retry_budget);
         if self.telemetry.is_enabled() {
@@ -362,21 +374,6 @@ impl Pipeline {
                 .counter_add("sweep.inconsistent_apps", outcome.inconsistent.len() as u64);
             self.telemetry
                 .counter_add("sweep.quarantined_apps", outcome.quarantined.len() as u64);
-        }
-        // Recovered apps (with their graphs) go straight into the slots of
-        // their corpus indices; the sweep fills the rest. Apps of a larger
-        // corpus than this one are dropped here.
-        let index: HashMap<&str, usize> = corpus
-            .iter()
-            .enumerate()
-            .rev()
-            .map(|(i, app)| (app.package(), i))
-            .collect();
-        let mut slots = SweepSlots::new(corpus.len(), true);
-        for (record, graph) in recovered_apps {
-            if let Some(&i) = index.get(record.package.as_str()) {
-                slots.file(i, record, graph);
-            }
         }
         // Apps that exhausted their interrupted-attempt budget are not
         // re-analysed: a deterministic failure record stands in for them
@@ -494,7 +491,10 @@ impl Pipeline {
     /// quarantine sidecar; ledger read failures degrade to warnings (its
     /// records are simply not recovered).
     pub fn recover_all(&self, journal: &crate::sweep::Journal) -> std::io::Result<RecoveryOutcome> {
-        let (mut outcome, apps) = self.recover_streams(journal)?;
+        // With no corpus, every package is filed outside one, in order of
+        // first appearance.
+        let mut slots = SweepSlots::new(0, true);
+        let (mut outcome, apps) = self.recover_streams(journal, &HashMap::new(), &mut slots)?;
         outcome.records.reserve_exact(apps.len());
         for (record, graph) in apps {
             outcome.records.push(record);
@@ -503,122 +503,143 @@ impl Pipeline {
         Ok(outcome)
     }
 
-    /// [`Pipeline::recover_all`], with the recovered apps returned beside
-    /// an outcome whose `records` and `provenance` stay empty: each
-    /// journal record paired with its graph, in journal order, so no
-    /// caller re-keys them by package. The journal and the ledger are
-    /// read on two threads.
+    /// [`Pipeline::recover_all`] in one pass per stream, filing as it
+    /// reads: the journal and the ledger each on a thread of its own,
+    /// each record or graph of a package `index` maps to a corpus index
+    /// goes straight into that slot of `slots`, and the first one per
+    /// package wins. Recovered apps outside the corpus are returned, each
+    /// record paired with its graph in journal order, beside an outcome
+    /// whose `records` and `provenance` stay empty.
+    ///
+    /// Neither stream is read on the calling thread: a fresh thread
+    /// allocates from an idle allocator arena, such as one a finished
+    /// sweep's workers freed their records into, where the caller's own
+    /// heap would grow by every record (a scale-1.0 reopen's high-water
+    /// mark is about 35 MB lower this way).
     fn recover_streams(
         &self,
         journal: &crate::sweep::Journal,
+        index: &HashMap<&str, usize>,
+        slots: &mut SweepSlots,
     ) -> std::io::Result<(RecoveryOutcome, Vec<AppResult>)> {
         let ledger = ProvenanceLedger::new(journal.provenance_path());
-        let (recovery, ledger_recovery) = std::thread::scope(|scope| {
-            let ledger_job = scope.spawn(|| ledger.recover_counted());
-            let recovery = journal.recover_counted();
-            let ledger_recovery = ledger_job
+        let SweepSlots { records, graphs } = slots;
+        let (journal_read, ledger_read) = std::thread::scope(|scope| {
+            let ledger_job = scope.spawn(|| {
+                file_stream(&ledger, index, graphs, |graph: &AppProvenance| {
+                    graph.package.as_str()
+                })
+            });
+            let journal_job = scope.spawn(|| {
+                file_stream(journal, index, records, |record: &AppRecord| {
+                    record.package.as_str()
+                })
+            });
+            let journal_read = journal_job
                 .join()
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
-            (recovery, ledger_recovery)
+            let ledger_read = ledger_job
+                .join()
+                .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
+            (journal_read, ledger_read)
         });
-        let recovery = recovery?;
+        let (journal_loaded, outside_records) = journal_read?;
         warn_recovered(
             "journal",
             journal.path(),
-            recovery.records.len(),
-            recovery.dropped_lines,
+            journal_loaded.records,
+            journal_loaded.dropped_lines,
         );
-        let journal_dropped = recovery.dropped_lines;
-        let journal_count = recovery.records.len();
-        let mut journal_end = recovery.end;
+        let mut journal_end = journal_loaded.end;
 
-        let mut ledger_records: Vec<AppProvenance> = Vec::new();
         let mut ledger_dropped = 0usize;
         let mut ledger_end = None;
-        match ledger_recovery {
-            Ok(r) => {
-                warn_recovered("ledger", ledger.path(), r.records.len(), r.dropped_lines);
-                ledger_dropped = r.dropped_lines;
-                ledger_records = r.records;
-                ledger_end = Some(r.end);
+        let mut outside_graphs = Outside::default();
+        match ledger_read {
+            Ok((loaded, outside)) => {
+                warn_recovered(
+                    "ledger",
+                    ledger.path(),
+                    loaded.records,
+                    loaded.dropped_lines,
+                );
+                ledger_dropped = loaded.dropped_lines;
+                ledger_end = Some(loaded.end);
+                outside_graphs = outside;
             }
-            Err(e) => eprintln!(
-                "dydroid: failed to recover ledger {}: {e}",
-                ledger.path().display()
-            ),
+            Err(e) => {
+                // An unrecovered ledger keeps none of its graphs.
+                graphs.iter_mut().for_each(|graph| *graph = None);
+                eprintln!(
+                    "dydroid: failed to recover ledger {}: {e}",
+                    ledger.path().display()
+                );
+            }
         }
         let ledger_active = ledger_end.is_some();
 
-        // Each journal record takes the first ledger graph of its
-        // package; without one (and with the ledger recovered) the app is
-        // inconsistent, as is a graph no journal record takes. An
-        // unrecovered ledger keeps every journal record, graph-less.
+        // Reconcile slot by slot: a record without a graph (with the
+        // ledger recovered) is inconsistent, as is a graph without a
+        // record. An unrecovered ledger keeps every record, graph-less.
         let mut inconsistent: BTreeSet<String> = BTreeSet::new();
-        let takes: Vec<Option<Option<usize>>> = {
-            let mut first_graph: HashMap<&str, usize> =
-                HashMap::with_capacity(ledger_records.len());
-            for (i, p) in ledger_records.iter().enumerate() {
-                first_graph.entry(p.package.as_str()).or_insert(i);
-            }
-            let mut taken = vec![false; ledger_records.len()];
-            let takes = recovery
-                .records
-                .iter()
-                .map(|record| match first_graph.get(record.package.as_str()) {
-                    Some(&i) => {
-                        taken[i] = true;
-                        Some(Some(i))
-                    }
-                    None if !ledger_active => Some(None),
-                    None => {
-                        inconsistent.insert(record.package.clone());
-                        None
-                    }
-                })
-                .collect();
-            for p in &ledger_records {
-                if !taken[first_graph[p.package.as_str()]] {
-                    inconsistent.insert(p.package.clone());
+        for (record, graph) in records.iter_mut().zip(graphs.iter_mut()) {
+            let unpaired = match (&*record, &*graph) {
+                (Some(_), None) if ledger_active => record.take().map(|r| r.package),
+                (None, Some(_)) => graph.take().map(|g| g.package),
+                _ => None,
+            };
+            inconsistent.extend(unpaired);
+        }
+        let mut outside: Vec<AppResult> = Vec::new();
+        for record in outside_records.records.into_iter().flatten() {
+            match outside_graphs.take(&record.package) {
+                Some(graph) => outside.push((record, Some(graph))),
+                None if !ledger_active => outside.push((record, None)),
+                None => {
+                    inconsistent.insert(record.package);
                 }
             }
-            takes
-        };
-        let mut graphs: Vec<Option<AppProvenance>> = ledger_records.into_iter().map(Some).collect();
-        let mut apps: Vec<AppResult> = recovery
-            .records
-            .into_iter()
-            .zip(takes)
-            .filter_map(|(record, take)| {
-                take.map(|graph| (record, graph.and_then(|i| graphs[i].take())))
-            })
-            .collect();
-        drop(graphs);
+        }
+        inconsistent.extend(
+            outside_graphs
+                .records
+                .into_iter()
+                .flatten()
+                .map(|graph| graph.package),
+        );
 
-        // The first record per package wins.
-        let mut quarantine = journal.load_quarantine()?;
-        let first: Vec<bool> = {
-            let mut seen: HashSet<&str> = HashSet::with_capacity(apps.len());
-            let first = apps
-                .iter()
-                .map(|(record, _)| seen.insert(record.package.as_str()))
-                .collect();
-            // A recovered package is not re-analysed even if the streams
-            // also hold a torn copy of it, and it sheds its quarantine
-            // entry.
-            inconsistent.retain(|p| !seen.contains(p.as_str()));
-            quarantine.retain(|e| !seen.contains(e.package.as_str()));
-            first
-        };
-        let mut first = first.into_iter();
-        apps.retain(|_| first.next().unwrap_or(false));
+        // A recovered package sheds its quarantine entry, even if the
+        // streams also held a torn copy of it.
+        let mut quarantine: BTreeMap<String, u32> = BTreeMap::new();
+        for entry in journal.load_quarantine()? {
+            quarantine.entry(entry.package).or_insert(entry.attempts);
+        }
+        if !quarantine.is_empty() {
+            let outside_recovered: HashSet<&str> =
+                outside.iter().map(|(r, _)| r.package.as_str()).collect();
+            quarantine.retain(|package, _| match index.get(package.as_str()) {
+                Some(&i) => records[i].is_none(),
+                None => !outside_recovered.contains(package.as_str()),
+            });
+        }
 
         // Rewrite the journal and ledger to the consistent set so this
         // session's appends extend files that agree with each other.
-        if apps.len() != journal_count {
-            journal_end = journal.rewrite(apps.iter().map(|(record, _)| record))?;
+        let recovered = records.iter().flatten().count() + outside.len();
+        if recovered != journal_loaded.records {
+            journal_end = journal.rewrite(
+                records
+                    .iter()
+                    .flatten()
+                    .chain(outside.iter().map(|(record, _)| record)),
+            )?;
         }
         if !inconsistent.is_empty() {
-            match ledger.rewrite(apps.iter().filter_map(|(_, graph)| graph.as_ref())) {
+            let kept = graphs
+                .iter()
+                .flatten()
+                .chain(outside.iter().filter_map(|(_, graph)| graph.as_ref()));
+            match ledger.rewrite(kept) {
                 Ok(end) => ledger_end = Some(end),
                 Err(e) => {
                     // The file is in an unknown state: the writer scans
@@ -636,14 +657,13 @@ impl Pipeline {
         // burned one interrupted attempt; apps that completed since then
         // shed their entries (above).
         for package in &inconsistent {
-            match quarantine.iter_mut().find(|e| &e.package == package) {
-                Some(entry) => entry.attempts = entry.attempts.saturating_add(1),
-                None => quarantine.push(QuarantineEntry {
-                    package: package.clone(),
-                    attempts: 1,
-                }),
-            }
+            let attempts = quarantine.entry(package.clone()).or_insert(0);
+            *attempts = attempts.saturating_add(1);
         }
+        let quarantine: Vec<QuarantineEntry> = quarantine
+            .into_iter()
+            .map(|(package, attempts)| QuarantineEntry { package, attempts })
+            .collect();
         journal.write_quarantine(&quarantine)?;
         let quarantined: Vec<String> = quarantine
             .iter()
@@ -654,7 +674,7 @@ impl Pipeline {
         let outcome = RecoveryOutcome {
             records: Vec::new(),
             provenance: Vec::new(),
-            journal_dropped,
+            journal_dropped: journal_loaded.dropped_lines,
             ledger_dropped,
             inconsistent: inconsistent.into_iter().collect(),
             quarantine,
@@ -662,7 +682,7 @@ impl Pipeline {
             journal_end,
             ledger_end,
         };
-        Ok((outcome, apps))
+        Ok((outcome, outside))
     }
 
     /// The parallel worker loop. Workers take the corpus indices of
@@ -1867,6 +1887,59 @@ impl SweepSlots {
     }
 }
 
+/// One stream's records of packages outside the corpus, the first per
+/// package, in order of first appearance; taken out by package.
+#[derive(Debug)]
+struct Outside<T> {
+    records: Vec<Option<T>>,
+    at: HashMap<String, usize>,
+}
+
+impl<T> Default for Outside<T> {
+    fn default() -> Self {
+        Outside {
+            records: Vec::new(),
+            at: HashMap::new(),
+        }
+    }
+}
+
+impl<T> Outside<T> {
+    /// Takes the record of `package`, if one is filed and not yet taken.
+    fn take(&mut self, package: &str) -> Option<T> {
+        let &i = self.at.get(package)?;
+        self.records[i].take()
+    }
+}
+
+/// Recovers `file` frame by frame, filing each record by its `package`:
+/// the first record of a package `index` maps to a corpus index into
+/// that slot of `slots`, the first of any other package into the
+/// returned [`Outside`]. Later records of a package are dropped.
+fn file_stream<T: crate::durable::Record>(
+    file: &crate::durable::RecordFile<T>,
+    index: &HashMap<&str, usize>,
+    slots: &mut [Option<T>],
+    package: impl Fn(&T) -> &str,
+) -> std::io::Result<(crate::durable::Loaded, Outside<T>)> {
+    let mut outside = Outside::default();
+    let loaded = file.recover_each(|record| match index.get(package(&record)) {
+        Some(&i) => {
+            if slots[i].is_none() {
+                slots[i] = Some(record);
+            }
+        }
+        None if outside.at.contains_key(package(&record)) => {}
+        None => {
+            outside
+                .at
+                .insert(package(&record).to_string(), outside.records.len());
+            outside.records.push(Some(record));
+        }
+    })?;
+    Ok((loaded, outside))
+}
+
 /// One analysed app on its way from a sweep worker to the collector.
 struct Finished {
     worker: usize,
@@ -2216,6 +2289,258 @@ mod tests {
         assert_eq!(gauge("sweep.failed"), 0);
     }
 
+    /// A finished journaled sweep of `corpus` in a fresh directory named
+    /// for `tag`, with its journal records and ledger graphs (corpus
+    /// order) for a test to re-frame into the streams it wants to
+    /// recover.
+    fn finished_streams(
+        corpus: &[SyntheticApp],
+        tag: &str,
+    ) -> (
+        std::path::PathBuf,
+        crate::sweep::Journal,
+        Vec<AppRecord>,
+        Vec<AppProvenance>,
+    ) {
+        let dir = std::env::temp_dir().join(format!("dydroid_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = crate::sweep::Journal::new(dir.join("sweep.jsonl"));
+        Pipeline::new(PipelineConfig {
+            workers: 1,
+            environment_reruns: false,
+            ..Default::default()
+        })
+        .run_resumable(corpus, &journal)
+        .expect("finished sweep");
+        let records = journal.load().expect("journal");
+        let graphs = ProvenanceLedger::new(journal.provenance_path())
+            .load()
+            .expect("ledger");
+        assert_eq!((records.len(), graphs.len()), (corpus.len(), corpus.len()));
+        (dir, journal, records, graphs)
+    }
+
+    /// Replaces the journal and the ledger with exactly these frames.
+    fn frame_streams(
+        journal: &crate::sweep::Journal,
+        records: &[&AppRecord],
+        graphs: &[&AppProvenance],
+    ) {
+        journal.rewrite(records.iter().copied()).expect("journal");
+        ProvenanceLedger::new(journal.provenance_path())
+            .rewrite(graphs.iter().copied())
+            .expect("ledger");
+    }
+
+    /// Where a stream file of `frames` frames ends as it lies on disk.
+    fn file_end(path: &Path, frames: u64) -> StreamEnd {
+        StreamEnd {
+            next_seq: frames,
+            valid_len: std::fs::metadata(path).map_or(0, |m| m.len()),
+        }
+    }
+
+    fn recovered_packages(outcome: &RecoveryOutcome) -> (Vec<&str>, Vec<&str>) {
+        (
+            outcome.records.iter().map(|r| r.package.as_str()).collect(),
+            outcome
+                .provenance
+                .iter()
+                .map(|p| p.package.as_str())
+                .collect(),
+        )
+    }
+
+    fn entry(package: &str, attempts: u32) -> QuarantineEntry {
+        QuarantineEntry {
+            package: package.to_string(),
+            attempts,
+        }
+    }
+
+    /// A package the journal holds twice is recovered once, with its
+    /// one graph; the journal is rewritten to the distinct apps and the
+    /// ledger is left as it was.
+    #[test]
+    fn recovery_keeps_the_first_record_of_a_journaled_duplicate() {
+        let corpus = tiny_corpus();
+        let (dir, journal, records, graphs) = finished_streams(&corpus[..3], "recover_dup");
+        let (a, b, c) = (&records[0], &records[1], &records[2]);
+        frame_streams(
+            &journal,
+            &[a, b, a, c],
+            &[&graphs[0], &graphs[1], &graphs[2]],
+        );
+        let ledger_before = file_end(&journal.provenance_path(), 3);
+        let outcome = Pipeline::new(PipelineConfig::default())
+            .recover_all(&journal)
+            .expect("recover");
+        let pkgs = [a, b, c].map(|r| r.package.as_str());
+        assert_eq!(recovered_packages(&outcome), (pkgs.to_vec(), pkgs.to_vec()));
+        assert!(outcome.inconsistent.is_empty());
+        assert!(outcome.quarantine.is_empty());
+        assert_eq!((outcome.journal_dropped, outcome.ledger_dropped), (0, 0));
+        assert_eq!(outcome.journal_end, file_end(journal.path(), 3));
+        assert_eq!(journal.load().expect("journal").len(), 3);
+        assert_eq!(outcome.ledger_end, Some(ledger_before));
+        assert_eq!(file_end(&journal.provenance_path(), 3), ledger_before);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A ledger graph no journal record takes is inconsistent: the app
+    /// burns one attempt and the ledger is cut back to the journal's
+    /// apps.
+    #[test]
+    fn recovery_drops_a_graph_without_a_journal_record() {
+        let corpus = tiny_corpus();
+        let (dir, journal, records, graphs) = finished_streams(&corpus[..3], "recover_orphan");
+        frame_streams(
+            &journal,
+            &[&records[0], &records[1]],
+            &[&graphs[0], &graphs[1], &graphs[2]],
+        );
+        let journal_before = file_end(journal.path(), 2);
+        let outcome = Pipeline::new(PipelineConfig::default())
+            .recover_all(&journal)
+            .expect("recover");
+        let pkgs = vec![records[0].package.as_str(), records[1].package.as_str()];
+        assert_eq!(recovered_packages(&outcome), (pkgs.clone(), pkgs));
+        assert_eq!(outcome.inconsistent, vec![graphs[2].package.clone()]);
+        assert_eq!(outcome.quarantine, vec![entry(&graphs[2].package, 1)]);
+        assert!(outcome.quarantined.is_empty());
+        assert_eq!(outcome.journal_end, journal_before);
+        assert_eq!(
+            outcome.ledger_end,
+            Some(file_end(&journal.provenance_path(), 2))
+        );
+        assert_eq!(
+            journal.load_quarantine().expect("quarantine"),
+            outcome.quarantine
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A journal record whose graph never landed is inconsistent: both
+    /// streams are rewritten to the apps that hold both.
+    #[test]
+    fn recovery_drops_a_record_without_a_graph() {
+        let corpus = tiny_corpus();
+        let (dir, journal, records, graphs) = finished_streams(&corpus[..3], "recover_graphless");
+        frame_streams(
+            &journal,
+            &[&records[0], &records[1], &records[2]],
+            &[&graphs[0], &graphs[2]],
+        );
+        let outcome = Pipeline::new(PipelineConfig::default())
+            .recover_all(&journal)
+            .expect("recover");
+        let pkgs = vec![records[0].package.as_str(), records[2].package.as_str()];
+        assert_eq!(recovered_packages(&outcome), (pkgs.clone(), pkgs));
+        assert_eq!(outcome.inconsistent, vec![records[1].package.clone()]);
+        assert_eq!(outcome.quarantine, vec![entry(&records[1].package, 1)]);
+        assert_eq!(outcome.journal_end, file_end(journal.path(), 2));
+        assert_eq!(
+            outcome.ledger_end,
+            Some(file_end(&journal.provenance_path(), 2))
+        );
+        assert_eq!(journal.load().expect("journal").len(), 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// An emptied ledger makes every journaled app inconsistent: each
+    /// burns one attempt (an app already quarantined once reaches two),
+    /// both streams end empty, and a resume re-analyses every app into
+    /// the same finalized streams.
+    #[test]
+    fn recovery_over_an_emptied_ledger_retries_every_app() {
+        let corpus = tiny_corpus();
+        let corpus = &corpus[..4];
+        let (dir, journal, records, _) = finished_streams(corpus, "recover_emptied");
+        let first_journal = std::fs::read(journal.path()).expect("journal bytes");
+        let first_ledger = std::fs::read(journal.provenance_path()).expect("ledger bytes");
+        std::fs::write(journal.provenance_path(), "").expect("empty the ledger");
+        journal
+            .write_quarantine(&[entry(&records[2].package, 1), entry("zz.not.in.streams", 2)])
+            .expect("quarantine");
+        let outcome = Pipeline::new(PipelineConfig::default())
+            .recover_all(&journal)
+            .expect("recover");
+        assert!(outcome.records.is_empty() && outcome.provenance.is_empty());
+        let mut pkgs: Vec<String> = records.iter().map(|r| r.package.clone()).collect();
+        pkgs.sort();
+        assert_eq!(outcome.inconsistent, pkgs);
+        let mut quarantine: Vec<QuarantineEntry> = records
+            .iter()
+            .enumerate()
+            .map(|(i, r)| entry(&r.package, if i == 2 { 2 } else { 1 }))
+            .chain([entry("zz.not.in.streams", 2)])
+            .collect();
+        quarantine.sort_by(|a, b| a.package.cmp(&b.package));
+        assert_eq!(journal.load_quarantine().expect("quarantine"), quarantine);
+        let mut entries = outcome.quarantine.clone();
+        entries.sort_by(|a, b| a.package.cmp(&b.package));
+        assert_eq!(entries, quarantine);
+        assert!(outcome.quarantined.is_empty());
+        assert_eq!(outcome.journal_end, StreamEnd::default());
+        assert_eq!(outcome.ledger_end, Some(StreamEnd::default()));
+        assert_eq!(file_end(journal.path(), 0), StreamEnd::default());
+
+        std::fs::write(journal.path(), &first_journal).expect("restore the journal");
+        journal.write_quarantine(&[]).expect("clear the quarantine");
+        let report = Pipeline::new(PipelineConfig {
+            workers: 1,
+            environment_reruns: false,
+            ..Default::default()
+        })
+        .run_resumable(corpus, &journal)
+        .expect("resume");
+        assert_eq!(report.stats().recovered_records, 0);
+        assert_eq!(report.stats().inconsistent_apps, corpus.len() as u64);
+        assert_eq!(
+            std::fs::read(journal.path()).expect("journal"),
+            first_journal
+        );
+        let ledger = std::fs::read(journal.provenance_path()).expect("ledger");
+        assert_eq!(ledger, first_ledger);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Apps a journal holds beyond a (smaller) resumed corpus count as
+    /// recovered and stay in the streams until finalize, which keeps
+    /// only the corpus; one of them without its graph is inconsistent
+    /// and burns an attempt like any other.
+    #[test]
+    fn recovery_counts_apps_outside_the_corpus() {
+        let corpus = tiny_corpus();
+        let (dir, journal, records, graphs) = finished_streams(&corpus[..6], "recover_outside");
+        let all: Vec<&AppRecord> = records.iter().collect();
+        let five: Vec<&AppProvenance> = graphs[..5].iter().collect();
+        frame_streams(&journal, &all, &five);
+        let report = Pipeline::new(PipelineConfig {
+            workers: 1,
+            environment_reruns: false,
+            ..Default::default()
+        })
+        .run_resumable(&corpus[..4], &journal)
+        .expect("resume into the smaller corpus");
+        assert_eq!(report.records().len(), 4);
+        assert_eq!(report.stats().recovered_records, 5);
+        assert_eq!(report.stats().inconsistent_apps, 1);
+        let finalized: Vec<String> = journal
+            .load()
+            .expect("journal")
+            .into_iter()
+            .map(|r| r.package)
+            .collect();
+        let expected: Vec<String> = records[..4].iter().map(|r| r.package.clone()).collect();
+        assert_eq!(finalized, expected);
+        assert_eq!(
+            journal.load_quarantine().expect("quarantine"),
+            vec![entry(&records[5].package, 1)]
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Workers charge `monkey.virtual_us` ahead of the collector, so
     /// the snapshot count must follow the collected costs alone: the
     /// same apps in two completion orders, one with every cost charged
@@ -2247,9 +2572,7 @@ mod tests {
                 obs.on_app_done(&pipeline, "app", 0, cost);
             }
             drop(pipeline);
-            let bytes = crate::durable::read_stream(&path)
-                .expect("read events")
-                .expect("event stream exists");
+            let bytes = std::fs::read(&path).expect("event stream exists");
             let _ = std::fs::remove_file(&path);
             crate::durable::scan_stream(&bytes)
                 .bodies

@@ -27,12 +27,13 @@
 use std::collections::{BTreeMap, HashMap};
 use std::fmt::Write as _;
 use std::io;
+use std::ops::ControlFlow;
 use std::path::Path;
 
 use serde::{Deserialize, Serialize};
 
 use crate::config::WATCHDOG_K;
-use crate::durable::{read_stream, scan_stream};
+use crate::durable::read_frames;
 use crate::sweep::Journal;
 use crate::telemetry::SpanRecord;
 
@@ -125,17 +126,17 @@ impl SpanProfile {
     /// Returns I/O errors other than the stream file not existing.
     pub fn from_event_stream(path: &Path) -> io::Result<SpanProfile> {
         let mut spans = Vec::new();
-        let bytes = read_stream(path)?.unwrap_or_default();
-        for body in scan_stream(&bytes).bodies {
+        read_frames(path, |_, body| {
             let Ok(value) = serde_json::from_str::<serde::Value>(body) else {
-                break;
+                return ControlFlow::Break(());
             };
             if value.get("type").and_then(|t| t.as_str()) == Some("span") {
                 if let Ok(record) = SpanRecord::from_json(&value) {
                     spans.push(record);
                 }
             }
-        }
+            ControlFlow::Continue(())
+        })?;
         spans.sort_by_key(|s| (s.start_us, s.id));
         Ok(SpanProfile::from_spans(&spans))
     }

@@ -28,13 +28,14 @@
 
 use std::collections::HashMap;
 use std::io;
+use std::ops::ControlFlow;
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
 use crate::durable::{
-    atomic_replace, read_stream, scan_stream, FramedWriter, IoHarness, SinkOptions, StreamKind,
+    atomic_replace, read_frames, FramedWriter, IoHarness, SinkOptions, StreamKind,
 };
 
 use serde::{Deserialize, Serialize};
@@ -736,14 +737,11 @@ impl Telemetry {
         let Some(inner) = &self.inner else {
             return Ok(0);
         };
-        let Some(bytes) = read_stream(path)? else {
-            return Ok(0);
-        };
         let mut loaded = 0usize;
         let mut max_id = 0u64;
-        for body in scan_stream(&bytes).bodies {
+        read_frames(path, |_, body| {
             let Ok(value) = serde_json::from_str::<serde::Value>(body) else {
-                break;
+                return ControlFlow::Break(());
             };
             let kind = value.get("type").and_then(|t| t.as_str());
             if kind == Some("span") {
@@ -757,7 +755,8 @@ impl Telemetry {
                     max_id = max_id.max(id);
                 }
             }
-        }
+            ControlFlow::Continue(())
+        })?;
         inner.next_span.fetch_max(max_id + 1, Ordering::Relaxed);
         Ok(loaded)
     }

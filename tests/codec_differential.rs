@@ -22,7 +22,7 @@ use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt::Debug;
 use std::path::PathBuf;
 
-use dydroid::durable::{encode_frames, read_stream, scan_stream};
+use dydroid::durable::{encode_frames, scan_stream};
 use dydroid::sweep::QuarantineEntry;
 use dydroid::{AppProvenance, AppRecord, IoHarness, Journal, Pipeline, PipelineConfig};
 use dydroid_workload::{generate, CorpusSpec};
@@ -654,9 +654,7 @@ fn temp_journal(tag: &str) -> Journal {
 
 /// Every body of `path`, decoded on both paths.
 fn decode_stream<T: Deserialize + Serialize + Debug>(path: &std::path::Path) -> usize {
-    let bytes = read_stream(path)
-        .expect("read stream")
-        .expect("stream exists");
+    let bytes = std::fs::read(path).expect("stream exists");
     let scan = scan_stream(&bytes);
     assert!(scan.is_clean(), "{}: {:?}", path.display(), scan.defect);
     for body in &scan.bodies {

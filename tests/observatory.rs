@@ -11,9 +11,7 @@ use std::collections::HashSet;
 use std::path::PathBuf;
 
 use dydroid::config::{STRAGGLER_TOP, WATCHDOG_K};
-use dydroid::durable::{
-    encode_frames, read_stream, scan_stream, FramedWriter, SinkOptions, StreamKind,
-};
+use dydroid::durable::{encode_frames, scan_stream, FramedWriter, SinkOptions, StreamKind};
 use dydroid::obs::{MetricsSnapshot, SpanRecord};
 use dydroid::profile::WATCHDOG_WARMUP;
 use dydroid::{
@@ -178,9 +176,7 @@ fn crashed_session(corpus: &[SyntheticApp], journal: &Journal, crash_at: u64) ->
 /// The `{"type":"metrics"}` lines in the intact prefix of a journal's
 /// base event stream, parsed.
 fn metrics_lines(journal: &Journal) -> Vec<serde::Value> {
-    let bytes = read_stream(&journal.events_path())
-        .expect("read events")
-        .expect("event stream exists");
+    let bytes = std::fs::read(journal.events_path()).expect("event stream exists");
     scan_stream(&bytes)
         .bodies
         .iter()
@@ -417,7 +413,7 @@ proptest! {
             .expect("append after heal");
         writer.sync_now().expect("sync");
         drop(writer);
-        let healed_bytes = read_stream(&path).expect("read healed").expect("healed exists");
+        let healed_bytes = std::fs::read(&path).expect("healed exists");
         let healed = scan_stream(&healed_bytes);
         prop_assert!(healed.is_clean(), "healed stream defect {:?}", healed.defect);
         prop_assert_eq!(healed.bodies.len(), scan.bodies.len() + 1);

@@ -6,7 +6,7 @@
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
 
-use dydroid::durable::{read_stream, scan_stream};
+use dydroid::durable::scan_stream;
 use dydroid::{IoHarness, Journal, Pipeline, PipelineConfig};
 use dydroid_workload::{generate, CorpusSpec, SyntheticApp};
 
@@ -59,7 +59,7 @@ fn shard_files(journal: &Journal) -> Vec<String> {
 /// The `field` values of the frames of `path` (of its `kind` lines
 /// only, when given) in its valid prefix.
 fn frame_fields(path: &Path, kind: Option<&str>, field: &str) -> Vec<String> {
-    let bytes = read_stream(path).expect("read stream").unwrap_or_default();
+    let bytes = std::fs::read(path).unwrap_or_default();
     scan_stream(&bytes)
         .bodies
         .iter()
