@@ -996,6 +996,7 @@ impl Pipeline {
     /// rename, journal rename, one directory sync, then the events. A
     /// fault harness therefore sees the same ops in the same order, and a
     /// crash leaves the same on-disk states, as one replace after another.
+    /// Once the journal has committed, the quarantine sidecar is removed.
     fn finalize_streams(
         &self,
         journal: &crate::sweep::Journal,
@@ -1058,13 +1059,13 @@ impl Pipeline {
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
             (ledger_written, journal_written)
         });
-        let mut renamed = false;
-        for (stream, path, replace, written) in [
+        let mut renamed = [false; 2];
+        for (done, (stream, path, replace, written)) in renamed.iter_mut().zip([
             ("ledger", ledger.path(), ledger_replace, ledger_written),
             ("journal", journal.path(), journal_replace, journal_written),
-        ] {
+        ]) {
             let committed = match (replace, written) {
-                (Ok(Some(replace)), Some(Ok(_))) => replace.commit().map(|()| renamed = true),
+                (Ok(Some(replace)), Some(Ok(_))) => replace.commit().map(|()| *done = true),
                 (Err(e), _) | (_, Some(Err(e))) => Err(e),
                 // A crashed harness swallowed the replace.
                 _ => Ok(()),
@@ -1073,9 +1074,18 @@ impl Pipeline {
                 fail(stream, path, e);
             }
         }
-        if renamed {
+        let [_, journal_renamed] = renamed;
+        if renamed.contains(&true) {
             if let Err(e) = durable::sync_dir(journal.path()) {
                 fail("journal", journal.path(), e);
+            }
+        }
+        // Every corpus app now has its finalized record, so no
+        // interrupted attempt is left to count: drop the quarantine
+        // sidecar. Like a fresh run's reset, this is not a harness op.
+        if journal_renamed {
+            if let Err(e) = journal.write_quarantine(&[]) {
+                fail("quarantine", &journal.quarantine_path(), e);
             }
         }
         let events_path = journal.events_path();
@@ -2508,7 +2518,8 @@ mod tests {
     /// Apps a journal holds beyond a (smaller) resumed corpus count as
     /// recovered and stay in the streams until finalize, which keeps
     /// only the corpus; one of them without its graph is inconsistent
-    /// and burns an attempt like any other.
+    /// like any other. Its quarantine entry goes with the sidecar, which
+    /// finalize removes once the journal commits.
     #[test]
     fn recovery_counts_apps_outside_the_corpus() {
         let corpus = tiny_corpus();
@@ -2534,10 +2545,7 @@ mod tests {
             .collect();
         let expected: Vec<String> = records[..4].iter().map(|r| r.package.clone()).collect();
         assert_eq!(finalized, expected);
-        assert_eq!(
-            journal.load_quarantine().expect("quarantine"),
-            vec![entry(&records[5].package, 1)]
-        );
+        assert!(!journal.quarantine_path().exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -684,6 +684,10 @@ fn finalized_sweep_bodies_decode_alike() {
             },
         ])
         .expect("seed quarantine");
+    assert_eq!(
+        decode_stream::<QuarantineEntry>(&journal.quarantine_path()),
+        2
+    );
     let report = Pipeline::new(PipelineConfig {
         workers: 2,
         ..PipelineConfig::default()
@@ -696,10 +700,8 @@ fn finalized_sweep_bodies_decode_alike() {
         decode_stream::<AppProvenance>(&journal.provenance_path()),
         corpus.len()
     );
-    assert_eq!(
-        decode_stream::<QuarantineEntry>(&journal.quarantine_path()),
-        2
-    );
+    // Finalize leaves no quarantine sidecar behind.
+    assert!(!journal.quarantine_path().exists());
     journal.reset().expect("cleanup");
 }
 

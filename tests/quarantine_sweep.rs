@@ -159,3 +159,67 @@ fn recovery_keeps_every_app_whatever_the_event_stream_holds() {
     }
     journal.reset().expect("cleanup");
 }
+
+/// A resume over an emptied ledger calls every app inconsistent and
+/// re-analyses them all; the quarantine entries that bookkeeping wrote
+/// go at finalize, so the run ends without a sidecar, and a further
+/// resume changes no byte.
+#[test]
+fn resume_over_an_emptied_ledger_leaves_no_quarantine_sidecar() {
+    let corpus = generate(&CorpusSpec {
+        scale: 0.01,
+        seed: 7,
+    });
+    let config = PipelineConfig {
+        workers: 2,
+        ..PipelineConfig::default()
+    };
+    let path: PathBuf = std::env::temp_dir().join(format!(
+        "dydroid_emptied_ledger_{}.jsonl",
+        std::process::id()
+    ));
+    let journal = Journal::new(path);
+    journal.reset().expect("reset journal");
+    let streams = |journal: &Journal| {
+        [
+            journal.path().to_path_buf(),
+            journal.provenance_path(),
+            journal.events_path(),
+        ]
+        .map(|p| std::fs::read(p).expect("finalized stream"))
+    };
+    let sweep = || {
+        let report = Pipeline::new(config.clone())
+            .run_resumable(&corpus, &journal)
+            .expect("journaled sweep");
+        assert_eq!(report.records().len(), corpus.len());
+        report
+    };
+    let first = sweep();
+    let first_json = serde_json::to_string(&first).expect("serialise report");
+    let first_streams = streams(&journal);
+
+    std::fs::write(journal.provenance_path(), "").expect("empty the ledger");
+    let resumed = sweep();
+    assert_eq!(resumed.stats().inconsistent_apps, corpus.len() as u64);
+    assert!(
+        !journal.quarantine_path().exists(),
+        "the finished resume left a quarantine sidecar"
+    );
+    assert!(
+        streams(&journal) == first_streams,
+        "resume over an emptied ledger moved a stream"
+    );
+    assert!(serde_json::to_string(&resumed).expect("serialise report") == first_json);
+
+    let again = sweep();
+    assert_eq!(again.stats().inconsistent_apps, 0);
+    assert!(again.stats().quarantined.is_empty());
+    assert!(!journal.quarantine_path().exists());
+    assert!(
+        streams(&journal) == first_streams,
+        "a further resume moved a stream"
+    );
+    assert!(serde_json::to_string(&again).expect("serialise report") == first_json);
+    journal.reset().expect("cleanup");
+}
