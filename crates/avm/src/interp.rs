@@ -129,7 +129,7 @@ impl<'a> Vm<'a> {
         }
         let cls = self.proc.interner.intern(class);
         let this = self.proc.heap.alloc(cls);
-        if self.proc.resolve_method(class, "<init>").is_some() {
+        if self.proc.has_method(class, "<init>") {
             self.invoke_resolved(class, "<init>", vec![Value::Obj(this)])?;
         }
         self.invoke_resolved(class, method, vec![Value::Obj(this)])

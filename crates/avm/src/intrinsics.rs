@@ -214,7 +214,7 @@ pub fn dispatch(vm: &mut Vm<'_>, mref: &MethodRef, args: &[Value]) -> Result<Val
             };
             let sym = vm.proc.interner.intern(&cls);
             let id = vm.proc.heap.alloc(sym);
-            if vm.proc.resolve_method(&cls, "<init>").is_some() {
+            if vm.proc.has_method(&cls, "<init>") {
                 vm.invoke_resolved(&cls, "<init>", vec![Value::Obj(id)])?;
             }
             Ok(Value::Obj(id))
@@ -765,10 +765,10 @@ pub fn dispatch(vm: &mut Vm<'_>, mref: &MethodRef, args: &[Value]) -> Result<Val
                 package: pkg,
             });
             // Run the service lifecycle in-process.
-            if vm.proc.resolve_method(&cls, "onCreate").is_some() {
+            if vm.proc.has_method(&cls, "onCreate") {
                 vm.call_entry(&cls, "onCreate")?;
             }
-            if vm.proc.resolve_method(&cls, "onStart").is_some() {
+            if vm.proc.has_method(&cls, "onStart") {
                 vm.call_entry(&cls, "onStart")?;
             }
             Ok(Value::Null)

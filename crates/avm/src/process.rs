@@ -130,6 +130,29 @@ pub struct Process {
     ui_cache: Option<(usize, UiCallbacks)>,
 }
 
+/// Walks the superclass chain from `class` across `spaces` (each class
+/// found in load order) to the first class defining `name`; returns that
+/// class and its method. The walk gives up after 32 links, or at a class
+/// that is its own superclass or that no space holds.
+fn locate_method<'a>(
+    spaces: &'a [Arc<DexFile>],
+    class: &'a str,
+    name: &str,
+) -> Option<(&'a ClassDef, &'a Method)> {
+    let mut current = class;
+    for _ in 0..32 {
+        let def = spaces.iter().find_map(|s| s.class(current))?;
+        if let Some(m) = def.method_by_name(name) {
+            return Some((def, m));
+        }
+        if def.superclass == current {
+            return None;
+        }
+        current = &def.superclass;
+    }
+    None
+}
+
 /// Shared `(class, method)` list of fuzzable UI callbacks.
 pub type UiCallbacks = Arc<Vec<(String, String)>>;
 
@@ -164,27 +187,20 @@ impl Process {
     /// `class`. Returns the defining class name and a clone of the method
     /// (cloned so execution is independent of later space growth).
     pub fn resolve_method(&self, class: &str, name: &str) -> Option<(String, Method)> {
-        let mut current = class.to_string();
-        for _ in 0..32 {
-            if let Some(def) = self.find_class(&current) {
-                if let Some(m) = def.method_by_name(name) {
-                    return Some((current, m.clone()));
-                }
-                if def.superclass == current {
-                    return None;
-                }
-                current = def.superclass.clone();
-            } else {
-                return None;
-            }
-        }
-        None
+        locate_method(&self.spaces, class, name).map(|(def, m)| (def.name.clone(), m.clone()))
+    }
+
+    /// Whether `class` or one of its superclasses defines `name`: the
+    /// walk of [`Process::resolve_method`], without cloning the method.
+    pub fn has_method(&self, class: &str, name: &str) -> bool {
+        locate_method(&self.spaces, class, name).is_some()
     }
 
     /// Resolves `(start class, method)` to a cached [`ResolvedCall`],
     /// translating the method on first use. Mirrors
     /// [`Process::resolve_method`] exactly — same chain walk, same
-    /// outcome — but pays the string resolution once per unique target.
+    /// outcome — but pays the string resolution once per unique target
+    /// and translates the method where its class space holds it.
     pub(crate) fn resolve_call(&mut self, class: Sym, method: Sym) -> Option<ResolvedCall> {
         let key = (u64::from(class.0) << 32) | u64::from(method.0);
         if let Some(rc) = self.code_cache.get(&key) {
@@ -197,18 +213,18 @@ impl Process {
         }
         let class_s = self.interner.resolve(class).to_string();
         let method_s = self.interner.resolve(method).to_string();
-        match self.resolve_method(&class_s, &method_s) {
-            Some((_def_class, m)) => {
+        match locate_method(&self.spaces, &class_s, &method_s) {
+            Some((_def, m)) => {
                 let rc = if m.flags.contains(AccessFlags::NATIVE) {
                     ResolvedCall::Native {
                         name: m.name.as_str().into(),
-                        ret: crate::interp::default_return(&m),
+                        ret: crate::interp::default_return(m),
                     }
                 } else {
                     ResolvedCall::Bytecode(Arc::new(resolved::translate(
                         &mut self.interner,
                         &mut self.ics,
-                        &m,
+                        m,
                     )))
                 };
                 self.neg_cache.remove(&key);

@@ -1,18 +1,21 @@
 //! `tables --perf-json` reports the stream counters (fsyncs, retries,
-//! sheds) only for a journaled run: a plain run opens no stream, so they
-//! are absent, not 0. No run reports a shard count or shard contention:
-//! one writer appends every frame.
+//! sheds, streams replaced at finalize) only for a journaled run: a plain
+//! run opens no stream, so they are absent, not 0. A fresh journaled run
+//! replaces both the journal and the ledger at finalize; reopening the
+//! finished journal replaces neither. No run reports a shard count or
+//! shard contention: one writer appends every frame.
 
 use std::path::{Path, PathBuf};
 use std::process::Command;
 
 /// The stream counters of the `stats` object in a perf JSON dump.
-const STREAM_FIELDS: [&str; 5] = [
+const STREAM_FIELDS: [&str; 6] = [
     "journal_syncs",
     "io_retries",
     "io_backoff_us",
     "shed_events",
     "shed_provenance",
+    "finalized_streams",
 ];
 
 /// Runs `tables` at scale 0.01 with `--perf-json` (and `extra` args) and
@@ -70,6 +73,10 @@ fn stream_counters_appear_only_when_a_run_writes_streams() {
         journaled.get("journaled").and_then(|v| v.as_bool()),
         Some(true)
     );
+    let finalized = |stats: &serde::Value| stats.get("finalized_streams").and_then(|v| v.as_u64());
+    assert_eq!(finalized(&journaled), Some(2));
+    let reopened = perf_stats(&dir, "reopened", &["--journal", journal_arg, "--resume"]);
+    assert_eq!(finalized(&reopened), Some(0));
     for stats in [&plain, &journaled] {
         for field in ["stream_shards", "shard_contention"] {
             assert!(stats.get(field).is_none(), "a run reported `{field}`");

@@ -183,6 +183,8 @@ pub struct FrameScan {
     pub end: StreamEnd,
     /// Non-empty lines rejected at or after the first defect.
     pub dropped: usize,
+    /// Empty lines skipped (and kept) inside the valid prefix.
+    pub blank: usize,
     /// The defect that terminated the scan, if any (`None` when the
     /// visitor rejected a body).
     pub defect: Option<FrameDefect>,
@@ -227,6 +229,7 @@ pub fn scan_frames(
             None => (&line[..], false),
         };
         if raw.is_empty() {
+            scan.blank += 1;
             scan.end.valid_len += line.len() as u64;
             continue;
         }
@@ -1112,6 +1115,16 @@ pub(crate) fn sync_dir(path: &Path) -> io::Result<()> {
     File::open(dir_of(path))?.sync_all()
 }
 
+/// Syncs the file at `path` through a handle of its own, so bytes another
+/// handle wrote to it survive a power loss.
+///
+/// # Errors
+///
+/// Returns the open or sync error.
+pub(crate) fn sync_file(path: &Path) -> io::Result<()> {
+    File::open(path)?.sync_all()
+}
+
 /// The directory `path` lives in (`.` for a bare file name).
 fn dir_of(path: &Path) -> &Path {
     match path.parent() {
@@ -1179,6 +1192,8 @@ pub(crate) struct Loaded {
     pub(crate) records: usize,
     /// Frames/lines discarded from the first defect onward.
     pub(crate) dropped_lines: usize,
+    /// Empty lines kept between the handed-over frames.
+    pub(crate) blank_lines: usize,
     /// Where the frames of the handed-over records end: after
     /// [`RecordFile::recover_each`] the file holds exactly those frames,
     /// and a writer resumes here.
@@ -1268,6 +1283,7 @@ impl<T: Record> RecordFile<T> {
         Ok(Loaded {
             records,
             dropped_lines: scan.dropped,
+            blank_lines: scan.blank,
             end: scan.end,
         })
     }
@@ -1282,6 +1298,7 @@ impl<T: Record> RecordFile<T> {
         let mut loaded = self.load_each(take)?;
         if loaded.dropped_lines > 0 {
             loaded.end = self.rewrite_prefix(loaded.records)?;
+            loaded.blank_lines = 0;
         }
         Ok(loaded)
     }
@@ -1538,6 +1555,7 @@ mod tests {
             Loaded {
                 records: 2,
                 dropped_lines: 2,
+                blank_lines: 0,
                 end: frames_end(&bodies, 2),
             }
         );
@@ -1599,8 +1617,13 @@ mod tests {
                 valid_len: text.len() as u64,
             }
         );
-        // Nothing was dropped, so nothing was rewritten.
+        // Nothing was dropped, so nothing was rewritten, and the load
+        // counts the empty lines it kept.
         assert_eq!(std::fs::read_to_string(file.path()).expect("read"), text);
+        assert_eq!(
+            file.load_each(|_| {}).expect("load").blank_lines,
+            text.lines().filter(|line| line.is_empty()).count()
+        );
 
         // Behind a torn tail, the rewrite keeps the frames, not the
         // empty lines.

@@ -400,6 +400,14 @@ impl Pipeline {
         let pending: Vec<usize> = (0..corpus.len())
             .filter(|&i| slots.records[i].is_none())
             .collect();
+        // Only a session that analyses and appends nothing leaves a
+        // stream as recovery verified it; any append lands in completion
+        // order and must be finalized.
+        let canonical = if pending.is_empty() && quarantined.is_empty() {
+            outcome.canonical
+        } else {
+            Canonical::default()
+        };
         let mut writers = StreamWriters::open(
             self,
             (journal, outcome.journal_end),
@@ -459,7 +467,7 @@ impl Pipeline {
         Ok(self.assemble(
             corpus,
             slots,
-            Some((journal, &io_state)),
+            Some((journal, &io_state, canonical)),
             Some(summary),
             perf,
             observatory,
@@ -543,7 +551,7 @@ impl Pipeline {
                 .unwrap_or_else(|panic| std::panic::resume_unwind(panic));
             (journal_read, ledger_read)
         });
-        let (journal_loaded, outside_records) = journal_read?;
+        let (journal_loaded, outside_records, journal_in_order) = journal_read?;
         warn_recovered(
             "journal",
             journal.path(),
@@ -554,9 +562,10 @@ impl Pipeline {
 
         let mut ledger_dropped = 0usize;
         let mut ledger_end = None;
+        let mut ledger_in_order = false;
         let mut outside_graphs = Outside::default();
         match ledger_read {
-            Ok((loaded, outside)) => {
+            Ok((loaded, outside, in_order)) => {
                 warn_recovered(
                     "ledger",
                     ledger.path(),
@@ -565,6 +574,7 @@ impl Pipeline {
                 );
                 ledger_dropped = loaded.dropped_lines;
                 ledger_end = Some(loaded.end);
+                ledger_in_order = in_order;
                 outside_graphs = outside;
             }
             Err(e) => {
@@ -671,6 +681,13 @@ impl Pipeline {
             .map(|e| e.package.clone())
             .collect();
 
+        // A stream in corpus order keeps that verdict only while recovery
+        // had nothing to reconcile.
+        let settled = inconsistent.is_empty() && quarantine.is_empty();
+        let canonical = Canonical {
+            journal: settled && journal_in_order,
+            ledger: settled && ledger_in_order && ledger_end.is_some(),
+        };
         let outcome = RecoveryOutcome {
             records: Vec::new(),
             provenance: Vec::new(),
@@ -681,6 +698,7 @@ impl Pipeline {
             quarantined,
             journal_end,
             ledger_end,
+            canonical,
         };
         Ok((outcome, outside))
     }
@@ -803,14 +821,15 @@ impl Pipeline {
     /// corpus-ordered report; apps lost to a non-isolated thread death
     /// are recorded as harness failures rather than dropped. A journaled
     /// run's streams are finalized here (see
-    /// [`Pipeline::finalize_streams`]); `streams` is its journal and the
-    /// I/O state its sinks counted into, `None` on a plain run.
+    /// [`Pipeline::finalize_streams`]); `streams` is its journal, the I/O
+    /// state its sinks counted into and which of its streams are already
+    /// canonical, `None` on a plain run.
     #[allow(clippy::too_many_arguments)]
     fn assemble(
         &self,
         corpus: &[SyntheticApp],
         slots: SweepSlots,
-        streams: Option<(&crate::sweep::Journal, &Arc<IoState>)>,
+        streams: Option<(&crate::sweep::Journal, &Arc<IoState>, Canonical)>,
         recovery: Option<RecoverySummary>,
         perf: SweepPerf,
         observatory: Option<Observatory>,
@@ -823,7 +842,7 @@ impl Pipeline {
         // The record slots become the records in place (an empty slot
         // and a record share one layout), so assembling allocates no
         // second corpus-length buffer.
-        let journal = streams.map(|(journal, _)| journal);
+        let journal = streams.map(|(journal, _, _)| journal);
         let SweepSlots { records, graphs } = slots;
         let records: Vec<AppRecord> = records
             .into_iter()
@@ -843,9 +862,12 @@ impl Pipeline {
         } else {
             crate::environment::EnvOutcome::default()
         };
-        if let Some(journal) = journal {
-            self.finalize_streams(journal, &records, graphs, &env.loads);
-        }
+        let finalized_streams = match streams {
+            Some((journal, _, canonical)) => {
+                self.finalize_streams(journal, &records, graphs, &env.loads, canonical)
+            }
+            None => 0,
+        };
         // Observatory wrap-up: idle-worker warnings, then the straggler
         // appendix — per-phase breakdowns filled from the flagged apps'
         // child spans in one pass over the span store.
@@ -902,7 +924,7 @@ impl Pipeline {
             .cloned()
             .collect();
         let io = streams
-            .map(|(_, io_state)| io_state.snapshot())
+            .map(|(_, io_state, _)| io_state.snapshot())
             .unwrap_or_default();
         let recovery = recovery.unwrap_or_default();
         let stats = SweepStats {
@@ -946,6 +968,7 @@ impl Pipeline {
             io_backoff_us: io.backoff_us,
             shed_events: io.shed[StreamKind::Events.index()],
             shed_provenance: io.shed[StreamKind::Ledger.index()],
+            finalized_streams,
             recovered_records: recovery.recovered,
             recovery_dropped: recovery.dropped,
             inconsistent_apps: recovery.inconsistent,
@@ -977,33 +1000,43 @@ impl Pipeline {
         report
     }
 
-    /// Finalizes a journaled run's three streams, each atomically
-    /// rewritten in corpus order, so a completed run's streams are
-    /// byte-identical however the sweep interleaved and however many
-    /// resumes it took. The ledger holds one graph per corpus app with
-    /// its environment outcomes attached: `graphs` are the live or
-    /// recovered graphs by corpus index, and an app whose graph is gone
-    /// (resumed with a torn ledger line) gets a degraded reconstruction.
-    /// The canonical event stream keeps only the per-app checkpoint and
-    /// provenance-link facts; live span timings are interleave-dependent
-    /// and are dropped.
+    /// Finalizes a journaled run's three streams into corpus order, so a
+    /// completed run's streams are byte-identical however the sweep
+    /// interleaved and however many resumes it took. The ledger holds one
+    /// graph per corpus app with its environment outcomes attached:
+    /// `graphs` are the live or recovered graphs by corpus index, and an
+    /// app whose graph is gone (resumed with a torn ledger line) gets a
+    /// degraded reconstruction. The canonical event stream keeps only the
+    /// per-app checkpoint and provenance-link facts; live span timings are
+    /// interleave-dependent and are dropped.
     ///
-    /// Every stream is encoded frame by frame as it is written, so no
-    /// stream is ever held whole. The ledger's and the journal's harness
-    /// ops are taken in that order, their temp files are written on two
-    /// threads (the ledger's bodies built on the fly, each graph dropped
-    /// once written), and then they commit in a fixed order: ledger
-    /// rename, journal rename, one directory sync, then the events. A
-    /// fault harness therefore sees the same ops in the same order, and a
+    /// The journal and the ledger are atomically rewritten unless
+    /// `canonical` says recovery found them already in corpus order (and
+    /// this session appended nothing), so a rewrite would only put the
+    /// same bytes back. The ledger is kept only if each of its graphs also
+    /// carries the environment outcomes this session's re-runs found. A
+    /// kept stream takes no harness op and is not renamed, but it is
+    /// synced like a replaced one. A live sweep's streams are in
+    /// completion order and are always rewritten.
+    ///
+    /// Every rewritten stream is encoded frame by frame as it is written,
+    /// so no stream is ever held whole. The ledger's and the journal's
+    /// harness ops are taken in that order, their temp files are written
+    /// on two threads (the ledger's bodies built on the fly, each graph
+    /// dropped once written), and then they commit in a fixed order:
+    /// ledger rename, journal rename, one directory sync, then the events.
+    /// A fault harness therefore sees the same ops in the same order, and a
     /// crash leaves the same on-disk states, as one replace after another.
     /// Once the journal has committed, the quarantine sidecar is removed.
+    /// Returns how many of the journal and the ledger were replaced.
     fn finalize_streams(
         &self,
         journal: &crate::sweep::Journal,
         records: &[AppRecord],
         graphs: Vec<Option<AppProvenance>>,
         env_loads: &[crate::environment::EnvLoad],
-    ) {
+        canonical: Canonical,
+    ) -> u64 {
         let mut loads_by_app: HashMap<&str, Vec<&crate::environment::EnvLoad>> = HashMap::new();
         for load in env_loads {
             loads_by_app
@@ -1030,8 +1063,29 @@ impl Pipeline {
                 _ => None,
             }
         }
-        let ledger_replace = Replacement::begin(ledger.path(), harness);
-        let journal_replace = Replacement::begin(journal.path(), harness);
+        let keep_ledger = canonical.ledger
+            && graphs.iter().zip(records).all(|(graph, record)| {
+                let loads = loads_by_app
+                    .get(record.package.as_str())
+                    .map_or(&[][..], Vec::as_slice);
+                graph.as_ref().is_some_and(|graph| {
+                    graph.env_loads.len() == loads.len()
+                        && graph.env_loads.iter().zip(loads).all(|(kept, load)| {
+                            kept.path == load.path && kept.configs == load.configs
+                        })
+                })
+            });
+        // A kept stream begins no replace, just as one a crashed harness
+        // swallowed: nothing is written and nothing renamed.
+        let begin = |keep: bool, path: &Path| {
+            if keep {
+                Ok(None)
+            } else {
+                Replacement::begin(path, harness)
+            }
+        };
+        let ledger_replace = begin(keep_ledger, ledger.path());
+        let journal_replace = begin(canonical.journal, journal.path());
         let (ledger_written, journal_written) = std::thread::scope(|scope| {
             let ledger_job = scope.spawn(|| {
                 write_begun(&ledger_replace, |out| {
@@ -1075,14 +1129,28 @@ impl Pipeline {
             }
         }
         let [_, journal_renamed] = renamed;
-        if renamed.contains(&true) {
+        // A kept stream is made as durable as a replaced one: a killed
+        // one-worker sweep can leave every frame in corpus order with the
+        // last ones unsynced, and a killed finalize its renames.
+        let kept = [
+            (keep_ledger, "ledger", ledger.path()),
+            (canonical.journal, "journal", journal.path()),
+        ];
+        for (_, stream, path) in kept.iter().filter(|(keep, _, _)| *keep) {
+            if let Err(e) = durable::sync_file(path) {
+                fail(stream, path, e);
+            }
+        }
+        if renamed.contains(&true) || kept.iter().any(|(keep, _, _)| *keep) {
             if let Err(e) = durable::sync_dir(journal.path()) {
                 fail("journal", journal.path(), e);
             }
         }
         // Every corpus app now has its finalized record, so no
         // interrupted attempt is left to count: drop the quarantine
-        // sidecar. Like a fresh run's reset, this is not a harness op.
+        // sidecar. Like a fresh run's reset, this is not a harness op. A
+        // kept journal had no quarantine entry, so recovery has already
+        // removed the sidecar.
         if journal_renamed {
             if let Err(e) = journal.write_quarantine(&[]) {
                 fail("quarantine", &journal.quarantine_path(), e);
@@ -1096,6 +1164,7 @@ impl Pipeline {
         ) {
             fail("events", &events_path, e);
         }
+        renamed.iter().filter(|&&done| done).count() as u64
     }
 
     /// Analyses one app inside the fault-isolation boundary: panics are
@@ -1926,28 +1995,44 @@ impl<T> Outside<T> {
 /// the first record of a package `index` maps to a corpus index into
 /// that slot of `slots`, the first of any other package into the
 /// returned [`Outside`]. Later records of a package are dropped.
+///
+/// Also returns whether the file already lies in corpus order: frame `k`
+/// (which the scan checked carries `seq` `k`) holds corpus app `k`, there
+/// is one frame per corpus app, and no frame was dropped and no empty
+/// line kept between them.
 fn file_stream<T: crate::durable::Record>(
     file: &crate::durable::RecordFile<T>,
     index: &HashMap<&str, usize>,
     slots: &mut [Option<T>],
     package: impl Fn(&T) -> &str,
-) -> std::io::Result<(crate::durable::Loaded, Outside<T>)> {
+) -> std::io::Result<(crate::durable::Loaded, Outside<T>, bool)> {
     let mut outside = Outside::default();
-    let loaded = file.recover_each(|record| match index.get(package(&record)) {
-        Some(&i) => {
-            if slots[i].is_none() {
-                slots[i] = Some(record);
+    let mut in_order = true;
+    let mut frame = 0;
+    let loaded = file.recover_each(|record| {
+        let at = index.get(package(&record)).copied();
+        in_order &= at == Some(frame);
+        frame += 1;
+        match at {
+            Some(i) => {
+                if slots[i].is_none() {
+                    slots[i] = Some(record);
+                }
+            }
+            None if outside.at.contains_key(package(&record)) => {}
+            None => {
+                outside
+                    .at
+                    .insert(package(&record).to_string(), outside.records.len());
+                outside.records.push(Some(record));
             }
         }
-        None if outside.at.contains_key(package(&record)) => {}
-        None => {
-            outside
-                .at
-                .insert(package(&record).to_string(), outside.records.len());
-            outside.records.push(Some(record));
-        }
     })?;
-    Ok((loaded, outside))
+    let in_order = in_order
+        && loaded.records == slots.len()
+        && loaded.dropped_lines == 0
+        && loaded.blank_lines == 0;
+    Ok((loaded, outside, in_order))
 }
 
 /// One analysed app on its way from a sweep worker to the collector.
@@ -1993,6 +2078,19 @@ pub struct RecoveryOutcome {
     /// The same for the ledger; `None` when it was not recovered
     /// or its rewrite failed (the writer then scans it).
     pub(crate) ledger_end: Option<StreamEnd>,
+    /// Which streams recovery found already finalized.
+    pub(crate) canonical: Canonical,
+}
+
+/// Which of the journal and the ledger recovery found exactly as a
+/// finalize would write them: one frame per corpus app, frame `k`
+/// holding corpus app `k` with `seq` `k`, no frame dropped, no package
+/// outside the corpus, no inconsistent app and no quarantine entry.
+/// [`Pipeline::finalize_streams`] keeps such a stream where it lies.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub(crate) struct Canonical {
+    pub(crate) journal: bool,
+    pub(crate) ledger: bool,
 }
 
 /// Marks of the monotonic avm telemetry counters taken at sweep start,
@@ -2546,6 +2644,152 @@ mod tests {
         let expected: Vec<String> = records[..4].iter().map(|r| r.package.clone()).collect();
         assert_eq!(finalized, expected);
         assert!(!journal.quarantine_path().exists());
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A stream file's identity and contents: inode, mtime and bytes.
+    fn file_state(path: &Path) -> (u64, std::time::SystemTime, Vec<u8>) {
+        use std::os::unix::fs::MetadataExt;
+        let meta = std::fs::metadata(path).expect("stream metadata");
+        let modified = meta.modified().expect("mtime");
+        (
+            meta.ino(),
+            modified,
+            std::fs::read(path).expect("stream bytes"),
+        )
+    }
+
+    /// A finished scale-0.01 journaled sweep with Table VIII re-runs, in
+    /// a fresh directory named for `tag`, and the config that ran it.
+    fn finished_sweep(
+        tag: &str,
+    ) -> (
+        Vec<SyntheticApp>,
+        std::path::PathBuf,
+        crate::sweep::Journal,
+        PipelineConfig,
+        String,
+    ) {
+        let corpus = generate(&CorpusSpec {
+            scale: 0.01,
+            ..CorpusSpec::default()
+        });
+        let dir = std::env::temp_dir().join(format!("dydroid_{tag}_{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let journal = crate::sweep::Journal::new(dir.join("sweep.jsonl"));
+        let config = PipelineConfig {
+            workers: 2,
+            environment_reruns: true,
+            ..Default::default()
+        };
+        let report = Pipeline::new(config.clone())
+            .run_resumable(&corpus, &journal)
+            .expect("finished sweep");
+        assert_eq!(report.stats().finalized_streams, 2);
+        let json = serde_json::to_string(&report).expect("serialise");
+        (corpus, dir, journal, config, json)
+    }
+
+    /// Reopening a finished journal re-reads both record streams and
+    /// writes neither: the journal and the ledger keep their inodes,
+    /// mtimes and bytes, and the report is the finished run's.
+    #[test]
+    fn reopening_a_finished_journal_rewrites_no_stream() {
+        let (corpus, dir, journal, config, first) = finished_sweep("reopen_keeps");
+        let ledger = journal.provenance_path();
+        let before = [file_state(journal.path()), file_state(&ledger)];
+        let report = Pipeline::new(config)
+            .run_resumable(&corpus, &journal)
+            .expect("reopen");
+        assert_eq!(report.stats().recovered_records, corpus.len() as u64);
+        assert_eq!(report.stats().finalized_streams, 0);
+        assert_eq!(serde_json::to_string(&report).expect("serialise"), first);
+        assert!(
+            before[0] == file_state(journal.path()),
+            "the journal was rewritten"
+        );
+        assert!(before[1] == file_state(&ledger), "the ledger was rewritten");
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A finished journal no longer in its finalized form is rewritten by
+    /// a reopen to the finished bytes, while the ledger beside it is kept:
+    /// with two frames swapped (and re-sequenced, so every frame is
+    /// valid), or with an empty line, which recovery keeps in the valid
+    /// prefix but a finalize never writes.
+    #[test]
+    fn a_journal_out_of_corpus_order_is_rewritten() {
+        let corpus = tiny_corpus();
+        let corpus = &corpus[..6];
+        for swap in [true, false] {
+            let tag = if swap {
+                "reopen_swapped"
+            } else {
+                "reopen_blank"
+            };
+            let (dir, journal, records, graphs) = finished_streams(corpus, tag);
+            let finished = std::fs::read(journal.path()).expect("journal bytes");
+            if swap {
+                let mut swapped: Vec<&AppRecord> = records.iter().collect();
+                swapped.swap(1, 4);
+                let in_order: Vec<&AppProvenance> = graphs.iter().collect();
+                frame_streams(&journal, &swapped, &in_order);
+            } else {
+                let mut blank = finished.clone();
+                blank.push(b'\n');
+                std::fs::write(journal.path(), &blank).expect("append an empty line");
+            }
+            let ledger = journal.provenance_path();
+            let ledger_before = file_state(&ledger);
+            let report = Pipeline::new(PipelineConfig {
+                workers: 1,
+                environment_reruns: false,
+                ..Default::default()
+            })
+            .run_resumable(corpus, &journal)
+            .expect("reopen");
+            assert_eq!(report.stats().finalized_streams, 1, "{tag}");
+            assert_eq!(
+                std::fs::read(journal.path()).expect("journal"),
+                finished,
+                "{tag}"
+            );
+            assert!(
+                ledger_before == file_state(&ledger),
+                "{tag}: the ledger was rewritten"
+            );
+            let _ = std::fs::remove_dir_all(&dir);
+        }
+    }
+
+    /// A ledger in corpus order whose flagged app lost its environment
+    /// outcomes differs from what this session's re-runs found: the
+    /// reopen rewrites it back to the finished bytes and keeps the
+    /// journal.
+    #[test]
+    fn a_ledger_missing_environment_outcomes_is_rewritten() {
+        let (corpus, dir, journal, config, first) = finished_sweep("reopen_env");
+        let ledger = ProvenanceLedger::new(journal.provenance_path());
+        let finished = std::fs::read(ledger.path()).expect("ledger bytes");
+        let mut graphs = ledger.load().expect("ledger");
+        let flagged = graphs
+            .iter_mut()
+            .find(|graph| !graph.env_loads.is_empty())
+            .expect("the corpus has an app with environment-dependent loads");
+        flagged.env_loads.clear();
+        ledger.rewrite(&graphs).expect("rewrite the ledger");
+        assert_ne!(std::fs::read(ledger.path()).expect("ledger"), finished);
+        let journal_before = file_state(journal.path());
+        let report = Pipeline::new(config)
+            .run_resumable(&corpus, &journal)
+            .expect("reopen");
+        assert_eq!(report.stats().finalized_streams, 1);
+        assert_eq!(serde_json::to_string(&report).expect("serialise"), first);
+        assert_eq!(std::fs::read(ledger.path()).expect("ledger"), finished);
+        assert!(
+            journal_before == file_state(journal.path()),
+            "the journal was rewritten"
+        );
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -36,8 +36,8 @@ pub struct SweepStats {
     /// inline-cache counters and the watchdog count are only collected
     /// then; with it off they are not measured, not 0.
     pub telemetry: bool,
-    /// Whether the run wrote durable streams (a journaled run). The I/O
-    /// counters (`journal_syncs` through `shed_provenance`) are measured
+    /// Whether the run wrote durable streams (a journaled run). The stream
+    /// counters (`journal_syncs` through `finalized_streams`) are measured
     /// only then; a plain run opens no stream, so they are not
     /// measured, not 0, and the perf outputs leave them out.
     pub journaled: bool,
@@ -76,6 +76,10 @@ pub struct SweepStats {
     pub shed_events: u64,
     /// Provenance records shed under disk pressure (shed level ≥ 2).
     pub shed_provenance: u64,
+    /// How many of the journal and the ledger finalize replaced (0–2):
+    /// a stream recovery found already finalized, on a session that
+    /// appended nothing to it, is kept as it lies.
+    pub finalized_streams: u64,
     /// Journal records recovered from a prior interrupted session.
     pub recovered_records: u64,
     /// Corrupt or torn journal and ledger frames dropped at recovery
@@ -195,13 +199,14 @@ impl SweepStats {
 }
 
 /// The [`SweepStats`] fields only a journaled run measures: the I/O
-/// accounting of its stream sinks.
-const STREAM_FIELDS: [&str; 5] = [
+/// accounting of its stream sinks and what its finalize replaced.
+const STREAM_FIELDS: [&str; 6] = [
     "journal_syncs",
     "io_retries",
     "io_backoff_us",
     "shed_events",
     "shed_provenance",
+    "finalized_streams",
 ];
 
 /// The complete measurement output: per-app records plus the Table VIII

@@ -17,6 +17,11 @@
 //! surrogates, and every body of a finalized sweep's streams. Recovery of
 //! a journal whose bodies stop decoding mid-stream ends at the same frame
 //! either way, and appends after it continue the sequence.
+//!
+//! Round trip: finalize keeps a stream recovery found already in corpus
+//! order instead of re-encoding it, which is only byte-identical if every
+//! body the sweep writes re-encodes to itself. A scale-0.05 sweep's
+//! finalized journal and ledger are checked body by body.
 
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
 use std::fmt::Debug;
@@ -702,6 +707,51 @@ fn finalized_sweep_bodies_decode_alike() {
     );
     // Finalize leaves no quarantine sidecar behind.
     assert!(!journal.quarantine_path().exists());
+    journal.reset().expect("cleanup");
+}
+
+/// Decodes every body of the finalized stream at `path` and re-encodes
+/// it (`write_json(read_json(body))`); the re-encoded bodies, framed from
+/// sequence 0, must be the file byte for byte. Returns the body count.
+fn re_encode_stream<T: Deserialize + Serialize>(path: &std::path::Path) -> usize {
+    let bytes = std::fs::read(path).expect("stream exists");
+    let scan = scan_stream(&bytes);
+    assert!(scan.is_clean(), "{}: {:?}", path.display(), scan.defect);
+    let mut re_encoded = Vec::with_capacity(scan.bodies.len());
+    for body in &scan.bodies {
+        let value: T = serde_json::from_str(body).unwrap_or_else(|e| panic!("{e}: {body}"));
+        let mut out = String::new();
+        value.write_json(&mut out);
+        assert_eq!(&out, body, "{}", path.display());
+        re_encoded.push(out);
+    }
+    assert!(
+        encode_frames(0, &re_encoded).as_bytes() == bytes.as_slice(),
+        "{} is not the reframed re-encoding of its bodies",
+        path.display()
+    );
+    re_encoded.len()
+}
+
+#[test]
+fn finalized_sweep_bodies_re_encode_to_themselves() {
+    let corpus = generate(&CorpusSpec {
+        scale: 0.05,
+        ..CorpusSpec::default()
+    });
+    let journal = temp_journal("re_encode");
+    let report = Pipeline::new(PipelineConfig::default())
+        .run_resumable(&corpus, &journal)
+        .expect("journaled sweep");
+    assert!(
+        !report.env_loads().is_empty(),
+        "the ledger carries environment outcomes"
+    );
+    assert_eq!(re_encode_stream::<AppRecord>(journal.path()), corpus.len());
+    assert_eq!(
+        re_encode_stream::<AppProvenance>(&journal.provenance_path()),
+        corpus.len()
+    );
     journal.reset().expect("cleanup");
 }
 
