@@ -2100,6 +2100,8 @@ mod tests {
     /// journal as the sweep appended it, and a resume finalizes both.
     #[test]
     fn finalize_crash_at_the_journal_op_keeps_the_new_ledger_and_the_old_journal() {
+        use std::os::unix::fs::MetadataExt;
+
         use crate::provenance::ProvenanceLedger;
         use crate::sweep::Journal;
         use crate::{Pipeline, PipelineConfig};
@@ -2138,8 +2140,13 @@ mod tests {
         let (final_journal, final_ledger) = read(&clean);
         let journal_op = counting.ops() - 1;
 
+        // The sweep appends to the journal file in place, so the file
+        // created here keeps its inode unless a finalize replaces it.
         let crashed = Journal::new(dir.join("crashed.jsonl"));
         crashed.reset().unwrap();
+        std::fs::File::create(crashed.path()).unwrap();
+        let inode = || std::fs::metadata(crashed.path()).unwrap().ino();
+        let appended_inode = inode();
         let harness = IoHarness::new(Some(journal_op), None);
         let mut p = pipeline();
         p.set_io_harness(Arc::clone(&harness));
@@ -2148,7 +2155,7 @@ mod tests {
         assert_eq!(harness.ops(), journal_op + 1);
         let (journal_bytes, ledger_bytes) = read(&crashed);
         assert!(ledger_bytes == final_ledger, "the ledger committed");
-        assert!(journal_bytes != final_journal, "the journal did not");
+        assert_eq!(inode(), appended_inode, "the journal was not replaced");
         // The journal is the sweep's appends, every app in the one file.
         let scan = scan_stream(&journal_bytes);
         assert!(scan.is_clean());

@@ -178,9 +178,9 @@ impl Apk {
         let data = self
             .entry(MANIFEST_ENTRY)
             .ok_or(ApkError::MissingEntry(MANIFEST_ENTRY))?;
-        let text = String::from_utf8(data.to_vec())
+        let text = std::str::from_utf8(data)
             .map_err(|_| ApkError::Malformed("manifest is not UTF-8".to_string()))?;
-        Ok(Manifest::parse(&text)?)
+        Ok(Manifest::parse(text)?)
     }
 
     /// Replaces the manifest entry.
@@ -205,9 +205,12 @@ impl Apk {
         self.put(CLASSES_ENTRY, classes.to_bytes());
     }
 
-    /// Serialises the archive.
+    /// Serialises the archive into an exact-size buffer.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut w = Writer::new();
+        let len = self.entries.iter().fold(APK_MAGIC.len() + 4, |n, e| {
+            n + 4 + e.path.len() + 4 + 4 + e.data.len()
+        });
+        let mut w = Writer::with_capacity(len);
         w.bytes(APK_MAGIC);
         w.u32(self.entries.len() as u32);
         for e in &self.entries {
@@ -239,17 +242,21 @@ impl Apk {
         for _ in 0..count {
             let path = r
                 .str("entry path")
-                .map_err(|e| ApkError::Malformed(e.to_string()))?;
+                .map_err(|e| ApkError::Malformed(e.to_string()))?
+                .to_string();
             let stored_crc = r
                 .u32("entry crc")
                 .map_err(|e| ApkError::Malformed(e.to_string()))?;
             let data = r
                 .blob("entry data")
                 .map_err(|e| ApkError::Malformed(e.to_string()))?;
-            if crc32(&data) != stored_crc {
+            if crc32(data) != stored_crc {
                 return Err(ApkError::CrcMismatch { entry: path });
             }
-            entries.push(ApkEntry { path, data });
+            entries.push(ApkEntry {
+                path,
+                data: data.to_vec(),
+            });
         }
         Ok(Apk { entries })
     }
@@ -286,6 +293,18 @@ mod tests {
         let apk = sample();
         assert_eq!(apk.manifest().unwrap().package, "com.example.app");
         assert_eq!(apk.classes().unwrap().classes().len(), 1);
+    }
+
+    #[test]
+    fn encoders_return_exact_size_buffers() {
+        // Corpus APKs and payloads are kept for a whole run: no slack.
+        let apk = sample();
+        let bytes = apk.to_bytes();
+        assert_eq!(bytes.capacity(), bytes.len());
+        let dex = apk.classes().unwrap().to_bytes();
+        assert_eq!(dex.capacity(), dex.len());
+        let empty = DexFile::new().to_bytes();
+        assert_eq!(empty.capacity(), empty.len());
     }
 
     #[test]

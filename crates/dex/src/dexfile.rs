@@ -16,6 +16,7 @@
 //! corrupted or adversarial files fail with a precise [`DexError`] — the
 //! decompiler failure statistics in Table II depend on these failure modes.
 
+use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt;
 
@@ -32,6 +33,11 @@ use crate::types::TypeDesc;
 pub const DEX_MAGIC: &[u8; 4] = b"SDEX";
 /// Current format version.
 pub const DEX_VERSION: u16 = 35;
+/// Byte offset of the header's checksum field.
+const CHECKSUM_AT: usize = 4 + 2;
+/// Header length: magic, version and checksum; the checksum covers the
+/// bytes after it.
+const HEADER_LEN: usize = CHECKSUM_AT + 4;
 
 /// Errors produced while constructing, encoding or parsing DEX-like data.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -169,28 +175,31 @@ impl DexFile {
 
     /// Encodes the file to bytes, interning strings and computing the
     /// header checksum.
+    ///
+    /// Encoding the class section fills the string pool, which precedes
+    /// it; the output is then sized exactly and written once, with a
+    /// placeholder checksum that is patched in last.
     pub fn to_bytes(&self) -> Vec<u8> {
-        let mut pool = StringPool::new();
+        let mut pool = StringPool::default();
         let mut body = Writer::new();
-        // Pre-intern everything by encoding the class section into `body`.
         body.u32(self.classes.len() as u32);
         for c in &self.classes {
             encode_class(&mut body, &mut pool, c);
         }
+        let strings = pool.into_ordered();
 
-        let mut payload = Writer::new();
-        payload.u32(pool.strings.len() as u32);
-        for s in &pool.strings {
-            payload.str(s);
-        }
-        payload.bytes(&body.into_bytes());
-        let payload = payload.into_bytes();
-
-        let mut out = Writer::new();
+        let pool_len: usize = 4 + strings.iter().map(|s| 4 + s.len()).sum::<usize>();
+        let mut out = Writer::with_capacity(HEADER_LEN + pool_len + body.len());
         out.bytes(DEX_MAGIC);
         out.u16(DEX_VERSION);
-        out.u32(adler32(&payload));
-        out.bytes(&payload);
+        out.u32(0);
+        out.u32(strings.len() as u32);
+        for s in &strings {
+            out.str(s);
+        }
+        out.bytes(body.as_slice());
+        let checksum = adler32(&out.as_slice()[HEADER_LEN..]);
+        out.patch_u32(CHECKSUM_AT, checksum);
         out.into_bytes()
     }
 
@@ -211,8 +220,7 @@ impl DexFile {
             return Err(DexError::BadVersion(version));
         }
         let expected = r.u32("checksum")?;
-        let payload_offset = 4 + 2 + 4;
-        let actual = adler32(&data[payload_offset..]);
+        let actual = adler32(&data[HEADER_LEN..]);
         if expected != actual {
             return Err(DexError::ChecksumMismatch { expected, actual });
         }
@@ -233,31 +241,52 @@ impl DexFile {
     }
 }
 
-struct StringPool {
-    strings: Vec<String>,
-    index: HashMap<String, u32>,
+/// The encoder's string pool: each string's index is its first-intern
+/// order. Names are borrowed from the [`DexFile`]; a signature or type
+/// descriptor is rendered into `scratch` and copied only when new.
+#[derive(Default)]
+struct StringPool<'a> {
+    index: HashMap<Cow<'a, str>, u32>,
+    scratch: String,
 }
 
-impl StringPool {
-    fn new() -> Self {
-        StringPool {
-            strings: Vec::new(),
-            index: HashMap::new(),
-        }
+impl<'a> StringPool<'a> {
+    fn intern(&mut self, s: &'a str) -> u32 {
+        let next = self.index.len() as u32;
+        *self.index.entry(Cow::Borrowed(s)).or_insert(next)
     }
 
-    fn intern(&mut self, s: &str) -> u32 {
-        if let Some(&idx) = self.index.get(s) {
+    /// Interns the text `render` appends to the emptied scratch buffer.
+    fn intern_rendered(&mut self, render: impl FnOnce(&mut String)) -> u32 {
+        self.scratch.clear();
+        render(&mut self.scratch);
+        if let Some(&idx) = self.index.get(self.scratch.as_str()) {
             return idx;
         }
-        let idx = self.strings.len() as u32;
-        self.strings.push(s.to_string());
-        self.index.insert(s.to_string(), idx);
+        let idx = self.index.len() as u32;
+        self.index.insert(Cow::Owned(self.scratch.clone()), idx);
         idx
+    }
+
+    fn intern_type(&mut self, ty: &TypeDesc) -> u32 {
+        self.intern_rendered(|out| ty.push_descriptor(out))
+    }
+
+    fn intern_sig(&mut self, sig: &MethodSig) -> u32 {
+        self.intern_rendered(|out| sig.push_text(out))
+    }
+
+    /// The pooled strings, by index.
+    fn into_ordered(self) -> Vec<Cow<'a, str>> {
+        let mut strings = vec![Cow::Borrowed(""); self.index.len()];
+        for (s, idx) in self.index {
+            strings[idx as usize] = s;
+        }
+        strings
     }
 }
 
-fn encode_class(w: &mut Writer, pool: &mut StringPool, c: &ClassDef) {
+fn encode_class<'a>(w: &mut Writer, pool: &mut StringPool<'a>, c: &'a ClassDef) {
     w.u32(pool.intern(&c.name));
     w.u32(pool.intern(&c.superclass));
     w.u32(c.flags.0);
@@ -275,7 +304,7 @@ fn encode_class(w: &mut Writer, pool: &mut StringPool, c: &ClassDef) {
     w.u32(c.fields.len() as u32);
     for f in &c.fields {
         w.u32(pool.intern(&f.name));
-        w.u32(pool.intern(&f.ty.descriptor()));
+        w.u32(pool.intern_type(&f.ty));
         w.u32(f.flags.0);
     }
     w.u32(c.methods.len() as u32);
@@ -284,9 +313,9 @@ fn encode_class(w: &mut Writer, pool: &mut StringPool, c: &ClassDef) {
     }
 }
 
-fn encode_method(w: &mut Writer, pool: &mut StringPool, m: &Method) {
+fn encode_method<'a>(w: &mut Writer, pool: &mut StringPool<'a>, m: &'a Method) {
     w.u32(pool.intern(&m.name));
-    w.u32(pool.intern(&m.sig.to_string()));
+    w.u32(pool.intern_sig(&m.sig));
     w.u32(m.flags.0);
     w.u16(m.registers);
     w.u32(m.code.len() as u32);
@@ -295,14 +324,14 @@ fn encode_method(w: &mut Writer, pool: &mut StringPool, m: &Method) {
     }
 }
 
-fn lookup(strings: &[String], idx: u32) -> Result<&str, DexError> {
+fn lookup<'a>(strings: &[&'a str], idx: u32) -> Result<&'a str, DexError> {
     strings
         .get(idx as usize)
-        .map(String::as_str)
+        .copied()
         .ok_or(DexError::BadStringIndex(idx))
 }
 
-fn decode_class(r: &mut Reader, strings: &[String]) -> Result<ClassDef, DexError> {
+fn decode_class(r: &mut Reader, strings: &[&str]) -> Result<ClassDef, DexError> {
     let name = lookup(strings, r.u32("class name")?)?.to_string();
     let superclass = lookup(strings, r.u32("superclass")?)?.to_string();
     let flags = AccessFlags(r.u32("class flags")?);
@@ -344,7 +373,7 @@ fn decode_class(r: &mut Reader, strings: &[String]) -> Result<ClassDef, DexError
     })
 }
 
-fn decode_method(r: &mut Reader, strings: &[String]) -> Result<Method, DexError> {
+fn decode_method(r: &mut Reader, strings: &[&str]) -> Result<Method, DexError> {
     let name = lookup(strings, r.u32("method name")?)?.to_string();
     let sig = MethodSig::parse(lookup(strings, r.u32("method sig")?)?)?;
     let flags = AccessFlags(r.u32("method flags")?);
@@ -456,33 +485,33 @@ fn binop_from(code: u8) -> Result<BinOp, DexError> {
     })
 }
 
-fn encode_method_ref(w: &mut Writer, pool: &mut StringPool, m: &MethodRef) {
+fn encode_method_ref<'a>(w: &mut Writer, pool: &mut StringPool<'a>, m: &'a MethodRef) {
     w.u32(pool.intern(&m.class));
     w.u32(pool.intern(&m.name));
-    w.u32(pool.intern(&m.sig.to_string()));
+    w.u32(pool.intern_sig(&m.sig));
 }
 
-fn decode_method_ref(r: &mut Reader, strings: &[String]) -> Result<MethodRef, DexError> {
+fn decode_method_ref(r: &mut Reader, strings: &[&str]) -> Result<MethodRef, DexError> {
     let class = lookup(strings, r.u32("methodref class")?)?.to_string();
     let name = lookup(strings, r.u32("methodref name")?)?.to_string();
     let sig = MethodSig::parse(lookup(strings, r.u32("methodref sig")?)?)?;
     Ok(MethodRef { class, name, sig })
 }
 
-fn encode_field_ref(w: &mut Writer, pool: &mut StringPool, f: &FieldRef) {
+fn encode_field_ref<'a>(w: &mut Writer, pool: &mut StringPool<'a>, f: &'a FieldRef) {
     w.u32(pool.intern(&f.class));
     w.u32(pool.intern(&f.name));
-    w.u32(pool.intern(&f.ty.descriptor()));
+    w.u32(pool.intern_type(&f.ty));
 }
 
-fn decode_field_ref(r: &mut Reader, strings: &[String]) -> Result<FieldRef, DexError> {
+fn decode_field_ref(r: &mut Reader, strings: &[&str]) -> Result<FieldRef, DexError> {
     let class = lookup(strings, r.u32("fieldref class")?)?.to_string();
     let name = lookup(strings, r.u32("fieldref name")?)?.to_string();
     let ty = TypeDesc::parse(lookup(strings, r.u32("fieldref type")?)?)?;
     Ok(FieldRef { class, name, ty })
 }
 
-fn encode_insn(w: &mut Writer, pool: &mut StringPool, insn: &Instruction) {
+fn encode_insn<'a>(w: &mut Writer, pool: &mut StringPool<'a>, insn: &'a Instruction) {
     use Instruction as I;
     match insn {
         I::Nop => w.u8(op::NOP),
@@ -586,7 +615,7 @@ fn encode_insn(w: &mut Writer, pool: &mut StringPool, insn: &Instruction) {
     }
 }
 
-fn decode_insn(r: &mut Reader, strings: &[String]) -> Result<Instruction, DexError> {
+fn decode_insn(r: &mut Reader, strings: &[&str]) -> Result<Instruction, DexError> {
     use Instruction as I;
     let opcode = r.u8("opcode")?;
     Ok(match opcode {

@@ -2,68 +2,88 @@
 //! library encodings.
 //!
 //! All multi-byte integers are little-endian. Strings are length-prefixed
-//! UTF-8. The reader reports structured errors on truncation or invalid
-//! data instead of panicking, which the decompiler failure-mode analysis
-//! relies on.
-
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+//! UTF-8. The writer appends straight into its output buffer; the reader
+//! borrows its input and hands out borrowed slices, so a caller copies
+//! only what it keeps. The reader reports structured errors on truncation
+//! or invalid data instead of panicking, which the decompiler failure-mode
+//! analysis relies on.
 
 use crate::DexError;
 
 /// A growable little-endian byte writer.
 #[derive(Debug, Default)]
 pub struct Writer {
-    buf: BytesMut,
+    buf: Vec<u8>,
 }
 
 impl Writer {
     /// Creates an empty writer.
     pub fn new() -> Self {
+        Writer { buf: Vec::new() }
+    }
+
+    /// Creates an empty writer with room for `n` bytes, for an encoder
+    /// that knows its output size up front.
+    pub fn with_capacity(n: usize) -> Self {
         Writer {
-            buf: BytesMut::new(),
+            buf: Vec::with_capacity(n),
         }
     }
 
     /// Appends a single byte.
     pub fn u8(&mut self, v: u8) {
-        self.buf.put_u8(v);
+        self.buf.push(v);
     }
 
     /// Appends a little-endian `u16`.
     pub fn u16(&mut self, v: u16) {
-        self.buf.put_u16_le(v);
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u32`.
     pub fn u32(&mut self, v: u32) {
-        self.buf.put_u32_le(v);
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `u64`.
     pub fn u64(&mut self, v: u64) {
-        self.buf.put_u64_le(v);
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Appends a little-endian `i64`.
     pub fn i64(&mut self, v: i64) {
-        self.buf.put_i64_le(v);
+        self.bytes(&v.to_le_bytes());
     }
 
     /// Appends raw bytes.
     pub fn bytes(&mut self, v: &[u8]) {
-        self.buf.put_slice(v);
+        self.buf.extend_from_slice(v);
     }
 
     /// Appends a `u32` length prefix followed by UTF-8 bytes.
     pub fn str(&mut self, v: &str) {
-        self.u32(v.len() as u32);
-        self.bytes(v.as_bytes());
+        self.blob(v.as_bytes());
     }
 
     /// Appends a `u32` length prefix followed by raw bytes.
     pub fn blob(&mut self, v: &[u8]) {
         self.u32(v.len() as u32);
         self.bytes(v);
+    }
+
+    /// Overwrites the little-endian `u32` written at byte offset `at`
+    /// (a header field patched once the bytes after it are known).
+    ///
+    /// # Panics
+    ///
+    /// Panics if fewer than 4 bytes were written from `at`.
+    pub fn patch_u32(&mut self, at: usize, v: u32) {
+        self.buf[at..at + 4].copy_from_slice(&v.to_le_bytes());
+    }
+
+    /// The bytes written so far.
+    pub fn as_slice(&self) -> &[u8] {
+        &self.buf
     }
 
     /// Current length in bytes.
@@ -76,36 +96,43 @@ impl Writer {
         self.buf.is_empty()
     }
 
-    /// Finishes and returns the accumulated bytes.
-    pub fn into_bytes(self) -> Vec<u8> {
-        self.buf.to_vec()
+    /// Finishes and returns the accumulated bytes in an exact-size buffer
+    /// (`capacity() == len()`): encoded files are often kept for a whole
+    /// run, so they carry no growth slack.
+    pub fn into_bytes(mut self) -> Vec<u8> {
+        self.buf.shrink_to_fit();
+        self.buf
     }
 }
 
 /// A checked little-endian byte reader over a borrowed buffer.
 #[derive(Debug)]
-pub struct Reader {
-    buf: Bytes,
+pub struct Reader<'a> {
+    buf: &'a [u8],
 }
 
-impl Reader {
-    /// Creates a reader over `data`.
-    pub fn new(data: &[u8]) -> Self {
-        Reader {
-            buf: Bytes::copy_from_slice(data),
+impl<'a> Reader<'a> {
+    /// Creates a reader over `data`, without copying it.
+    pub fn new(data: &'a [u8]) -> Self {
+        Reader { buf: data }
+    }
+
+    fn truncated(&self, n: usize, what: &str) -> DexError {
+        DexError::Truncated {
+            what: what.to_string(),
+            needed: n,
+            available: self.buf.len(),
         }
     }
 
-    fn need(&self, n: usize, what: &str) -> Result<(), DexError> {
-        if self.buf.remaining() < n {
-            Err(DexError::Truncated {
-                what: what.to_string(),
-                needed: n,
-                available: self.buf.remaining(),
-            })
-        } else {
-            Ok(())
-        }
+    /// Reads the next `N` bytes as an array.
+    fn array<const N: usize>(&mut self, what: &str) -> Result<[u8; N], DexError> {
+        let (head, rest) = self
+            .buf
+            .split_first_chunk::<N>()
+            .ok_or_else(|| self.truncated(N, what))?;
+        self.buf = rest;
+        Ok(*head)
     }
 
     /// Reads one byte.
@@ -114,8 +141,7 @@ impl Reader {
     ///
     /// Returns [`DexError::Truncated`] when the buffer is exhausted.
     pub fn u8(&mut self, what: &str) -> Result<u8, DexError> {
-        self.need(1, what)?;
-        Ok(self.buf.get_u8())
+        self.array::<1>(what).map(|[b]| b)
     }
 
     /// Reads a little-endian `u16`.
@@ -124,8 +150,7 @@ impl Reader {
     ///
     /// Returns [`DexError::Truncated`] when fewer than 2 bytes remain.
     pub fn u16(&mut self, what: &str) -> Result<u16, DexError> {
-        self.need(2, what)?;
-        Ok(self.buf.get_u16_le())
+        self.array(what).map(u16::from_le_bytes)
     }
 
     /// Reads a little-endian `u32`.
@@ -134,8 +159,7 @@ impl Reader {
     ///
     /// Returns [`DexError::Truncated`] when fewer than 4 bytes remain.
     pub fn u32(&mut self, what: &str) -> Result<u32, DexError> {
-        self.need(4, what)?;
-        Ok(self.buf.get_u32_le())
+        self.array(what).map(u32::from_le_bytes)
     }
 
     /// Reads a little-endian `u64`.
@@ -144,8 +168,7 @@ impl Reader {
     ///
     /// Returns [`DexError::Truncated`] when fewer than 8 bytes remain.
     pub fn u64(&mut self, what: &str) -> Result<u64, DexError> {
-        self.need(8, what)?;
-        Ok(self.buf.get_u64_le())
+        self.array(what).map(u64::from_le_bytes)
     }
 
     /// Reads a little-endian `i64`.
@@ -154,66 +177,52 @@ impl Reader {
     ///
     /// Returns [`DexError::Truncated`] when fewer than 8 bytes remain.
     pub fn i64(&mut self, what: &str) -> Result<i64, DexError> {
-        self.need(8, what)?;
-        Ok(self.buf.get_i64_le())
+        self.array(what).map(i64::from_le_bytes)
     }
 
-    /// Reads exactly `n` raw bytes.
+    /// Reads exactly `n` raw bytes, borrowed from the input.
     ///
     /// # Errors
     ///
     /// Returns [`DexError::Truncated`] when fewer than `n` bytes remain.
-    pub fn take(&mut self, n: usize, what: &str) -> Result<Vec<u8>, DexError> {
-        self.need(n, what)?;
-        let mut out = vec![0u8; n];
-        self.buf.copy_to_slice(&mut out);
-        Ok(out)
+    pub fn take(&mut self, n: usize, what: &str) -> Result<&'a [u8], DexError> {
+        if n > self.buf.len() {
+            return Err(self.truncated(n, what));
+        }
+        let (head, rest) = self.buf.split_at(n);
+        self.buf = rest;
+        Ok(head)
     }
 
-    /// Reads a length-prefixed UTF-8 string.
+    /// Reads a length-prefixed UTF-8 string, borrowed from the input.
     ///
     /// # Errors
     ///
     /// Returns [`DexError::Truncated`] on short input or
     /// [`DexError::Invalid`] on non-UTF-8 bytes or an absurd length.
-    pub fn str(&mut self, what: &str) -> Result<String, DexError> {
-        let len = self.u32(what)? as usize;
-        if len > self.buf.remaining() {
-            return Err(DexError::Truncated {
-                what: what.to_string(),
-                needed: len,
-                available: self.buf.remaining(),
-            });
-        }
-        let raw = self.take(len, what)?;
-        String::from_utf8(raw).map_err(|_| DexError::Invalid(format!("{what}: invalid UTF-8")))
+    pub fn str(&mut self, what: &str) -> Result<&'a str, DexError> {
+        let raw = self.blob(what)?;
+        std::str::from_utf8(raw).map_err(|_| DexError::Invalid(format!("{what}: invalid UTF-8")))
     }
 
-    /// Reads a length-prefixed blob.
+    /// Reads a length-prefixed blob, borrowed from the input.
     ///
     /// # Errors
     ///
     /// Returns [`DexError::Truncated`] on short input.
-    pub fn blob(&mut self, what: &str) -> Result<Vec<u8>, DexError> {
+    pub fn blob(&mut self, what: &str) -> Result<&'a [u8], DexError> {
         let len = self.u32(what)? as usize;
-        if len > self.buf.remaining() {
-            return Err(DexError::Truncated {
-                what: what.to_string(),
-                needed: len,
-                available: self.buf.remaining(),
-            });
-        }
         self.take(len, what)
     }
 
     /// Remaining unread bytes.
     pub fn remaining(&self) -> usize {
-        self.buf.remaining()
+        self.buf.len()
     }
 
     /// Whether the reader is fully consumed.
     pub fn is_exhausted(&self) -> bool {
-        !self.buf.has_remaining()
+        self.buf.is_empty()
     }
 }
 
@@ -248,6 +257,32 @@ mod tests {
         let mut r = Reader::new(&bytes);
         assert_eq!(r.str("s").unwrap(), "héllo");
         assert_eq!(r.blob("b").unwrap(), vec![1, 2, 3]);
+    }
+
+    #[test]
+    fn reads_borrow_the_input() {
+        let mut w = Writer::new();
+        w.str("abc");
+        w.blob(&[4, 5]);
+        w.u8(6);
+        let bytes = w.into_bytes();
+        let mut r = Reader::new(&bytes);
+        assert!(std::ptr::eq(r.str("s").unwrap().as_ptr(), &bytes[4]));
+        assert!(std::ptr::eq(r.blob("b").unwrap().as_ptr(), &bytes[11]));
+        assert!(std::ptr::eq(r.take(1, "t").unwrap().as_ptr(), &bytes[13]));
+        assert!(r.is_exhausted());
+    }
+
+    #[test]
+    fn patched_u32_lands_in_place_and_output_is_exact_size() {
+        let mut w = Writer::new();
+        w.u16(7);
+        w.u32(0);
+        w.u8(9);
+        w.patch_u32(2, 0xDEAD_BEEF);
+        let bytes = w.into_bytes();
+        assert_eq!(bytes, [7, 0, 0xEF, 0xBE, 0xAD, 0xDE, 9]);
+        assert_eq!(bytes.capacity(), bytes.len());
     }
 
     #[test]

@@ -4,6 +4,7 @@
 //! AXML) inside the APK entry `AndroidManifest.xml`.
 
 use std::fmt;
+use std::fmt::Write as _;
 
 use serde::{Deserialize, Serialize};
 
@@ -170,25 +171,27 @@ impl Manifest {
 
     /// Serialises to the line-oriented text format.
     pub fn to_text(&self) -> String {
+        // Writing into a `String` cannot fail.
         let mut out = String::new();
-        out.push_str(&format!("package: {}\n", self.package));
-        out.push_str(&format!("version-code: {}\n", self.version_code));
-        out.push_str(&format!("min-sdk: {}\n", self.min_sdk));
-        out.push_str(&format!("target-sdk: {}\n", self.target_sdk));
+        let _ = writeln!(out, "package: {}", self.package);
+        let _ = writeln!(out, "version-code: {}", self.version_code);
+        let _ = writeln!(out, "min-sdk: {}", self.min_sdk);
+        let _ = writeln!(out, "target-sdk: {}", self.target_sdk);
         for p in &self.permissions {
-            out.push_str(&format!("uses-permission: {p}\n"));
+            let _ = writeln!(out, "uses-permission: {p}");
         }
         if let Some(app) = &self.application_class {
-            out.push_str(&format!("application: {app}\n"));
+            let _ = writeln!(out, "application: {app}");
         }
         for c in &self.components {
-            out.push_str(&format!(
-                "{}: {} exported={} main={}\n",
+            let _ = writeln!(
+                out,
+                "{}: {} exported={} main={}",
                 c.kind.tag(),
                 c.class,
                 c.exported,
                 c.main
-            ));
+            );
         }
         out
     }

@@ -272,16 +272,16 @@ impl NativeLibrary {
             1 => Arch::X86,
             other => return Err(DexError::Invalid(format!("bad arch {other}"))),
         };
-        let soname = r.str("soname")?;
+        let soname = r.str("soname")?.to_string();
         let n_needed = r.u32("needed count")?;
         let mut needed = Vec::with_capacity(n_needed.min(256) as usize);
         for _ in 0..n_needed {
-            needed.push(r.str("needed")?);
+            needed.push(r.str("needed")?.to_string());
         }
         let n_funcs = r.u32("function count")?;
         let mut functions = Vec::with_capacity(n_funcs.min(65_536) as usize);
         for _ in 0..n_funcs {
-            let name = r.str("function name")?;
+            let name = r.str("function name")?.to_string();
             let exported = r.u8("function exported")? == 1;
             let n_insns = r.u32("function length")?;
             let mut code = Vec::with_capacity(n_insns.min(1_000_000) as usize);
@@ -373,12 +373,12 @@ fn decode_native_insn(r: &mut Reader) -> Result<NativeInsn, DexError> {
             b: r.u8("add b")?,
         },
         3 => NativeInsn::Call {
-            symbol: r.str("call symbol")?,
+            symbol: r.str("call symbol")?.to_string(),
         },
         4 => {
-            let name = r.str("syscall name")?;
+            let name = r.str("syscall name")?.to_string();
             let arg = if r.u8("syscall has-arg")? == 1 {
-                Some(r.str("syscall arg")?)
+                Some(r.str("syscall arg")?.to_string())
             } else {
                 None
             };

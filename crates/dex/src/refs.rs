@@ -76,15 +76,24 @@ impl MethodSig {
     pub fn returns_value(&self) -> bool {
         self.ret != TypeDesc::Void
     }
+
+    /// Appends the Dalvik-style text (the `Display` form) to `out`, so an
+    /// encoder can render into one reused buffer.
+    pub(crate) fn push_text(&self, out: &mut String) {
+        out.push('(');
+        for p in &self.params {
+            p.push_descriptor(out);
+        }
+        out.push(')');
+        self.ret.push_descriptor(out);
+    }
 }
 
 impl fmt::Display for MethodSig {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str("(")?;
-        for p in &self.params {
-            f.write_str(&p.descriptor())?;
-        }
-        write!(f, "){}", self.ret.descriptor())
+        let mut text = String::new();
+        self.push_text(&mut text);
+        f.write_str(&text)
     }
 }
 

@@ -105,13 +105,33 @@ impl TypeDesc {
 
     /// Renders this type as a Dalvik-style descriptor string.
     pub fn descriptor(&self) -> String {
+        let mut out = String::new();
+        self.push_descriptor(&mut out);
+        out
+    }
+
+    /// Appends this type's descriptor (see [`TypeDesc::descriptor`]) to
+    /// `out`, so an encoder can render into one reused buffer.
+    pub(crate) fn push_descriptor(&self, out: &mut String) {
         match self {
-            TypeDesc::Void => "V".to_string(),
-            TypeDesc::Boolean => "Z".to_string(),
-            TypeDesc::Int => "I".to_string(),
-            TypeDesc::Long => "J".to_string(),
-            TypeDesc::Class(name) => format!("L{};", name.replace('.', "/")),
-            TypeDesc::Array(inner) => format!("[{}", inner.descriptor()),
+            TypeDesc::Void => out.push('V'),
+            TypeDesc::Boolean => out.push('Z'),
+            TypeDesc::Int => out.push('I'),
+            TypeDesc::Long => out.push('J'),
+            TypeDesc::Class(name) => {
+                out.push('L');
+                for (i, part) in name.split('.').enumerate() {
+                    if i > 0 {
+                        out.push('/');
+                    }
+                    out.push_str(part);
+                }
+                out.push(';');
+            }
+            TypeDesc::Array(inner) => {
+                out.push('[');
+                inner.push_descriptor(out);
+            }
         }
     }
 
