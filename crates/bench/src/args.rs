@@ -1,7 +1,7 @@
 //! Shared command-line parsing for the bench binaries.
 //!
 //! [`ArgParser`] + [`CommonArgs`] give every bench binary one shared
-//! flag vocabulary (`--scale/--seed/--out`, history and sampling), one
+//! flag vocabulary (`--scale/--seed/--out` and sampling), one
 //! usage/exit-code convention (see [`EXIT_CLEAN`], [`EXIT_FINDING`],
 //! [`EXIT_USAGE`]) and one `--help` shape. Bench-specific flags,
 //! including a bench's own gate (`sweepbench --min-scaling`), stay in
@@ -104,10 +104,6 @@ pub struct CommonArgs {
     pub seed: u64,
     /// Unified-record output path (`--out`).
     pub out: String,
-    /// History stream to append the record to (`--history PATH`,
-    /// `--no-history` clears it). Defaults to
-    /// [`crate::history::DEFAULT_HISTORY`].
-    pub history: Option<String>,
     /// Recorded sample rounds (`--samples`).
     pub samples: usize,
     /// Unrecorded warmup rounds (`--warmup`).
@@ -121,7 +117,6 @@ impl CommonArgs {
             scale: 0.01,
             seed: dydroid_workload::CorpusSpec::default().seed,
             out: out.to_string(),
-            history: Some(crate::history::DEFAULT_HISTORY.to_string()),
             samples,
             warmup,
         }
@@ -134,8 +129,6 @@ impl CommonArgs {
             "--scale" => self.scale = p.scale("--scale"),
             "--seed" => self.seed = p.value("--seed", "an integer"),
             "--out" => self.out = p.raw("--out"),
-            "--history" => self.history = Some(p.raw("--history")),
-            "--no-history" => self.history = None,
             "--samples" => {
                 self.samples = p.value("--samples", "an integer >= 1");
                 if self.samples == 0 {
@@ -147,16 +140,5 @@ impl CommonArgs {
             _ => return false,
         }
         true
-    }
-
-    /// Appends the record to the configured history stream (if any),
-    /// logging the sequence number; a failure warns but does not abort
-    /// the bench (the record file is already written).
-    pub fn append_history(&self, tag: &str, record: &crate::Measurement) {
-        let Some(path) = &self.history else { return };
-        match crate::history::append(std::path::Path::new(path), record) {
-            Ok(seq) => eprintln!("{tag}: appended history record #{seq} to {path}"),
-            Err(e) => eprintln!("{tag}: warning: cannot append history to {path}: {e}"),
-        }
     }
 }

@@ -4,10 +4,8 @@
 //! caches, arena heap), checks that every measured entry retires exactly
 //! its pinned instruction count ([`RETIRED_PER_ENTRY`]; exit 1 on any
 //! mismatch), and emits a unified `BENCH_avm.json` measurement record
-//! (appended to `BENCH_history.jsonl`) with per-workload
-//! instructions/sec samples so future changes have a regression
-//! trajectory (`benchcmp --trend`). The retired instruction total is a
-//! `Steady` virtual identity benchcmp gates across machines.
+//! with per-workload instructions/sec samples. The retired instruction
+//! total is a `Steady` virtual identity benchcmp gates across machines.
 
 use std::time::Instant;
 
@@ -16,8 +14,7 @@ use dydroid_bench::{ArgParser, CommonArgs, Direction, Measurement, Stats, EXIT_F
 use dydroid_dex::builder::DexBuilder;
 use dydroid_dex::{AccessFlags, CmpKind, DexFile, FieldRef, Manifest, MethodRef};
 
-const USAGE: &str = "avmbench [--samples N] [--warmup N] [--iters N] [--out PATH] \
-[--history PATH | --no-history]";
+const USAGE: &str = "avmbench [--samples N] [--warmup N] [--iters N] [--out PATH]";
 
 const PKG: &str = "com.bench.app";
 const ENTRY_CLASS: &str = "com.bench.Main";
@@ -313,7 +310,6 @@ fn main() {
         .write_pretty(&common.out)
         .expect("write bench output");
     eprintln!("avmbench: wrote {}", common.out);
-    common.append_history("avmbench", &record);
 }
 
 #[cfg(test)]

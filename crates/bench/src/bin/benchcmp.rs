@@ -1,9 +1,7 @@
 //! `benchcmp` — noise-aware diff of two unified measurement records.
 //!
 //! ```text
-//! benchcmp OLD.json NEW.json            # explicit pair
-//! benchcmp --history PATH NEW.json      # NEW vs latest same-bench entry
-//! benchcmp --trend [--history PATH]     # per-metric median trajectories
+//! benchcmp OLD.json NEW.json
 //! ```
 //!
 //! A delta only counts when it clears `max(floor · old_median,
@@ -12,28 +10,15 @@
 //! virtual metrics, so a committed baseline from one host can gate CI
 //! runs on another. Exit codes follow the shared convention (also used
 //! by `dcltrace check`): 0 clean, 1 finding, 2 usage error.
-//!
-//! `--trend` switches to the trajectory view: every metric of every
-//! bench in the history stream gets one row of medians oldest → newest,
-//! its last step judged `improving` / `steady` / `REGRESSING` with the
-//! same noise thresholds. The trend view reports, it never gates.
 
-use std::path::Path;
 use std::process::ExitCode;
 
-use dydroid_bench::{
-    compare, history, ArgParser, CompareConfig, Gate, Measurement, Metric, EXIT_CODE_HELP,
-};
+use dydroid_bench::{compare, ArgParser, CompareConfig, Gate, Measurement, Metric, EXIT_CODE_HELP};
 
-const USAGE: &str = "benchcmp [OLD.json] NEW.json [--history PATH] \
-[--floor FRACTION] [--k F] [--gate virtual|all|none] [--plant FRACTION] | \
-benchcmp --trend [--history PATH]
-  OLD.json           baseline record (omit when using --history)
+const USAGE: &str = "benchcmp OLD.json NEW.json \
+[--floor FRACTION] [--k F] [--gate virtual|all|none] [--plant FRACTION]
+  OLD.json           baseline record
   NEW.json           fresh record to judge
-  --history PATH     take the baseline from the latest same-bench entry
-                     of this BENCH_history.jsonl stream
-  --trend            render per-metric median trajectories over the whole
-                     history stream instead of diffing a pair (never gates)
   --floor FRACTION   relative floor below which deltas never count (default 0.05)
   --k F              noise multiplier on the pooled stddev (default 3)
   --gate MODE        which regressions exit 1: virtual (default), all, none
@@ -69,15 +54,11 @@ fn plant(record: &mut Measurement, fraction: f64) {
 fn main() -> ExitCode {
     let mut parser = ArgParser::new(USAGE);
     let mut paths: Vec<String> = Vec::new();
-    let mut history_path: Option<String> = None;
     let mut cfg = CompareConfig::default();
     let mut planted: Option<f64> = None;
-    let mut trend = false;
 
     while let Some(arg) = parser.next() {
         match arg.as_str() {
-            "--history" => history_path = Some(parser.raw("--history")),
-            "--trend" => trend = true,
             "--floor" => cfg.floor = parser.value("--floor", "a fraction (e.g. 0.05)"),
             "--k" => cfg.k = parser.value("--k", "a float"),
             "--gate" => {
@@ -95,45 +76,12 @@ fn main() -> ExitCode {
         }
     }
 
-    if trend {
-        if !paths.is_empty() {
-            parser.fail("--trend reads the history stream; record paths make no sense with it");
-        }
-        let hist = history_path.unwrap_or_else(|| history::DEFAULT_HISTORY.to_string());
-        let records = match history::load(Path::new(&hist)) {
-            Ok(records) => records,
-            Err(e) => parser.fail(&format!("cannot read history {hist}: {e}")),
-        };
-        if records.is_empty() {
-            println!("benchcmp trend: no records in {hist}");
-            return ExitCode::SUCCESS;
-        }
-        let rows = dydroid_bench::trend_rows(&records, cfg.floor, cfg.k);
-        print!("{}", dydroid_bench::trend::render(&hist, &records, &rows));
-        return ExitCode::SUCCESS;
-    }
-
-    let (old, mut new) = match (history_path, paths.as_slice()) {
-        (None, [old_path, new_path]) => (
+    let (old, mut new) = match paths.as_slice() {
+        [old_path, new_path] => (
             load_record(old_path, &parser),
             load_record(new_path, &parser),
         ),
-        (Some(hist), [new_path]) => {
-            let new = load_record(new_path, &parser);
-            let records = match history::load(Path::new(&hist)) {
-                Ok(records) => records,
-                Err(e) => parser.fail(&format!("cannot read history {hist}: {e}")),
-            };
-            let Some(old) = history::latest_for(&records, &new.bench, Some(&new)) else {
-                parser.fail(&format!(
-                    "history {hist} has no prior {:?} entry to compare against",
-                    new.bench
-                ));
-            };
-            (old.clone(), new)
-        }
-        (None, [_]) => parser.fail("one record given: pass OLD.json too, or --history PATH"),
-        _ => parser.fail("expected OLD.json NEW.json, or --history PATH NEW.json"),
+        _ => parser.fail("expected OLD.json NEW.json"),
     };
 
     if let Some(fraction) = planted {

@@ -1,16 +1,15 @@
 //! Crash-torture smoke harness: kills a journaled sweep at sampled write
 //! boundaries (optionally under an injected I/O fault script), resumes
-//! each killed run cleanly, and byte-compares the finalized journal,
-//! provenance ledger and event stream against the fault-free run at the
-//! same seed.
+//! each killed run cleanly, and byte-compares the finalized journal and
+//! provenance ledger against the fault-free run at the same seed. A
+//! finished run leaves no event log: the comparison fails if one is left.
 //!
 //! `--crash-points 0` exercises every write boundary; otherwise `N`
 //! evenly spaced boundaries are sampled. `--fault-rate` additionally
 //! injects short writes, bit-flips, transient errors and ENOSPC at that
 //! per-op probability during the killed runs. The run emits a unified
-//! `BENCH_crash.json` measurement record (appended to
-//! `BENCH_history.jsonl`) whose write-op and crash-point totals are
-//! `Steady` virtual identities benchcmp gates across machines;
+//! `BENCH_crash.json` measurement record whose write-op and crash-point
+//! totals are `Steady` virtual identities benchcmp gates across machines;
 //! `--report-out` additionally writes the recovered report (tables
 //! rendered from the last resumed run) as a CI artifact. Exits 1 if any
 //! crash point fails to recover byte-identically.
@@ -25,7 +24,7 @@ use dydroid_workload::faults::{crash_points, crash_torture, IoFaultScript, IoFau
 use dydroid_workload::{generate, CorpusSpec};
 
 const USAGE: &str = "crashtorture [--scale F] [--seed N] [--crash-points N] [--fault-rate F] \
-[--fault-seed N] [--out PATH] [--report-out PATH] [--history PATH | --no-history]";
+[--fault-seed N] [--out PATH] [--report-out PATH]";
 
 fn temp_journal(tag: &str) -> Journal {
     let path: PathBuf = std::env::temp_dir().join(format!(
@@ -84,11 +83,12 @@ fn main() {
         })
     });
 
-    // All three finalized streams of one journaled run, concatenated.
+    // Both finalized streams of one journaled run, concatenated, and
+    // whether an event log outlived the finalize.
     let stream_bytes = |journal: &Journal| -> Vec<u8> {
         let mut bytes = std::fs::read(journal.path()).expect("journal bytes");
         bytes.extend(std::fs::read(journal.provenance_path()).expect("ledger bytes"));
-        bytes.extend(std::fs::read(journal.events_path()).expect("events bytes"));
+        bytes.push(u8::from(journal.events_path().exists()));
         bytes
     };
     let last_report = std::cell::RefCell::new(None);
@@ -200,7 +200,6 @@ fn main() {
         .write_pretty(&common.out)
         .expect("write bench output");
     eprintln!("crashtorture: wrote {}", common.out);
-    common.append_history("crashtorture", &record);
 
     if divergent.is_empty() {
         println!(

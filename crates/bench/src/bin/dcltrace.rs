@@ -18,22 +18,25 @@
 //! logic-bomb signal; `export --dot` emits Graphviz DOT (one app, or the
 //! whole corpus as clustered subgraphs); `check` verifies frame
 //! integrity (CRC32 checksums and contiguous sequence numbers) across
-//! the journal, ledger and event streams, plus ledger↔journal agreement
-//! on the analysed app set, printing
-//! per-stream intact/dropped counts and exiting non-zero on any
+//! the journal, the ledger and, while a run is live or was killed, its
+//! event log, plus ledger↔journal agreement on the analysed app set,
+//! printing per-stream intact/dropped counts and exiting non-zero on any
 //! corruption or disagreement (the CI smoke gate).
 //!
 //! Two observatory commands work straight off a journal, no ledger
-//! needed: `profile` replays the event stream into the
-//! span-derived self-time profile and prints it as flamegraph-collapsed
-//! stack lines, falling back to the `<journal>.profile.folded` artifact
-//! a completed sweep leaves behind (finalize drops span lines from the
-//! canonical stream); `top` is a live plain-terminal monitor that tails
-//! the event stream — span, warning and metrics-snapshot lines, torn
-//! tails and all, a running sweep's tail is torn by definition — and
-//! repaints apps/sec, worker utilization, per-phase latency quantiles,
-//! straggler alerts and the virtual-clock ETA until the sweep completes
-//! (or its event stream is finalized).
+//! needed. The `<journal>.events.jsonl` event log exists only while a
+//! run is live or after one was killed: finalize removes it. `profile`
+//! replays the log into the span-derived self-time profile and prints
+//! it as flamegraph-collapsed stack lines; with no span in a log, it
+//! prints the `<journal>.profile.folded` artifact, to which every
+//! finalize appends its session's stacks. `top` is a live
+//! plain-terminal monitor that tails the log — span, warning and
+//! metrics-snapshot lines, torn tails and all, a running sweep's tail
+//! is torn by definition — and repaints apps/sec, worker utilization,
+//! per-phase latency quantiles, straggler alerts and the virtual-clock
+//! ETA until the sweep completes. With no log beside a journal that
+//! holds frames, the sweep has finished: `top` counts the journal's
+//! intact frames as done, prints `sweep complete` and exits.
 
 use std::collections::{HashMap, HashSet};
 use std::io::Write as _;
@@ -212,7 +215,7 @@ fn cmd_check(records: &[AppProvenance], ledger_path: &str, journal_path: &str) {
         std::process::exit(EXIT_FINDING);
     });
     // Layer 1: frame integrity — CRC32 checksums and contiguous sequence
-    // numbers across all three persistent streams.
+    // numbers across the journal, the ledger and any event log.
     let mut dropped = 0usize;
     dropped += check_stream("journal", std::path::Path::new(journal_path), true);
     dropped += check_stream("ledger", std::path::Path::new(ledger_path), true);
@@ -238,9 +241,8 @@ fn cmd_profile(journal_path: &str, out: Option<&str>) {
         std::process::exit(EXIT_FINDING);
     });
     let folded = if profile.is_empty() {
-        // A completed sweep's canonical event stream holds only
-        // checkpoint/provenance lines; the profile survives as the
-        // artifact written at assembly.
+        // Finalize removes the log and appends each session's stacks to
+        // the artifact.
         std::fs::read_to_string(journal.profile_path()).unwrap_or_else(|_| {
             eprintln!(
                 "error: no span events in {} and no profile artifact at {}",
@@ -270,13 +272,11 @@ fn cmd_profile(journal_path: &str, out: Option<&str>) {
 #[derive(Default)]
 struct TopFrame {
     /// Distinct apps with a checkpoint event (survives resume stitching,
-    /// where an app may appear in more than one stream generation).
+    /// where an app may appear in more than one stream generation), or
+    /// the journal's intact frames once the log is gone.
     done: usize,
-    /// The event stream is the finalized canonical one, which exists only
-    /// once the run completed: its checkpoint lines carry no span id.
-    finalized: bool,
     /// Gauges and counters from the newest metrics snapshot line, 0 when
-    /// the streams hold none (a finalized stream drops them).
+    /// the log holds none; with no log, `total` is the journal's frames.
     total: u64,
     workers: u64,
     busy_us: u64,
@@ -295,23 +295,12 @@ fn read_top_frame(journal: &Journal) -> TopFrame {
     let mut frame = TopFrame::default();
     let mut done: HashSet<String> = HashSet::new();
     let mut newest: Option<serde::Value> = None;
-    // Finalize rewrites the stream to canonical lines only — bare
-    // checkpoint/provenance facts without span ids; any other line means
-    // a session is (or was) live.
-    let (mut canonical, mut live) = (false, false);
-    // A missing stream leaves the frame empty; a read error keeps what
-    // was read before it.
-    let _ = read_frames(&journal.events_path(), |_, body| {
+    // A read error keeps what was read before it.
+    let log = read_frames(&journal.events_path(), |_, body| {
         let Ok(value) = serde_json::from_str::<serde::Value>(body) else {
             return ControlFlow::Continue(());
         };
-        let kind = value.get("type").and_then(|t| t.as_str());
-        if matches!(kind, Some("checkpoint" | "provenance")) && value.get("span").is_none() {
-            canonical = true;
-        } else {
-            live = true;
-        }
-        match kind {
+        match value.get("type").and_then(|t| t.as_str()) {
             Some("checkpoint") => {
                 if let Some(app) = value.get("app").and_then(|a| a.as_str()) {
                     done.insert(app.to_string());
@@ -339,8 +328,18 @@ fn read_top_frame(journal: &Journal) -> TopFrame {
         }
         ControlFlow::Continue(())
     });
+    if let Ok(None) = log {
+        // No log: the sweep has finished (finalize removed it) or has not
+        // begun, and the journal's intact frames are its done apps.
+        let frames = read_frames(journal.path(), |_, _| ControlFlow::Continue(()));
+        frame.done = frames
+            .ok()
+            .flatten()
+            .map_or(0, |scan| scan.end.next_seq as usize);
+        frame.total = frame.done as u64;
+        return frame;
+    }
     frame.done = done.len();
-    frame.finalized = canonical && !live;
     let newest = newest.and_then(|value| {
         let virtual_us = value
             .get("virtual_us")
@@ -362,9 +361,6 @@ fn read_top_frame(journal: &Journal) -> TopFrame {
         frame.busy_us = gauge("sweep.busy_us");
         frame.makespan_us = gauge("sweep.virtual_makespan_us");
         frame.stalls = snap.counter("watchdog.stragglers");
-    }
-    if frame.finalized {
-        frame.total = frame.total.max(frame.done as u64);
     }
     frame
 }
@@ -500,7 +496,7 @@ fn cmd_top(journal_path: &str, interval_ms: u64, iterations: u64) {
             // Repaint in place: home the cursor and clear to end.
             let _ = write!(stdout, "\x1b[H\x1b[J");
         }
-        let complete = frame.finalized || (frame.total > 0 && frame.done as u64 >= frame.total);
+        let complete = frame.total > 0 && frame.done as u64 >= frame.total;
         let _ = write!(
             stdout,
             "{}",

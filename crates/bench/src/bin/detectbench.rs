@@ -2,12 +2,11 @@
 //! detector, then runs the same test set through the inverted block
 //! index the sweep uses, sequentially and fanned over a thread pool (the
 //! way sweep workers share one detector), verifies both produce
-//! identical verdicts, and emits a unified `BENCH_detect.json` measurement record (appended to
-//! `BENCH_history.jsonl`) with the index's pruning counters so future
-//! changes have a regression trajectory. Wall-clock passes are sampled
-//! over several rounds (rebar warmup/sample discipline); the flagged
-//! count is a deterministic `Steady` identity benchcmp gates across
-//! machines.
+//! identical verdicts, and emits a unified `BENCH_detect.json`
+//! measurement record with the index's pruning counters. Wall-clock
+//! passes are sampled over several rounds (rebar warmup/sample
+//! discipline); the flagged count is a deterministic `Steady` identity
+//! benchcmp gates across machines.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::time::Instant;
@@ -19,8 +18,7 @@ use rand::{Rng, RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 const USAGE: &str = "detectbench [--families N] [--family-samples M] [--tests T] [--blocks B] \
-[--threshold F] [--seed S] [--out PATH] [--samples N] [--warmup N] \
-[--history PATH | --no-history]";
+[--threshold F] [--seed S] [--out PATH] [--samples N] [--warmup N]";
 
 /// A family's base signature: variants of one family mutate this shared
 /// block sequence, so intra-family overlap is high and cross-family
@@ -262,5 +260,4 @@ fn main() {
         .write_pretty(&common.out)
         .expect("write bench output");
     eprintln!("detectbench: wrote {}", common.out);
-    common.append_history("detectbench", &record);
 }

@@ -15,8 +15,8 @@
 //! single-core CI runners where wall-clock cannot speed up at all.
 //! Wall-clock per worker count is still recorded, unjudged.
 //!
-//! The run emits one unified measurement record (`BENCH_sweep.json`),
-//! appends it to `BENCH_history.jsonl`, and exits 1 on any failed
+//! The run emits one unified measurement record (`BENCH_sweep.json`)
+//! and exits 1 on any failed
 //! identity check or `--min-scaling` gate (the shared bench exit-code
 //! convention).
 
@@ -29,7 +29,7 @@ use dydroid_bench::{ArgParser, CommonArgs, Direction, Measurement, EXIT_FINDING}
 use dydroid_workload::{generate, SyntheticApp};
 
 const USAGE: &str = "sweepbench [--scale F] [--seed N] [--out PATH] [--samples N] [--warmup N] \
-[--history PATH | --no-history] [--max-workers N] [--min-scaling F]";
+[--max-workers N] [--min-scaling F]";
 
 /// One timed sweep; returns the report and total wall-clock ms.
 fn timed_sweep(config: PipelineConfig, corpus: &[SyntheticApp]) -> (MeasurementReport, f64) {
@@ -291,7 +291,6 @@ fn main() {
         .write_pretty(&common.out)
         .expect("write bench output");
     eprintln!("sweepbench: wrote {}", common.out);
-    common.append_history("sweepbench", &record);
 
     if let Some(min_scaling) = min_scaling {
         if final_scaling < min_scaling {

@@ -3,8 +3,8 @@
 //! byte-identical JSON (the observability layer must never change a
 //! measured byte), validates the Chrome-trace export by parsing it
 //! back, micro-benchmarks the no-op span fast path, and emits a unified
-//! `BENCH_trace.json` measurement record (appended to
-//! `BENCH_history.jsonl`). Wall-clock and span-cost numbers are sampled
+//! `BENCH_trace.json` measurement record. Wall-clock and span-cost
+//! numbers are sampled
 //! over several rounds (rebar warmup/sample discipline); the recorded
 //! span count is a deterministic `Steady` identity benchcmp gates
 //! across machines.
@@ -24,7 +24,7 @@ use dydroid_bench::{ArgParser, CommonArgs, Direction, Measurement, Stats, EXIT_F
 use dydroid_workload::{generate, CorpusSpec, SyntheticApp};
 
 const USAGE: &str = "tracebench [--scale F] [--seed N] [--out PATH] [--samples N] [--warmup N] \
-[--history PATH | --no-history] [--trace-out PATH] [--max-overhead PCT]";
+[--trace-out PATH] [--max-overhead PCT]";
 
 /// One timed sweep; returns the pipeline (for its telemetry), the report
 /// and the wall-clock ms.
@@ -230,7 +230,6 @@ fn main() {
         .write_pretty(&common.out)
         .expect("write bench output");
     eprintln!("tracebench: wrote {}", common.out);
-    common.append_history("tracebench", &record);
 
     if disabled_overhead_pct > max_overhead_pct {
         eprintln!(

@@ -8,9 +8,8 @@
 //! seed, git commit, warmup/iteration discipline, a counters map fed
 //! from the telemetry metrics registry) over a list of named
 //! [`Metric`]s, with the bench's legacy document nested verbatim under
-//! `payload`. The same record, compact-framed, is what each bench
-//! appends to `BENCH_history.jsonl` (see [`crate::history`]) and what
-//! `benchcmp` diffs with noise-aware thresholds (see
+//! `payload`. The same record is what `benchcmp` diffs with
+//! noise-aware thresholds (see
 //! [`crate::compare`](mod@crate::compare)).
 
 use std::collections::BTreeMap;
@@ -144,9 +143,8 @@ impl Metric {
     }
 }
 
-/// The unified record one bench run produces: written pretty to
-/// `BENCH_<bench>.json` and appended compact (one framed line) to
-/// `BENCH_history.jsonl`.
+/// The unified record one bench run produces, written pretty to
+/// `BENCH_<bench>.json`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct Measurement {
     /// Always [`SCHEMA`].
@@ -161,7 +159,7 @@ pub struct Measurement {
     /// Deterministic seed driving the run.
     pub seed: u64,
     /// Short git commit hash of the working tree ("unknown" outside a
-    /// repo), so history lines map back to the code they measured.
+    /// repo), so a record maps back to the code it measured.
     pub git_commit: String,
     /// Unrecorded warmup rounds before sampling (rebar discipline).
     pub warmup: usize,
@@ -237,13 +235,7 @@ impl Measurement {
         }
     }
 
-    /// The compact one-line JSON body framed into `BENCH_history.jsonl`.
-    pub fn to_body(&self) -> String {
-        self.to_json().to_compact_string()
-    }
-
-    /// Parses a record from JSON text (a history line body or a
-    /// `BENCH_*.json` file).
+    /// Parses a record from JSON text (a `BENCH_*.json` file).
     ///
     /// # Errors
     ///
@@ -338,7 +330,7 @@ mod tests {
         );
         m.payload = serde_json::json!({"nested": serde_json::json!({"speedup": 5.05})});
 
-        let body = m.to_body();
+        let body = m.to_json().to_compact_string();
         let back = Measurement::parse(&body).expect("parse");
         assert_eq!(back, m);
         assert_eq!(back.metric("aggregate_ips").unwrap().stats.n, 3);

@@ -2130,7 +2130,7 @@ mod tests {
         };
 
         // A clean run: its op count ends on the finalize's ledger and
-        // journal ops (telemetry is off, so no event op follows).
+        // journal ops.
         let clean = Journal::new(dir.join("clean.jsonl"));
         clean.reset().unwrap();
         let counting = IoHarness::counting();

@@ -7,6 +7,7 @@
 
 use std::borrow::Cow;
 use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -452,7 +453,7 @@ impl Pipeline {
             obs.finish(self);
         }
         // Close the writers before finalize replaces their files (the
-        // telemetry event sink closes inside `finalize_event_sink`).
+        // telemetry event sink closes in finalize).
         drop(writers);
         let perf = SweepPerf {
             worker_stats,
@@ -983,32 +984,16 @@ impl Pipeline {
         let mut report = MeasurementReport::new(records, env.counts);
         report.set_env_loads(env.loads);
         report.set_stats(stats);
-        // A `<journal>.profile.folded` artifact beside every journaled
-        // telemetry run: the canonical event stream drops span lines at
-        // finalize, so this artifact is what `dcltrace profile` falls
-        // back to once a run completes.
-        if let Some(journal) = journal.filter(|_| self.telemetry.is_enabled()) {
-            let folded = SpanProfile::from_spans(&self.telemetry.spans()).folded();
-            let path = journal.profile_path();
-            if let Err(e) = std::fs::write(&path, folded) {
-                eprintln!(
-                    "dydroid: failed to write span profile to {}: {e}",
-                    path.display()
-                );
-            }
-        }
         report
     }
 
-    /// Finalizes a journaled run's three streams into corpus order, so a
-    /// completed run's streams are byte-identical however the sweep
-    /// interleaved and however many resumes it took. The ledger holds one
-    /// graph per corpus app with its environment outcomes attached:
-    /// `graphs` are the live or recovered graphs by corpus index, and an
-    /// app whose graph is gone (resumed with a torn ledger line) gets a
-    /// degraded reconstruction. The canonical event stream keeps only the
-    /// per-app checkpoint and provenance-link facts; live span timings are
-    /// interleave-dependent and are dropped.
+    /// Finalizes a journaled run's two record streams into corpus order,
+    /// so a completed run's journal and ledger are byte-identical however
+    /// the sweep interleaved and however many resumes it took. The ledger
+    /// holds one graph per corpus app with its environment outcomes
+    /// attached: `graphs` are the live or recovered graphs by corpus
+    /// index, and an app whose graph is gone (resumed with a torn ledger
+    /// line) gets a degraded reconstruction.
     ///
     /// The journal and the ledger are atomically rewritten unless
     /// `canonical` says recovery found them already in corpus order (and
@@ -1024,11 +1009,14 @@ impl Pipeline {
     /// harness ops are taken in that order, their temp files are written
     /// on two threads (the ledger's bodies built on the fly, each graph
     /// dropped once written), and then they commit in a fixed order:
-    /// ledger rename, journal rename, one directory sync, then the events.
-    /// A fault harness therefore sees the same ops in the same order, and a
-    /// crash leaves the same on-disk states, as one replace after another.
-    /// Once the journal has committed, the quarantine sidecar is removed.
-    /// Returns how many of the journal and the ledger were replaced.
+    /// ledger rename, journal rename, one directory sync. A fault harness
+    /// therefore sees the same ops in the same order, and a crash leaves
+    /// the same on-disk states, as one replace after another. Once the
+    /// journal is final (renamed or kept), the quarantine sidecar and the
+    /// event log are removed, and this session's span stacks are appended
+    /// to the `<journal>.profile.folded` artifact; none of these is a
+    /// harness op. Returns how many of the journal and the ledger were
+    /// replaced.
     fn finalize_streams(
         &self,
         journal: &crate::sweep::Journal,
@@ -1156,13 +1144,30 @@ impl Pipeline {
                 fail("quarantine", &journal.quarantine_path(), e);
             }
         }
-        let events_path = journal.events_path();
-        if let Err(e) = self.telemetry.finalize_event_sink(
-            &events_path,
-            records.iter().map(|r| r.package.as_str()),
-            harness,
-        ) {
-            fail("events", &events_path, e);
+        // The event log ends with the run. Once the journal is final, this
+        // session's span stacks (the stitched ones of earlier sessions
+        // included) are appended to the profile artifact, which thus keeps
+        // every session's, and the log goes: it holds nothing the journal
+        // does not. Neither is a harness op. A journal that did not commit
+        // keeps the log for the next resume to stitch.
+        self.telemetry.close_event_sink();
+        if journal_renamed || canonical.journal {
+            if self.telemetry.is_enabled() {
+                let path = journal.profile_path();
+                let folded = SpanProfile::from_spans(&self.telemetry.spans()).folded();
+                let appended = std::fs::OpenOptions::new()
+                    .create(true)
+                    .append(true)
+                    .open(&path)
+                    .and_then(|mut file| file.write_all(folded.as_bytes()));
+                if let Err(e) = appended {
+                    fail("profile", &path, e);
+                }
+            }
+            let events_path = journal.events_path();
+            if let Err(e) = durable::remove_if_exists(&events_path) {
+                fail("events", &events_path, e);
+            }
         }
         renamed.iter().filter(|&&done| done).count() as u64
     }
@@ -2691,13 +2696,21 @@ mod tests {
     }
 
     /// Reopening a finished journal re-reads both record streams and
-    /// writes neither: the journal and the ledger keep their inodes,
-    /// mtimes and bytes, and the report is the finished run's.
+    /// replaces no file: the journal and the ledger keep their inodes,
+    /// mtimes and bytes, the profile artifact keeps its inode, no event
+    /// log is left, and the report is the finished run's.
     #[test]
     fn reopening_a_finished_journal_rewrites_no_stream() {
+        use std::os::unix::fs::MetadataExt;
         let (corpus, dir, journal, config, first) = finished_sweep("reopen_keeps");
         let ledger = journal.provenance_path();
+        let profile_inode = || {
+            std::fs::metadata(journal.profile_path())
+                .expect("artifact")
+                .ino()
+        };
         let before = [file_state(journal.path()), file_state(&ledger)];
+        let profile_before = profile_inode();
         let report = Pipeline::new(config)
             .run_resumable(&corpus, &journal)
             .expect("reopen");
@@ -2709,6 +2722,32 @@ mod tests {
             "the journal was rewritten"
         );
         assert!(before[1] == file_state(&ledger), "the ledger was rewritten");
+        assert_eq!(profile_inode(), profile_before, "the artifact was replaced");
+        assert!(
+            !journal.events_path().exists(),
+            "the reopen left an event log"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Each finalize appends its session's stacks to the profile
+    /// artifact, so a reopen keeps every stack of the sweep it reopens,
+    /// in the first run's lines, ahead of its own.
+    #[test]
+    fn reopening_a_finished_journal_keeps_every_profile_stack() {
+        let (corpus, dir, journal, config, _) = finished_sweep("reopen_profile");
+        let first = std::fs::read_to_string(journal.profile_path()).expect("artifact");
+        assert!(
+            first
+                .lines()
+                .any(|line| line.starts_with("sweep;app;monkey ")),
+            "the sweep's stacks are missing from the artifact:\n{first}"
+        );
+        let reopen = Pipeline::new(config);
+        reopen.run_resumable(&corpus, &journal).expect("reopen");
+        let after = std::fs::read_to_string(journal.profile_path()).expect("artifact");
+        let session = SpanProfile::from_spans(&reopen.telemetry().spans()).folded();
+        assert_eq!(after, format!("{first}{session}"));
         let _ = std::fs::remove_dir_all(&dir);
     }
 

@@ -15,8 +15,8 @@
 //!
 //! - **live**, from the in-memory span store fed by `SpanGuard` drops
 //!   ([`SpanProfile::from_spans`] over `Telemetry::spans()`), and
-//! - **offline**, by replaying the durable event stream of a journaled
-//!   run ([`SpanProfile::replay_journal`]).
+//! - **offline**, by replaying the event log of a live or killed
+//!   journaled run ([`SpanProfile::replay_journal`]).
 //!
 //! The [`Watchdog`] rides the same data on the *deterministic virtual
 //! clock*: it keeps a running median of per-app virtual cost and flags
@@ -141,7 +141,8 @@ impl SpanProfile {
         Ok(SpanProfile::from_spans(&spans))
     }
 
-    /// [`SpanProfile::from_event_stream`] over a journal's event stream.
+    /// [`SpanProfile::from_event_stream`] over a journal's event log
+    /// (empty once a finished run's finalize removed it).
     ///
     /// # Errors
     ///

@@ -197,7 +197,7 @@ pub struct AppProvenance {
     pub env_loads: Vec<EnvLoadOutcome>,
     /// The app's telemetry span id, for cross-referencing the event
     /// stream. Excluded from the serialized ledger (span ids depend on
-    /// thread interleave); the durable link lives in the event stream.
+    /// thread interleave); the link lives in the live event log.
     #[serde(skip)]
     pub span: u64,
 }

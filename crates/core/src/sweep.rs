@@ -57,9 +57,10 @@ impl Journal {
         PathBuf::from(name)
     }
 
-    /// Path of the telemetry event stream written alongside this
-    /// journal (`<journal>.events.jsonl`), used by resumed runs to
-    /// stitch spans into one timeline.
+    /// Path of the telemetry event log written alongside this journal
+    /// while a run is live (`<journal>.events.jsonl`): a resumed run
+    /// stitches a killed session's spans from it, and finalize removes
+    /// it once the journal is final.
     pub fn events_path(&self) -> PathBuf {
         self.sidecar(".events.jsonl")
     }
@@ -78,10 +79,11 @@ impl Journal {
         self.sidecar(".quarantine.jsonl")
     }
 
-    /// Path of the folded span-profile artifact written alongside this
-    /// journal when a run completes (`<journal>.profile.folded`):
-    /// collapsed-stack lines ready for flamegraph tooling. Written at
-    /// finalize because the canonical event stream drops span lines.
+    /// Path of the folded span-profile artifact kept alongside this
+    /// journal (`<journal>.profile.folded`): collapsed-stack lines ready
+    /// for flamegraph tooling. Each finalize appends its session's
+    /// stacks, so the artifact keeps every session's spans once the event
+    /// log is gone.
     pub fn profile_path(&self) -> PathBuf {
         self.sidecar(".profile.folded")
     }

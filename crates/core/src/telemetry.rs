@@ -16,11 +16,12 @@
 //!   shard pattern) of counters, gauges, and log-linear histograms,
 //!   feeding p50/p95/p99 per-phase latency into an extended
 //!   `render_perf()`.
-//! - **Exporters** — (1) a JSONL event stream written alongside the
-//!   journal, and (2) Chrome `trace_event` JSON loadable in
-//!   `chrome://tracing` / Perfetto ([`chrome_trace`]). A caller writes
-//!   the trace after a run, and may poll the live `sweep.*` gauges
-//!   while it goes, through `Pipeline::telemetry()`.
+//! - **Exporters** — (1) a JSONL event log written alongside the
+//!   journal while a run is live (finalize removes it), and (2) Chrome
+//!   `trace_event` JSON loadable in `chrome://tracing` / Perfetto
+//!   ([`chrome_trace`]). A caller writes the trace after a run, and may
+//!   poll the live `sweep.*` gauges while it goes, through
+//!   `Pipeline::telemetry()`.
 //!
 //! Everything is gated by `PipelineConfig::telemetry`: a disabled
 //! [`Telemetry`] is a single `Option` check per call site — no
@@ -34,9 +35,7 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::durable::{
-    atomic_replace, read_frames, FramedWriter, IoHarness, SinkOptions, StreamKind,
-};
+use crate::durable::{read_frames, FramedWriter, SinkOptions, StreamKind};
 
 use serde::{Deserialize, Serialize};
 
@@ -463,9 +462,9 @@ impl Inner {
 
     /// Mirror the journal's crash discipline: one framed line per
     /// event. The writer sheds events itself under disk pressure;
-    /// hard errors are counted and warned once (the finalized
-    /// stream is reconstructed from memory at run completion, so
-    /// a lost live event never corrupts the durable record).
+    /// hard errors are counted and warned once (the event log is
+    /// observability only and recovery never reads it, so a lost
+    /// event never corrupts the durable record).
     fn write_event(&self, line: &str) {
         let mut sink = self.sink.lock().expect("event sink poisoned");
         let Some(w) = sink.as_mut() else { return };
@@ -622,37 +621,12 @@ impl Telemetry {
         Ok(())
     }
 
-    /// Atomically replaces the event stream at `path` with its canonical
-    /// lines (reframed from sequence 0), closing the live sink first.
-    /// Called when a journaled run completes: the canonical stream holds
-    /// only interleave-independent lines — a checkpoint and a
-    /// provenance-link line per app of `apps`, in order, with no span id
-    /// or time — which is what makes the finalized file byte-identical
-    /// across same-seed and resumed runs. The lines are encoded one at a
-    /// time as they are written. No-op when telemetry is disabled.
-    ///
-    /// # Errors
-    ///
-    /// Returns write errors from the atomic rewrite.
-    pub fn finalize_event_sink<'a>(
-        &self,
-        path: &Path,
-        apps: impl IntoIterator<Item = &'a str>,
-        harness: Option<&Arc<IoHarness>>,
-    ) -> io::Result<()> {
-        let Some(inner) = &self.inner else {
-            return Ok(());
-        };
-        *inner.sink.lock().expect("event sink poisoned") = None;
-        atomic_replace(path, harness, |out| {
-            for app in apps {
-                for kind in ["checkpoint", "provenance"] {
-                    out.push(|body| push_canonical_event(body, kind, app))?;
-                }
-            }
-            Ok(())
-        })
-        .map(drop)
+    /// Closes the event sink, if one is open; later events reach no
+    /// file. Called when a journaled run finalizes.
+    pub fn close_event_sink(&self) {
+        if let Some(inner) = &self.inner {
+            *inner.sink.lock().expect("event sink poisoned") = None;
+        }
     }
 
     /// Emits a checkpoint event tying a journaled app record to the span
@@ -695,7 +669,7 @@ impl Telemetry {
     /// to the live event stream — the observatory's channel for
     /// straggler and stall alerts, which `dcltrace top` surfaces while
     /// the sweep runs. Like span lines, warnings are live-only detail:
-    /// the finalized canonical stream drops them.
+    /// the log is removed once the run finalizes.
     pub fn emit_warning(&self, kind: &str, app: &str, detail: &[(&str, u64)]) {
         let Some(inner) = &self.inner else { return };
         let mut pairs = vec![
@@ -713,8 +687,8 @@ impl Telemetry {
     /// Emits a metrics snapshot (`{"type":"metrics","virtual_us":…,
     /// "snapshot":…}`) — the full registry stamped with the virtual
     /// clock — to the live event stream, where `dcltrace top` reads it.
-    /// Like warnings, snapshots are live-only detail: the finalized
-    /// canonical stream drops them.
+    /// Like warnings, snapshots are live-only detail: the log is removed
+    /// once the run finalizes.
     pub fn emit_metrics(&self, virtual_us: u64) {
         let Some(inner) = &self.inner else { return };
         let line = serde::Value::Object(vec![
@@ -864,39 +838,9 @@ pub fn chrome_trace(spans: &[SpanRecord]) -> serde::Value {
     ])
 }
 
-/// Appends the canonical (finalized) event line `{"type":<kind>,"app":<app>}`
-/// to `body`; `kind` is a plain identifier.
-fn push_canonical_event(body: &mut String, kind: &str, app: &str) {
-    body.push_str("{\"type\":\"");
-    body.push_str(kind);
-    body.push_str("\",\"app\":");
-    app.write_json(body);
-    body.push('}');
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn canonical_events_encode_like_the_value_tree() {
-        for app in [
-            "com.a",
-            "com.\"quoted\"\\x",
-            "com.\u{1}ctl",
-            "com.ünï\u{1F600}",
-        ] {
-            for kind in ["checkpoint", "provenance"] {
-                let mut body = String::new();
-                push_canonical_event(&mut body, kind, app);
-                let tree = serde::Value::Object(vec![
-                    ("type".to_string(), serde::Value::Str(kind.to_string())),
-                    ("app".to_string(), serde::Value::Str(app.to_string())),
-                ]);
-                assert_eq!(body, tree.to_compact_string());
-            }
-        }
-    }
 
     #[test]
     fn bucket_math_is_exact_below_subs_and_bounded_above() {

@@ -38,7 +38,7 @@ const CHUNK: usize = 64;
 ///
 /// Planning is serial, because its RNG order defines the corpus. Each
 /// app is then built from its plan alone, on every available core:
-/// workers claim [`CHUNK`]-sized runs of plan indices from one shared
+/// workers claim runs of `CHUNK` plan indices from one shared
 /// cursor and fill those apps in place, so an app's bytes never depend
 /// on which thread built it, and no second corpus-length buffer is
 /// allocated. A panic while building an app propagates to the caller.

@@ -183,9 +183,10 @@ fn faulty_sweep_completes_and_classifies_exactly_the_injected_apps() {
 }
 
 /// The acceptance scenario for the telemetry layer: even at a 20% fault
-/// rate the sweep produces a loadable Chrome trace and an event stream
-/// whose checkpoints agree with the journal — panicking and
-/// deadline-blown apps included.
+/// rate the sweep produces a loadable Chrome trace, a session killed
+/// once every app is appended leaves an event log whose checkpoints
+/// agree with the journal — panicking and deadline-blown apps included —
+/// and a finished sweep leaves no log.
 #[test]
 fn faulty_sweep_trace_is_loadable_and_events_match_journal() {
     let (corpus, _plans) = fault_corpus();
@@ -230,10 +231,40 @@ fn faulty_sweep_trace_is_loadable_and_events_match_journal() {
         .expect("traceEvents array");
     assert_eq!(events.len(), traced.telemetry().spans().len());
     assert!(events.len() >= CORPUS_APPS, "fewer events than apps");
+    assert!(
+        !journal.events_path().exists(),
+        "a finished sweep left its event log"
+    );
 
-    // The event stream checkpoints exactly the journaled packages. Each
-    // line is a checksummed frame whose `body` carries the event.
-    let events_text = std::fs::read_to_string(journal.events_path()).expect("events file");
+    // One worker makes the write-op count a function of the corpus, so a
+    // counting run finds the finalize's two ops at the end, and a session
+    // killed at the first of them has appended every app but committed
+    // nothing: its log is left behind.
+    let one_worker = PipelineConfig {
+        workers: 1,
+        environment_reruns: false,
+        app_deadline_ms: 400,
+        ..Default::default()
+    };
+    let counted = temp_journal("trace_counted");
+    let counting = IoHarness::counting();
+    let mut pipeline = Pipeline::new(one_worker.clone());
+    pipeline.set_io_harness(Arc::clone(&counting));
+    pipeline
+        .run_resumable(&corpus, &counted)
+        .expect("counted sweep");
+    let finished = std::fs::read(counted.path()).expect("finished journal");
+    counted.reset().expect("cleanup");
+    let killed = temp_journal("trace_killed");
+    let mut pipeline = Pipeline::new(one_worker.clone());
+    pipeline.set_io_harness(IoHarness::new(Some(counting.ops() - 2), None));
+    pipeline
+        .run_resumable(&corpus, &killed)
+        .expect("killed sweep still returns");
+
+    // The log checkpoints exactly the journaled packages. Each line is a
+    // checksummed frame whose `body` carries the event.
+    let events_text = std::fs::read_to_string(killed.events_path()).expect("event log");
     let mut checkpointed: HashSet<String> = HashSet::new();
     for line in events_text.lines().filter(|l| !l.trim().is_empty()) {
         let v: serde_json::Value = serde_json::from_str(line).expect("event frame parses");
@@ -246,7 +277,7 @@ fn faulty_sweep_trace_is_loadable_and_events_match_journal() {
             checkpointed.insert(app.to_string());
         }
     }
-    let journaled: HashSet<String> = journal
+    let journaled: HashSet<String> = killed
         .load()
         .expect("load journal")
         .into_iter()
@@ -255,10 +286,19 @@ fn faulty_sweep_trace_is_loadable_and_events_match_journal() {
     assert_eq!(journaled.len(), CORPUS_APPS);
     assert_eq!(
         checkpointed, journaled,
-        "event-stream checkpoints diverge from the journal"
+        "event-log checkpoints diverge from the journal"
     );
 
+    // The resume finalizes what the killed session appended and removes
+    // the log.
+    Pipeline::new(one_worker)
+        .run_resumable(&corpus, &killed)
+        .expect("resumed sweep");
+    assert!(std::fs::read(killed.path()).expect("journal") == finished);
+    assert!(!killed.events_path().exists(), "the resume left the log");
+
     let _ = std::fs::remove_file(&trace_path);
+    killed.reset().expect("cleanup");
     journal.reset().expect("cleanup");
 }
 
@@ -309,8 +349,9 @@ fn sweep_resumes_after_mid_flight_kill_without_rework() {
 
 /// The crash-consistency acceptance: kill a journaled sweep at *every*
 /// write boundary of its three persistent streams, resume it cleanly,
-/// and require the finalized journal, provenance ledger and event stream
-/// to be byte-identical to the fault-free run at the same seed.
+/// and require the finalized journal and provenance ledger to be
+/// byte-identical to the fault-free run at the same seed, with no event
+/// log left.
 #[test]
 fn crash_torture_recovers_byte_identical_streams_at_every_boundary() {
     let mut corpus = generate(&CorpusSpec {
@@ -325,11 +366,14 @@ fn crash_torture_recovers_byte_identical_streams_at_every_boundary() {
         ..Default::default()
     };
 
-    // All three finalized streams of one journaled run, concatenated.
+    // Both finalized streams of one finished journaled run, concatenated.
     let stream_bytes = |journal: &Journal| -> Vec<u8> {
+        assert!(
+            !journal.events_path().exists(),
+            "a finished sweep left its event log"
+        );
         let mut bytes = std::fs::read(journal.path()).expect("journal bytes");
         bytes.extend(std::fs::read(journal.provenance_path()).expect("ledger bytes"));
-        bytes.extend(std::fs::read(journal.events_path()).expect("events bytes"));
         bytes
     };
     let run = |tag: &str, harness: Option<Arc<IoHarness>>| -> Vec<u8> {

@@ -1,8 +1,9 @@
 //! Golden byte-identity of the durable streams. A scale-0.01 journaled
-//! sweep with telemetry on must finalize its journal,
-//! provenance ledger and event stream to exactly the committed lengths
-//! and FNV-1a digests, so any change to the JSON codec, the frame
-//! envelope or the CRC that moves a single on-disk byte fails here.
+//! sweep with telemetry on must finalize its journal and provenance
+//! ledger to exactly the committed lengths and FNV-1a digests, so any
+//! change to the JSON codec, the frame envelope or the CRC that moves a
+//! single on-disk byte fails here; the finished sweep leaves no event
+//! log.
 //! The same sweep checks that every journaled record and provenance
 //! graph encodes identically through `serde_json::to_string` and through
 //! the `Value` tree, that the journal reads back to the records the
@@ -18,10 +19,9 @@ use dydroid_workload::{generate, CorpusSpec};
 use serde::Serialize;
 
 /// `(stream, byte length, FNV-1a 64 digest)` of the finalized streams.
-const GOLDEN: [(&str, usize, u64); 3] = [
+const GOLDEN: [(&str, usize, u64); 2] = [
     ("journal", 434_800, 0x8ca3_d040_8bef_d16e),
     ("ledger", 322_849, 0x509e_c3df_95cc_a59e),
-    ("events", 111_961, 0x4792_f3fa_83a0_e141),
 ];
 
 /// `(byte length, FNV-1a 64 digest)` of the same sweep's report JSON
@@ -74,7 +74,6 @@ fn finalized_streams_match_committed_goldens() {
     let streams = [
         ("journal", journal.path().to_path_buf()),
         ("ledger", journal.provenance_path()),
-        ("events", journal.events_path()),
     ];
     let measured: Vec<(&str, usize, u64)> = streams
         .iter()
@@ -83,6 +82,10 @@ fn finalized_streams_match_committed_goldens() {
             (*name, bytes.len(), fnv1a(&bytes))
         })
         .collect();
+    assert!(
+        !journal.events_path().exists(),
+        "a finished sweep left its event log"
+    );
 
     let records: Vec<AppRecord> = journal.load().expect("load journal");
     let ledger: Vec<AppProvenance> = ProvenanceLedger::new(journal.provenance_path())

@@ -188,7 +188,7 @@ fn metrics_lines(journal: &Journal) -> Vec<serde::Value> {
 /// Metrics snapshot lines ride the live event stream through crashes:
 /// a resumed session truncates the torn tail and appends after the
 /// previous session's snapshots; every snapshot deserializes with
-/// per-session monotone virtual clocks; finalize drops them all.
+/// per-session monotone virtual clocks; finalize removes the log.
 #[test]
 fn metrics_stream_survives_crash_and_resume() {
     let corpus = small_corpus(CRASH_CORPUS);
@@ -235,8 +235,7 @@ fn metrics_stream_survives_crash_and_resume() {
         "virtual clock reset {resets} times across one resume"
     );
 
-    // Finishing the sweep finalizes the event stream to its canonical
-    // checkpoint/provenance lines: no snapshot survives.
+    // Finishing the sweep removes the log, snapshots and all.
     let done = Pipeline::new(PipelineConfig {
         environment_reruns: false,
         workers: 1,
@@ -245,7 +244,51 @@ fn metrics_stream_survives_crash_and_resume() {
     .run_resumable(&corpus, &journal)
     .expect("resumed sweep");
     assert_eq!(done.records().len(), corpus.len());
-    assert!(metrics_lines(&journal).is_empty());
+    assert!(!journal.events_path().exists());
+    journal.reset().expect("cleanup");
+}
+
+/// A sweep killed mid-run and resumed profiles every app: the resumed
+/// pipeline's timeline holds the killed session's app spans, stitched
+/// from its log (rooted at `app`, their sweep span never ended), and its
+/// own (under `sweep`), so the two roots count at least one app span per
+/// corpus app. The resume removes the log.
+#[test]
+fn resumed_sweep_profiles_every_app() {
+    let corpus = small_corpus(CRASH_CORPUS);
+    let journal = temp_journal("profile_resume");
+
+    let _ = crashed_session(&corpus, &journal, FIRST_CRASH_OP);
+    let killed = journal.load().expect("load journal").len();
+    assert!(
+        killed > 0 && killed < corpus.len(),
+        "the crash was not mid-run ({killed} apps journaled)"
+    );
+    let resumed = Pipeline::new(PipelineConfig {
+        environment_reruns: false,
+        workers: 1,
+        ..PipelineConfig::default()
+    });
+    let report = resumed
+        .run_resumable(&corpus, &journal)
+        .expect("resumed sweep");
+    assert_eq!(report.records().len(), corpus.len());
+
+    let profile = SpanProfile::from_spans(&resumed.telemetry().spans());
+    let count = |path: &[&str]| {
+        profile
+            .entries()
+            .find(|(p, _)| p.iter().map(String::as_str).eq(path.iter().copied()))
+            .map_or(0, |(_, entry)| entry.count)
+    };
+    let (stitched, fresh) = (count(&["app"]), count(&["sweep", "app"]));
+    assert!(stitched > 0, "no app span was stitched from the log");
+    assert!(
+        stitched + fresh >= corpus.len() as u64,
+        "{stitched} stitched + {fresh} fresh app spans for {} apps",
+        corpus.len()
+    );
+    assert!(!journal.events_path().exists(), "the resume left the log");
     journal.reset().expect("cleanup");
 }
 

@@ -4,10 +4,11 @@
 //! streams come out byte-identical at one worker and at four. The
 //! converse also holds: an app whose journal record and ledger graph
 //! both survived is never re-analysed or quarantined, whatever became of
-//! the telemetry event stream.
+//! the telemetry event log. A finished sweep leaves no event log.
 
 use std::path::PathBuf;
 
+use dydroid::durable::encode_frames;
 use dydroid::sweep::QuarantineEntry;
 use dydroid::{Journal, Pipeline, PipelineConfig};
 use dydroid_workload::{generate, CorpusSpec, SyntheticApp};
@@ -33,7 +34,7 @@ fn config(workers: usize) -> PipelineConfig {
 
 /// Seeds the quarantine file with `package` at 3 attempts, sweeps at
 /// `workers`, checks the quarantined record and a clean recovery, and
-/// returns the finalized journal, ledger and event stream, concatenated.
+/// returns the finalized journal and ledger, concatenated.
 fn quarantined_sweep(corpus: &[SyntheticApp], package: &str, workers: usize) -> Vec<u8> {
     let path: PathBuf = std::env::temp_dir().join(format!(
         "dydroid_quarantine_w{workers}_{}.jsonl",
@@ -66,7 +67,10 @@ fn quarantined_sweep(corpus: &[SyntheticApp], package: &str, workers: usize) -> 
 
     let mut bytes = std::fs::read(journal.path()).expect("journal bytes");
     bytes.extend(std::fs::read(journal.provenance_path()).expect("ledger bytes"));
-    bytes.extend(std::fs::read(journal.events_path()).expect("events bytes"));
+    assert!(
+        !journal.events_path().exists(),
+        "{workers} worker(s): a finished sweep left its event log"
+    );
 
     let outcome = Pipeline::new(config(workers))
         .recover_all(&journal)
@@ -94,10 +98,11 @@ fn quarantined_app_is_recorded_and_streams_match_across_worker_counts() {
     );
 }
 
-/// The event stream is observability, not a record stream: recovery of a
-/// finished scale-0.01 sweep keeps every app whether its event stream is
-/// intact, deleted, or cut to the first app's two lines, and resuming
-/// three times over a cut stream re-analyses and quarantines nothing.
+/// The event log is observability, not a record stream: recovery of a
+/// finished scale-0.01 sweep keeps every app whether a log beside it is
+/// absent, holds a checkpoint frame and a torn one, or holds a corrupt
+/// frame, and resuming three times over a torn log re-analyses and
+/// quarantines nothing and removes the log each time.
 #[test]
 fn recovery_keeps_every_app_whatever_the_event_stream_holds() {
     let corpus = generate(&CorpusSpec {
@@ -119,31 +124,38 @@ fn recovery_keeps_every_app_whatever_the_event_stream_holds() {
     assert_eq!(first.records().len(), corpus.len());
     let first_json = serde_json::to_string(&first).expect("serialise report");
 
-    let events = std::fs::read_to_string(journal.events_path()).expect("events file");
-    let cut: String = events.split_inclusive('\n').take(2).collect();
-    assert_eq!(cut.lines().count(), 2, "event stream shorter than one app");
-    for (case, stream) in [
-        ("intact", Some(&events)),
-        ("deleted", None),
-        ("cut", Some(&cut)),
+    assert!(
+        !journal.events_path().exists(),
+        "a finished sweep left its event log"
+    );
+    let checkpoint = format!(
+        r#"{{"type":"checkpoint","app":"{}","span":1,"t_us":0}}"#,
+        corpus[0].package()
+    );
+    let frames = encode_frames(0, &[checkpoint.clone(), checkpoint]);
+    let torn = &frames[..frames.len() - 9];
+    let corrupt = frames.replacen(r#""type""#, r#""tyqe""#, 1);
+    for (case, log) in [
+        ("absent", None),
+        ("torn", Some(torn)),
+        ("corrupt", Some(&corrupt)),
     ] {
-        match stream {
-            Some(text) => std::fs::write(journal.events_path(), text).expect("write events"),
-            None => std::fs::remove_file(journal.events_path()).expect("delete events"),
+        if let Some(text) = log {
+            std::fs::write(journal.events_path(), text).expect("write the log");
         }
         let outcome = Pipeline::new(config.clone())
             .recover_all(&journal)
             .expect("recover the finished journal");
         assert!(
             outcome.inconsistent.is_empty(),
-            "{case} event stream: {} apps called inconsistent",
+            "{case} event log: {} apps called inconsistent",
             outcome.inconsistent.len()
         );
-        assert_eq!(outcome.records.len(), corpus.len(), "{case} event stream");
+        assert_eq!(outcome.records.len(), corpus.len(), "{case} event log");
     }
 
     for round in 1..=3 {
-        std::fs::write(journal.events_path(), &cut).expect("cut events");
+        std::fs::write(journal.events_path(), torn).expect("write a torn log");
         let report = Pipeline::new(config.clone())
             .run_resumable(&corpus, &journal)
             .expect("resumed sweep");
@@ -155,6 +167,10 @@ fn recovery_keeps_every_app_whatever_the_event_stream_holds() {
         assert!(
             serde_json::to_string(&report).expect("serialise report") == first_json,
             "resume {round}: report JSON differs from the first run"
+        );
+        assert!(
+            !journal.events_path().exists(),
+            "resume {round}: the event log outlived the finalize"
         );
     }
     journal.reset().expect("cleanup");
@@ -181,12 +197,12 @@ fn resume_over_an_emptied_ledger_leaves_no_quarantine_sidecar() {
     let journal = Journal::new(path);
     journal.reset().expect("reset journal");
     let streams = |journal: &Journal| {
-        [
-            journal.path().to_path_buf(),
-            journal.provenance_path(),
-            journal.events_path(),
-        ]
-        .map(|p| std::fs::read(p).expect("finalized stream"))
+        assert!(
+            !journal.events_path().exists(),
+            "a finished sweep left its event log"
+        );
+        [journal.path().to_path_buf(), journal.provenance_path()]
+            .map(|p| std::fs::read(p).expect("finalized stream"))
     };
     let sweep = || {
         let report = Pipeline::new(config.clone())

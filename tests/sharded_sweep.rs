@@ -1,7 +1,8 @@
 //! Multi-worker journaled sweep acceptance: a multi-worker sweep — even
 //! one killed mid-run and resumed — appends every frame through one
-//! writer to the base journal, ledger and event stream, and finalizes
-//! all three byte-identical to a single-worker serial run.
+//! writer to the base journal, ledger and event log, finalizes the
+//! journal and the ledger byte-identical to a single-worker serial run,
+//! and removes the log.
 
 use std::collections::HashSet;
 use std::path::{Path, PathBuf};
@@ -74,11 +75,15 @@ fn frame_fields(path: &Path, kind: Option<&str>, field: &str) -> Vec<String> {
         .collect()
 }
 
-/// All three finalized streams of one journaled run, concatenated.
+/// Both finalized streams of one finished journaled run, concatenated;
+/// the run left no event log.
 fn stream_bytes(journal: &Journal) -> Vec<u8> {
+    assert!(
+        !journal.events_path().exists(),
+        "a finished sweep left its event log"
+    );
     let mut bytes = std::fs::read(journal.path()).expect("journal bytes");
     bytes.extend(std::fs::read(journal.provenance_path()).expect("ledger bytes"));
-    bytes.extend(std::fs::read(journal.events_path()).expect("events bytes"));
     bytes
 }
 
@@ -143,8 +148,9 @@ fn killed_sharded_sweep_resumes_byte_identical_to_serial() {
         .run_resumable(&corpus, &journal)
         .expect("interrupted sweep still returns");
 
-    // The kill left the base triplet and nothing else, and every app the
-    // event stream checkpointed has its frame in the base journal.
+    // The kill left the journal, the ledger and the event log and nothing
+    // else, and every app the log checkpointed has its frame in the
+    // journal.
     assert_eq!(shard_files(&journal), Vec::<String>::new());
     let journaled: HashSet<String> = frame_fields(journal.path(), None, "package")
         .into_iter()

@@ -1,8 +1,8 @@
 //! Differential and consistency tests for the telemetry layer: spans and
 //! metrics must never change a measured byte, the Chrome-trace export
-//! must be structurally valid, the event stream must agree with the
-//! journal, and a resumed sweep must stitch into the previous timeline
-//! without reusing span ids.
+//! must be structurally valid, a killed session's event log must agree
+//! with the journal, and a resumed sweep must stitch into the previous
+//! timeline without reusing span ids.
 
 use std::collections::HashSet;
 use std::path::PathBuf;
@@ -125,27 +125,45 @@ fn chrome_trace_from_sweep_parses_back() {
     }
 }
 
-/// A completed journaled run finalizes the event stream to its canonical
-/// form: checksummed frames with contiguous sequence numbers whose bodies
-/// are per-app checkpoint and provenance facts in corpus order — free of
-/// span ids and timestamps, so the finalized stream is byte-stable
-/// however the sweep interleaved.
+/// A session killed once every app is appended leaves its event log
+/// beside the journal: checksummed frames with contiguous sequence
+/// numbers whose checkpoint and provenance-link lines name each journaled
+/// app once, each with the span that produced it. The resume that
+/// finalizes the journal removes the log. One worker makes the write-op
+/// count a function of the corpus, so a counting run finds the
+/// finalize's two ops at the end of the run.
 #[test]
-fn completed_event_stream_is_canonical_and_agrees_with_journal() {
+fn killed_session_log_agrees_with_journal() {
     let corpus = small_corpus(60);
-    let journal = temp_journal("canonical");
-
-    let pipeline = Pipeline::new(PipelineConfig {
+    let config = PipelineConfig {
         environment_reruns: false,
+        workers: 1,
         ..PipelineConfig::default()
-    });
+    };
+    let counted = temp_journal("log_counted");
+    let counting = dydroid::IoHarness::counting();
+    let mut pipeline = Pipeline::new(config.clone());
+    pipeline.set_io_harness(std::sync::Arc::clone(&counting));
+    let _ = pipeline
+        .run_resumable(&corpus, &counted)
+        .expect("counted sweep");
+    assert!(
+        !counted.events_path().exists(),
+        "a finished sweep left its event log"
+    );
+    counted.reset().expect("cleanup");
+
+    let journal = temp_journal("log_killed");
+    let mut pipeline = Pipeline::new(config.clone());
+    pipeline.set_io_harness(dydroid::IoHarness::new(Some(counting.ops() - 2), None));
     let _ = pipeline
         .run_resumable(&corpus, &journal)
-        .expect("initial sweep");
+        .expect("killed sweep still returns");
 
-    let events_text = std::fs::read_to_string(journal.events_path()).expect("events file");
-    let mut checkpoints: Vec<String> = Vec::new();
-    let mut provenance_links: Vec<String> = Vec::new();
+    let events_text = std::fs::read_to_string(journal.events_path()).expect("event log");
+    let mut app_spans: HashSet<u64> = HashSet::new();
+    let mut checkpoints: Vec<(String, u64)> = Vec::new();
+    let mut provenance_links: Vec<(String, u64)> = Vec::new();
     for (i, line) in events_text
         .lines()
         .filter(|l| !l.trim().is_empty())
@@ -155,22 +173,18 @@ fn completed_event_stream_is_canonical_and_agrees_with_journal() {
         assert_eq!(
             v.get("seq").and_then(|s| s.as_u64()),
             Some(i as u64),
-            "finalized frames must be contiguously sequenced"
+            "log frames must be contiguously sequenced"
         );
         let body = v.get("body").expect("framed event has a body");
-        assert!(
-            body.get("span").is_none() && body.get("t_us").is_none(),
-            "canonical events must not carry span ids or timestamps: {line}"
-        );
-        let app = body
-            .get("app")
-            .and_then(|a| a.as_str())
-            .expect("event app")
-            .to_string();
-        match body.get("type").and_then(|t| t.as_str()) {
-            Some("checkpoint") => checkpoints.push(app),
-            Some("provenance") => provenance_links.push(app),
-            other => panic!("unexpected canonical event type {other:?}"),
+        let field = |name: &str| body.get(name).and_then(|f| f.as_str()).map(str::to_string);
+        let span = || body.get("span").and_then(|s| s.as_u64()).expect("span ref");
+        match field("type").as_deref() {
+            Some("span") if field("name").as_deref() == Some("app") => {
+                app_spans.insert(body.get("id").and_then(|i| i.as_u64()).expect("span id"));
+            }
+            Some("checkpoint") => checkpoints.push((field("app").expect("app"), span())),
+            Some("provenance") => provenance_links.push((field("app").expect("app"), span())),
+            _ => {}
         }
     }
     let journaled: Vec<String> = journal
@@ -180,25 +194,39 @@ fn completed_event_stream_is_canonical_and_agrees_with_journal() {
         .map(|r| r.package)
         .collect();
     assert_eq!(journaled.len(), corpus.len());
+    for (what, lines) in [
+        ("checkpoints", &checkpoints),
+        ("provenance links", &provenance_links),
+    ] {
+        let apps: Vec<String> = lines.iter().map(|(app, _)| app.clone()).collect();
+        assert_eq!(apps, journaled, "{what} diverge from the journal");
+        for (app, span) in lines {
+            assert!(
+                app_spans.contains(span),
+                "{what}: {app} references unknown span {span}"
+            );
+        }
+    }
+
+    let _ = Pipeline::new(config)
+        .run_resumable(&corpus, &journal)
+        .expect("resumed sweep");
+    let finalized: Vec<String> = journal
+        .load()
+        .expect("journal")
+        .into_iter()
+        .map(|r| r.package)
+        .collect();
     let corpus_order: Vec<String> = corpus.iter().map(|a| a.package().to_string()).collect();
     assert_eq!(
-        journaled, corpus_order,
+        finalized, corpus_order,
         "finalized journal is corpus-ordered"
     );
-    assert_eq!(
-        checkpoints, corpus_order,
-        "checkpoints diverge from the corpus"
-    );
-    assert_eq!(
-        provenance_links, corpus_order,
-        "provenance links diverge from the corpus"
-    );
-
-    journal.reset().expect("cleanup");
     assert!(
         !journal.events_path().exists(),
-        "journal reset must remove the event stream"
+        "the resume left the event log"
     );
+    journal.reset().expect("cleanup");
 }
 
 /// A run killed mid-sweep (via the virtual-clock I/O harness) leaves a
