@@ -43,7 +43,7 @@ use std::io::Write as _;
 use std::ops::ControlFlow;
 
 use dydroid::durable::read_frames;
-use dydroid::obs::{MetricsSnapshot, SpanRecord};
+use dydroid::obs::{Histogram, MetricsSnapshot, SpanRecord};
 use dydroid::provenance::{check_against_journal, corpus_dot};
 use dydroid::{AppProvenance, Journal, ProvenanceLedger, SpanProfile};
 use dydroid_bench::{EXIT_CODE_HELP, EXIT_FINDING, EXIT_USAGE};
@@ -236,11 +236,11 @@ fn cmd_check(records: &[AppProvenance], ledger_path: &str, journal_path: &str) {
 
 fn cmd_profile(journal_path: &str, out: Option<&str>) {
     let journal = Journal::new(journal_path);
-    let profile = SpanProfile::replay_journal(&journal).unwrap_or_else(|e| {
+    let profile = SpanProfile::from_event_stream(&journal.events_path()).unwrap_or_else(|e| {
         eprintln!("error: cannot replay event streams of {journal_path}: {e}");
         std::process::exit(EXIT_FINDING);
     });
-    let folded = if profile.is_empty() {
+    let folded = if profile.span_count() == 0 {
         // Finalize removes the log and appends each session's stacks to
         // the artifact.
         std::fs::read_to_string(journal.profile_path()).unwrap_or_else(|_| {
@@ -285,8 +285,9 @@ struct TopFrame {
     snapshots: usize,
     /// Virtual clock at the newest snapshot.
     virtual_us: u64,
-    /// Span durations per phase name, for latency quantiles.
-    phase_us: HashMap<String, Vec<u64>>,
+    /// Span durations per phase name, for latency quantiles (the
+    /// log-linear buckets of the pipeline's `span.<name>.us`).
+    phase_us: HashMap<String, Histogram>,
     /// Straggler warning apps, oldest first.
     straggler_apps: Vec<String>,
 }
@@ -316,7 +317,7 @@ fn read_top_frame(journal: &Journal) -> TopFrame {
                         .phase_us
                         .entry(span.name)
                         .or_default()
-                        .push(span.dur_us);
+                        .record(span.dur_us);
                 }
             }
             Some("warn") if value.get("kind").and_then(|k| k.as_str()) == Some("straggler") => {
@@ -363,15 +364,6 @@ fn read_top_frame(journal: &Journal) -> TopFrame {
         frame.stalls = snap.counter("watchdog.stragglers");
     }
     frame
-}
-
-/// Nearest-rank percentile over an unsorted sample set.
-fn percentile_us(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let rank = ((q * sorted.len() as f64).ceil() as usize).clamp(1, sorted.len());
-    sorted[rank - 1]
 }
 
 fn render_top(
@@ -452,10 +444,8 @@ fn render_top(
         );
     }
     if !frame.phase_us.is_empty() {
-        let mut phases: Vec<(&String, &Vec<u64>)> = frame.phase_us.iter().collect();
-        phases.sort_by_key(|(name, durs)| {
-            (std::cmp::Reverse(durs.iter().sum::<u64>()), (*name).clone())
-        });
+        let mut phases: Vec<(&String, &Histogram)> = frame.phase_us.iter().collect();
+        phases.sort_by_key(|(name, h)| (std::cmp::Reverse(h.sum()), *name));
         let width = phases
             .iter()
             .map(|(name, _)| name.len())
@@ -467,17 +457,15 @@ fn render_top(
             "  {:<width$}  {:>7}  {:>10}  {:>10}  {:>10}",
             "phase", "count", "p50 µs", "p95 µs", "p99 µs"
         );
-        for (name, durs) in phases.iter().take(10) {
-            let mut sorted = (*durs).clone();
-            sorted.sort_unstable();
+        for (name, h) in phases.iter().take(10) {
             let _ = writeln!(
                 out,
                 "  {:<width$}  {:>7}  {:>10}  {:>10}  {:>10}",
                 name,
-                sorted.len(),
-                percentile_us(&sorted, 0.50),
-                percentile_us(&sorted, 0.95),
-                percentile_us(&sorted, 0.99),
+                h.count(),
+                h.quantile(0.50),
+                h.quantile(0.95),
+                h.quantile(0.99),
             );
         }
     }

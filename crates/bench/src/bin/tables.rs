@@ -23,20 +23,20 @@
 //! `--trace-out PATH` writes a Chrome `trace_event` file loadable in
 //! chrome://tracing or Perfetto; `--profile-out PATH` writes the sweep's
 //! span-derived self-time profile as flamegraph-collapsed stack lines
-//! (feed to `inferno` / `flamegraph.pl`, or read directly — hottest
-//! self-time first via `dcltrace profile`); `--progress` prints a
+//! (feed to `inferno` / `flamegraph.pl`, or read them with
+//! `dcltrace profile`); `--progress` prints a
 //! periodic one-line sweep progress report to stderr from a thread
 //! polling the live sweep gauges (`dydroid_bench::progress`). The trace
-//! and profile come from the pipeline's telemetry after the run. An
-//! output that cannot be written fails the run (exit 1).
+//! streams from the pipeline's telemetry from before it is built (an
+//! unwritable one fails the run before the sweep); the profile is read
+//! after the run. An output that cannot be written fails the run (exit 1).
 //! `--sync-policy` picks when the persistent streams fsync: `always`
 //! (per record), `checkpoint` (default, batched), or `never`.
 
 use std::io;
 use std::path::Path;
 
-use dydroid::obs::SpanProfile;
-use dydroid::{Journal, Pipeline, PipelineConfig, SyncPolicy};
+use dydroid::{Journal, Pipeline, PipelineConfig, SyncPolicy, Telemetry};
 use dydroid_bench::args::{ArgParser, EXIT_FINDING};
 use dydroid_bench::progress;
 use dydroid_workload::{generate, CorpusSpec};
@@ -141,12 +141,21 @@ fn main() {
     eprintln!("corpus: {} apps in {:.1?}", corpus.len(), t0.elapsed());
 
     let needs_env = args.all || args.tables.contains(&8);
-    let pipeline = Pipeline::new(PipelineConfig {
-        environment_reruns: needs_env,
-        workers: args.workers,
-        sync_policy: args.sync_policy,
-        ..Default::default()
-    });
+    let telemetry = Telemetry::new(true);
+    if let Some(path) = &args.trace_out {
+        telemetry
+            .open_trace(Path::new(path))
+            .unwrap_or_else(|e| cannot_write(path, e));
+    }
+    let pipeline = Pipeline::with_telemetry(
+        PipelineConfig {
+            environment_reruns: needs_env,
+            workers: args.workers,
+            sync_policy: args.sync_policy,
+            ..Default::default()
+        },
+        telemetry,
+    );
     let t1 = std::time::Instant::now();
     let run = || match &args.journal {
         Some(path) => {
@@ -223,10 +232,10 @@ fn main() {
         write_output(&path, |p| std::fs::write(p, text));
     }
     if let Some(path) = &args.trace_out {
-        write_output(path, |p| pipeline.telemetry().write_chrome_trace(p));
+        write_output(path, |_| pipeline.telemetry().close_trace());
     }
     if let Some(path) = &args.profile_out {
-        let folded = SpanProfile::from_spans(&pipeline.telemetry().spans()).folded();
+        let folded = pipeline.telemetry().profile().folded();
         write_output(path, |p| std::fs::write(p, folded));
     }
     if let Some(path) = &args.journal {

@@ -1,10 +1,10 @@
 //! Telemetry overhead benchmark: runs the sweepbench-shape corpus with
 //! telemetry **disabled** and **enabled**, verifies the two reports are
 //! byte-identical JSON (the observability layer must never change a
-//! measured byte), validates the Chrome-trace export by parsing it
-//! back, micro-benchmarks the no-op span fast path, and emits a unified
-//! `BENCH_trace.json` measurement record. Wall-clock and span-cost
-//! numbers are sampled
+//! measured byte), streams the Chrome trace of one more enabled sweep
+//! and parses it back, micro-benchmarks the no-op span fast path, and
+//! emits a unified `BENCH_trace.json` measurement record. Wall-clock
+//! and span-cost numbers are sampled
 //! over several rounds (rebar warmup/sample discipline); the recorded
 //! span count is a deterministic `Steady` identity benchcmp gates
 //! across machines.
@@ -15,6 +15,7 @@
 //! enabled run recorded × the measured ns per disabled span, over the
 //! disabled-run wall time — stays far below the budget.
 
+use std::path::PathBuf;
 use std::time::Instant;
 
 use dydroid::obs::Telemetry;
@@ -105,13 +106,15 @@ fn main() {
         "tracebench: telemetry-enabled sweep ({} warmup + {} sample rounds) ...",
         common.warmup, common.samples
     );
-    let mut on_run: Option<(Pipeline, MeasurementReport)> = None;
+    // The enabled run's own span count: every span it closed, folded
+    // into its profile.
+    let mut on_run: Option<(u64, MeasurementReport)> = None;
     let on_ms = sample_rounds(common.samples, common.warmup, || {
         let (pipeline, report, ms) = timed_sweep(PipelineConfig::default(), &corpus);
-        on_run = Some((pipeline, report));
+        on_run = Some((pipeline.telemetry().profile().span_count(), report));
         ms
     });
-    let (on_pipeline, on_report) = on_run.expect("enabled rounds");
+    let (spans_recorded, on_report) = on_run.expect("enabled rounds");
     let on_med = Stats::from_samples(&on_ms).median;
     eprintln!("tracebench: enabled sweep median {on_med:.1} ms");
     eprint!("{}", on_report.render_perf());
@@ -129,31 +132,37 @@ fn main() {
         off_json.len()
     );
 
-    // Chrome-trace export: write it (to --trace-out or a temp path) and
-    // parse it back as a structural validity check.
-    let spans = on_pipeline.telemetry().spans();
-    let trace_doc = dydroid::obs::chrome_trace(&spans);
-    let trace_text = serde_json::to_string(&trace_doc).expect("serialise trace");
-    let parsed: serde_json::Value = serde_json::from_str(&trace_text).expect("trace parses back");
-    let n_events = parsed
-        .get("traceEvents")
-        .and_then(|e| e.as_array())
-        .map(|a| a.len())
-        .unwrap_or_else(|| {
-            eprintln!("tracebench: FAIL — trace document has no traceEvents array");
-            std::process::exit(EXIT_FINDING);
-        });
-    if n_events != spans.len() {
+    // Chrome-trace export: one more enabled sweep streams its trace (to
+    // --trace-out or a temp path), opened before the pipeline is built,
+    // and the file must parse back with one complete event per span.
+    let trace_path = trace_out.as_ref().map_or_else(
+        || std::env::temp_dir().join(format!("tracebench-{}.trace.json", std::process::id())),
+        PathBuf::from,
+    );
+    let telemetry = Telemetry::new(true);
+    let n_events = telemetry
+        .open_trace(&trace_path)
+        .and_then(|()| {
+            let pipeline = Pipeline::with_telemetry(PipelineConfig::default(), telemetry);
+            let _ = pipeline.run(&corpus);
+            pipeline.telemetry().close_trace()
+        })
+        .and_then(|()| std::fs::read_to_string(&trace_path))
+        .ok()
+        .and_then(|text| serde_json::from_str::<serde_json::Value>(&text).ok())
+        .and_then(|doc| doc.get("traceEvents")?.as_array().map(Vec::len));
+    if trace_out.is_none() {
+        let _ = std::fs::remove_file(&trace_path);
+    }
+    let Some(n_events) = n_events.filter(|&n| n as u64 == spans_recorded) else {
         eprintln!(
-            "tracebench: FAIL — {} spans produced {} trace events",
-            spans.len(),
-            n_events
+            "tracebench: FAIL — {spans_recorded} spans streamed a trace of {n_events:?} events to {}",
+            trace_path.display()
         );
         std::process::exit(EXIT_FINDING);
-    }
+    };
     eprintln!("tracebench: chrome trace valid ({n_events} events)");
     if let Some(path) = &trace_out {
-        std::fs::write(path, &trace_text).expect("write trace");
         eprintln!("tracebench: wrote {path}");
     }
 
@@ -174,7 +183,7 @@ fn main() {
     // The disabled-path overhead estimate: every span the enabled run
     // recorded would have been a no-op guard in the disabled run.
     let off_ns = off_med.max(1.0) * 1e6;
-    let disabled_overhead_pct = 100.0 * (spans.len() as f64 * disabled_ns_med) / off_ns;
+    let disabled_overhead_pct = 100.0 * (spans_recorded as f64 * disabled_ns_med) / off_ns;
     let enabled_overhead_pct = if off_med == 0.0 {
         0.0
     } else {
@@ -209,14 +218,14 @@ fn main() {
         "count",
         Direction::Steady,
         true,
-        vec![spans.len() as f64],
+        vec![spans_recorded as f64],
     );
     record.payload = serde_json::json!({
         "apps": apps,
         "workers": PipelineConfig::default().effective_workers(),
         "disabled_wall_ms": off_med,
         "enabled_wall_ms": on_med,
-        "spans_recorded": spans.len(),
+        "spans_recorded": spans_recorded,
         "trace_events": n_events,
         "span_ns_disabled": disabled_ns_med,
         "span_ns_enabled": enabled_ns_med,

@@ -217,15 +217,6 @@ impl Measurement {
         self.counters.insert(name.to_string(), value);
     }
 
-    /// Merges every counter of a telemetry
-    /// [`MetricsSnapshot`](dydroid::obs::MetricsSnapshot) into the
-    /// record (the registry names are kept verbatim).
-    pub fn counters_from_snapshot(&mut self, snap: &dydroid::obs::MetricsSnapshot) {
-        for (name, value) in snap.counter_map() {
-            self.counters.insert(name, value);
-        }
-    }
-
     /// Merges the sweep-level counters of a finished run (cache and
     /// inline-cache hit counters, worker virtual time, recovery and
     /// durability counters) into the record.

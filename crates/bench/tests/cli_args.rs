@@ -76,7 +76,8 @@ fn path_arg(path: &std::path::Path) -> &str {
 }
 
 /// An output `tables` cannot write fails the run: `error: cannot write
-/// PATH`, exit 1, and no line claiming a file was written.
+/// PATH`, exit 1, and no line claiming a file was written; an
+/// unwritable trace fails it before the sweep.
 #[test]
 fn tables_fails_when_an_output_cannot_be_written() {
     let tables = env!("CARGO_BIN_EXE_tables");
@@ -118,6 +119,13 @@ fn tables_fails_when_an_output_cannot_be_written() {
             !stderr.contains("wrote ") && !stderr.contains("written to"),
             "{args:?} claimed a write: {stderr}"
         );
+        // The trace is opened before the sweep, so it fails first.
+        if case[0].0 == "--trace-out" {
+            assert!(
+                !stderr.contains("pipeline: analysed"),
+                "{args:?} swept before failing: {stderr}"
+            );
+        }
     }
     assert!(!missing.exists());
     let _ = std::fs::remove_dir_all(&dir);

@@ -136,7 +136,7 @@ impl AnalysisCache {
             misses: AtomicU64::new(0),
             sig_builds: AtomicU64::new(0),
             taint_runs: AtomicU64::new(0),
-            telemetry: Telemetry::disabled(),
+            telemetry: Telemetry::new(false),
         }
     }
 

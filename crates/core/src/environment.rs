@@ -216,14 +216,8 @@ fn loaded_flags(
     span.field("app", &app.plan.package);
     span.field("config", config_name);
     let mut device = pipeline.prepare_device(app, config.clone());
-    let (outcome, _, _) = pipeline.exercise_and_analyze_salted(
-        app,
-        &mut device,
-        install_bytes,
-        decompiled,
-        0,
-        span.id(),
-    );
+    let (outcome, _, _) =
+        pipeline.exercise_and_analyze_salted(app, &mut device, install_bytes, decompiled, 0, &span);
     // A crash after loading does not un-load the file: count events
     // regardless of the final status (interception happens at load time).
     let flags: Vec<bool> = malicious_paths

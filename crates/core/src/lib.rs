@@ -64,7 +64,7 @@ pub mod training;
 pub mod obs {
     pub use crate::profile::{ProfileEntry, SpanProfile, StragglerEntry, Watchdog};
     pub use crate::telemetry::{
-        chrome_trace, Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot, SpanGuard,
+        ChildTable, Histogram, HistogramSummary, MetricsRegistry, MetricsSnapshot, SpanGuard,
         SpanRecord, Telemetry,
     };
 }

@@ -33,12 +33,12 @@ use crate::config::{
     QUARANTINE_THRESHOLD, STRAGGLER_TOP,
 };
 use crate::durable::{self, IoHarness, IoState, Replacement, SinkOptions, StreamEnd, StreamKind};
-use crate::profile::{SpanProfile, StragglerEntry, Watchdog};
+use crate::profile::{StragglerEntry, Watchdog};
 use crate::provenance::{AppProvenance, ProvenanceLedger};
 use crate::report::{MeasurementReport, SweepStats};
 use crate::scheduler::{idle_workers, virtual_makespan_us, DispatchCursor, WorkerStats};
 use crate::sweep::QuarantineEntry;
-use crate::telemetry::{HistogramSummary, MetricsSnapshot, Telemetry};
+use crate::telemetry::{ChildTable, HistogramSummary, MetricsSnapshot, SpanGuard, Telemetry};
 use crate::training;
 
 /// Outcome category of the dynamic phase (Table II rows).
@@ -194,6 +194,14 @@ impl Pipeline {
     /// inverted block index is built once here, at train time).
     pub fn new(config: PipelineConfig) -> Self {
         let telemetry = Telemetry::new(config.telemetry);
+        Self::with_telemetry(config, telemetry)
+    }
+
+    /// A pipeline on a telemetry handle the caller made, in place of the
+    /// one `config.telemetry` asks for: an exporter the caller opened on
+    /// it (a streamed trace, an event sink) sees every span, the
+    /// detector's training at construction included.
+    pub fn with_telemetry(config: PipelineConfig, telemetry: Telemetry) -> Self {
         let detector = training::reference_detector_traced(
             dydroid_analysis::acfg::DEFAULT_THRESHOLD,
             &telemetry,
@@ -294,7 +302,7 @@ impl Pipeline {
             &mut slots,
             None,
             observatory.as_ref(),
-            sweep_span.id(),
+            &sweep_span,
         );
         drop(sweep_span);
         if let Some(obs) = &observatory {
@@ -310,15 +318,7 @@ impl Pipeline {
     /// Marks of the monotonic avm counters (truncation + inline caches),
     /// for per-run deltas.
     fn avm_counter_marks(&self) -> AvmMarks {
-        AvmMarks {
-            events_dropped: self.telemetry.counter_value("avm.events_dropped"),
-            flow_truncated: self.telemetry.counter_value("avm.flow_edges_truncated"),
-            flow_deduped: self.telemetry.counter_value("avm.flow_edges_deduped"),
-            ic_call_hits: self.telemetry.counter_value("avm.ic_call_hits"),
-            ic_call_misses: self.telemetry.counter_value("avm.ic_call_misses"),
-            ic_field_hits: self.telemetry.counter_value("avm.ic_field_hits"),
-            ic_field_misses: self.telemetry.counter_value("avm.ic_field_misses"),
-        }
+        AVM_COUNTERS.map(|name| self.telemetry.counter_value(name))
     }
 
     /// Like [`Pipeline::run`], but streams every completed record to
@@ -446,7 +446,7 @@ impl Pipeline {
             &mut slots,
             Some(&mut writers),
             observatory.as_ref(),
-            sweep_span.id(),
+            &sweep_span,
         );
         drop(sweep_span);
         if let Some(obs) = &observatory {
@@ -723,7 +723,7 @@ impl Pipeline {
         slots: &mut SweepSlots,
         mut writers: Option<&mut StreamWriters>,
         observatory: Option<&Observatory>,
-        parent_span: u64,
+        parent: &SpanGuard,
     ) -> Vec<WorkerStats> {
         let workers = self.config.effective_workers().min(order.len().max(1));
         let keep_graphs = writers.is_some();
@@ -755,8 +755,8 @@ impl Pipeline {
                 scope.spawn(move |_| {
                     while let Some(index) = cursor.next() {
                         let started = Instant::now();
-                        let (record, graph, span_id, virtual_us) =
-                            self.analyze_app_traced(&corpus[index], parent_span, keep_graphs);
+                        let (record, graph, span_id, virtual_us, phases) =
+                            self.analyze_app_traced(&corpus[index], parent, keep_graphs);
                         let bodies = graph.as_ref().map(|g| AppBodies::encode(&record, g));
                         let finished = Finished {
                             worker,
@@ -767,6 +767,7 @@ impl Pipeline {
                             span_id,
                             busy_us: started.elapsed().as_micros() as u64,
                             virtual_us,
+                            phases,
                         };
                         if result_tx.send(finished).is_err() {
                             // Receiver gone: the sweep is shutting down.
@@ -806,7 +807,7 @@ impl Pipeline {
                     }
                     self.telemetry.gauge_set("sweep.done", collected_count);
                     if let Some(obs) = observatory {
-                        obs.on_app_done(self, &done.record.package, done.span_id, done.virtual_us);
+                        obs.on_app_done(self, &done.record.package, done.virtual_us, done.phases);
                     }
                 }
                 slots.file(done.index, done.record, done.graph);
@@ -870,8 +871,8 @@ impl Pipeline {
             None => 0,
         };
         // Observatory wrap-up: idle-worker warnings, then the straggler
-        // appendix — per-phase breakdowns filled from the flagged apps'
-        // child spans in one pass over the span store.
+        // appendix, whose phase breakdowns the collector kept as it
+        // flagged each app.
         let (straggler_warnings, stragglers) = match &observatory {
             Some(obs) => {
                 let idle = idle_workers(&perf.worker_stats);
@@ -883,32 +884,11 @@ impl Pipeline {
                 }
                 let (flagged, mut entries) = obs.take_stragglers();
                 entries.sort_by(|a, b| {
-                    b.0.virtual_us
-                        .cmp(&a.0.virtual_us)
-                        .then_with(|| a.0.package.cmp(&b.0.package))
+                    b.virtual_us
+                        .cmp(&a.virtual_us)
+                        .then_with(|| a.package.cmp(&b.package))
                 });
                 entries.truncate(STRAGGLER_TOP);
-                let wanted: HashSet<u64> = entries.iter().map(|(_, id)| *id).collect();
-                let mut children: HashMap<u64, Vec<(String, u64)>> = HashMap::new();
-                if !wanted.is_empty() {
-                    for span in self.telemetry.spans() {
-                        if wanted.contains(&span.parent) {
-                            children
-                                .entry(span.parent)
-                                .or_default()
-                                .push((span.name, span.dur_us));
-                        }
-                    }
-                }
-                let entries: Vec<StragglerEntry> = entries
-                    .into_iter()
-                    .map(|(mut entry, id)| {
-                        let mut phases = children.remove(&id).unwrap_or_default();
-                        phases.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
-                        entry.phases = phases;
-                        entry
-                    })
-                    .collect();
                 (flagged, entries)
             }
             None => (0, Vec::new()),
@@ -928,6 +908,8 @@ impl Pipeline {
             .map(|(_, io_state, _)| io_state.snapshot())
             .unwrap_or_default();
         let recovery = recovery.unwrap_or_default();
+        let avm_now = self.avm_counter_marks();
+        let deltas: AvmMarks = std::array::from_fn(|i| avm_now[i].saturating_sub(avm_marks[i]));
         let stats = SweepStats {
             sweep_ms: perf.sweep_ms,
             env_ms: env_start.elapsed().as_millis() as u64,
@@ -936,34 +918,13 @@ impl Pipeline {
             journaled: journal.is_some(),
             cache: self.cache.stats().since(&cache_mark),
             detector: self.detector.stats().since(&detector_mark),
-            dropped_events: self
-                .telemetry
-                .counter_value("avm.events_dropped")
-                .saturating_sub(avm_marks.events_dropped),
-            flow_truncated: self
-                .telemetry
-                .counter_value("avm.flow_edges_truncated")
-                .saturating_sub(avm_marks.flow_truncated),
-            flow_deduped: self
-                .telemetry
-                .counter_value("avm.flow_edges_deduped")
-                .saturating_sub(avm_marks.flow_deduped),
-            ic_call_hits: self
-                .telemetry
-                .counter_value("avm.ic_call_hits")
-                .saturating_sub(avm_marks.ic_call_hits),
-            ic_call_misses: self
-                .telemetry
-                .counter_value("avm.ic_call_misses")
-                .saturating_sub(avm_marks.ic_call_misses),
-            ic_field_hits: self
-                .telemetry
-                .counter_value("avm.ic_field_hits")
-                .saturating_sub(avm_marks.ic_field_hits),
-            ic_field_misses: self
-                .telemetry
-                .counter_value("avm.ic_field_misses")
-                .saturating_sub(avm_marks.ic_field_misses),
+            dropped_events: deltas[0],
+            flow_truncated: deltas[1],
+            flow_deduped: deltas[2],
+            ic_call_hits: deltas[3],
+            ic_call_misses: deltas[4],
+            ic_field_hits: deltas[5],
+            ic_field_misses: deltas[6],
             journal_syncs: io.syncs[StreamKind::Journal.index()],
             io_retries: io.retries,
             io_backoff_us: io.backoff_us,
@@ -1154,7 +1115,7 @@ impl Pipeline {
         if journal_renamed || canonical.journal {
             if self.telemetry.is_enabled() {
                 let path = journal.profile_path();
-                let folded = SpanProfile::from_spans(&self.telemetry.spans()).folded();
+                let folded = self.telemetry.profile().folded();
                 let appended = std::fs::OpenOptions::new()
                     .create(true)
                     .append(true)
@@ -1177,22 +1138,24 @@ impl Pipeline {
     /// (reseeding the Monkey on each retry), and the final
     /// failure is recorded as [`DynamicStatus::AnalysisFailure`].
     pub fn analyze_app_resilient(&self, app: &SyntheticApp) -> AppRecord {
-        self.analyze_app_traced(app, 0, false).0
+        self.analyze_app_traced(app, &SpanGuard::default(), false).0
     }
 
     /// [`Pipeline::analyze_app_resilient`] under a per-app telemetry span
-    /// (parented to the sweep span); returns the record and, with
-    /// `keep_graphs`, its provenance graph, together with the span id (so
-    /// the collector can checkpoint and ledger them) and the app's
+    /// opened under `parent` (the sweep span); returns the record and,
+    /// with `keep_graphs`, its provenance graph, together with the span
+    /// id (so the collector can checkpoint and ledger them), the app's
     /// deterministic virtual cost in microseconds, summed across
-    /// attempts, which the collector charges to the worker that ran it.
+    /// attempts, which the collector charges to the worker that ran it,
+    /// and the span's [`ChildTable`] (a retried app's repeated phases
+    /// summed by name), which it keeps for a flagged straggler.
     fn analyze_app_traced(
         &self,
         app: &SyntheticApp,
-        parent_span: u64,
+        parent: &SpanGuard,
         keep_graphs: bool,
-    ) -> (AppRecord, Option<AppProvenance>, u64, u64) {
-        let mut span = self.telemetry.span_with_parent("app", parent_span);
+    ) -> (AppRecord, Option<AppProvenance>, u64, u64, ChildTable) {
+        let mut span = self.telemetry.span_with_parent("app", parent);
         span.field("app", &app.plan.package);
         let span_id = span.id();
         let attempts = MAX_RETRIES + 1;
@@ -1201,62 +1164,55 @@ impl Pipeline {
         // The static phases are input-deterministic, so a multi-attempt
         // failure spiral decompiles the app once, not once per attempt.
         let mut statics: Option<StaticPhases> = None;
-        for attempt in 0..attempts {
-            if attempt > 0 && self.telemetry.is_enabled() {
-                self.telemetry.counter_add("sweep.retries", 1);
-            }
-            let salt = RETRY_SEED_SALT.wrapping_mul(u64::from(attempt));
-            match catch_unwind(AssertUnwindSafe(|| {
-                self.analyze_app_salted(app, salt, span_id, keep_graphs)
-            })) {
-                Ok((record, provenance, virtual_us)) => {
-                    total_virtual_us += virtual_us;
-                    if record.harness_failure().is_none() {
-                        span.field("attempt", attempt + 1);
-                        span.field("verdict", verdict_label(&record));
-                        // Apps that never reached the dynamic phase carry
-                        // no live device state; they still get a ledger
-                        // entry, reconstructed from the record, so the
-                        // ledger's app set always matches the journal's.
-                        let provenance = keep_graphs.then(|| {
-                            let mut p =
-                                provenance.unwrap_or_else(|| AppProvenance::from_record(&record));
-                            p.span = span_id;
-                            p
-                        });
-                        return (record, provenance, span_id, total_virtual_us);
+        let (record, provenance, tries) = 'attempts: {
+            for attempt in 0..attempts {
+                if attempt > 0 && self.telemetry.is_enabled() {
+                    self.telemetry.counter_add("sweep.retries", 1);
+                }
+                let salt = RETRY_SEED_SALT.wrapping_mul(u64::from(attempt));
+                match catch_unwind(AssertUnwindSafe(|| {
+                    self.analyze_app_salted(app, salt, &span, keep_graphs)
+                })) {
+                    Ok((record, provenance, virtual_us)) => {
+                        total_virtual_us += virtual_us;
+                        if record.harness_failure().is_none() {
+                            break 'attempts (record, provenance, attempt + 1);
+                        }
+                        last = Some(record);
                     }
-                    last = Some(record);
-                }
-                Err(payload) => {
-                    let reason = format!(
-                        "panic in attempt {}/{}: {}",
-                        attempt + 1,
-                        attempts,
-                        panic_message(payload.as_ref())
-                    );
-                    let statics = *statics.get_or_insert_with(|| Self::static_phases(app));
-                    last = Some(Self::app_record(
-                        app,
-                        statics,
-                        false,
-                        Some(DynamicOutcome::failure(reason)),
-                    ));
+                    Err(payload) => {
+                        let reason = format!(
+                            "panic in attempt {}/{}: {}",
+                            attempt + 1,
+                            attempts,
+                            panic_message(payload.as_ref())
+                        );
+                        let statics = *statics.get_or_insert_with(|| Self::static_phases(app));
+                        last = Some(Self::app_record(
+                            app,
+                            statics,
+                            false,
+                            Some(DynamicOutcome::failure(reason)),
+                        ));
+                    }
                 }
             }
-        }
-        let record =
-            last.unwrap_or_else(|| self.failure_record(app, "no analysis attempt ran".to_string()));
-        span.field("attempt", attempts);
+            let record = last
+                .unwrap_or_else(|| self.failure_record(app, "no analysis attempt ran".to_string()));
+            (record, None, attempts)
+        };
+        span.field("attempt", tries);
         span.field("verdict", verdict_label(&record));
-        // Harness failures carry no live device state; the ledger gets a
-        // degraded record reconstructed from the app record at finalize.
+        // Apps that never reached the dynamic phase, and harness failures,
+        // carry no live device state; they still get a ledger entry,
+        // reconstructed from the record, so the ledger's app set always
+        // matches the journal's.
         let provenance = keep_graphs.then(|| {
-            let mut p = AppProvenance::from_record(&record);
+            let mut p = provenance.unwrap_or_else(|| AppProvenance::from_record(&record));
             p.span = span_id;
             p
         });
-        (record, provenance, span_id, total_virtual_us)
+        (record, provenance, span_id, total_virtual_us, span.close())
     }
 
     /// Re-runs the cheap static phases under their own panic guard, so a
@@ -1333,7 +1289,7 @@ impl Pipeline {
     pub fn analyze_app(&self, app: &SyntheticApp) -> AppRecord {
         let mut span = self.telemetry.span("app");
         span.field("app", &app.plan.package);
-        let (record, _, _) = self.analyze_app_salted(app, 0, span.id(), false);
+        let (record, _, _) = self.analyze_app_salted(app, 0, &span, false);
         span.field("verdict", verdict_label(&record));
         record
     }
@@ -1347,7 +1303,7 @@ impl Pipeline {
         &self,
         app: &SyntheticApp,
         seed_salt: u64,
-        parent_span: u64,
+        parent: &SpanGuard,
         keep_graphs: bool,
     ) -> (AppRecord, Option<AppProvenance>, u64) {
         // The early returns of the phases below record no dynamic cost
@@ -1358,7 +1314,7 @@ impl Pipeline {
 
         // Phase 1+2: decompile, static filter, obfuscation analysis —
         // one "static" span; its early returns drop the guard on exit.
-        let static_span = self.telemetry.span_with_parent("static", parent_span);
+        let static_span = self.telemetry.span_with_parent("static", parent);
 
         let decompiled = match decompiler::decompile(&app.apk) {
             Ok(d) => d,
@@ -1402,7 +1358,7 @@ impl Pipeline {
         // scale.
         let (install_bytes, rewritten): (Cow<[u8]>, bool) =
             if decompiler::needs_rewriting(&decompiled.manifest) {
-                let _span = self.telemetry.span_with_parent("rewrite", parent_span);
+                let _span = self.telemetry.span_with_parent("rewrite", parent);
                 match decompiler::repackage_with_permission(&decompiled) {
                     Ok(bytes) => (Cow::Owned(bytes), true),
                     Err(_) => {
@@ -1422,7 +1378,7 @@ impl Pipeline {
             &install_bytes,
             &decompiled,
             seed_salt,
-            parent_span,
+            parent,
         );
         // Per-app instrumentation-bound counters (the env re-runs bypass
         // this path, so these count the baseline sweep only).
@@ -1487,7 +1443,8 @@ impl Pipeline {
         install_bytes: &[u8],
         decompiled: &decompiler::DecompiledApp,
     ) -> DynamicOutcome {
-        self.exercise_and_analyze_salted(app, device, install_bytes, decompiled, 0, 0)
+        let root = SpanGuard::default();
+        self.exercise_and_analyze_salted(app, device, install_bytes, decompiled, 0, &root)
             .0
     }
 
@@ -1498,7 +1455,7 @@ impl Pipeline {
     /// and the app's deterministic virtual cost in microseconds (from
     /// instructions retired), which the collector charges to its worker.
     /// The environment re-runs call it unsalted, under their own
-    /// per-configuration `parent_span`.
+    /// per-configuration `parent` span.
     pub(crate) fn exercise_and_analyze_salted(
         &self,
         app: &SyntheticApp,
@@ -1506,12 +1463,12 @@ impl Pipeline {
         install_bytes: &[u8],
         decompiled: &decompiler::DecompiledApp,
         seed_salt: u64,
-        parent_span: u64,
+        parent: &SpanGuard,
     ) -> (DynamicOutcome, Vec<(String, String)>, u64) {
         let package = &app.plan.package;
 
         {
-            let mut install_span = self.telemetry.span_with_parent("install", parent_span);
+            let mut install_span = self.telemetry.span_with_parent("install", parent);
             install_span.field("bytes", install_bytes.len());
             if install(device, install_bytes, decompiled).is_err() {
                 install_span.field("result", "error");
@@ -1528,7 +1485,7 @@ impl Pipeline {
             event_budget: self.config.monkey_events,
             deadline_ms: self.config.deadline_ms(),
         });
-        let mut monkey_span = self.telemetry.span_with_parent("monkey", parent_span);
+        let mut monkey_span = self.telemetry.span_with_parent("monkey", parent);
         let instructions_before = device.instructions_retired();
         let ic_before = device.ic_stats();
         let fires_before = device.hooks.fire_count();
@@ -1539,7 +1496,7 @@ impl Pipeline {
         let virtual_us = dydroid_monkey::virtual_us(instructions);
         let ic = device.ic_stats().since(&ic_before);
         let hook_fires = device.hooks.fire_count() - fires_before;
-        if monkey_span.is_recording() {
+        if self.telemetry.is_enabled() {
             monkey_span.field("instructions", instructions);
             monkey_span.field("hook_fires", hook_fires);
             monkey_span.field("ic_hits", ic.hits());
@@ -1589,7 +1546,7 @@ impl Pipeline {
         // re-runs of Table VIII rely on those events.
 
         // Collect DCL observations.
-        let mut collect_span = self.telemetry.span_with_parent("collect", parent_span);
+        let mut collect_span = self.telemetry.span_with_parent("collect", parent);
         let mut dex_events = Vec::new();
         let mut native_events = Vec::new();
         for event in device.log.dcl_events() {
@@ -1633,7 +1590,7 @@ impl Pipeline {
                 .chain(native_events.iter())
                 .map(|e| e.path.as_str()),
         );
-        if collect_span.is_recording() {
+        if self.telemetry.is_enabled() {
             collect_span.field("dex_events", dex_events.len());
             collect_span.field("native_events", native_events.len());
             collect_span.field("remote_loads", remote_loads.len());
@@ -1655,13 +1612,12 @@ impl Pipeline {
             .filter(|binary| seen_paths.insert(binary.path.as_str()))
             .collect();
         let taint = TaintAnalysis::new();
-        let mut analysis_span = self
-            .telemetry
-            .span_with_parent("binary_analysis", parent_span);
+        let mut analysis_span = self.telemetry.span_with_parent("binary_analysis", parent);
         // Delta marks lock every cache stripe, so take them only when
         // recording.
-        let marks = analysis_span
-            .is_recording()
+        let marks = self
+            .telemetry
+            .is_enabled()
             .then(|| (self.cache.stats(), self.detector.stats()));
         let verdicts: Vec<_> = unique
             .iter()
@@ -1842,9 +1798,8 @@ struct Observatory {
     /// event stream for snapshots to join.
     collected_us: Option<AtomicU64>,
     watchdog: Mutex<Watchdog>,
-    /// Flagged stragglers paired with their app span ids, so assemble
-    /// can fill per-phase breakdowns from the spans' children.
-    stragglers: Mutex<Vec<(StragglerEntry, u64)>>,
+    /// Flagged stragglers, each with its app span's phase breakdown.
+    stragglers: Mutex<Vec<StragglerEntry>>,
 }
 
 impl Observatory {
@@ -1859,12 +1814,13 @@ impl Observatory {
 
     /// Collector hook, once per completed app: feeds the watchdog the
     /// app's deterministic virtual cost (static-only apps charge none
-    /// and are not observations) and emits one metrics snapshot line per
+    /// and are not observations), keeps the app span's `phases` of a
+    /// flagged straggler, and emits one metrics snapshot line per
     /// [`METRICS_INTERVAL_US`] boundary its cost carries the collected
     /// clock across. The clock sums collected apps only (workers run
     /// ahead of the collector), so the line count depends on the
     /// session's apps, not on the order they complete in.
-    fn on_app_done(&self, pipeline: &Pipeline, package: &str, span_id: u64, virtual_us: u64) {
+    fn on_app_done(&self, pipeline: &Pipeline, package: &str, virtual_us: u64, phases: ChildTable) {
         if virtual_us > 0 {
             let flagged = self
                 .watchdog
@@ -1878,16 +1834,18 @@ impl Observatory {
                     package,
                     &[("virtual_us", virtual_us), ("median_us", median)],
                 );
+                let mut phases: Vec<(String, u64)> = phases
+                    .into_iter()
+                    .map(|(name, us)| (name.to_string(), us))
+                    .collect();
+                phases.sort_by(|a, b| b.1.cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
                 if let Ok(mut stragglers) = self.stragglers.lock() {
-                    stragglers.push((
-                        StragglerEntry {
-                            package: package.to_string(),
-                            virtual_us,
-                            median_virtual_us: median,
-                            phases: Vec::new(),
-                        },
-                        span_id,
-                    ));
+                    stragglers.push(StragglerEntry {
+                        package: package.to_string(),
+                        virtual_us,
+                        median_virtual_us: median,
+                        phases,
+                    });
                 }
             }
         }
@@ -1914,9 +1872,9 @@ impl Observatory {
         }
     }
 
-    /// Drains the flagged stragglers (with span ids) and the total flag
-    /// count, for [`SweepStats`].
-    fn take_stragglers(&self) -> (u64, Vec<(StragglerEntry, u64)>) {
+    /// Drains the flagged stragglers and the total flag count, for
+    /// [`SweepStats`].
+    fn take_stragglers(&self) -> (u64, Vec<StragglerEntry>) {
         let flagged = self.watchdog.lock().map_or(0, |w| w.flagged());
         let entries = self
             .stragglers
@@ -2051,6 +2009,7 @@ struct Finished {
     span_id: u64,
     busy_us: u64,
     virtual_us: u64,
+    phases: ChildTable,
 }
 
 /// What [`Pipeline::recover_all`] reconciled out of the two record
@@ -2099,17 +2058,21 @@ pub(crate) struct Canonical {
 }
 
 /// Marks of the monotonic avm telemetry counters taken at sweep start,
-/// so [`Pipeline::assemble`] can report per-run deltas.
-#[derive(Debug, Default, Clone, Copy)]
-struct AvmMarks {
-    events_dropped: u64,
-    flow_truncated: u64,
-    flow_deduped: u64,
-    ic_call_hits: u64,
-    ic_call_misses: u64,
-    ic_field_hits: u64,
-    ic_field_misses: u64,
-}
+/// so [`Pipeline::assemble`] can report per-run deltas: one per name of
+/// [`AVM_COUNTERS`].
+type AvmMarks = [u64; 7];
+
+/// The avm counters whose per-run deltas [`SweepStats`] reports, in the
+/// order [`Pipeline::assemble`] indexes them.
+const AVM_COUNTERS: [&str; 7] = [
+    "avm.events_dropped",
+    "avm.flow_edges_truncated",
+    "avm.flow_edges_deduped",
+    "avm.ic_call_hits",
+    "avm.ic_call_misses",
+    "avm.ic_field_hits",
+    "avm.ic_field_misses",
+];
 
 /// Recovery counts carried into [`Pipeline::assemble`] for [`SweepStats`].
 #[derive(Debug, Default)]
@@ -2248,7 +2211,14 @@ mod tests {
         .expect("open stream writers");
         let order: Vec<usize> = (0..corpus.len()).collect();
         let mut slots = SweepSlots::new(corpus.len(), true);
-        pipeline.sweep(corpus, &order, &mut slots, Some(&mut writers), None, 0);
+        pipeline.sweep(
+            corpus,
+            &order,
+            &mut slots,
+            Some(&mut writers),
+            None,
+            &SpanGuard::default(),
+        );
         for (app, graph) in corpus.iter().zip(&slots.graphs) {
             assert_eq!(
                 graph.as_ref().map(|g| g.package.as_str()),
@@ -2274,7 +2244,14 @@ mod tests {
         // Every other app, in reverse: only these are swept, each once.
         let order: Vec<usize> = (0..corpus.len()).rev().step_by(2).collect();
         let mut slots = SweepSlots::new(corpus.len(), false);
-        let stats = pipeline.sweep(corpus, &order, &mut slots, None, None, 0);
+        let stats = pipeline.sweep(
+            corpus,
+            &order,
+            &mut slots,
+            None,
+            None,
+            &SpanGuard::default(),
+        );
         assert_eq!(stats.len(), 4);
         let executed: u64 = stats.iter().map(|w| w.executed).sum();
         assert_eq!(
@@ -2353,21 +2330,32 @@ mod tests {
         let corpus = tiny_corpus();
         let corpus = &corpus[..12];
         let (dir, journal, pipeline) = cut_session(corpus, "retry_order");
+        let trace = dir.join("sweep.trace.json");
+        pipeline.telemetry().open_trace(&trace).expect("open trace");
         let report = pipeline
             .run_resumable(corpus, &journal)
             .expect("resumed session");
+        pipeline.telemetry().close_trace().expect("close trace");
         assert_eq!(report.stats().inconsistent_apps, 1);
+        let text = std::fs::read_to_string(&trace).expect("read trace");
+        let doc: serde::Value = serde_json::from_str(&text).expect("trace parses");
+        let events = doc
+            .get("traceEvents")
+            .and_then(|e| e.as_array())
+            .expect("traceEvents");
         let start_of = |i: usize| {
             let package = corpus[i].package();
-            pipeline
-                .telemetry()
-                .spans()
-                .into_iter()
-                .find(|span| {
-                    span.name == "app"
-                        && span.fields.iter().any(|(k, v)| k == "app" && v == package)
+            events
+                .iter()
+                .find(|event| {
+                    event.get("name").and_then(|n| n.as_str()) == Some("app")
+                        && event
+                            .get("args")
+                            .and_then(|a| a.get("app"))
+                            .and_then(|a| a.as_str())
+                            == Some(package)
                 })
-                .map(|span| span.start_us)
+                .and_then(|event| event.get("ts").and_then(|t| t.as_u64()))
                 .unwrap_or_else(|| panic!("no app span for `{package}`"))
         };
         let retry_start = start_of(7);
@@ -2746,7 +2734,7 @@ mod tests {
         let reopen = Pipeline::new(config);
         reopen.run_resumable(&corpus, &journal).expect("reopen");
         let after = std::fs::read_to_string(journal.profile_path()).expect("artifact");
-        let session = SpanProfile::from_spans(&reopen.telemetry().spans()).folded();
+        let session = reopen.telemetry().profile().folded();
         assert_eq!(after, format!("{first}{session}"));
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2860,7 +2848,7 @@ mod tests {
                 if !charged_ahead {
                     pipeline.telemetry.counter_add("monkey.virtual_us", cost);
                 }
-                obs.on_app_done(&pipeline, "app", 0, cost);
+                obs.on_app_done(&pipeline, "app", cost, Vec::new());
             }
             drop(pipeline);
             let bytes = std::fs::read(&path).expect("event stream exists");

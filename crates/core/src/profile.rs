@@ -1,22 +1,23 @@
 //! Span-derived profiling and the straggler watchdog — the analytical
 //! half of the sweep observatory (DESIGN.md §5j).
 //!
-//! The telemetry layer (§5d) records one [`SpanRecord`] per phase per
-//! app. This module folds that span tree into a **profile**: for every
-//! distinct root-to-leaf name path, how many spans ran there, their
-//! total (inclusive) time, and their self time (total minus child
-//! time). The profile is exportable as Brendan-Gregg collapsed-stack
-//! ("folded") lines — `app;monkey 1234` — which `flamegraph.pl` and
-//! every folded-stack tool consume directly.
+//! The telemetry layer (§5d) folds each span into a **profile** as it
+//! closes: for every distinct root-to-leaf name path, how many spans ran
+//! there, their total (inclusive) time, and their self time (the part of
+//! each span's interval no child span covers). The profile is
+//! exportable as Brendan-Gregg collapsed-stack ("folded") lines —
+//! `app;monkey 1234` — which `flamegraph.pl` and every folded-stack tool
+//! consume directly.
 //!
-//! The same profile is computable two ways, and the two are
-//! byte-identical over the same span set (a differential test holds
-//! this):
+//! Every span line of the event log carries its path, duration and self
+//! time, so the same profile is built two ways through one
+//! [`SpanProfile::fold`], and the two agree by construction:
 //!
-//! - **live**, from the in-memory span store fed by `SpanGuard` drops
-//!   ([`SpanProfile::from_spans`] over `Telemetry::spans()`), and
+//! - **live**, folded as spans close or are stitched in
+//!   (`Telemetry::profile()`), and
 //! - **offline**, by replaying the event log of a live or killed
-//!   journaled run ([`SpanProfile::replay_journal`]).
+//!   journaled run ([`SpanProfile::from_event_stream`] over
+//!   `Journal::events_path()`).
 //!
 //! The [`Watchdog`] rides the same data on the *deterministic virtual
 //! clock*: it keeps a running median of per-app virtual cost and flags
@@ -24,7 +25,7 @@
 //! wedged app in a corpus-scale sweep is named while it is happening
 //! instead of being averaged away post-hoc.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::BTreeMap;
 use std::fmt::Write as _;
 use std::io;
 use std::ops::ControlFlow;
@@ -34,13 +35,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::config::WATCHDOG_K;
 use crate::durable::read_frames;
-use crate::sweep::Journal;
 use crate::telemetry::SpanRecord;
-
-/// Parent-chain walk bound: a span nested deeper than this (impossible
-/// for well-formed streams; cycles only via corruption) is rooted where
-/// the walk stopped instead of looping forever.
-const MAX_PROFILE_DEPTH: usize = 64;
 
 /// Apps the watchdog observes before it starts flagging, so the running
 /// median is meaningful before anything is called a straggler.
@@ -53,117 +48,68 @@ pub struct ProfileEntry {
     pub count: u64,
     /// Inclusive time: sum of the spans' durations, in microseconds.
     pub total_us: u64,
-    /// Self time: inclusive time minus time attributed to child spans,
-    /// in microseconds.
+    /// Self time: the part of the spans' intervals no child span
+    /// covers, in microseconds.
     pub self_us: u64,
 }
 
 /// A self-time/total-time profile over a span tree, keyed by the
-/// root-to-leaf path of span names.
+/// `;`-joined root-to-leaf path of span names.
 ///
 /// Paths are stored in a `BTreeMap`, so every export is deterministic
-/// for a given span set regardless of the order spans were recorded or
-/// replayed in — the property the live-vs-offline differential test
-/// pins down to the byte.
+/// for a given span set regardless of the order spans were folded in —
+/// the property the live-vs-offline differential test pins down to the
+/// byte.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct SpanProfile {
-    nodes: BTreeMap<Vec<String>, ProfileEntry>,
+    nodes: BTreeMap<String, ProfileEntry>,
 }
 
 impl SpanProfile {
-    /// Builds the profile from a span set (any order).
-    ///
-    /// Each span contributes its duration to its own path's total, and
-    /// its duration minus its direct children's durations to the path's
-    /// self time. A span whose parent id is absent from the set (e.g. a
-    /// phase span whose app span was lost to a crash) roots its path at
-    /// the deepest ancestor present.
-    pub fn from_spans(spans: &[SpanRecord]) -> SpanProfile {
-        let mut by_id: HashMap<u64, usize> = HashMap::with_capacity(spans.len());
-        for (i, s) in spans.iter().enumerate() {
-            by_id.insert(s.id, i);
-        }
-        let mut child_us: HashMap<u64, u64> = HashMap::new();
-        for s in spans {
-            if s.parent != 0 && by_id.contains_key(&s.parent) {
-                *child_us.entry(s.parent).or_insert(0) += s.dur_us;
-            }
-        }
-        let mut nodes: BTreeMap<Vec<String>, ProfileEntry> = BTreeMap::new();
-        for s in spans {
-            let mut path = vec![s.name.clone()];
-            let mut cursor = s.parent;
-            for _ in 0..MAX_PROFILE_DEPTH {
-                if cursor == 0 {
-                    break;
-                }
-                match by_id.get(&cursor) {
-                    Some(&i) => {
-                        path.push(spans[i].name.clone());
-                        cursor = spans[i].parent;
-                    }
-                    None => break,
-                }
-            }
-            path.reverse();
-            let entry = nodes.entry(path).or_default();
-            entry.count += 1;
-            entry.total_us += s.dur_us;
-            entry.self_us += s
-                .dur_us
-                .saturating_sub(child_us.get(&s.id).copied().unwrap_or(0));
-        }
-        SpanProfile { nodes }
+    /// Folds one span, of `dur_us` with `self_us` of it uncovered by its
+    /// children, into its path's entry.
+    pub fn fold(&mut self, path: &str, dur_us: u64, self_us: u64) {
+        let entry = match self.nodes.get_mut(path) {
+            Some(entry) => entry,
+            None => self.nodes.entry(path.to_string()).or_default(),
+        };
+        entry.count += 1;
+        entry.total_us += dur_us;
+        entry.self_us += self_us;
     }
 
     /// Builds the profile offline by replaying a framed event stream:
-    /// every `{"type":"span"}` body in its valid prefix is a span. A torn
-    /// or corrupt tail ends the replay (same tolerance as
-    /// `Telemetry::stitch_from`); a missing file is empty.
+    /// every `{"type":"span"}` line in its valid prefix is folded at the
+    /// path it carries. A torn or corrupt tail ends the replay (same
+    /// tolerance as `Telemetry::stitch_from`); a missing file is empty.
     ///
     /// # Errors
     ///
     /// Returns I/O errors other than the stream file not existing.
     pub fn from_event_stream(path: &Path) -> io::Result<SpanProfile> {
-        let mut spans = Vec::new();
+        let mut profile = SpanProfile::default();
         read_frames(path, |_, body| {
             let Ok(value) = serde_json::from_str::<serde::Value>(body) else {
                 return ControlFlow::Break(());
             };
             if value.get("type").and_then(|t| t.as_str()) == Some("span") {
-                if let Ok(record) = SpanRecord::from_json(&value) {
-                    spans.push(record);
+                if let Ok(span) = SpanRecord::from_json(&value) {
+                    profile.fold(&span.path, span.dur_us, span.self_us);
                 }
             }
             ControlFlow::Continue(())
         })?;
-        spans.sort_by_key(|s| (s.start_us, s.id));
-        Ok(SpanProfile::from_spans(&spans))
+        Ok(profile)
     }
 
-    /// [`SpanProfile::from_event_stream`] over a journal's event log
-    /// (empty once a finished run's finalize removed it).
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors from the stream read.
-    pub fn replay_journal(journal: &Journal) -> io::Result<SpanProfile> {
-        SpanProfile::from_event_stream(&journal.events_path())
-    }
-
-    /// Number of distinct span paths in the profile.
-    pub fn len(&self) -> usize {
-        self.nodes.len()
-    }
-
-    /// True when the profile holds no spans at all.
-    pub fn is_empty(&self) -> bool {
-        self.nodes.is_empty()
+    /// Number of spans folded into the profile.
+    pub fn span_count(&self) -> u64 {
+        self.nodes.values().map(|e| e.count).sum()
     }
 
     /// The profile's entries, in path order.
-    pub fn entries(&self) -> impl Iterator<Item = (&[String], &ProfileEntry)> {
-        self.nodes.iter().map(|(p, e)| (p.as_slice(), e))
+    pub fn entries(&self) -> impl Iterator<Item = (&str, &ProfileEntry)> {
+        self.nodes.iter().map(|(p, e)| (p.as_str(), e))
     }
 
     /// Brendan-Gregg collapsed-stack export: one
@@ -172,37 +118,7 @@ impl SpanProfile {
     pub fn folded(&self) -> String {
         let mut out = String::new();
         for (path, entry) in &self.nodes {
-            out.push_str(&path.join(";"));
-            let _ = writeln!(out, " {}", entry.self_us);
-        }
-        out
-    }
-
-    /// Human-readable profile table, hottest self-time first.
-    pub fn render(&self) -> String {
-        let mut rows: Vec<(&Vec<String>, &ProfileEntry)> = self.nodes.iter().collect();
-        rows.sort_by(|a, b| b.1.self_us.cmp(&a.1.self_us).then_with(|| a.0.cmp(b.0)));
-        let width = rows
-            .iter()
-            .map(|(p, _)| p.join(";").len())
-            .max()
-            .unwrap_or(4)
-            .max(4);
-        let mut out = String::new();
-        let _ = writeln!(
-            out,
-            "  {:<width$}  {:>9}  {:>12}  {:>12}",
-            "path", "count", "total µs", "self µs"
-        );
-        for (path, e) in rows {
-            let _ = writeln!(
-                out,
-                "  {:<width$}  {:>9}  {:>12}  {:>12}",
-                path.join(";"),
-                e.count,
-                e.total_us,
-                e.self_us
-            );
+            let _ = writeln!(out, "{path} {}", entry.self_us);
         }
         out
     }
@@ -218,8 +134,9 @@ pub struct StragglerEntry {
     pub virtual_us: u64,
     /// The running median virtual cost when the app was flagged.
     pub median_virtual_us: u64,
-    /// Wall-clock phase breakdown from the app's child spans:
-    /// `(phase name, µs)`, largest first.
+    /// Wall-clock phase breakdown from the app span's direct children:
+    /// `(phase name, µs)`, largest first. A retried app's repeated
+    /// phases are summed by name.
     pub phases: Vec<(String, u64)>,
 }
 
@@ -287,59 +204,54 @@ impl Watchdog {
 mod tests {
     use super::*;
 
-    fn span(id: u64, parent: u64, name: &str, start_us: u64, dur_us: u64) -> SpanRecord {
-        SpanRecord {
-            id,
-            parent,
-            name: name.to_string(),
-            tid: 1,
-            start_us,
-            dur_us,
-            fields: Vec::new(),
+    /// A profile folded from `(path, dur_us, self_us)` spans.
+    fn folded(spans: &[(&str, u64, u64)]) -> SpanProfile {
+        let mut profile = SpanProfile::default();
+        for (path, dur_us, self_us) in spans {
+            profile.fold(path, *dur_us, *self_us);
         }
+        profile
     }
 
     #[test]
     fn profile_attributes_self_and_total_time() {
-        let spans = vec![
-            span(1, 0, "app", 0, 100),
-            span(2, 1, "static", 0, 30),
-            span(3, 1, "monkey", 30, 50),
-            span(4, 0, "app", 100, 40),
-            span(5, 4, "monkey", 100, 40),
-        ];
-        let profile = SpanProfile::from_spans(&spans);
-        assert_eq!(profile.len(), 3);
-        let get = |names: &[&str]| {
-            let key: Vec<String> = names.iter().map(|s| s.to_string()).collect();
+        let profile = folded(&[
+            ("app;static", 30, 30),
+            ("app;monkey", 50, 50),
+            ("app", 100, 20),
+            ("app;monkey", 40, 40),
+            ("app", 40, 0),
+        ]);
+        assert_eq!(profile.entries().count(), 3);
+        assert_eq!(profile.span_count(), 5);
+        let get = |key: &str| {
             profile
                 .entries()
-                .find(|(p, _)| *p == key.as_slice())
+                .find(|(p, _)| *p == key)
                 .map(|(_, e)| *e)
                 .expect("path present")
         };
-        let app = get(&["app"]);
+        let app = get("app");
         assert_eq!(app.count, 2);
         assert_eq!(app.total_us, 140);
-        // First app: 100 − (30 + 50) = 20 self; second: 40 − 40 = 0.
         assert_eq!(app.self_us, 20);
-        let monkey = get(&["app", "monkey"]);
+        let monkey = get("app;monkey");
         assert_eq!(monkey.count, 2);
         assert_eq!(monkey.total_us, 90);
         assert_eq!(monkey.self_us, 90, "leaves keep all their time");
-        assert_eq!(get(&["app", "static"]).self_us, 30);
+        assert_eq!(get("app;static").self_us, 30);
     }
 
     #[test]
     fn folded_output_is_order_independent() {
         let mut spans = vec![
-            span(1, 0, "app", 0, 100),
-            span(2, 1, "monkey", 10, 60),
-            span(3, 0, "sweep", 0, 500),
+            ("app", 100, 40),
+            ("app;monkey", 60, 60),
+            ("sweep", 500, 500),
         ];
-        let forward = SpanProfile::from_spans(&spans).folded();
+        let forward = folded(&spans).folded();
         spans.reverse();
-        let reversed = SpanProfile::from_spans(&spans).folded();
+        let reversed = folded(&spans).folded();
         assert_eq!(forward, reversed, "profile must not depend on span order");
         // Folded lines parse as `path space value`.
         assert_eq!(forward.lines().count(), 3);
@@ -348,28 +260,7 @@ mod tests {
             assert!(!path.is_empty());
             value.parse::<u64>().expect("numeric self time");
         }
-        assert!(forward.contains("app;monkey 60\n"));
-        assert!(forward.contains("app 40\n"));
-    }
-
-    #[test]
-    fn orphan_spans_root_at_the_deepest_present_ancestor() {
-        // Parent id 99 is absent (lost to a crash): the child's path
-        // starts at itself instead of looping or panicking.
-        let spans = vec![span(2, 99, "monkey", 0, 50)];
-        let profile = SpanProfile::from_spans(&spans);
-        let (path, entry) = profile.entries().next().expect("one path");
-        assert_eq!(path, ["monkey".to_string()].as_slice());
-        assert_eq!(entry.self_us, 50);
-    }
-
-    #[test]
-    fn cyclic_parent_links_terminate() {
-        // Corruption could make two spans each other's parent; the walk
-        // must stop at the depth bound.
-        let spans = vec![span(1, 2, "a", 0, 10), span(2, 1, "b", 0, 10)];
-        let profile = SpanProfile::from_spans(&spans);
-        assert_eq!(profile.len(), 2);
+        assert_eq!(forward, "app 40\napp;monkey 60\nsweep 500\n");
     }
 
     #[test]
@@ -401,20 +292,5 @@ mod tests {
         assert_eq!(dog.observe(100_000), None, "still warming up");
         assert_eq!(dog.observed(), WATCHDOG_WARMUP);
         assert_eq!(dog.flagged(), 0);
-    }
-
-    #[test]
-    fn render_lists_hottest_self_time_first() {
-        let spans = vec![
-            span(1, 0, "app", 0, 100),
-            span(2, 1, "monkey", 0, 80),
-            span(3, 0, "sweep", 0, 10),
-        ];
-        let table = SpanProfile::from_spans(&spans).render();
-        let lines: Vec<&str> = table.lines().collect();
-        assert!(lines[0].contains("path"));
-        assert!(lines[1].contains("app;monkey"), "got: {}", lines[1]);
-        assert!(lines[2].contains("app"), "got: {}", lines[2]);
-        assert!(lines[3].contains("sweep"), "got: {}", lines[3]);
     }
 }

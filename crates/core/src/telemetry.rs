@@ -9,33 +9,43 @@
 //!   `run_resumable` opens a span with child spans per phase (static
 //!   filter, rewrite, install, monkey run, interception collect, binary
 //!   analysis, environment re-runs), each carrying structured fields
-//!   (app id, retry attempt, cache hit/miss deltas, verdict). Span ids
-//!   are recorded in the sweep's JSONL event stream so resumed runs
-//!   stitch into the same timeline.
+//!   (app id, retry attempt, cache hit/miss deltas, verdict). A child is
+//!   opened under its parent's guard, which worker threads share by
+//!   reference. A span is folded as it closes: its path's entry in the
+//!   [`SpanProfile`] (count, total µs, self µs — the part of its interval
+//!   no child covers) and its `span.<name>.us` histogram sample are all
+//!   that outlive it, so telemetry memory does not grow with the spans a
+//!   run closes. Span ids are recorded in the sweep's JSONL event stream
+//!   so resumed runs stitch into the same timeline.
 //! - **Metrics** — a lock-striped registry (mirroring the `cache.rs`
 //!   shard pattern) of counters, gauges, and log-linear histograms,
 //!   feeding p50/p95/p99 per-phase latency into an extended
 //!   `render_perf()`.
 //! - **Exporters** — (1) a JSONL event log written alongside the
 //!   journal while a run is live (finalize removes it), and (2) Chrome
-//!   `trace_event` JSON loadable in `chrome://tracing` / Perfetto
-//!   ([`chrome_trace`]). A caller writes the trace after a run, and may
-//!   poll the live `sweep.*` gauges while it goes, through
-//!   `Pipeline::telemetry()`.
+//!   `trace_event` JSON loadable in `chrome://tracing` / Perfetto,
+//!   streamed from [`Telemetry::open_trace`] to
+//!   [`Telemetry::close_trace`], one event per span that closes or is
+//!   stitched in between. A span keeps its fields, and is encoded, only
+//!   while one of them is open. A caller may poll the live `sweep.*`
+//!   gauges while a run goes, through `Pipeline::telemetry()`.
 //!
 //! Everything is gated by `PipelineConfig::telemetry`: a disabled
 //! [`Telemetry`] is a single `Option` check per call site — no
 //! allocation, no clock read, no atomics.
 
 use std::collections::HashMap;
-use std::io;
+use std::fmt::Write as _;
+use std::fs::File;
+use std::io::{self, BufWriter, Write as _};
 use std::ops::ControlFlow;
 use std::path::Path;
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Arc, Mutex, MutexGuard, OnceLock, PoisonError};
 use std::time::Instant;
 
 use crate::durable::{read_frames, FramedWriter, SinkOptions, StreamKind};
+use crate::profile::SpanProfile;
 
 use serde::{Deserialize, Serialize};
 
@@ -262,7 +272,7 @@ impl MetricsRegistry {
     }
 
     fn metric(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
-        let mut shard = self.shard(name).lock().expect("metrics shard poisoned");
+        let mut shard = lock(self.shard(name));
         shard.entry(name.to_string()).or_insert_with(make).clone()
     }
 
@@ -275,7 +285,7 @@ impl MetricsRegistry {
 
     /// Current value of the named counter (0 if absent).
     pub fn counter_value(&self, name: &str) -> u64 {
-        let shard = self.shard(name).lock().expect("metrics shard poisoned");
+        let shard = lock(self.shard(name));
         match shard.get(name) {
             Some(Metric::Counter(c)) => c.load(Ordering::Relaxed),
             _ => 0,
@@ -291,7 +301,7 @@ impl MetricsRegistry {
 
     /// Current value of the named gauge (0 if absent).
     pub fn gauge_value(&self, name: &str) -> u64 {
-        let shard = self.shard(name).lock().expect("metrics shard poisoned");
+        let shard = lock(self.shard(name));
         match shard.get(name) {
             Some(Metric::Gauge(g)) => g.load(Ordering::Relaxed),
             _ => 0,
@@ -300,8 +310,15 @@ impl MetricsRegistry {
 
     /// Records `v` into the named histogram, creating it if needed.
     pub fn record(&self, name: &str, v: u64) {
-        if let Metric::Histo(h) = self.metric(name, || Metric::Histo(Arc::default())) {
-            h.lock().expect("histogram poisoned").record(v);
+        lock(&self.histogram(name)).record(v);
+    }
+
+    /// The named histogram, created if needed (a detached one when the
+    /// name is another kind of metric).
+    fn histogram(&self, name: &str) -> Arc<Mutex<Histogram>> {
+        match self.metric(name, || Metric::Histo(Arc::default())) {
+            Metric::Histo(h) => h,
+            _ => Arc::default(),
         }
     }
 
@@ -311,7 +328,7 @@ impl MetricsRegistry {
         let mut gauges = Vec::new();
         let mut histograms = Vec::new();
         for shard in self.shards.iter() {
-            let shard = shard.lock().expect("metrics shard poisoned");
+            let shard = lock(shard);
             for (name, metric) in shard.iter() {
                 match metric {
                     Metric::Counter(c) => {
@@ -319,7 +336,7 @@ impl MetricsRegistry {
                     }
                     Metric::Gauge(g) => gauges.push((name.clone(), g.load(Ordering::Relaxed))),
                     Metric::Histo(h) => {
-                        let summary = h.lock().expect("histogram poisoned").summary();
+                        let summary = lock(h).summary();
                         histograms.push((name.clone(), summary));
                     }
                 }
@@ -363,20 +380,14 @@ impl MetricsSnapshot {
             .find(|(n, _)| n == name)
             .map(|(_, h)| h)
     }
-
-    /// The counters as an ordered name → value map — the export surface
-    /// the unified bench measurement record (`dydroid-bench`) feeds its
-    /// `counters` envelope from. Registry names are kept verbatim.
-    pub fn counter_map(&self) -> std::collections::BTreeMap<String, u64> {
-        self.counters.iter().cloned().collect()
-    }
 }
 
 // ---------------------------------------------------------------------------
 // Spans
 // ---------------------------------------------------------------------------
 
-/// A completed (or stitched-in) span on the sweep timeline.
+/// A closed span as one line of the event stream carries it: the decoded
+/// form of a `{"type":"span"}` line, and the form a stitched span takes.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SpanRecord {
     /// Unique id within the timeline (never 0; 0 means "no parent").
@@ -385,31 +396,196 @@ pub struct SpanRecord {
     pub parent: u64,
     /// Phase name ("app", "monkey", "binary_analysis", …).
     pub name: String,
+    /// The `;`-joined span names from the root span down to this one.
+    pub path: String,
     /// Worker lane the span ran on (stable per thread).
     pub tid: u64,
     /// Start offset from the telemetry epoch, in microseconds.
     pub start_us: u64,
     /// Duration in microseconds.
     pub dur_us: u64,
+    /// The part of the span's interval no child span covers, in µs.
+    pub self_us: u64,
     /// Structured key/value fields attached via [`SpanGuard::field`].
     pub fields: Vec<(String, String)>,
 }
 
-/// Total spans retained in memory before new ones are counted as
-/// dropped (they still reach the JSONL sink and the histograms).
-const MAX_SPANS: usize = 1 << 20;
-const SPAN_STRIPES: usize = 16;
+impl SpanRecord {
+    /// The span as a Chrome `trace_event` complete (`"ph":"X"`) event on
+    /// its worker lane; its id, parent id and fields ride in `args`.
+    fn trace_event(&self) -> String {
+        let mut event = String::from("{\"name\":");
+        self.name.write_json(&mut event);
+        let _ = write!(
+            event,
+            ",\"cat\":\"dydroid\",\"ph\":\"X\",\"ts\":{},\"dur\":{},\"pid\":1,\"tid\":{},\
+             \"args\":{{\"id\":{},\"parent\":{}",
+            self.start_us, self.dur_us, self.tid, self.id, self.parent
+        );
+        for (key, value) in &self.fields {
+            event.push(',');
+            key.write_json(&mut event);
+            event.push(':');
+            value.write_json(&mut event);
+        }
+        event.push_str("}}");
+        event
+    }
+}
+
+/// Locks `m`, recovering it from a panic elsewhere: spans close in `Drop`,
+/// even while unwinding, and no update under these locks breaks its data.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One interned span path: its `;`-joined names, its spans' `span.<name>.us`
+/// histogram (resolved at the first close) and the paths below it.
+#[derive(Debug, Default)]
+struct SpanPath {
+    joined: Box<str>,
+    name: &'static str,
+    histogram: OnceLock<Arc<Mutex<Histogram>>>,
+    children: Mutex<Vec<Arc<SpanPath>>>,
+}
+
+impl SpanPath {
+    /// The path one `name` below this one, interned on first use.
+    fn child(&self, name: &'static str) -> Arc<SpanPath> {
+        let mut children = lock(&self.children);
+        if let Some(path) = children.iter().find(|path| path.name == name) {
+            return Arc::clone(path);
+        }
+        let joined = match &*self.joined {
+            "" => name.into(),
+            parent => format!("{parent};{name}").into(),
+        };
+        let path = Arc::new(SpanPath {
+            joined,
+            name,
+            ..SpanPath::default()
+        });
+        children.push(Arc::clone(&path));
+        path
+    }
+}
+
+/// µs of a span's direct children, summed by name.
+pub type ChildTable = Vec<(&'static str, u64)>;
+
+/// The mutable part of an open span: its direct children's count open,
+/// cover of its interval (time with one of them open) and µs by name,
+/// and the fields it keeps while an event sink or a trace is open.
+#[derive(Debug, Default)]
+struct SpanState {
+    open: u32,
+    since_us: u64,
+    covered_us: u64,
+    children: ChildTable,
+    fields: Vec<(String, String)>,
+}
+
+impl SpanState {
+    fn child_opened(&mut self, now_us: u64) {
+        if self.open == 0 {
+            self.since_us = now_us;
+        }
+        self.open += 1;
+    }
+
+    fn child_closed(&mut self, name: &'static str, dur_us: u64, now_us: u64) {
+        self.open = self.open.saturating_sub(1);
+        if self.open == 0 {
+            self.covered_us += now_us.saturating_sub(self.since_us);
+        }
+        match self.children.iter_mut().find(|(child, _)| *child == name) {
+            Some((_, us)) => *us += dur_us,
+            None => self.children.push((name, dur_us)),
+        }
+    }
+
+    /// Self time of a span over `[start_us, end_us]`: the part of it no
+    /// child covered (a child still open covers the rest).
+    fn self_us(&self, start_us: u64, end_us: u64) -> u64 {
+        let open_since = if self.open > 0 { self.since_us } else { end_us };
+        let covered = self.covered_us + end_us.saturating_sub(open_since);
+        end_us.saturating_sub(start_us).saturating_sub(covered)
+    }
+}
+
+/// An open span, which its guard and its open children share.
+#[derive(Debug)]
+struct SpanNode {
+    inner: Arc<Inner>,
+    id: u64,
+    parent: Option<Arc<SpanNode>>,
+    path: Arc<SpanPath>,
+    tid: u64,
+    start_us: u64,
+    state: Mutex<SpanState>,
+}
+
+impl SpanNode {
+    /// Reports the span's µs to its parent, records its histogram sample,
+    /// folds it and writes it to an open event sink or trace. Returns its
+    /// children's µs by name.
+    fn close(&self) -> ChildTable {
+        let (inner, path) = (&self.inner, &self.path);
+        let end_us = inner.now_us();
+        let dur_us = end_us.saturating_sub(self.start_us);
+        let state = std::mem::take(&mut *lock(&self.state));
+        let self_us = state.self_us(self.start_us, end_us);
+        if let Some(parent) = &self.parent {
+            lock(&parent.state).child_closed(path.name, dur_us, end_us);
+        }
+        let histogram = path
+            .histogram
+            .get_or_init(|| inner.registry.histogram(&format!("span.{}.us", path.name)));
+        lock(histogram).record(dur_us);
+        lock(&inner.profile).fold(&path.joined, dur_us, self_us);
+        if inner.exporting.load(Ordering::Relaxed) {
+            let span = SpanRecord {
+                id: self.id,
+                parent: self.parent.as_ref().map_or(0, |p| p.id),
+                name: path.name.to_string(),
+                path: path.joined.to_string(),
+                tid: self.tid,
+                start_us: self.start_us,
+                dur_us,
+                self_us,
+                fields: state.fields,
+            };
+            inner.write_event(|line| {
+                span.write_json(line);
+                line.replace_range(..1, "{\"type\":\"span\",");
+            });
+            inner.write_trace(&span);
+        }
+        state.children
+    }
+}
+
+/// A Chrome `trace_event` document being streamed to its file, in the
+/// object form `{"traceEvents":[…],"displayTimeUnit":"ms"}`: its
+/// writer, the separator before its next event, and the result of its
+/// writes so far (a failed one stops the later ones).
+type TraceFile = (BufWriter<File>, &'static str, io::Result<()>);
 
 #[derive(Debug)]
 struct Inner {
     epoch: Instant,
     next_span: AtomicU64,
     registry: MetricsRegistry,
-    spans: Box<[Mutex<Vec<SpanRecord>>]>,
-    span_count: AtomicUsize,
-    /// The framed event stream every thread appends to, when one is
-    /// open.
+    /// The interned paths of root spans.
+    root: SpanPath,
+    /// Every closed or stitched span, folded by path.
+    profile: Mutex<SpanProfile>,
+    /// The framed event stream, when one is open.
     sink: Mutex<Option<FramedWriter>>,
+    /// The Chrome trace being streamed, when one is open.
+    trace: Mutex<Option<TraceFile>>,
+    /// Whether the sink or the trace is open; a hint, rechecked per write.
+    exporting: AtomicBool,
 }
 
 static NEXT_LANE: AtomicU64 = AtomicU64::new(1);
@@ -428,47 +604,47 @@ fn thread_lane() -> u64 {
 }
 
 impl Inner {
-    fn new() -> Self {
-        let spans = (0..SPAN_STRIPES)
-            .map(|_| Mutex::new(Vec::new()))
-            .collect::<Vec<_>>()
-            .into_boxed_slice();
-        Inner {
-            epoch: Instant::now(),
-            next_span: AtomicU64::new(1),
-            registry: MetricsRegistry::new(),
-            spans,
-            span_count: AtomicUsize::new(0),
-            sink: Mutex::new(None),
-        }
-    }
-
     fn now_us(&self) -> u64 {
         self.epoch.elapsed().as_micros() as u64
     }
 
-    fn store_span(&self, record: SpanRecord) {
-        if self.span_count.load(Ordering::Relaxed) >= MAX_SPANS {
-            self.registry.counter_add("telemetry.spans_dropped", 1);
-            return;
+    fn open(self: &Arc<Self>, name: &'static str, parent: Option<&Arc<SpanNode>>) -> SpanGuard {
+        let path = parent.map_or(&self.root, |p| &p.path).child(name);
+        let start_us = self.now_us();
+        if let Some(parent) = parent {
+            lock(&parent.state).child_opened(start_us);
         }
-        self.span_count.fetch_add(1, Ordering::Relaxed);
-        let stripe = (record.tid as usize) & (self.spans.len() - 1);
-        self.spans[stripe]
-            .lock()
-            .expect("span stripe poisoned")
-            .push(record);
+        SpanGuard {
+            node: Some(Arc::new(SpanNode {
+                inner: Arc::clone(self),
+                id: self.next_span.fetch_add(1, Ordering::Relaxed),
+                parent: parent.cloned(),
+                path,
+                tid: thread_lane(),
+                start_us,
+                state: Mutex::default(),
+            })),
+        }
+    }
+
+    /// Re-reads whether an exporter is open, after one opened or closed.
+    fn refresh_exporting(&self) {
+        let open = lock(&self.sink).is_some() || lock(&self.trace).is_some();
+        self.exporting.store(open, Ordering::Relaxed);
     }
 
     /// Mirror the journal's crash discipline: one framed line per
-    /// event. The writer sheds events itself under disk pressure;
-    /// hard errors are counted and warned once (the event log is
-    /// observability only and recovery never reads it, so a lost
-    /// event never corrupts the durable record).
-    fn write_event(&self, line: &str) {
-        let mut sink = self.sink.lock().expect("event sink poisoned");
+    /// event, encoded by `encode` only while a sink is open. The writer
+    /// sheds events itself under disk pressure; hard errors are counted
+    /// and warned once (the event log is observability only and
+    /// recovery never reads it, so a lost event never corrupts the
+    /// durable record).
+    fn write_event(&self, encode: impl FnOnce(&mut String)) {
+        let mut sink = lock(&self.sink);
         let Some(w) = sink.as_mut() else { return };
-        if let Err(e) = w.append_body(line) {
+        let mut line = String::new();
+        encode(&mut line);
+        if let Err(e) = w.append_body(&line) {
             self.registry.counter_add("telemetry.event_write_errors", 1);
             if self.registry.counter_value("telemetry.event_write_errors") == 1 {
                 eprintln!("dydroid: events: write failed ({e}); degrading telemetry");
@@ -476,16 +652,12 @@ impl Inner {
         }
     }
 
-    fn finish_span(&self, mut record: SpanRecord) {
-        record.dur_us = self.now_us().saturating_sub(record.start_us);
-        self.registry
-            .record(&format!("span.{}.us", record.name), record.dur_us);
-        let mut pairs = vec![("type".to_string(), serde::Value::Str("span".to_string()))];
-        if let serde::Value::Object(rest) = record.to_json() {
-            pairs.extend(rest);
+    /// Appends `span` to the trace, when one is open.
+    fn write_trace(&self, span: &SpanRecord) {
+        if let Some((out, separator, written @ Ok(()))) = lock(&self.trace).as_mut() {
+            *written = write!(out, "{separator}{}", span.trace_event());
+            *separator = ",";
         }
-        self.write_event(&serde::Value::Object(pairs).to_compact_string());
-        self.store_span(record);
     }
 }
 
@@ -499,14 +671,19 @@ pub struct Telemetry {
 impl Telemetry {
     /// An enabled or disabled subsystem, per `PipelineConfig::telemetry`.
     pub fn new(enabled: bool) -> Self {
-        Telemetry {
-            inner: enabled.then(|| Arc::new(Inner::new())),
-        }
-    }
-
-    /// A disabled handle: every operation is a no-op.
-    pub fn disabled() -> Self {
-        Telemetry { inner: None }
+        let inner = enabled.then(|| {
+            Arc::new(Inner {
+                epoch: Instant::now(),
+                next_span: AtomicU64::new(1),
+                registry: MetricsRegistry::new(),
+                root: SpanPath::default(),
+                profile: Mutex::default(),
+                sink: Mutex::default(),
+                trace: Mutex::default(),
+                exporting: AtomicBool::default(),
+            })
+        });
+        Telemetry { inner }
     }
 
     /// Whether telemetry is collecting.
@@ -514,35 +691,17 @@ impl Telemetry {
         self.inner.is_some()
     }
 
-    /// Opens a root span. The span ends (and is recorded) on drop.
-    pub fn span(&self, name: &str) -> SpanGuard {
-        self.span_with_parent(name, 0)
+    /// Opens a root span. The span ends (and is folded) on drop.
+    pub fn span(&self, name: &'static str) -> SpanGuard {
+        self.span_with_parent(name, &NO_PARENT)
     }
 
-    /// Opens a span under an explicit parent span id (0 = root). Used to
-    /// parent worker-thread spans under the sweep span without carrying
-    /// a guard across threads.
-    pub fn span_with_parent(&self, name: &str, parent: u64) -> SpanGuard {
+    /// Opens a span under the one `parent` guards, or a root span under a
+    /// guard of none; worker threads share the sweep span's by reference.
+    pub fn span_with_parent(&self, name: &'static str, parent: &SpanGuard) -> SpanGuard {
         match &self.inner {
-            None => SpanGuard { active: None },
-            Some(inner) => {
-                let id = inner.next_span.fetch_add(1, Ordering::Relaxed);
-                let record = SpanRecord {
-                    id,
-                    parent,
-                    name: name.to_string(),
-                    tid: thread_lane(),
-                    start_us: inner.now_us(),
-                    dur_us: 0,
-                    fields: Vec::new(),
-                };
-                SpanGuard {
-                    active: Some(ActiveSpan {
-                        inner: Arc::clone(inner),
-                        record: Some(record),
-                    }),
-                }
-            }
+            None => SpanGuard::default(),
+            Some(inner) => inner.open(name, parent.node.as_ref()),
         }
     }
 
@@ -588,17 +747,12 @@ impl Telemetry {
             .map_or_else(MetricsSnapshot::default, |i| i.registry.snapshot())
     }
 
-    /// All retained spans, ordered by start time then id.
-    pub fn spans(&self) -> Vec<SpanRecord> {
-        let Some(inner) = &self.inner else {
-            return Vec::new();
-        };
-        let mut all = Vec::new();
-        for stripe in inner.spans.iter() {
-            all.extend(stripe.lock().expect("span stripe poisoned").iter().cloned());
-        }
-        all.sort_by_key(|s| (s.start_us, s.id));
-        all
+    /// The profile of every span closed or stitched so far (empty when
+    /// disabled).
+    pub fn profile(&self) -> SpanProfile {
+        self.inner
+            .as_ref()
+            .map_or_else(SpanProfile::default, |i| lock(&i.profile).clone())
     }
 
     /// Directs the framed JSONL event stream (span, checkpoint,
@@ -616,8 +770,8 @@ impl Telemetry {
         let Some(inner) = &self.inner else {
             return Ok(());
         };
-        let writer = FramedWriter::open(path, opts)?;
-        *inner.sink.lock().expect("event sink poisoned") = Some(writer);
+        *lock(&inner.sink) = Some(FramedWriter::open(path, opts)?);
+        inner.refresh_exporting();
         Ok(())
     }
 
@@ -625,25 +779,53 @@ impl Telemetry {
     /// file. Called when a journaled run finalizes.
     pub fn close_event_sink(&self) {
         if let Some(inner) = &self.inner {
-            *inner.sink.lock().expect("event sink poisoned") = None;
+            *lock(&inner.sink) = None;
+            inner.refresh_exporting();
         }
+    }
+
+    /// Starts streaming a Chrome `trace_event` document, loadable in
+    /// `chrome://tracing` or Perfetto, to `path`: every span that closes
+    /// or is stitched from here on appends one complete event, until
+    /// [`Telemetry::close_trace`]. A disabled handle creates no file.
+    ///
+    /// # Errors
+    ///
+    /// Returns the error of creating `path` or writing to it.
+    pub fn open_trace(&self, path: &Path) -> io::Result<()> {
+        let Some(inner) = &self.inner else {
+            return Ok(());
+        };
+        let mut out = BufWriter::new(File::create(path)?);
+        out.write_all(b"{\"traceEvents\":[")?;
+        *lock(&inner.trace) = Some((out, "", Ok(())));
+        inner.refresh_exporting();
+        Ok(())
+    }
+
+    /// Ends and flushes the streamed trace document, if one is open.
+    ///
+    /// # Errors
+    ///
+    /// Returns the first error any write to the trace file met.
+    pub fn close_trace(&self) -> io::Result<()> {
+        let Some(inner) = &self.inner else {
+            return Ok(());
+        };
+        let trace = lock(&inner.trace).take();
+        inner.refresh_exporting();
+        let Some((mut out, _, written)) = trace else {
+            return Ok(());
+        };
+        written?;
+        out.write_all(b"],\"displayTimeUnit\":\"ms\"}\n")?;
+        out.flush()
     }
 
     /// Emits a checkpoint event tying a journaled app record to the span
     /// that produced it, so a resumed run can stitch the timeline.
     pub fn emit_checkpoint(&self, app: &str, span: u64) {
-        let Some(inner) = &self.inner else { return };
-        let line = serde::Value::Object(vec![
-            (
-                "type".to_string(),
-                serde::Value::Str("checkpoint".to_string()),
-            ),
-            ("app".to_string(), serde::Value::Str(app.to_string())),
-            ("span".to_string(), span.to_json()),
-            ("t_us".to_string(), inner.now_us().to_json()),
-        ])
-        .to_compact_string();
-        inner.write_event(&line);
+        self.emit_link("checkpoint", app, span);
     }
 
     /// Emits a provenance-link event tying an app's ledger record to the
@@ -651,18 +833,16 @@ impl Telemetry {
     /// depend on worker interleave and would break its byte-determinism),
     /// so this event-stream line is the durable cross-reference.
     pub fn emit_provenance_link(&self, app: &str, span: u64) {
+        self.emit_link("provenance", app, span);
+    }
+
+    fn emit_link(&self, kind: &str, app: &str, span: u64) {
         let Some(inner) = &self.inner else { return };
-        let line = serde::Value::Object(vec![
-            (
-                "type".to_string(),
-                serde::Value::Str("provenance".to_string()),
-            ),
-            ("app".to_string(), serde::Value::Str(app.to_string())),
-            ("span".to_string(), span.to_json()),
-            ("t_us".to_string(), inner.now_us().to_json()),
-        ])
-        .to_compact_string();
-        inner.write_event(&line);
+        inner.write_event(|line| {
+            let _ = write!(line, "{{\"type\":\"{kind}\",\"app\":");
+            app.write_json(line);
+            let _ = write!(line, ",\"span\":{span},\"t_us\":{}}}", inner.now_us());
+        });
     }
 
     /// Emits a structured warning event (`{"type":"warn","kind":...}`)
@@ -672,16 +852,18 @@ impl Telemetry {
     /// the log is removed once the run finalizes.
     pub fn emit_warning(&self, kind: &str, app: &str, detail: &[(&str, u64)]) {
         let Some(inner) = &self.inner else { return };
-        let mut pairs = vec![
-            ("type".to_string(), serde::Value::Str("warn".to_string())),
-            ("kind".to_string(), serde::Value::Str(kind.to_string())),
-            ("app".to_string(), serde::Value::Str(app.to_string())),
-        ];
-        for (name, value) in detail {
-            pairs.push(((*name).to_string(), value.to_json()));
-        }
-        pairs.push(("t_us".to_string(), inner.now_us().to_json()));
-        inner.write_event(&serde::Value::Object(pairs).to_compact_string());
+        inner.write_event(|line| {
+            line.push_str("{\"type\":\"warn\",\"kind\":");
+            kind.write_json(line);
+            line.push_str(",\"app\":");
+            app.write_json(line);
+            for (name, value) in detail {
+                line.push(',');
+                name.write_json(line);
+                let _ = write!(line, ":{value}");
+            }
+            let _ = write!(line, ",\"t_us\":{}}}", inner.now_us());
+        });
     }
 
     /// Emits a metrics snapshot (`{"type":"metrics","virtual_us":…,
@@ -691,22 +873,24 @@ impl Telemetry {
     /// once the run finalizes.
     pub fn emit_metrics(&self, virtual_us: u64) {
         let Some(inner) = &self.inner else { return };
-        let line = serde::Value::Object(vec![
-            ("type".to_string(), serde::Value::Str("metrics".to_string())),
-            ("virtual_us".to_string(), virtual_us.to_json()),
-            ("snapshot".to_string(), inner.registry.snapshot().to_json()),
-        ])
-        .to_compact_string();
-        inner.write_event(&line);
+        inner.write_event(|line| {
+            let _ = write!(
+                line,
+                "{{\"type\":\"metrics\",\"virtual_us\":{virtual_us},\"snapshot\":"
+            );
+            inner.registry.snapshot().write_json(line);
+            line.push('}');
+        });
     }
 
     /// Loads span events from a previous session's JSONL stream so a
-    /// resumed sweep extends the same timeline: stitched spans are
-    /// retained for trace export and the span-id counter is advanced
-    /// past the highest prior id (ids stay unique across sessions).
-    /// Histograms are *not* replayed — metrics describe this process.
-    /// Returns the number of spans stitched; the first torn or corrupt
-    /// frame stops the read (same tolerance as the journal).
+    /// resumed sweep extends the same timeline: each stitched span is
+    /// folded into the profile at the path its line carries and appended
+    /// to an open trace, and the span-id counter is advanced past the
+    /// highest prior id (ids stay unique across sessions). Histograms
+    /// are *not* replayed — metrics describe this process. Returns the
+    /// number of spans stitched; the first torn or corrupt frame stops
+    /// the read (same tolerance as the journal).
     pub fn stitch_from(&self, path: &Path) -> io::Result<usize> {
         let Some(inner) = &self.inner else {
             return Ok(0);
@@ -719,9 +903,10 @@ impl Telemetry {
             };
             let kind = value.get("type").and_then(|t| t.as_str());
             if kind == Some("span") {
-                if let Ok(record) = SpanRecord::from_json(&value) {
-                    max_id = max_id.max(record.id);
-                    inner.store_span(record);
+                if let Ok(span) = SpanRecord::from_json(&value) {
+                    max_id = max_id.max(span.id);
+                    lock(&inner.profile).fold(&span.path, span.dur_us, span.self_us);
+                    inner.write_trace(&span);
                     loaded += 1;
                 }
             } else if kind == Some("checkpoint") || kind == Some("provenance") {
@@ -734,108 +919,50 @@ impl Telemetry {
         inner.next_span.fetch_max(max_id + 1, Ordering::Relaxed);
         Ok(loaded)
     }
-
-    /// Writes all retained spans as Chrome `trace_event` JSON, loadable
-    /// in `chrome://tracing` or Perfetto.
-    pub fn write_chrome_trace(&self, path: &Path) -> io::Result<()> {
-        let doc = chrome_trace(&self.spans());
-        std::fs::write(path, doc.to_compact_string() + "\n")
-    }
 }
 
-struct ActiveSpan {
-    inner: Arc<Inner>,
-    record: Option<SpanRecord>,
-}
+/// The parent of root spans: a static, so opening one drops no guard.
+static NO_PARENT: SpanGuard = SpanGuard { node: None };
 
-/// RAII guard for an open span; ends and records the span on drop.
+/// RAII guard for an open span; ends and folds the span on drop.
 /// All methods are no-ops when telemetry is disabled.
+#[derive(Debug, Default)]
 pub struct SpanGuard {
-    active: Option<ActiveSpan>,
+    node: Option<Arc<SpanNode>>,
 }
 
 impl SpanGuard {
     /// The span's id, or 0 when telemetry is disabled.
     pub fn id(&self) -> u64 {
-        self.active
-            .as_ref()
-            .and_then(|a| a.record.as_ref())
-            .map_or(0, |r| r.id)
+        self.node.as_ref().map_or(0, |n| n.id)
     }
 
-    /// Whether this guard refers to a live span.
-    pub fn is_recording(&self) -> bool {
-        self.active.is_some()
-    }
-
-    /// Attaches a structured `key = value` field.
+    /// Attaches a structured `key = value` field, kept only while an
+    /// event sink or a trace is open to write it to.
     pub fn field(&mut self, key: &str, value: impl std::fmt::Display) {
-        if let Some(record) = self.active.as_mut().and_then(|a| a.record.as_mut()) {
-            record.fields.push((key.to_string(), value.to_string()));
+        if let Some(node) = &self.node {
+            if node.inner.exporting.load(Ordering::Relaxed) {
+                let field = (key.to_string(), value.to_string());
+                lock(&node.state).fields.push(field);
+            }
         }
     }
 
-    /// Opens a child span of this span.
-    pub fn child(&self, name: &str) -> SpanGuard {
-        match &self.active {
-            None => SpanGuard { active: None },
-            Some(active) => Telemetry {
-                inner: Some(Arc::clone(&active.inner)),
-            }
-            .span_with_parent(name, self.id()),
-        }
+    /// Ends the span now; returns its children's µs by name (`ChildTable`).
+    pub fn close(mut self) -> ChildTable {
+        self.node
+            .take()
+            .map(|node| node.close())
+            .unwrap_or_default()
     }
 }
 
 impl Drop for SpanGuard {
     fn drop(&mut self) {
-        if let Some(mut active) = self.active.take() {
-            if let Some(record) = active.record.take() {
-                active.inner.finish_span(record);
-            }
+        if let Some(node) = self.node.take() {
+            node.close();
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// Chrome trace export
-// ---------------------------------------------------------------------------
-
-/// Converts spans to a Chrome `trace_event` document (the JSON object
-/// form: `{"traceEvents": [...]}`), loadable in `chrome://tracing` and
-/// Perfetto. Each span becomes a complete (`"ph": "X"`) event on the
-/// worker lane it ran on; span id, parent id, and structured fields ride
-/// in `args`.
-pub fn chrome_trace(spans: &[SpanRecord]) -> serde::Value {
-    let events: Vec<serde::Value> = spans
-        .iter()
-        .map(|s| {
-            let mut args = vec![
-                ("id".to_string(), s.id.to_json()),
-                ("parent".to_string(), s.parent.to_json()),
-            ];
-            for (k, v) in &s.fields {
-                args.push((k.clone(), serde::Value::Str(v.clone())));
-            }
-            serde::Value::Object(vec![
-                ("name".to_string(), serde::Value::Str(s.name.clone())),
-                ("cat".to_string(), serde::Value::Str("dydroid".to_string())),
-                ("ph".to_string(), serde::Value::Str("X".to_string())),
-                ("ts".to_string(), s.start_us.to_json()),
-                ("dur".to_string(), s.dur_us.to_json()),
-                ("pid".to_string(), 1u64.to_json()),
-                ("tid".to_string(), s.tid.to_json()),
-                ("args".to_string(), serde::Value::Object(args)),
-            ])
-        })
-        .collect();
-    serde::Value::Object(vec![
-        ("traceEvents".to_string(), serde::Value::Array(events)),
-        (
-            "displayTimeUnit".to_string(),
-            serde::Value::Str("ms".to_string()),
-        ),
-    ])
 }
 
 #[cfg(test)]
@@ -935,70 +1062,152 @@ mod tests {
         assert_eq!(back, snap);
     }
 
+    fn temp_path(tag: &str) -> std::path::PathBuf {
+        std::env::temp_dir().join(format!(
+            "dydroid-telemetry-{tag}-{}-{:?}",
+            std::process::id(),
+            std::thread::current().id()
+        ))
+    }
+
+    /// The spans of a framed event stream, in the order they closed.
+    fn span_lines(path: &Path) -> Vec<SpanRecord> {
+        let mut spans = Vec::new();
+        read_frames(path, |_, body| {
+            let value: serde::Value = serde_json::from_str(body).expect("event line parses");
+            if value.get("type").and_then(|t| t.as_str()) == Some("span") {
+                spans.push(SpanRecord::from_json(&value).expect("span line decodes"));
+            }
+            ControlFlow::Continue(())
+        })
+        .expect("read event stream");
+        spans
+    }
+
     #[test]
     fn spans_nest_and_record_fields() {
+        let path = temp_path("nest");
+        let _ = std::fs::remove_file(&path);
         let t = Telemetry::new(true);
-        {
+        t.set_event_sink(&path).expect("sink");
+        let (root_id, phases) = {
             let mut root = t.span("app");
             root.field("app", "com.example");
             {
-                let mut child = root.child("monkey");
+                let mut child = t.span_with_parent("monkey", &root);
                 child.field("events", 10);
                 assert_ne!(child.id(), 0);
                 assert_ne!(child.id(), root.id());
             }
-            let grand = root.child("analysis");
-            drop(grand);
-        }
-        let spans = t.spans();
-        assert_eq!(spans.len(), 3);
-        let root = spans.iter().find(|s| s.name == "app").expect("root span");
-        assert_eq!(root.parent, 0);
+            // A child opened on another thread, as a sweep worker does.
+            std::thread::scope(|s| {
+                s.spawn(|| drop(t.span_with_parent("analysis", &root)));
+            });
+            drop(t.span_with_parent("monkey", &root));
+            (root.id(), root.close())
+        };
+        // The child table sums repeated phases by name.
+        let names: Vec<&str> = phases.iter().map(|(name, _)| *name).collect();
+        assert_eq!(names, ["monkey", "analysis"]);
+        let spans = span_lines(&path);
+        assert_eq!(spans.len(), 4);
+        let root = spans.last().expect("the root closes last");
+        assert_eq!((root.id, root.parent), (root_id, 0));
+        assert_eq!(root.path, "app");
         assert_eq!(
             root.fields,
             vec![("app".to_string(), "com.example".to_string())]
         );
-        for child in spans.iter().filter(|s| s.name != "app") {
-            assert_eq!(child.parent, root.id);
+        assert!(root.self_us <= root.dur_us);
+        for child in &spans[..3] {
+            assert_eq!(child.parent, root_id);
+            assert_eq!(child.path, format!("app;{}", child.name));
+            assert_eq!(child.self_us, child.dur_us, "a leaf keeps all its time");
         }
-        // The drop hook fed the per-phase histograms.
+        // The close fed the per-phase histograms and the profile.
         let snap = t.snapshot();
         assert_eq!(snap.histogram("span.app.us").expect("app histo").count, 1);
         assert_eq!(
             snap.histogram("span.monkey.us")
                 .expect("monkey histo")
                 .count,
-            1
+            2
         );
+        let profile = t.profile();
+        assert_eq!(profile.span_count(), 4);
+        let paths: Vec<&str> = profile.entries().map(|(path, _)| path).collect();
+        assert_eq!(paths, ["app", "app;analysis", "app;monkey"]);
+        let _ = std::fs::remove_file(&path);
+    }
+
+    /// Self time is the part of a span's interval no child covers: two
+    /// overlapping children and a gap, on explicit timestamps. Subtracting
+    /// the children's summed µs would read 100 − (40 + 40) = 20.
+    #[test]
+    fn self_time_is_the_uncovered_part_of_the_interval() {
+        let mut cover = SpanState::default();
+        cover.child_opened(10); // a: [10, 50]
+        cover.child_opened(30); // b: [30, 70]
+        cover.child_closed("a", 40, 50);
+        cover.child_closed("b", 40, 70);
+        // Covered [10, 70]; uncovered [0, 10] and [70, 100].
+        assert_eq!(cover.self_us(0, 100), 40);
+        assert_eq!(cover.children, vec![("a", 40), ("b", 40)]);
+
+        // Children one after another are subtracted exactly.
+        let mut serial = SpanState::default();
+        serial.child_opened(0);
+        serial.child_closed("a", 30, 30);
+        serial.child_opened(30);
+        serial.child_closed("a", 50, 80);
+        assert_eq!(serial.self_us(0, 100), 20);
+        assert_eq!(serial.children, vec![("a", 80)]);
+
+        // Children whose µs sum past the parent's still leave its gaps,
+        // and a child open at the close covers the rest.
+        let mut busy = SpanState::default();
+        busy.child_opened(0);
+        busy.child_opened(10);
+        busy.child_closed("a", 80, 80);
+        busy.child_closed("b", 80, 90);
+        busy.child_opened(95);
+        assert_eq!(busy.self_us(0, 100), 5);
     }
 
     #[test]
     fn disabled_telemetry_is_inert() {
-        let t = Telemetry::disabled();
+        let t = Telemetry::new(false);
         let mut span = t.span("app");
         assert_eq!(span.id(), 0);
-        assert!(!span.is_recording());
         span.field("k", "v");
-        let child = span.child("inner");
+        let child = t.span_with_parent("inner", &span);
         assert_eq!(child.id(), 0);
         drop(child);
-        drop(span);
+        assert!(span.close().is_empty());
         t.counter_add("c", 1);
         assert_eq!(t.counter_value("c"), 0);
-        assert!(t.spans().is_empty());
+        assert_eq!(t.profile(), SpanProfile::default());
         assert_eq!(t.snapshot(), MetricsSnapshot::default());
+        let path = temp_path("disabled.trace.json");
+        t.open_trace(&path).expect("no-op");
+        t.close_trace().expect("no-op");
+        assert!(!path.exists(), "a disabled handle wrote a trace");
     }
 
     #[test]
     fn chrome_trace_document_parses_back() {
+        let path = temp_path("doc.trace.json");
         let t = Telemetry::new(true);
+        // A span closed before the trace opens is not in it.
+        drop(t.span("train"));
+        t.open_trace(&path).expect("open trace");
         {
             let mut root = t.span("app");
-            root.field("app", "com.x");
-            let _child = root.child("monkey");
+            root.field("app", "com.\"x\"");
+            let _child = t.span_with_parent("monkey", &root);
         }
-        let doc = chrome_trace(&t.spans());
-        let text = doc.to_compact_string();
+        t.close_trace().expect("close trace");
+        let text = std::fs::read_to_string(&path).expect("trace written");
         let parsed: serde::Value = serde_json::from_str(&text).expect("valid JSON");
         let events = parsed
             .get("traceEvents")
@@ -1012,15 +1221,21 @@ mod tests {
             assert!(ev.get("name").and_then(|n| n.as_str()).is_some());
             assert!(ev.get("args").and_then(|a| a.get("id")).is_some());
         }
+        let app = events[1].get("args").and_then(|a| a.get("app"));
+        assert_eq!(app.and_then(|a| a.as_str()), Some("com.\"x\""));
+        assert_eq!(
+            parsed.get("displayTimeUnit").and_then(|u| u.as_str()),
+            Some("ms")
+        );
+        // Once closed, spans reach no trace.
+        drop(t.span("late"));
+        assert_eq!(std::fs::read_to_string(&path).expect("trace"), text);
+        let _ = std::fs::remove_file(&path);
     }
 
     #[test]
     fn event_stream_stitches_across_sessions() {
-        let path = std::env::temp_dir().join(format!(
-            "dydroid-stitch-{}-{:?}.events.jsonl",
-            std::process::id(),
-            std::thread::current().id()
-        ));
+        let path = temp_path("stitch.events.jsonl");
         let _ = std::fs::remove_file(&path);
 
         // Session 1: two spans and a checkpoint.
@@ -1029,16 +1244,19 @@ mod tests {
         let first_ids: Vec<u64> = {
             let mut root = first.span("app");
             root.field("app", "com.a");
-            let child = root.child("monkey");
+            let child = first.span_with_parent("monkey", &root);
             vec![root.id(), child.id()]
         };
         first.emit_checkpoint("com.a", first_ids[0]);
+        let first_profile = first.profile();
         drop(first);
 
-        // Session 2 stitches the stream and continues the timeline.
+        // Session 2 stitches the stream and continues the timeline: the
+        // stitched spans fold at the paths their lines carry.
         let second = Telemetry::new(true);
         let loaded = second.stitch_from(&path).expect("stitch");
         assert_eq!(loaded, 2);
+        assert_eq!(second.profile(), first_profile);
         second.set_event_sink(&path).expect("sink");
         let new_id = {
             let span = second.span("app");
@@ -1046,19 +1264,15 @@ mod tests {
         };
         // Ids never collide across sessions.
         assert!(first_ids.iter().all(|&id| id != new_id));
-        let spans = second.spans();
-        assert_eq!(spans.len(), 3);
-        let ids: std::collections::HashSet<u64> = spans.iter().map(|s| s.id).collect();
+        let ids: std::collections::HashSet<u64> = span_lines(&path).iter().map(|s| s.id).collect();
         assert_eq!(ids.len(), 3, "span ids must be unique after stitching");
+        assert_eq!(second.profile().span_count(), 3);
 
         // A torn tail on the event stream is tolerated like the journal's.
         std::fs::OpenOptions::new()
             .append(true)
             .open(&path)
-            .and_then(|mut f| {
-                use std::io::Write;
-                f.write_all(b"{\"type\":\"span\",\"id\":9")
-            })
+            .and_then(|mut f| f.write_all(b"{\"type\":\"span\",\"id\":9"))
             .expect("append torn tail");
         let third = Telemetry::new(true);
         assert_eq!(third.stitch_from(&path).expect("stitch torn"), 3);

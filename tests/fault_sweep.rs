@@ -7,7 +7,7 @@ use std::collections::{HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::Arc;
 
-use dydroid::{IoHarness, Journal, Pipeline, PipelineConfig};
+use dydroid::{IoHarness, Journal, Pipeline, PipelineConfig, Telemetry};
 use dydroid_workload::faults::{
     self, crash_points, crash_torture, FaultKind, FaultPlan, FaultSpec,
 };
@@ -196,12 +196,19 @@ fn faulty_sweep_trace_is_loadable_and_events_match_journal() {
         std::process::id()
     ));
 
-    let traced = Pipeline::new(PipelineConfig {
-        workers: 4,
-        environment_reruns: false,
-        app_deadline_ms: 400,
-        ..Default::default()
-    });
+    // The trace opens before the pipeline is built, so it streams every
+    // span the pipeline closes.
+    let telemetry = Telemetry::new(true);
+    telemetry.open_trace(&trace_path).expect("open trace");
+    let traced = Pipeline::with_telemetry(
+        PipelineConfig {
+            workers: 4,
+            environment_reruns: false,
+            app_deadline_ms: 400,
+            ..Default::default()
+        },
+        telemetry,
+    );
     let report = traced
         .run_resumable(&corpus, &journal)
         .expect("sweep completes despite faults");
@@ -217,10 +224,7 @@ fn faulty_sweep_trace_is_loadable_and_events_match_journal() {
         traced.telemetry().gauge_value("sweep.failed"),
         failed as u64
     );
-    traced
-        .telemetry()
-        .write_chrome_trace(&trace_path)
-        .expect("write trace");
+    traced.telemetry().close_trace().expect("close trace");
 
     // The Chrome trace parses back with one complete event per span.
     let text = std::fs::read_to_string(&trace_path).expect("trace file written");
@@ -229,7 +233,10 @@ fn faulty_sweep_trace_is_loadable_and_events_match_journal() {
         .get("traceEvents")
         .and_then(|e| e.as_array())
         .expect("traceEvents array");
-    assert_eq!(events.len(), traced.telemetry().spans().len());
+    assert_eq!(
+        events.len() as u64,
+        traced.telemetry().profile().span_count()
+    );
     assert!(events.len() >= CORPUS_APPS, "fewer events than apps");
     assert!(
         !journal.events_path().exists(),

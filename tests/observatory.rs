@@ -1,18 +1,17 @@
 //! Integration tests for the sweep observatory (DESIGN.md §5j): the
 //! span-derived self-time profile must be byte-identical whether it is
-//! aggregated live from in-memory spans or replayed offline from the
-//! persisted event streams — including after a `kill -9` mid-sweep and
+//! folded live as spans close or replayed offline from the persisted
+//! event streams — including after a `kill -9` mid-sweep and
 //! across a resume — metrics snapshot lines must survive crashes and
 //! torn tails in the live event stream, a resumed sweep must gauge the
 //! whole corpus, and the straggler watchdog must flag exactly the
 //! planted stragglers at its fixed threshold.
 
-use std::collections::HashSet;
 use std::path::PathBuf;
 
 use dydroid::config::{STRAGGLER_TOP, WATCHDOG_K};
 use dydroid::durable::{encode_frames, scan_stream, FramedWriter, SinkOptions, StreamKind};
-use dydroid::obs::{MetricsSnapshot, SpanRecord};
+use dydroid::obs::MetricsSnapshot;
 use dydroid::profile::WATCHDOG_WARMUP;
 use dydroid::{
     DynamicStatus, IoHarness, Journal, Pipeline, PipelineConfig, SpanProfile, Telemetry,
@@ -60,28 +59,21 @@ fn offline_replay_matches_live_aggregation() {
     ));
     let _ = std::fs::remove_file(&sink);
 
-    let pipeline = Pipeline::new(PipelineConfig {
-        environment_reruns: false,
-        ..PipelineConfig::default()
-    });
-    // Spans recorded before the sink attaches (detector training runs at
-    // construction) never reach the stream; the differential covers
-    // everything recorded while the sink was live.
-    let pre_sink: HashSet<u64> = pipeline.telemetry().spans().iter().map(|s| s.id).collect();
-    pipeline
-        .telemetry()
-        .set_event_sink(&sink)
-        .expect("event sink");
+    // The sink attaches before the pipeline is built, so it sees every
+    // span, the detector's training at construction included.
+    let telemetry = Telemetry::new(true);
+    telemetry.set_event_sink(&sink).expect("event sink");
+    let pipeline = Pipeline::with_telemetry(
+        PipelineConfig {
+            environment_reruns: false,
+            ..PipelineConfig::default()
+        },
+        telemetry,
+    );
     let _ = pipeline.run(&corpus);
 
-    let sunk: Vec<SpanRecord> = pipeline
-        .telemetry()
-        .spans()
-        .into_iter()
-        .filter(|s| !pre_sink.contains(&s.id))
-        .collect();
-    let live = SpanProfile::from_spans(&sunk);
-    assert!(!live.is_empty(), "sweep recorded no spans");
+    let live = pipeline.telemetry().profile();
+    assert!(live.span_count() > 0, "sweep recorded no spans");
     let offline = SpanProfile::from_event_stream(&sink).expect("replay");
     assert_eq!(
         live.folded(),
@@ -122,9 +114,9 @@ fn killed_sweep_replay_matches_stitched_spans() {
         .stitch_from(&journal.events_path())
         .expect("stitch");
     assert!(stitched > 0, "crash left no spans to stitch");
-    let live = SpanProfile::from_spans(&stitcher.spans());
-    let offline = SpanProfile::replay_journal(&journal).expect("replay");
-    assert!(!offline.is_empty());
+    let live = stitcher.profile();
+    let offline = SpanProfile::from_event_stream(&journal.events_path()).expect("replay");
+    assert!(offline.span_count() > 0);
     assert_eq!(
         live.folded(),
         offline.folded(),
@@ -141,7 +133,7 @@ fn killed_sweep_replay_matches_stitched_spans() {
         .expect("resumed sweep");
     assert_eq!(resumed.records().len(), corpus.len());
     let artifact = std::fs::read_to_string(journal.profile_path()).expect("journal-side artifact");
-    let full = SpanProfile::from_spans(&second.telemetry().spans());
+    let full = second.telemetry().profile();
     assert_eq!(
         artifact,
         full.folded(),
@@ -249,10 +241,10 @@ fn metrics_stream_survives_crash_and_resume() {
 }
 
 /// A sweep killed mid-run and resumed profiles every app: the resumed
-/// pipeline's timeline holds the killed session's app spans, stitched
-/// from its log (rooted at `app`, their sweep span never ended), and its
-/// own (under `sweep`), so the two roots count at least one app span per
-/// corpus app. The resume removes the log.
+/// pipeline's profile holds the killed session's app spans, stitched
+/// from its log at the `sweep;app` path their lines carry (though their
+/// sweep span never ended), and its own, so that path counts at least
+/// one app span per corpus app. The resume removes the log.
 #[test]
 fn resumed_sweep_profiles_every_app() {
     let corpus = small_corpus(CRASH_CORPUS);
@@ -274,18 +266,17 @@ fn resumed_sweep_profiles_every_app() {
         .expect("resumed sweep");
     assert_eq!(report.records().len(), corpus.len());
 
-    let profile = SpanProfile::from_spans(&resumed.telemetry().spans());
-    let count = |path: &[&str]| {
-        profile
-            .entries()
-            .find(|(p, _)| p.iter().map(String::as_str).eq(path.iter().copied()))
-            .map_or(0, |(_, entry)| entry.count)
-    };
-    let (stitched, fresh) = (count(&["app"]), count(&["sweep", "app"]));
-    assert!(stitched > 0, "no app span was stitched from the log");
+    // Stitched app spans keep the path their lines carry, so the
+    // killed session's apps and the resume's fold at one path.
+    let apps = resumed
+        .telemetry()
+        .profile()
+        .entries()
+        .find(|(path, _)| *path == "sweep;app")
+        .map_or(0, |(_, entry)| entry.count);
     assert!(
-        stitched + fresh >= corpus.len() as u64,
-        "{stitched} stitched + {fresh} fresh app spans for {} apps",
+        apps >= corpus.len() as u64,
+        "{apps} `sweep;app` spans for {} apps",
         corpus.len()
     );
     assert!(!journal.events_path().exists(), "the resume left the log");

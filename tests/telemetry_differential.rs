@@ -5,10 +5,9 @@
 //! timeline without reusing span ids.
 
 use std::collections::HashSet;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 
-use dydroid::obs::chrome_trace;
-use dydroid::{Journal, Pipeline, PipelineConfig};
+use dydroid::{Journal, Pipeline, PipelineConfig, Telemetry};
 use dydroid_workload::{generate, CorpusSpec, SyntheticApp};
 
 fn tiny_corpus() -> Vec<SyntheticApp> {
@@ -83,25 +82,63 @@ fn telemetry_on_and_off_reports_are_byte_identical() {
     assert!(off.stats().phases.is_empty());
 }
 
-/// The Chrome-trace document produced by a real sweep parses back and
-/// carries one complete-event entry per retained span.
+fn temp_trace(tag: &str) -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "dydroid_telemetry_{tag}_{}.trace.json",
+        std::process::id()
+    ))
+}
+
+/// A pipeline on a telemetry handle that streams its trace to `path`
+/// from before the pipeline is built.
+fn traced_pipeline(config: PipelineConfig, path: &Path) -> Pipeline {
+    let telemetry = Telemetry::new(true);
+    telemetry.open_trace(path).expect("open trace");
+    Pipeline::with_telemetry(config, telemetry)
+}
+
+/// The events of the trace `pipeline` streamed to `path`, once closed.
+fn trace_events(pipeline: &Pipeline, path: &Path) -> Vec<serde_json::Value> {
+    pipeline.telemetry().close_trace().expect("close trace");
+    let text = std::fs::read_to_string(path).expect("trace file written");
+    let _ = std::fs::remove_file(path);
+    let parsed: serde_json::Value = serde_json::from_str(&text).expect("trace parses back");
+    assert_eq!(
+        parsed.get("displayTimeUnit").and_then(|v| v.as_str()),
+        Some("ms")
+    );
+    parsed
+        .get("traceEvents")
+        .and_then(|e| e.as_array())
+        .expect("traceEvents array")
+        .clone()
+}
+
+/// A trace event's `args` member `key`, as a number.
+fn arg(event: &serde_json::Value, key: &str) -> u64 {
+    event
+        .get("args")
+        .and_then(|a| a.get(key))
+        .and_then(|v| v.as_u64())
+        .unwrap_or_else(|| panic!("trace event lacks args.{key}"))
+}
+
+/// The Chrome-trace document a real sweep streams parses back and
+/// carries one complete-event entry per span the run closed.
 #[test]
 fn chrome_trace_from_sweep_parses_back() {
     let corpus = small_corpus(60);
-    let pipeline = Pipeline::new(PipelineConfig::default());
+    let path = temp_trace("sweep");
+    let pipeline = traced_pipeline(PipelineConfig::default(), &path);
     let _ = pipeline.run(&corpus);
 
-    let spans = pipeline.telemetry().spans();
-    assert!(!spans.is_empty(), "sweep recorded no spans");
-    let doc = chrome_trace(&spans);
-    let text = serde_json::to_string(&doc).expect("serialise trace");
-    let parsed: serde_json::Value = serde_json::from_str(&text).expect("trace parses back");
-    let events = parsed
-        .get("traceEvents")
-        .and_then(|e| e.as_array())
-        .expect("traceEvents array");
-    assert_eq!(events.len(), spans.len());
-    for event in events {
+    let events = trace_events(&pipeline, &path);
+    assert!(!events.is_empty(), "sweep recorded no spans");
+    assert_eq!(
+        events.len() as u64,
+        pipeline.telemetry().profile().span_count()
+    );
+    for event in &events {
         let obj = event.as_object().expect("event is an object");
         for key in ["name", "cat", "ph", "ts", "dur", "pid", "tid", "args"] {
             assert!(
@@ -112,16 +149,13 @@ fn chrome_trace_from_sweep_parses_back() {
         assert_eq!(event.get("ph").and_then(|v| v.as_str()), Some("X"));
     }
     // Phase spans reference their app span through args.parent.
-    let ids: HashSet<u64> = spans.iter().map(|s| s.id).collect();
-    for span in &spans {
-        if span.parent != 0 {
-            assert!(
-                ids.contains(&span.parent),
-                "span {} has dangling parent {}",
-                span.id,
-                span.parent
-            );
-        }
+    let ids: HashSet<u64> = events.iter().map(|e| arg(e, "id")).collect();
+    for event in &events {
+        let (id, parent) = (arg(event, "id"), arg(event, "parent"));
+        assert!(
+            parent == 0 || ids.contains(&parent),
+            "span {id} has dangling parent {parent}"
+        );
     }
 }
 
@@ -290,17 +324,18 @@ fn interrupted_event_stream_stitches_into_the_resumed_timeline() {
         );
     }
 
-    let second = Pipeline::new(config);
+    let path = temp_trace("stitch");
+    let second = traced_pipeline(config, &path);
     let resumed = second
         .run_resumable(&corpus, &journal)
         .expect("resumed sweep");
     assert_eq!(resumed.records().len(), corpus.len());
     assert_eq!(journal.load().expect("journal").len(), corpus.len());
 
-    // The resumed pipeline's timeline contains the stitched first-session
+    // The resumed pipeline's trace contains the stitched first-session
     // spans plus its own, with globally unique ids.
-    let spans = second.telemetry().spans();
-    let resumed_ids: Vec<u64> = spans.iter().map(|s| s.id).collect();
+    let events = trace_events(&second, &path);
+    let resumed_ids: Vec<u64> = events.iter().map(|e| arg(e, "id")).collect();
     let unique: HashSet<&u64> = resumed_ids.iter().collect();
     assert_eq!(unique.len(), resumed_ids.len(), "span ids collide");
     let stitched: HashSet<u64> = first_ids.iter().copied().collect();
@@ -309,43 +344,36 @@ fn interrupted_event_stream_stitches_into_the_resumed_timeline() {
         "stitched timeline lost first-session spans"
     );
     assert!(
-        spans.iter().any(|s| !stitched.contains(&s.id)),
+        resumed_ids.iter().any(|id| !stitched.contains(id)),
         "resume recorded no new spans"
     );
 
     journal.reset().expect("cleanup");
 }
 
-/// A plain (non-journaled) run's telemetry, read back once the run
-/// returns, writes a trace file that is valid JSON.
+/// A trace opened on a plain (non-journaled) run's pipeline, after it
+/// was built, streams the run's spans and none from before it opened:
+/// the detector's training at construction is not in it.
 #[test]
 fn plain_run_telemetry_writes_a_loadable_trace() {
     let corpus = small_corpus(20);
-    let trace_path = std::env::temp_dir().join(format!(
-        "dydroid_telemetry_trace_{}.trace.json",
-        std::process::id()
-    ));
+    let path = temp_trace("plain");
     let pipeline = Pipeline::new(PipelineConfig {
         environment_reruns: false,
         ..PipelineConfig::default()
     });
+    pipeline.telemetry().open_trace(&path).expect("open trace");
     let _ = pipeline.run(&corpus);
-    pipeline
-        .telemetry()
-        .write_chrome_trace(&trace_path)
-        .expect("write trace");
-    let text = std::fs::read_to_string(&trace_path).expect("trace file written");
-    let parsed: serde_json::Value = serde_json::from_str(&text).expect("trace parses");
+    let events = trace_events(&pipeline, &path);
+    assert!(!events.is_empty(), "trace has no events");
+    let is_train =
+        |event: &serde_json::Value| event.get("name").and_then(|n| n.as_str()) == Some("train");
     assert!(
-        parsed
-            .get("traceEvents")
-            .and_then(|e| e.as_array())
-            .is_some_and(|a| !a.is_empty()),
-        "trace has no events"
+        !events.iter().any(is_train),
+        "a span closed before the trace opened is in it"
     );
     assert_eq!(
-        parsed.get("displayTimeUnit").and_then(|v| v.as_str()),
-        Some("ms")
+        events.len() as u64 + 1,
+        pipeline.telemetry().profile().span_count()
     );
-    let _ = std::fs::remove_file(&trace_path);
 }
