@@ -19,11 +19,6 @@ pub const MAX_RETRIES: u32 = 1;
 /// and corpus-wide in `SweepStats`.
 pub const MAX_EVENTS_PER_APP: usize = 65_536;
 
-/// Interrupted (journal/ledger inconsistent) attempts an app may
-/// accumulate across resumes before it is quarantined: recorded as an
-/// analysis failure and skipped on re-runs.
-pub const QUARANTINE_THRESHOLD: u32 = 3;
-
 /// Virtual-clock interval between metrics snapshots on journaled
 /// telemetry runs: every time the summed virtual cost of the apps the
 /// collector has received crosses a multiple of this many microseconds,

@@ -26,9 +26,9 @@
 //! pressure — telemetry events shed first, provenance detail second,
 //! the journal never (see [`IoState`]).
 //!
-//! [`RecordFile`] types a framed file by its record: the journal, the
-//! provenance ledger and the quarantine file share its load, recover,
-//! rewrite, finalize and append code.
+//! [`RecordFile`] types a framed file by its record: the journal and
+//! the provenance ledger share its load, recover, rewrite, finalize and
+//! append code.
 
 use std::fmt::{self, Write as _};
 use std::fs::{File, OpenOptions};
@@ -1160,10 +1160,10 @@ pub trait Record: Serialize + Deserialize {
     const STREAM: StreamKind;
 }
 
-/// A framed file of `T` records — the sweep journal, the provenance
-/// ledger and the quarantine file are all one of these. Streamed during
-/// a sweep for resume-safety, cut back to its valid prefix on recovery,
-/// and rewritten deterministically when a run completes.
+/// A framed file of `T` records — the sweep journal and the provenance
+/// ledger are both one of these. Streamed during a sweep for
+/// resume-safety, cut back to its valid prefix on recovery, and
+/// rewritten deterministically when a run completes.
 #[derive(Debug, Clone)]
 pub struct RecordFile<T> {
     path: PathBuf,
@@ -1512,13 +1512,23 @@ mod tests {
         );
     }
 
-    /// `n` quarantine entries — a small [`Record`] type — and their
-    /// bodies as `rewrite` encodes them.
-    fn entries(n: u32) -> (Vec<crate::sweep::QuarantineEntry>, Vec<String>) {
+    /// A small [`Record`] type for the record-file tests.
+    #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+    struct Entry {
+        package: String,
+        count: u32,
+    }
+
+    impl Record for Entry {
+        const STREAM: StreamKind = StreamKind::Journal;
+    }
+
+    /// `n` entries and their bodies as `rewrite` encodes them.
+    fn entries(n: u32) -> (Vec<Entry>, Vec<String>) {
         let entries: Vec<_> = (0..n)
-            .map(|i| crate::sweep::QuarantineEntry {
+            .map(|i| Entry {
                 package: format!("com.app{i}"),
-                attempts: i + 1,
+                count: i + 1,
             })
             .collect();
         let bodies = entries
@@ -1529,7 +1539,7 @@ mod tests {
     }
 
     /// A record file `tag` holding exactly `bytes`.
-    fn record_file(tag: &str, bytes: &[u8]) -> RecordFile<crate::sweep::QuarantineEntry> {
+    fn record_file(tag: &str, bytes: &[u8]) -> RecordFile<Entry> {
         let path = temp_path(tag);
         std::fs::write(&path, bytes).expect("write record file");
         RecordFile::new(path)
@@ -1638,7 +1648,7 @@ mod tests {
 
     #[test]
     fn a_missing_record_file_is_empty_and_stays_missing() {
-        let file: RecordFile<crate::sweep::QuarantineEntry> = RecordFile::new(temp_path("missing"));
+        let file: RecordFile<Entry> = RecordFile::new(temp_path("missing"));
         file.reset().expect("no file");
         let recovery = file.recover_counted().expect("recover");
         assert!(recovery.records.is_empty());

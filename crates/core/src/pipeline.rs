@@ -6,7 +6,7 @@
 //! corpus. See `DESIGN.md`, "Failure taxonomy & fault tolerance".
 
 use std::borrow::Cow;
-use std::collections::{BTreeMap, BTreeSet, HashMap, HashSet};
+use std::collections::{BTreeSet, HashMap, HashSet};
 use std::io::Write as _;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::path::Path;
@@ -30,14 +30,13 @@ use serde::{Deserialize, Serialize};
 use crate::cache::{AnalysisCache, BinaryVerdict, CacheStats};
 use crate::config::{
     PipelineConfig, MAX_EVENTS_PER_APP, MAX_RETRIES, METRICS_INTERVAL_US, MONKEY_SEED,
-    QUARANTINE_THRESHOLD, STRAGGLER_TOP,
+    STRAGGLER_TOP,
 };
 use crate::durable::{self, IoHarness, IoState, Replacement, SinkOptions, StreamEnd, StreamKind};
 use crate::profile::{StragglerEntry, Watchdog};
 use crate::provenance::{AppProvenance, ProvenanceLedger};
 use crate::report::{MeasurementReport, SweepStats};
 use crate::scheduler::{idle_workers, virtual_makespan_us, DispatchCursor, WorkerStats};
-use crate::sweep::QuarantineEntry;
 use crate::telemetry::{ChildTable, HistogramSummary, MetricsSnapshot, SpanGuard, Telemetry};
 use crate::training;
 
@@ -373,29 +372,6 @@ impl Pipeline {
                 .counter_add("ledger.dropped_lines", outcome.ledger_dropped as u64);
             self.telemetry
                 .counter_add("sweep.inconsistent_apps", outcome.inconsistent.len() as u64);
-            self.telemetry
-                .counter_add("sweep.quarantined_apps", outcome.quarantined.len() as u64);
-        }
-        // Apps that exhausted their interrupted-attempt budget are not
-        // re-analysed: a deterministic failure record stands in for them
-        // and is excluded from the pending set.
-        let mut quarantined = Vec::new();
-        for entry in &outcome.quarantine {
-            if entry.attempts < QUARANTINE_THRESHOLD {
-                continue;
-            }
-            let Some(&i) = index.get(entry.package.as_str()) else {
-                continue;
-            };
-            if slots.records[i].is_some() {
-                continue;
-            }
-            let record = self.failure_record(
-                &corpus[i],
-                format!("quarantined after {} interrupted attempts", entry.attempts),
-            );
-            slots.file(i, record, None);
-            quarantined.push(i);
         }
         drop(index);
         let pending: Vec<usize> = (0..corpus.len())
@@ -404,7 +380,7 @@ impl Pipeline {
         // Only a session that analyses and appends nothing leaves a
         // stream as recovery verified it; any append lands in completion
         // order and must be finalized.
-        let canonical = if pending.is_empty() && quarantined.is_empty() {
+        let canonical = if pending.is_empty() {
             outcome.canonical
         } else {
             Canonical::default()
@@ -415,23 +391,6 @@ impl Pipeline {
             (&ledger, outcome.ledger_end),
             &io_state,
         )?;
-        // Quarantine records are persisted through the same append as
-        // every analysed app, so the journal and the ledger stay
-        // mutually consistent.
-        for i in quarantined {
-            if let Some(record) = &slots.records[i] {
-                let bodies = AppBodies::encode(record, &AppProvenance::from_record(record));
-                writers.append(&record.package, &bodies, 0, &self.telemetry);
-            }
-        }
-        // The dispatch order: new pending apps first, then the apps
-        // recovery found inconsistent, each group in corpus order, so a
-        // crash loop among re-scans cannot starve first-pass coverage.
-        let retry: HashSet<&str> = outcome.inconsistent.iter().map(String::as_str).collect();
-        let (mut order, retries): (Vec<usize>, Vec<usize>) = pending
-            .iter()
-            .partition(|&&i| !retry.contains(corpus[i].package()));
-        order.extend(retries);
         let cache_mark = self.cache.stats();
         let detector_mark = self.detector.stats();
         let avm_marks = self.avm_counter_marks();
@@ -442,7 +401,7 @@ impl Pipeline {
         sweep_span.field("resumed", recovered);
         let worker_stats = self.sweep(
             corpus,
-            &order,
+            &pending,
             &mut slots,
             Some(&mut writers),
             observatory.as_ref(),
@@ -463,7 +422,6 @@ impl Pipeline {
             recovered: recovered as u64,
             dropped: (outcome.journal_dropped + outcome.ledger_dropped) as u64,
             inconsistent: outcome.inconsistent.len() as u64,
-            quarantined: outcome.quarantined,
         };
         Ok(self.assemble(
             corpus,
@@ -487,17 +445,15 @@ impl Pipeline {
     /// An app then counts as recovered when the journal holds its record
     /// and the ledger beside it holds its graph. The telemetry
     /// event stream is observability only: it is never read here, so a
-    /// shed, cut or missing event stream loses no measured app. Apps
-    /// present in one stream but not the other are re-analysed; each such
-    /// interruption bumps the app's quarantine attempt count, and apps at
-    /// or over [`QUARANTINE_THRESHOLD`] are reported in
-    /// [`RecoveryOutcome::quarantined`] and skipped by
-    /// [`Pipeline::run_resumable`].
+    /// shed, cut or missing event stream loses no measured app. An app
+    /// present in one stream but not the other is inconsistent: a crash
+    /// cut its append, so it is unfinished work and is re-analysed like
+    /// any pending app.
     ///
     /// # Errors
     ///
-    /// Returns I/O errors from reading or rewriting the journal and its
-    /// quarantine sidecar; ledger read failures degrade to warnings (its
+    /// Returns I/O errors from reading or rewriting the journal; ledger
+    /// read failures degrade to warnings (its
     /// records are simply not recovered).
     pub fn recover_all(&self, journal: &crate::sweep::Journal) -> std::io::Result<RecoveryOutcome> {
         // With no corpus, every package is filed outside one, in order of
@@ -619,21 +575,6 @@ impl Pipeline {
                 .map(|graph| graph.package),
         );
 
-        // A recovered package sheds its quarantine entry, even if the
-        // streams also held a torn copy of it.
-        let mut quarantine: BTreeMap<String, u32> = BTreeMap::new();
-        for entry in journal.load_quarantine()? {
-            quarantine.entry(entry.package).or_insert(entry.attempts);
-        }
-        if !quarantine.is_empty() {
-            let outside_recovered: HashSet<&str> =
-                outside.iter().map(|(r, _)| r.package.as_str()).collect();
-            quarantine.retain(|package, _| match index.get(package.as_str()) {
-                Some(&i) => records[i].is_none(),
-                None => !outside_recovered.contains(package.as_str()),
-            });
-        }
-
         // Rewrite the journal and ledger to the consistent set so this
         // session's appends extend files that agree with each other.
         let recovered = records.iter().flatten().count() + outside.len();
@@ -664,27 +605,9 @@ impl Pipeline {
             }
         }
 
-        // Quarantine bookkeeping: every cross-stream-inconsistent app
-        // burned one interrupted attempt; apps that completed since then
-        // shed their entries (above).
-        for package in &inconsistent {
-            let attempts = quarantine.entry(package.clone()).or_insert(0);
-            *attempts = attempts.saturating_add(1);
-        }
-        let quarantine: Vec<QuarantineEntry> = quarantine
-            .into_iter()
-            .map(|(package, attempts)| QuarantineEntry { package, attempts })
-            .collect();
-        journal.write_quarantine(&quarantine)?;
-        let quarantined: Vec<String> = quarantine
-            .iter()
-            .filter(|e| e.attempts >= QUARANTINE_THRESHOLD)
-            .map(|e| e.package.clone())
-            .collect();
-
         // A stream in corpus order keeps that verdict only while recovery
         // had nothing to reconcile.
-        let settled = inconsistent.is_empty() && quarantine.is_empty();
+        let settled = inconsistent.is_empty();
         let canonical = Canonical {
             journal: settled && journal_in_order,
             ledger: settled && ledger_in_order && ledger_end.is_some(),
@@ -695,8 +618,6 @@ impl Pipeline {
             journal_dropped: journal_loaded.dropped_lines,
             ledger_dropped,
             inconsistent: inconsistent.into_iter().collect(),
-            quarantine,
-            quarantined,
             journal_end,
             ledger_end,
             canonical,
@@ -934,7 +855,6 @@ impl Pipeline {
             recovered_records: recovery.recovered,
             recovery_dropped: recovery.dropped,
             inconsistent_apps: recovery.inconsistent,
-            quarantined: recovery.quarantined,
             shard_contention: 0,
             worker_stats: perf.worker_stats,
             straggler_warnings,
@@ -973,11 +893,10 @@ impl Pipeline {
     /// ledger rename, journal rename, one directory sync. A fault harness
     /// therefore sees the same ops in the same order, and a crash leaves
     /// the same on-disk states, as one replace after another. Once the
-    /// journal is final (renamed or kept), the quarantine sidecar and the
-    /// event log are removed, and this session's span stacks are appended
-    /// to the `<journal>.profile.folded` artifact; none of these is a
-    /// harness op. Returns how many of the journal and the ledger were
-    /// replaced.
+    /// journal is final (renamed or kept), the event log is removed and
+    /// this session's span stacks are appended to the
+    /// `<journal>.profile.folded` artifact; neither is a harness op.
+    /// Returns how many of the journal and the ledger were replaced.
     fn finalize_streams(
         &self,
         journal: &crate::sweep::Journal,
@@ -1093,16 +1012,6 @@ impl Pipeline {
         if renamed.contains(&true) || kept.iter().any(|(keep, _, _)| *keep) {
             if let Err(e) = durable::sync_dir(journal.path()) {
                 fail("journal", journal.path(), e);
-            }
-        }
-        // Every corpus app now has its finalized record, so no
-        // interrupted attempt is left to count: drop the quarantine
-        // sidecar. Like a fresh run's reset, this is not a harness op. A
-        // kept journal had no quarantine entry, so recovery has already
-        // removed the sidecar.
-        if journal_renamed {
-            if let Err(e) = journal.write_quarantine(&[]) {
-                fail("quarantine", &journal.quarantine_path(), e);
             }
         }
         // The event log ends with the run. Once the journal is final, this
@@ -1614,10 +1523,9 @@ impl Pipeline {
         let taint = TaintAnalysis::new();
         let mut analysis_span = self.telemetry.span_with_parent("binary_analysis", parent);
         // Delta marks lock every cache stripe, so take them only when
-        // recording.
-        let marks = self
-            .telemetry
-            .is_enabled()
+        // the span keeps the fields they feed.
+        let marks = analysis_span
+            .keeps_fields()
             .then(|| (self.cache.stats(), self.detector.stats()));
         let verdicts: Vec<_> = unique
             .iter()
@@ -2027,15 +1935,9 @@ pub struct RecoveryOutcome {
     /// Corrupt or torn ledger frames dropped during recovery.
     pub ledger_dropped: usize,
     /// Packages present in the journal or the ledger but not both
-    /// (sorted); these are re-analysed on resume.
+    /// (sorted): a crash cut their append, so they are re-analysed on
+    /// resume like any pending app.
     pub inconsistent: Vec<String>,
-    /// The quarantine ledger after this reconciliation: interrupted
-    /// attempts accumulated per package across resumes.
-    pub quarantine: Vec<QuarantineEntry>,
-    /// Packages at or over [`QUARANTINE_THRESHOLD`]
-    /// (sorted); [`Pipeline::run_resumable`] records these as analysis
-    /// failures instead of re-analysing them.
-    pub quarantined: Vec<String>,
     /// Where the journal's frames end after this reconciliation, so the
     /// session's writer resumes there without a second scan.
     pub(crate) journal_end: StreamEnd,
@@ -2049,7 +1951,7 @@ pub struct RecoveryOutcome {
 /// Which of the journal and the ledger recovery found exactly as a
 /// finalize would write them: one frame per corpus app, frame `k`
 /// holding corpus app `k` with `seq` `k`, no frame dropped, no package
-/// outside the corpus, no inconsistent app and no quarantine entry.
+/// outside the corpus and no inconsistent app.
 /// [`Pipeline::finalize_streams`] keeps such a stream where it lies.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub(crate) struct Canonical {
@@ -2080,7 +1982,6 @@ struct RecoverySummary {
     recovered: u64,
     dropped: u64,
     inconsistent: u64,
-    quarantined: Vec<String>,
 }
 
 /// Uniform stream-recovery warning, emitted only when frames were lost.
@@ -2325,49 +2226,6 @@ mod tests {
         (dir, journal, pipeline)
     }
 
-    #[test]
-    fn inconsistent_apps_run_after_every_new_app() {
-        let corpus = tiny_corpus();
-        let corpus = &corpus[..12];
-        let (dir, journal, pipeline) = cut_session(corpus, "retry_order");
-        let trace = dir.join("sweep.trace.json");
-        pipeline.telemetry().open_trace(&trace).expect("open trace");
-        let report = pipeline
-            .run_resumable(corpus, &journal)
-            .expect("resumed session");
-        pipeline.telemetry().close_trace().expect("close trace");
-        assert_eq!(report.stats().inconsistent_apps, 1);
-        let text = std::fs::read_to_string(&trace).expect("read trace");
-        let doc: serde::Value = serde_json::from_str(&text).expect("trace parses");
-        let events = doc
-            .get("traceEvents")
-            .and_then(|e| e.as_array())
-            .expect("traceEvents");
-        let start_of = |i: usize| {
-            let package = corpus[i].package();
-            events
-                .iter()
-                .find(|event| {
-                    event.get("name").and_then(|n| n.as_str()) == Some("app")
-                        && event
-                            .get("args")
-                            .and_then(|a| a.get("app"))
-                            .and_then(|a| a.as_str())
-                            == Some(package)
-                })
-                .and_then(|event| event.get("ts").and_then(|t| t.as_u64()))
-                .unwrap_or_else(|| panic!("no app span for `{package}`"))
-        };
-        let retry_start = start_of(7);
-        for i in 8..corpus.len() {
-            assert!(
-                start_of(i) < retry_start,
-                "new app {i} started after the inconsistent app"
-            );
-        }
-        let _ = std::fs::remove_dir_all(&dir);
-    }
-
     /// The live sweep gauges count this session: on a resume, the done
     /// gauge reaches the pending gauge (new apps plus the inconsistent
     /// one) by the time the run returns, while the total stays the
@@ -2452,13 +2310,6 @@ mod tests {
         )
     }
 
-    fn entry(package: &str, attempts: u32) -> QuarantineEntry {
-        QuarantineEntry {
-            package: package.to_string(),
-            attempts,
-        }
-    }
-
     /// A package the journal holds twice is recovered once, with its
     /// one graph; the journal is rewritten to the distinct apps and the
     /// ledger is left as it was.
@@ -2479,7 +2330,6 @@ mod tests {
         let pkgs = [a, b, c].map(|r| r.package.as_str());
         assert_eq!(recovered_packages(&outcome), (pkgs.to_vec(), pkgs.to_vec()));
         assert!(outcome.inconsistent.is_empty());
-        assert!(outcome.quarantine.is_empty());
         assert_eq!((outcome.journal_dropped, outcome.ledger_dropped), (0, 0));
         assert_eq!(outcome.journal_end, file_end(journal.path(), 3));
         assert_eq!(journal.load().expect("journal").len(), 3);
@@ -2488,9 +2338,8 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// A ledger graph no journal record takes is inconsistent: the app
-    /// burns one attempt and the ledger is cut back to the journal's
-    /// apps.
+    /// A ledger graph no journal record takes is inconsistent: the
+    /// ledger is cut back to the journal's apps.
     #[test]
     fn recovery_drops_a_graph_without_a_journal_record() {
         let corpus = tiny_corpus();
@@ -2507,16 +2356,10 @@ mod tests {
         let pkgs = vec![records[0].package.as_str(), records[1].package.as_str()];
         assert_eq!(recovered_packages(&outcome), (pkgs.clone(), pkgs));
         assert_eq!(outcome.inconsistent, vec![graphs[2].package.clone()]);
-        assert_eq!(outcome.quarantine, vec![entry(&graphs[2].package, 1)]);
-        assert!(outcome.quarantined.is_empty());
         assert_eq!(outcome.journal_end, journal_before);
         assert_eq!(
             outcome.ledger_end,
             Some(file_end(&journal.provenance_path(), 2))
-        );
-        assert_eq!(
-            journal.load_quarantine().expect("quarantine"),
-            outcome.quarantine
         );
         let _ = std::fs::remove_dir_all(&dir);
     }
@@ -2538,7 +2381,6 @@ mod tests {
         let pkgs = vec![records[0].package.as_str(), records[2].package.as_str()];
         assert_eq!(recovered_packages(&outcome), (pkgs.clone(), pkgs));
         assert_eq!(outcome.inconsistent, vec![records[1].package.clone()]);
-        assert_eq!(outcome.quarantine, vec![entry(&records[1].package, 1)]);
         assert_eq!(outcome.journal_end, file_end(journal.path(), 2));
         assert_eq!(
             outcome.ledger_end,
@@ -2548,10 +2390,9 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
-    /// An emptied ledger makes every journaled app inconsistent: each
-    /// burns one attempt (an app already quarantined once reaches two),
-    /// both streams end empty, and a resume re-analyses every app into
-    /// the same finalized streams.
+    /// An emptied ledger makes every journaled app inconsistent: both
+    /// streams end empty, and a resume re-analyses every app into the
+    /// same finalized streams.
     #[test]
     fn recovery_over_an_emptied_ledger_retries_every_app() {
         let corpus = tiny_corpus();
@@ -2560,9 +2401,6 @@ mod tests {
         let first_journal = std::fs::read(journal.path()).expect("journal bytes");
         let first_ledger = std::fs::read(journal.provenance_path()).expect("ledger bytes");
         std::fs::write(journal.provenance_path(), "").expect("empty the ledger");
-        journal
-            .write_quarantine(&[entry(&records[2].package, 1), entry("zz.not.in.streams", 2)])
-            .expect("quarantine");
         let outcome = Pipeline::new(PipelineConfig::default())
             .recover_all(&journal)
             .expect("recover");
@@ -2570,24 +2408,11 @@ mod tests {
         let mut pkgs: Vec<String> = records.iter().map(|r| r.package.clone()).collect();
         pkgs.sort();
         assert_eq!(outcome.inconsistent, pkgs);
-        let mut quarantine: Vec<QuarantineEntry> = records
-            .iter()
-            .enumerate()
-            .map(|(i, r)| entry(&r.package, if i == 2 { 2 } else { 1 }))
-            .chain([entry("zz.not.in.streams", 2)])
-            .collect();
-        quarantine.sort_by(|a, b| a.package.cmp(&b.package));
-        assert_eq!(journal.load_quarantine().expect("quarantine"), quarantine);
-        let mut entries = outcome.quarantine.clone();
-        entries.sort_by(|a, b| a.package.cmp(&b.package));
-        assert_eq!(entries, quarantine);
-        assert!(outcome.quarantined.is_empty());
         assert_eq!(outcome.journal_end, StreamEnd::default());
         assert_eq!(outcome.ledger_end, Some(StreamEnd::default()));
         assert_eq!(file_end(journal.path(), 0), StreamEnd::default());
 
         std::fs::write(journal.path(), &first_journal).expect("restore the journal");
-        journal.write_quarantine(&[]).expect("clear the quarantine");
         let report = Pipeline::new(PipelineConfig {
             workers: 1,
             environment_reruns: false,
@@ -2606,11 +2431,64 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A crash that cuts one app's ledger append three times over leaves
+    /// the measurement as an uninterrupted run makes it: the app is
+    /// unfinished work on each recovery, re-analysed by the resume, and
+    /// never recorded as a failure. (An older build counted each cut as
+    /// an interrupted attempt and recorded the app as "quarantined after
+    /// 3 interrupted attempts".)
+    #[test]
+    fn three_cut_appends_of_one_app_leave_the_measurement_as_it_was() {
+        let corpus = tiny_corpus();
+        let corpus = &corpus[..12];
+        let config = PipelineConfig {
+            workers: 1,
+            environment_reruns: false,
+            ..Default::default()
+        };
+        let (dir, journal, records, graphs) = finished_streams(corpus, "recover_cut_thrice");
+        let whole = crate::sweep::Journal::new(dir.join("whole.jsonl"));
+        let first = Pipeline::new(config.clone())
+            .run_resumable(corpus, &whole)
+            .expect("uninterrupted sweep");
+        let first_json = serde_json::to_string(&first).expect("serialise");
+        let first_journal = std::fs::read(whole.path()).expect("journal bytes");
+        let first_ledger = std::fs::read(whole.provenance_path()).expect("ledger bytes");
+        let cut = || {
+            let records: Vec<&AppRecord> = records[..8].iter().collect();
+            let graphs: Vec<&AppProvenance> = graphs[..7].iter().collect();
+            frame_streams(&journal, &records, &graphs);
+        };
+        let inconsistent = vec![records[7].package.clone()];
+        for _ in 0..2 {
+            cut();
+            let outcome = Pipeline::new(config.clone())
+                .recover_all(&journal)
+                .expect("recover");
+            assert_eq!(outcome.inconsistent, inconsistent);
+        }
+        cut();
+        let report = Pipeline::new(config)
+            .run_resumable(corpus, &journal)
+            .expect("third recovery");
+        assert_eq!(report.stats().inconsistent_apps, 1);
+        assert_eq!(
+            serde_json::to_string(&report.records()[7]).expect("serialise"),
+            serde_json::to_string(&records[7]).expect("serialise")
+        );
+        assert_eq!(
+            serde_json::to_string(&report).expect("serialise"),
+            first_json
+        );
+        assert!(std::fs::read(journal.path()).expect("journal") == first_journal);
+        assert!(std::fs::read(journal.provenance_path()).expect("ledger") == first_ledger);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// Apps a journal holds beyond a (smaller) resumed corpus count as
     /// recovered and stay in the streams until finalize, which keeps
     /// only the corpus; one of them without its graph is inconsistent
-    /// like any other. Its quarantine entry goes with the sidecar, which
-    /// finalize removes once the journal commits.
+    /// like any other.
     #[test]
     fn recovery_counts_apps_outside_the_corpus() {
         let corpus = tiny_corpus();
@@ -2636,7 +2514,6 @@ mod tests {
             .collect();
         let expected: Vec<String> = records[..4].iter().map(|r| r.package.clone()).collect();
         assert_eq!(finalized, expected);
-        assert!(!journal.quarantine_path().exists());
         let _ = std::fs::remove_dir_all(&dir);
     }
 

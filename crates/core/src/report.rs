@@ -88,9 +88,6 @@ pub struct SweepStats {
     pub recovery_dropped: u64,
     /// Apps whose journal and ledger disagreed at recovery (re-analysed).
     pub inconsistent_apps: u64,
-    /// Packages quarantined after exhausting interrupted attempts
-    /// (sorted); recorded as analysis failures, not re-analysed.
-    pub quarantined: Vec<String>,
     /// Always 0: one writer appends every frame of a journaled sweep, so
     /// no append waits on another. Kept while corpusbench's
     /// `streams.shard_contention` metric still reads it; never serialized.
@@ -182,7 +179,6 @@ impl SweepStats {
         put("recovery.records", self.recovered_records);
         put("recovery.dropped_frames", self.recovery_dropped);
         put("recovery.inconsistent_apps", self.inconsistent_apps);
-        put("recovery.quarantined", self.quarantined.len() as u64);
         map
     }
 
@@ -552,11 +548,14 @@ impl MeasurementReport {
             d.fully_scored,
             d.early_exits
         );
-        let _ = writeln!(
-            s,
-            "  instrumentation bounds: {} events dropped, {} flow edges truncated, {} deduped",
-            st.dropped_events, st.flow_truncated, st.flow_deduped
-        );
+        // Only telemetry collects these counters (see `counter_map`).
+        if st.telemetry {
+            let _ = writeln!(
+                s,
+                "  instrumentation bounds: {} events dropped, {} flow edges truncated, {} deduped",
+                st.dropped_events, st.flow_truncated, st.flow_deduped
+            );
+        }
         let ic_total = st.ic_call_hits + st.ic_call_misses + st.ic_field_hits + st.ic_field_misses;
         if ic_total > 0 {
             let hits = st.ic_call_hits + st.ic_field_hits;
@@ -582,14 +581,6 @@ impl MeasurementReport {
                 s,
                 "  recovery: {} records resumed, {} corrupt frames dropped, {} inconsistent apps re-analysed",
                 st.recovered_records, st.recovery_dropped, st.inconsistent_apps
-            );
-        }
-        if !st.quarantined.is_empty() {
-            let _ = writeln!(
-                s,
-                "  quarantined: {} app(s) skipped after repeated interruptions ({})",
-                st.quarantined.len(),
-                st.quarantined.join(", ")
             );
         }
         if st.app_wall.count > 0 {
@@ -1409,6 +1400,23 @@ mod tests {
             assert!(!perf.contains("shard"), "{perf}");
             assert!(json.get("shard_contention").is_none());
             assert!(perf.contains("scheduler: 3 tasks over 1 workers"), "{perf}");
+        }
+    }
+
+    #[test]
+    fn render_perf_prints_instrumentation_bounds_only_when_telemetry_was_on() {
+        for telemetry in [false, true] {
+            let mut report = MeasurementReport::new(Vec::new(), Default::default());
+            report.set_stats(SweepStats {
+                telemetry,
+                ..SweepStats::default()
+            });
+            let perf = report.render_perf();
+            assert_eq!(
+                perf.contains("instrumentation bounds:"),
+                telemetry,
+                "{perf}"
+            );
         }
     }
 

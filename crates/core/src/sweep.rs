@@ -9,18 +9,10 @@
 //! packages are skipped, and the sweep continues. Torn tails, bit rot,
 //! and lost records are all detected by the frame scan rather than
 //! trusted to JSON parsing.
-//!
-//! The journal also owns the sweep's **quarantine file**
-//! (`<journal>.quarantine.jsonl`): apps repeatedly caught in-flight at a
-//! crash accumulate attempts there, and past a configured threshold the
-//! pipeline skips them with an analysis-failure record instead of
-//! letting one poisonous app wedge every resume.
 
 use std::io;
 use std::ops::Deref;
 use std::path::PathBuf;
-
-use serde::{Deserialize, Serialize};
 
 use crate::durable::{remove_if_exists, Record, RecordFile, RecordWriter, Recovery, StreamKind};
 use crate::pipeline::AppRecord;
@@ -72,13 +64,6 @@ impl Journal {
         self.sidecar(".provenance.jsonl")
     }
 
-    /// Path of the quarantine file written alongside this journal
-    /// (`<journal>.quarantine.jsonl`): one entry per app that was
-    /// in-flight at a crash, with its interrupted-attempt count.
-    pub fn quarantine_path(&self) -> PathBuf {
-        self.sidecar(".quarantine.jsonl")
-    }
-
     /// Path of the folded span-profile artifact kept alongside this
     /// journal (`<journal>.profile.folded`): collapsed-stack lines ready
     /// for flamegraph tooling. Each finalize appends its session's
@@ -88,48 +73,18 @@ impl Journal {
         self.sidecar(".profile.folded")
     }
 
-    /// The quarantine file as a [`RecordFile`].
-    fn quarantine(&self) -> RecordFile<QuarantineEntry> {
-        RecordFile::new(self.quarantine_path())
-    }
-
-    /// Loads quarantine entries; a missing file is an empty list.
-    ///
-    /// # Errors
-    ///
-    /// Returns I/O errors other than the file not existing.
-    pub fn load_quarantine(&self) -> io::Result<Vec<QuarantineEntry>> {
-        self.quarantine().load()
-    }
-
-    /// Rewrites the quarantine file to exactly `entries` (sorted by
-    /// package for determinism); an empty list removes the file.
-    ///
-    /// # Errors
-    ///
-    /// Returns write errors.
-    pub fn write_quarantine(&self, entries: &[QuarantineEntry]) -> io::Result<()> {
-        if entries.is_empty() {
-            return self.quarantine().reset();
-        }
-        let mut sorted = entries.to_vec();
-        sorted.sort_by(|a, b| a.package.cmp(&b.package));
-        self.quarantine().rewrite(&sorted).map(drop)
-    }
-
     /// Deletes the journal file if present (start a sweep from scratch).
     ///
     /// # Errors
     ///
     /// Returns I/O errors other than the file not existing.
     pub fn reset(&self) -> io::Result<()> {
-        // The event stream, provenance ledger, quarantine file and profile
-        // artifact all describe the journal's records; a reset journal
-        // must not resume against stale ones.
+        // The event stream, provenance ledger and profile artifact all
+        // describe the journal's records; a reset journal must not resume
+        // against stale ones.
         for side in [
             self.events_path(),
             self.provenance_path(),
-            self.quarantine_path(),
             self.profile_path(),
         ] {
             remove_if_exists(&side)?;
@@ -143,20 +98,6 @@ pub type JournalRecovery = Recovery<AppRecord>;
 
 /// An append handle to a [`Journal`]. The journal is never shed.
 pub type JournalWriter = RecordWriter<AppRecord>;
-
-/// One quarantine entry: an app observed in-flight at a crash, with how
-/// many resumes it has interrupted so far.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct QuarantineEntry {
-    /// The app's package name.
-    pub package: String,
-    /// Interrupted attempts accumulated across resumes.
-    pub attempts: u32,
-}
-
-impl Record for QuarantineEntry {
-    const STREAM: StreamKind = StreamKind::Journal;
-}
 
 #[cfg(test)]
 mod tests {
@@ -369,47 +310,6 @@ mod tests {
         std::fs::write(journal.provenance_path(), "{}\n").unwrap();
         journal.reset().unwrap();
         assert!(!journal.provenance_path().exists());
-    }
-
-    #[test]
-    fn quarantine_round_trips_and_empties_away() {
-        let journal = Journal::new(temp_path("quarantine"));
-        journal.reset().unwrap();
-        assert!(journal.load_quarantine().unwrap().is_empty());
-        let entries = vec![
-            QuarantineEntry {
-                package: "com.b".to_string(),
-                attempts: 2,
-            },
-            QuarantineEntry {
-                package: "com.a".to_string(),
-                attempts: 1,
-            },
-        ];
-        journal.write_quarantine(&entries).unwrap();
-        let loaded = journal.load_quarantine().unwrap();
-        // Stored sorted by package for deterministic reporting.
-        assert_eq!(loaded.len(), 2);
-        assert_eq!(loaded[0].package, "com.a");
-        assert_eq!(loaded[1].package, "com.b");
-        assert_eq!(loaded[1].attempts, 2);
-        journal.write_quarantine(&[]).unwrap();
-        assert!(!journal.quarantine_path().exists());
-        journal.reset().unwrap();
-    }
-
-    #[test]
-    fn reset_removes_the_quarantine_file() {
-        let journal = Journal::new(temp_path("quarantine_reset"));
-        journal.reset().unwrap();
-        journal
-            .write_quarantine(&[QuarantineEntry {
-                package: "com.q".to_string(),
-                attempts: 3,
-            }])
-            .unwrap();
-        journal.reset().unwrap();
-        assert!(!journal.quarantine_path().exists());
     }
 
     #[test]

@@ -271,9 +271,16 @@ impl MetricsRegistry {
         &self.shards[(name_hash(name) as usize) & (self.shards.len() - 1)]
     }
 
+    /// The named metric, created by `make` if absent; the name is copied
+    /// only then.
     fn metric(&self, name: &str, make: impl FnOnce() -> Metric) -> Metric {
         let mut shard = lock(self.shard(name));
-        shard.entry(name.to_string()).or_insert_with(make).clone()
+        if let Some(metric) = shard.get(name) {
+            return metric.clone();
+        }
+        let metric = make();
+        shard.insert(name.to_string(), metric.clone());
+        metric
     }
 
     /// Adds `n` to the named counter, creating it at zero if needed.
@@ -937,14 +944,20 @@ impl SpanGuard {
         self.node.as_ref().map_or(0, |n| n.id)
     }
 
+    /// Whether [`SpanGuard::field`] keeps a field now: an event sink or
+    /// a trace is open to write it to.
+    pub(crate) fn keeps_fields(&self) -> bool {
+        self.node
+            .as_ref()
+            .is_some_and(|node| node.inner.exporting.load(Ordering::Relaxed))
+    }
+
     /// Attaches a structured `key = value` field, kept only while an
     /// event sink or a trace is open to write it to.
     pub fn field(&mut self, key: &str, value: impl std::fmt::Display) {
-        if let Some(node) = &self.node {
-            if node.inner.exporting.load(Ordering::Relaxed) {
-                let field = (key.to_string(), value.to_string());
-                lock(&node.state).fields.push(field);
-            }
+        if let (true, Some(node)) = (self.keeps_fields(), &self.node) {
+            let field = (key.to_string(), value.to_string());
+            lock(&node.state).fields.push(field);
         }
     }
 

@@ -28,7 +28,6 @@ use std::fmt::Debug;
 use std::path::PathBuf;
 
 use dydroid::durable::{encode_frames, scan_stream};
-use dydroid::sweep::QuarantineEntry;
 use dydroid::{AppProvenance, AppRecord, IoHarness, Journal, Pipeline, PipelineConfig};
 use dydroid_workload::{generate, CorpusSpec};
 use proptest::prelude::*;
@@ -677,22 +676,6 @@ fn finalized_sweep_bodies_decode_alike() {
         ..CorpusSpec::default()
     });
     let journal = temp_journal("sweep");
-    journal
-        .write_quarantine(&[
-            QuarantineEntry {
-                package: corpus[3].package().to_string(),
-                attempts: 1,
-            },
-            QuarantineEntry {
-                package: corpus[5].package().to_string(),
-                attempts: 7,
-            },
-        ])
-        .expect("seed quarantine");
-    assert_eq!(
-        decode_stream::<QuarantineEntry>(&journal.quarantine_path()),
-        2
-    );
     let report = Pipeline::new(PipelineConfig {
         workers: 2,
         ..PipelineConfig::default()
@@ -705,8 +688,6 @@ fn finalized_sweep_bodies_decode_alike() {
         decode_stream::<AppProvenance>(&journal.provenance_path()),
         corpus.len()
     );
-    // Finalize leaves no quarantine sidecar behind.
-    assert!(!journal.quarantine_path().exists());
     journal.reset().expect("cleanup");
 }
 
