@@ -4,16 +4,17 @@
 //! apps/sec-per-core scaling curve.
 //!
 //! The in-memory sweep is sampled over several rounds (rebar
-//! warmup/sample discipline). Its record keeps the workload name
-//! `cached-vs-baseline`, the name of the committed baseline record that
-//! `benchcmp` gates it against.
+//! warmup/sample discipline). The record's workload name is `scaling`,
+//! the name of the committed baseline record that `benchcmp` gates it
+//! against.
 //!
-//! Scaling is judged on the **virtual makespan** — the longest summed
-//! deterministic per-app virtual cost any one worker was charged (see
-//! `dydroid::WorkerStats`) — not wall-clock: the curve then measures
-//! scheduler load balance and is reproducible on any machine, including
-//! single-core CI runners where wall-clock cannot speed up at all.
-//! Wall-clock per worker count is still recorded, unjudged.
+//! Scaling is judged on the **virtual makespan** — the list schedule of
+//! the dispatch order's deterministic per-app virtual costs over the
+//! sweep's workers (see `dydroid::scheduler`) — not wall-clock: the
+//! curve is then a function of the corpus and the worker count alone,
+//! identical on every run and every machine, including single-core CI
+//! runners where wall-clock cannot speed up at all. Wall-clock per
+//! worker count is still recorded, unjudged.
 //!
 //! The run emits one unified measurement record (`BENCH_sweep.json`)
 //! and exits 1 on any failed
@@ -132,7 +133,7 @@ fn main() {
     let apps = corpus.len();
     eprintln!("sweepbench: {apps} apps");
 
-    let mut record = Measurement::new("sweep", "cached-vs-baseline", common.scale, common.seed);
+    let mut record = Measurement::new("sweep", "scaling", common.scale, common.seed);
     record.samples = common.samples;
     record.warmup = common.warmup;
 
@@ -207,8 +208,8 @@ fn main() {
             makespan_1 = makespan_us;
         }
         makespan_max = makespan_us;
-        // Scaling factor: how much shorter the critical path (longest
-        // per-worker virtual cost) got versus one worker.
+        // Scaling factor: how much shorter the virtual makespan got
+        // versus one worker.
         let scaling = if makespan_us == 0 {
             0.0
         } else {

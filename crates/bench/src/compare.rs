@@ -115,9 +115,8 @@ pub fn pooled_stddev(a: &[f64], b: &[f64]) -> f64 {
 
 /// The noise-aware significance test on two raw sample sets: returns
 /// whether the medians differ beyond `max(floor·|old median|, k·pooled
-/// stddev)`, plus the threshold that was applied. This is the single
-/// judgement both `benchcmp` and the in-bench comparisons (e.g.
-/// sweepbench's cached-vs-baseline speedup) share.
+/// stddev)`, plus the threshold that was applied: the judgement
+/// `benchcmp` makes per metric.
 pub fn significant(old: &[f64], new: &[f64], floor: f64, k: f64) -> (bool, f64) {
     let old_med = crate::measure::Stats::from_samples(old).median;
     let new_med = crate::measure::Stats::from_samples(new).median;

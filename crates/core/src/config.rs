@@ -49,9 +49,9 @@ pub struct PipelineConfig {
     /// Whether to run the Table VIII environment re-runs for apps whose
     /// loaded code was flagged as malware.
     pub environment_reruns: bool,
-    /// Per-app wall-clock/virtual deadline in milliseconds; `0` disables
-    /// the watchdog. Charged as the max of real elapsed time and a
-    /// deterministic virtual clock (1k interpreter instructions per ms).
+    /// Per-app deadline in virtual milliseconds; `0` disables the
+    /// watchdog. Charged on the deterministic virtual clock alone (1k
+    /// interpreter instructions per ms), so host load moves no verdict.
     pub app_deadline_ms: u64,
     /// Collect span traces and metrics during the run (see
     /// `crate::telemetry`). Disabled, every telemetry call site is a

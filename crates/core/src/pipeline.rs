@@ -36,7 +36,7 @@ use crate::durable::{self, IoHarness, IoState, Replacement, SinkOptions, StreamE
 use crate::profile::{StragglerEntry, Watchdog};
 use crate::provenance::{AppProvenance, ProvenanceLedger};
 use crate::report::{MeasurementReport, SweepStats};
-use crate::scheduler::{idle_workers, virtual_makespan_us, DispatchCursor, WorkerStats};
+use crate::scheduler::{idle_workers, DispatchCursor, VirtualSchedule, WorkerStats};
 use crate::telemetry::{ChildTable, HistogramSummary, MetricsSnapshot, SpanGuard, Telemetry};
 use crate::training;
 
@@ -625,18 +625,20 @@ impl Pipeline {
         Ok((outcome, outside))
     }
 
-    /// The parallel worker loop. Workers take the corpus indices of
-    /// `order` through one shared atomic cursor — every app is known up
-    /// front and none spawns another, so the next position is all a
-    /// worker needs — and analyse each app inside a panic-isolation
-    /// boundary. Results flow through a bounded channel so a slow
-    /// collector backpressures workers instead of buffering the whole
-    /// corpus in memory; the collector files each one in `slots` at its
-    /// corpus index and charges it to the worker that ran it, and a slot
-    /// stays as it was wherever no result arrived. With `writers`
-    /// attached, workers also build each app's provenance graph and
-    /// encode its journal and ledger bodies, and the collector appends
-    /// them — the sweep's only append path, with one writer per stream.
+    /// The parallel worker loop. Workers take the positions of `order`
+    /// (corpus indices) through one shared atomic cursor — every app is
+    /// known up front and none spawns another, so the next position is
+    /// all a worker needs — and analyse each app inside a
+    /// panic-isolation boundary. Results flow through a bounded channel
+    /// so a slow collector backpressures workers instead of buffering
+    /// the whole corpus in memory; the collector files each one in
+    /// `slots` at its corpus index, charges its wall time to the thread
+    /// that ran it and its virtual cost to the [`VirtualSchedule`] at its
+    /// dispatch position, and a slot stays as it was wherever no result
+    /// arrived. With `writers` attached, workers also build each app's
+    /// provenance graph and encode its journal and ledger bodies, and the
+    /// collector appends them — the sweep's only append path, with one
+    /// writer per stream.
     fn sweep(
         &self,
         corpus: &[SyntheticApp],
@@ -648,7 +650,7 @@ impl Pipeline {
     ) -> Vec<WorkerStats> {
         let workers = self.config.effective_workers().min(order.len().max(1));
         let keep_graphs = writers.is_some();
-        let cursor = DispatchCursor::new(order);
+        let cursor = DispatchCursor::new(order.len());
         if self.telemetry.is_enabled() {
             // Baseline gauges for the metrics snapshots, `dcltrace top`
             // and a caller's live poller. The total is the corpus:
@@ -669,19 +671,20 @@ impl Pipeline {
         // and their accounting survive even a worker-thread panic that
         // escapes the per-app isolation.
         let mut worker_stats = vec![WorkerStats::default(); workers];
+        let mut schedule = VirtualSchedule::new(workers, order.len());
         let scope_result = crossbeam::thread::scope(|scope| {
             for worker in 0..workers {
                 let result_tx = result_tx.clone();
                 let cursor = &cursor;
                 scope.spawn(move |_| {
-                    while let Some(index) = cursor.next() {
+                    while let Some(position) = cursor.next() {
                         let started = Instant::now();
                         let (record, graph, span_id, virtual_us, phases) =
-                            self.analyze_app_traced(&corpus[index], parent, keep_graphs);
+                            self.analyze_app_traced(&corpus[order[position]], parent, keep_graphs);
                         let bodies = graph.as_ref().map(|g| AppBodies::encode(&record, g));
                         let finished = Finished {
                             worker,
-                            index,
+                            position,
                             record,
                             graph,
                             bodies,
@@ -707,7 +710,7 @@ impl Pipeline {
                 let stats = &mut worker_stats[done.worker];
                 stats.executed += 1;
                 stats.busy_us += done.busy_us;
-                stats.virtual_us += done.virtual_us;
+                schedule.file(done.position, done.virtual_us);
                 if self.telemetry.is_enabled() {
                     // Observatory bookkeeping, all on the collector
                     // thread: worker/utilization gauges from the
@@ -718,10 +721,8 @@ impl Pipeline {
                         "sweep.busy_us",
                         worker_stats.iter().map(|w| w.busy_us).sum(),
                     );
-                    self.telemetry.gauge_set(
-                        "sweep.virtual_makespan_us",
-                        virtual_makespan_us(&worker_stats),
-                    );
+                    self.telemetry
+                        .gauge_set("sweep.virtual_makespan_us", schedule.makespan());
                     if done.record.harness_failure().is_some() {
                         failed_count += 1;
                         self.telemetry.gauge_set("sweep.failed", failed_count);
@@ -731,11 +732,14 @@ impl Pipeline {
                         obs.on_app_done(self, &done.record.package, done.virtual_us, done.phases);
                     }
                 }
-                slots.file(done.index, done.record, done.graph);
+                slots.file(order[done.position], done.record, done.graph);
             }
         });
         if scope_result.is_err() {
             eprintln!("dydroid: a sweep thread panicked outside per-app isolation; continuing with partial results");
+        }
+        for (stats, load) in worker_stats.iter_mut().zip(schedule.into_loads()) {
+            stats.virtual_us = load;
         }
         worker_stats
     }
@@ -1909,7 +1913,8 @@ fn file_stream<T: crate::durable::Record>(
 /// One analysed app on its way from a sweep worker to the collector.
 struct Finished {
     worker: usize,
-    index: usize,
+    /// The app's position in the dispatch order.
+    position: usize,
     record: AppRecord,
     graph: Option<AppProvenance>,
     /// The encoded bodies to append, on a journaled sweep.

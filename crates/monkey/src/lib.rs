@@ -34,18 +34,15 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-use std::time::Instant;
-
-use dydroid_avm::{AvmError, Device, Process};
+use dydroid_avm::{AvmError, Device};
 use rand::{Rng, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 /// Conversion rate of the deterministic virtual clock: one virtual
 /// millisecond per thousand retired interpreter instructions. The
-/// deadline watchdog charges an app the *maximum* of virtual and wall
-/// time, so runaway interpretation trips the deadline deterministically
-/// regardless of host speed, while genuine wall-clock stalls are still
-/// caught.
+/// virtual clock is the only clock the deadline watchdog reads, so
+/// whether an app trips its deadline depends on the app and the
+/// configuration alone, never on host speed or load.
 pub const VIRTUAL_INSTRUCTIONS_PER_MS: u64 = 1_000;
 
 /// Fuzzer configuration.
@@ -55,9 +52,9 @@ pub struct MonkeyConfig {
     pub seed: u64,
     /// Maximum number of UI events to inject after launch.
     pub event_budget: usize,
-    /// Per-app deadline in milliseconds (`None` = unlimited). Charged as
-    /// `max(wall-clock ms, instructions_retired / 1000)`; the remaining
-    /// budget also caps each callback's interpreter fuel.
+    /// Per-app deadline in virtual milliseconds (`None` = unlimited),
+    /// charged as `instructions_retired / VIRTUAL_INSTRUCTIONS_PER_MS`;
+    /// the remaining budget also caps each callback's interpreter fuel.
     pub deadline_ms: Option<u64>,
 }
 
@@ -89,7 +86,7 @@ pub enum ExerciseOutcome {
     DeadlineExceeded {
         /// UI events fired before the watchdog tripped.
         events_fired: usize,
-        /// Milliseconds charged (max of wall-clock and virtual time).
+        /// Virtual milliseconds charged (see [`virtual_ms`]).
         elapsed_ms: u64,
     },
 }
@@ -130,7 +127,6 @@ impl Monkey {
         device: &mut Device,
         pkg: &str,
     ) -> Result<ExerciseOutcome, AvmError> {
-        let started = Instant::now();
         let manifest = device
             .app(pkg)
             .ok_or_else(|| AvmError::NotInstalled(pkg.to_string()))?
@@ -144,7 +140,7 @@ impl Monkey {
         if let Some(deadline_ms) = self.config.deadline_ms {
             // Launch itself may have burned the whole budget (e.g. a
             // spinning Application/onCreate).
-            let elapsed = charged_ms(&process, started);
+            let elapsed = virtual_ms(process.instructions_retired);
             if elapsed >= deadline_ms {
                 return Ok(ExerciseOutcome::DeadlineExceeded {
                     events_fired: 0,
@@ -159,52 +155,12 @@ impl Monkey {
             });
         }
 
-        match self.fuzz_watched(device, &mut process, &manifest, started) {
-            FuzzResult::Completed(events_fired) => Ok(ExerciseOutcome::Exercised {
-                events_fired,
-                crashed: !process.alive,
-            }),
-            FuzzResult::DeadlineExceeded {
-                events_fired,
-                elapsed_ms,
-            } => Ok(ExerciseOutcome::DeadlineExceeded {
-                events_fired,
-                elapsed_ms,
-            }),
-        }
-    }
-
-    /// Fires random callbacks on an already-launched process. Returns the
-    /// number of events fired. Exposed separately so the pipeline can
-    /// launch and fuzz in distinct phases.
-    pub fn fuzz(
-        &mut self,
-        device: &mut Device,
-        process: &mut Process,
-        manifest: &dydroid_dex::Manifest,
-    ) -> usize {
-        match self.fuzz_watched(device, process, manifest, Instant::now()) {
-            FuzzResult::Completed(fired)
-            | FuzzResult::DeadlineExceeded {
-                events_fired: fired,
-                ..
-            } => fired,
-        }
-    }
-
-    /// The fuzz loop with the deadline watchdog. Between events the
-    /// watchdog charges `max(wall ms, virtual ms)` against the deadline;
-    /// each callback's interpreter fuel is additionally capped by the
-    /// remaining virtual budget so one callback cannot overshoot by more
-    /// than a slice. Fuel exhaustion under a deadline-derived cap counts
-    /// as a deadline hit, not an app crash.
-    fn fuzz_watched(
-        &mut self,
-        device: &mut Device,
-        process: &mut Process,
-        manifest: &dydroid_dex::Manifest,
-        started: Instant,
-    ) -> FuzzResult {
+        // The fuzz loop with the deadline watchdog. Between events the
+        // watchdog charges the virtual time retired so far against the
+        // deadline; each callback's interpreter fuel is additionally
+        // capped by the remaining budget so one callback cannot overshoot
+        // it. Fuel exhaustion under a deadline-derived cap counts as a
+        // deadline hit, not an app crash.
         let default_fuel = dydroid_avm::interp::DEFAULT_FUEL;
         let mut fired = 0;
         for _ in 0..self.config.event_budget {
@@ -213,19 +169,19 @@ impl Monkey {
             }
             let mut fuel = default_fuel;
             if let Some(deadline_ms) = self.config.deadline_ms {
-                let elapsed = charged_ms(process, started);
+                let elapsed = virtual_ms(process.instructions_retired);
                 if elapsed >= deadline_ms {
-                    return FuzzResult::DeadlineExceeded {
+                    return Ok(ExerciseOutcome::DeadlineExceeded {
                         events_fired: fired,
                         elapsed_ms: elapsed,
-                    };
+                    });
                 }
                 let remaining_instr =
                     (deadline_ms - elapsed).saturating_mul(VIRTUAL_INSTRUCTIONS_PER_MS);
                 fuel = default_fuel.min(remaining_instr.max(1));
             }
             // Callbacks can change as DCL loads new classes: re-enumerate.
-            let callbacks = process.ui_callbacks(manifest);
+            let callbacks = process.ui_callbacks(&manifest);
             if callbacks.is_empty() {
                 break;
             }
@@ -236,29 +192,23 @@ impl Monkey {
             if matches!(result, Err(dydroid_avm::Exec::OutOfFuel)) && fuel < default_fuel {
                 // The callback only ran out because the deadline capped
                 // its fuel: a watchdog kill, not an app bug.
-                return FuzzResult::DeadlineExceeded {
+                return Ok(ExerciseOutcome::DeadlineExceeded {
                     events_fired: fired,
-                    elapsed_ms: charged_ms(process, started)
+                    elapsed_ms: virtual_ms(process.instructions_retired)
                         .max(self.config.deadline_ms.unwrap_or(0)),
-                };
+                });
             }
         }
-        FuzzResult::Completed(fired)
+        Ok(ExerciseOutcome::Exercised {
+            events_fired: fired,
+            crashed: !process.alive,
+        })
     }
 
     /// The seed in use (for reporting).
     pub fn seed(&self) -> u64 {
         self.config.seed
     }
-}
-
-/// Internal result of the watched fuzz loop.
-enum FuzzResult {
-    Completed(usize),
-    DeadlineExceeded {
-        events_fired: usize,
-        elapsed_ms: u64,
-    },
 }
 
 /// Converts retired interpreter instructions to deterministic
@@ -274,14 +224,6 @@ pub fn virtual_ms(instructions: u64) -> u64 {
 /// charges a nonzero amount instead of truncating to zero.
 pub fn virtual_us(instructions: u64) -> u64 {
     instructions.saturating_mul(1_000) / VIRTUAL_INSTRUCTIONS_PER_MS
-}
-
-/// Milliseconds charged against the deadline: the max of real elapsed
-/// time and the deterministic virtual clock derived from retired
-/// interpreter instructions.
-fn charged_ms(process: &Process, started: Instant) -> u64 {
-    let wall = started.elapsed().as_millis().min(u128::from(u64::MAX)) as u64;
-    wall.max(virtual_ms(process.instructions_retired))
 }
 
 #[cfg(test)]

@@ -428,3 +428,58 @@ fn crash_torture_recovers_byte_identical_streams_at_every_boundary() {
         report.total_ops
     );
 }
+
+/// The deadline watchdog reads the virtual clock alone, so host load
+/// cannot move a verdict: a scale-0.05 sweep under a 1 ms deadline —
+/// less than many apps take in wall time, so a wall-clock charge would
+/// trip it as the host allows — run three times at two workers, beside
+/// a thread that keeps a CPU busy, finalizes the same report JSON and
+/// journal, retries the same apps and reports the same virtual makespan
+/// every time.
+#[test]
+fn host_load_moves_no_deadline_verdict() {
+    let corpus = generate(&CorpusSpec {
+        scale: 0.05,
+        seed: 7,
+    });
+    let busy = std::sync::atomic::AtomicBool::new(true);
+    let runs: Vec<_> = std::thread::scope(|scope| {
+        scope.spawn(|| {
+            let mut x = 0u64;
+            while busy.load(std::sync::atomic::Ordering::Relaxed) {
+                x = std::hint::black_box(x.wrapping_mul(31).wrapping_add(7));
+            }
+        });
+        let runs = (0..3)
+            .map(|run| {
+                let pipeline = Pipeline::new(PipelineConfig {
+                    workers: 2,
+                    environment_reruns: false,
+                    app_deadline_ms: 1,
+                    ..Default::default()
+                });
+                let journal = temp_journal(&format!("host_load_{run}"));
+                let report = pipeline
+                    .run_resumable(&corpus, &journal)
+                    .expect("deadline sweep");
+                let journal_bytes = std::fs::read(journal.path()).expect("finalized journal");
+                journal.reset().expect("cleanup");
+                (
+                    serde_json::to_string(&report).expect("serialise report"),
+                    journal_bytes,
+                    pipeline.telemetry().counter_value("sweep.retries"),
+                    dydroid::scheduler::virtual_makespan_us(&report.stats().worker_stats),
+                )
+            })
+            .collect();
+        busy.store(false, std::sync::atomic::Ordering::Relaxed);
+        runs
+    });
+    assert!(runs[0].3 > 0, "the sweep charged no virtual time");
+    for (run, later) in runs.iter().enumerate().skip(1) {
+        assert!(later.0 == runs[0].0, "run {run}: report JSON moved");
+        assert!(later.1 == runs[0].1, "run {run}: journal moved");
+        assert_eq!(later.2, runs[0].2, "run {run}: sweep.retries moved");
+        assert_eq!(later.3, runs[0].3, "run {run}: virtual makespan moved");
+    }
+}

@@ -2,11 +2,12 @@
 //! survived is never re-analysed, whatever became of the telemetry event
 //! log, and an app that lost either is re-analysed into the same
 //! finalized streams. A finished sweep leaves only its journal, its
-//! ledger and its profile artifact.
+//! ledger and its profile artifact, and the order its frames were
+//! appended in leaves no trace in the finalized bytes.
 
 use std::path::PathBuf;
 
-use dydroid::durable::encode_frames;
+use dydroid::durable::{decode_frame, encode_frames};
 use dydroid::{Journal, Pipeline, PipelineConfig};
 use dydroid_workload::{generate, CorpusSpec};
 
@@ -162,5 +163,77 @@ fn resume_over_an_emptied_ledger_leaves_only_the_finished_streams() {
         "a further resume moved a stream"
     );
     assert!(serde_json::to_string(&again).expect("serialise report") == first_json);
+    journal.reset().expect("cleanup");
+}
+
+/// Splitmix64: a seeded stream for the append-order permutations.
+fn splitmix(state: &mut u64) -> u64 {
+    *state = state.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let mut z = *state;
+    z = (z ^ (z >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// Completion order is an input the finalized outputs cannot see: a
+/// finished scale-0.01 sweep's journal and ledger frames, re-appended
+/// in seeded permutations of corpus order (as workers finishing in that
+/// order would leave them), resume and finalize to the original
+/// journal, ledger and report JSON.
+#[test]
+fn append_order_leaves_no_trace_in_the_finalized_streams() {
+    let corpus = generate(&CorpusSpec {
+        scale: 0.01,
+        seed: 7,
+    });
+    let config = PipelineConfig {
+        workers: 2,
+        ..PipelineConfig::default()
+    };
+    let path: PathBuf =
+        std::env::temp_dir().join(format!("dydroid_append_order_{}.jsonl", std::process::id()));
+    let journal = Journal::new(path);
+    journal.reset().expect("reset journal");
+    let sweep = || {
+        let report = Pipeline::new(config.clone())
+            .run_resumable(&corpus, &journal)
+            .expect("journaled sweep");
+        let streams = [journal.path().to_path_buf(), journal.provenance_path()]
+            .map(|p| std::fs::read_to_string(p).expect("finalized stream"));
+        (
+            serde_json::to_string(&report).expect("serialise report"),
+            streams,
+        )
+    };
+    let first = sweep();
+    let bodies = first.1.clone().map(|stream| {
+        stream
+            .lines()
+            .map(|line| decode_frame(line).expect("finalized frame").1.to_string())
+            .collect::<Vec<_>>()
+    });
+    assert_eq!(bodies[0].len(), corpus.len());
+    assert_eq!(bodies[1].len(), corpus.len());
+
+    for seed in 1..=4u64 {
+        let mut state = seed;
+        let mut order: Vec<usize> = (0..corpus.len()).collect();
+        for i in (1..order.len()).rev() {
+            order.swap(i, (splitmix(&mut state) % (i as u64 + 1)) as usize);
+        }
+        for (stream, bodies) in [journal.path().to_path_buf(), journal.provenance_path()]
+            .iter()
+            .zip(&bodies)
+        {
+            let permuted: Vec<String> = order.iter().map(|&k| bodies[k].clone()).collect();
+            std::fs::write(stream, encode_frames(0, &permuted)).expect("re-append the frames");
+        }
+        let resumed = sweep();
+        assert!(resumed.1 == first.1, "permutation {seed}: a stream moved");
+        assert!(
+            resumed.0 == first.0,
+            "permutation {seed}: report JSON moved"
+        );
+    }
     journal.reset().expect("cleanup");
 }
